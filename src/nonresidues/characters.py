@@ -11,7 +11,9 @@ residues, so membership is a single modular exponentiation
 q^((p-1)/d) == 1 (mod p) and never needs a discrete logarithm.  That is
 what makes smallest-prime-nonresidue computations cheap for large p; full
 discrete-log tables are only built for small p, where the character-sum
-oracles need arbitrary values of chi.
+oracles need arbitrary values of chi.  Candidate nonresidues are read from
+the package's one shared prime table (primes.primes_upto), so a search
+never sieves anything that an earlier search already sieved.
 """
 
 from __future__ import annotations
@@ -200,10 +202,13 @@ def prime_nonresidues(
 ) -> list[int]:
     """The `count` smallest prime nonresidues of an order-d character mod p.
 
-    A prime q != p is a nonresidue iff it is not a d-th power residue; this
-    depends only on (p, d).  Primes are taken from an incremental sieve; if
-    the cap is reached first, SearchCapExceededError reports the partial
-    list.
+    p must be prime; that is not checked here, because a primality test per
+    call would cost as much as the search itself (scans take p from the
+    sieve, and the CLI checks its input).  A prime q != p is a nonresidue
+    iff it is not a d-th power residue; this depends only on (p, d).
+    Candidates q are read in increasing order from the shared prime table,
+    in chunks of doubling length up to search_cap; if the cap is reached
+    first, SearchCapExceededError reports the partial list.
     """
     if d < 2 or (p - 1) % d != 0:
         raise ValueError(f"order d={d} invalid for p={p}")
@@ -212,13 +217,16 @@ def prime_nonresidues(
     out: list[int] = []
     if count == 0:
         return out
-    for q in pr.iter_primes():
-        if q > search_cap:
+    done = 0  # table entries already tested
+    limit = 64
+    while True:
+        primes = pr.primes_upto(min(limit, search_cap))
+        for q in primes[done:].tolist():
+            if q != p and not is_kernel(p, d, q):
+                out.append(q)
+                if len(out) == count:
+                    return out
+        if limit >= search_cap:
             raise SearchCapExceededError(p, d, search_cap, out)
-        if q == p:
-            continue
-        if not is_kernel(p, d, q):
-            out.append(q)
-            if len(out) == count:
-                return out
-    raise AssertionError("unreachable: prime stream is unbounded")
+        done = len(primes)
+        limit *= 2

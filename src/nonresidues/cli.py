@@ -15,6 +15,7 @@ worker count for scans.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from . import bounds as bd
 from . import lemmas as lm
 from . import scan as sc
 from .characters import SearchCapExceededError, prime_nonresidues
+from .primes import is_prime
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,6 +86,23 @@ def _parse_float_list(spec: str) -> list[float]:
     if not out:
         raise UsageError(f"empty float list: {spec!r}")
     return out
+
+
+def _parse_exact_int(text: str) -> int:
+    """An integer in plain or scientific notation ("1e7", "1.0001e7"), read
+    exactly; non-integral values are refused, never rounded.  Scan bounds
+    must lie below 2^63, where the range sieve's int64 arithmetic ends."""
+    try:
+        value = decimal.Decimal(text.strip())
+    except decimal.InvalidOperation:
+        raise UsageError(f"not a number: {text!r}") from None
+    if not value.is_finite():
+        raise UsageError(f"not a number: {text!r}")
+    if value.copy_abs() >= 2**63:
+        raise UsageError(f"{text!r} is out of range: must be below 2^63")
+    if value != value.to_integral_value():
+        raise UsageError(f"not an integer: {text!r}")
+    return int(value)
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -154,6 +173,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_nonresidues(args: argparse.Namespace) -> int:
+    if not is_prime(args.p):
+        raise UsageError(f"p={args.p} is not prime")
     cap_hit = False
     try:
         q = prime_nonresidues(args.p, args.d, args.n, search_cap=args.cap)
@@ -244,8 +265,8 @@ def _order_policy(spec: str) -> sc.OrderPolicy:
 def cmd_scan(args: argparse.Namespace) -> int:
     policy = _order_policy(args.orders)
     task = sc.ScanTask.make(
-        p_lo=int(args.p_lo),
-        p_hi=int(args.p_hi),
+        p_lo=_parse_exact_int(args.p_lo),
+        p_hi=_parse_exact_int(args.p_hi),
         policy=policy,
         n_max=args.n_max,
         n0=args.n0,
@@ -336,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("scan", help="scan a prime range against a frozen bound")
-    s.add_argument("--p-lo", type=float, required=True)
-    s.add_argument("--p-hi", type=float, required=True)
+    s.add_argument("--p-lo", required=True, help="integer, e.g. 10000019 or 1e7")
+    s.add_argument("--p-hi", required=True, help="integer, e.g. 1.01e7")
     s.add_argument("--orders", default="quadratic",
                    help="quadratic | upto:D | set:d1,d2,...")
     s.add_argument("--n-max", type=int, default=1)
@@ -358,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--keep-going", action="store_true",
                    help="record violations instead of halting")
     s.add_argument("--no-bound-check", action="store_true",
-                   help="skip the reference constant entirely")
+                   help="skip the reference constant entirely (the summary's "
+                   "c is then null unless --c is given)")
     s.set_defaults(func=cmd_scan)
 
     return ap

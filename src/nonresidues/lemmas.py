@@ -932,7 +932,7 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
     """All odd primes p <= p_max, all orders d | p-1, h <= h_max, r <= r_max."""
     rep = LemmaReport("s-upper")
     t0 = time.perf_counter()
-    for p in pr.sieve(p_max):
+    for p in pr.primes_upto(p_max):
         p = int(p)
         if p == 2:
             continue
@@ -957,7 +957,7 @@ def sweep_disjointness(
     rep = LemmaReport("disjointness")
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    plist = [int(q) for q in pr.sieve(p_max) if q >= 11]
+    plist = [int(q) for q in pr.primes_upto(p_max) if q >= 11]
     done = 0
     while done < trials:
         p = rng.choice(plist)
@@ -1020,7 +1020,7 @@ def iter_proposition_instances(
     (h <= 2j) combinations are not yielded.
     """
     count = 0
-    for p in map(int, pr.sieve(p_limit)):
+    for p in map(int, pr.primes_upto(p_limit)):
         if p == 2:
             continue
         spec = None
@@ -1094,7 +1094,7 @@ def sweep_shifted_sum(
     rep = LemmaReport("sum-chi")
     t0 = time.perf_counter()
     done = 0
-    for p in map(int, pr.sieve(p_limit)):
+    for p in map(int, pr.primes_upto(p_limit)):
         if done >= max_instances:
             break
         if p == 2:

@@ -3,12 +3,15 @@
 Everything here is exact integer arithmetic.  Sieves are numpy bool arrays;
 factorization is trial division with a Pollard-rho (Brent) fallback that
 gives up loudly when its effort budget is exhausted.
+
+Small primes have one source: primes_upto, a view of a single cached int64
+table that grows by doubling on demand.  The nonresidue search walks it,
+and the segmented range sieve takes its base primes from it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -20,6 +23,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 TRIAL_DIVISION_LIMIT = 10**7
 RHO_ITERATION_BUDGET = 10**7
+
+# The shared prime table: every prime <= _table_limit.  It starts empty, so
+# importing the module sieves nothing.
+_TABLE_MIN_LIMIT = 1 << 16
+_table = np.array([], dtype=np.int64)
+_table_limit = 1
 
 
 class FactorizationError(RuntimeError):
@@ -65,35 +74,49 @@ def sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+def primes_upto(n: int) -> np.ndarray:
+    """All primes <= n, as a read-only view of the shared prime table.
+
+    A request past the sieved limit re-sieves up to the limit doubled (at
+    least 2^16) as often as it takes to cover n.  Earlier entries never
+    change, and views handed out before keep their values.
+    """
+    global _table, _table_limit
+    if n > _table_limit:
+        limit = max(_TABLE_MIN_LIMIT, _table_limit)
+        while limit < n:
+            limit *= 2
+        table = sieve(limit)
+        table.flags.writeable = False
+        _table, _table_limit = table, limit
+    return _table[: np.searchsorted(_table, n, side="right")]
+
+
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi] via a segmented sieve (memory ~ hi - lo)."""
+    """Primes in [lo, hi] via a segmented sieve (memory ~ hi - lo).
+
+    Base primes come from the shared table.  Those up to the segment width
+    stride through the segment.  A wider base prime p has at most one
+    multiple in it, and that multiple is a proper one (p > hi - lo + 1 and
+    p*p <= hi force p < lo), so all of those are struck in one vectorised
+    step.
+    """
     if hi < 2 or hi < lo:
         return np.array([], dtype=np.int64)
     lo = max(lo, 2)
-    base = sieve(math.isqrt(hi))
-    flags = np.ones(hi - lo + 1, dtype=bool)
-    for p in base:
-        p = int(p)
+    width = hi - lo + 1
+    base = primes_upto(math.isqrt(hi))
+    n_narrow = int(np.searchsorted(base, width, side="right"))
+    flags = np.ones(width, dtype=bool)
+    for p in base[:n_narrow].tolist():
+        # from p*p on, so a base prime inside the window is kept
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start > hi:
             continue
         flags[start - lo :: p] = False
-        if lo <= p <= hi:
-            flags[p - lo] = True
+    offsets = (-lo) % base[n_narrow:]
+    flags[offsets[offsets < width]] = False
     return np.flatnonzero(flags).astype(np.int64) + lo
-
-
-def iter_primes() -> Iterator[int]:
-    """Unbounded increasing prime stream (segment-by-segment sieve)."""
-    yield 2
-    yield 3
-    lo = 5
-    width = 1 << 16
-    while True:
-        for p in primes_in_range(lo, lo + width - 1):
-            yield int(p)
-        lo += width
-        width = min(2 * width, 1 << 22)
 
 
 def _pollard_brent(n: int, seed: int = 1) -> int:

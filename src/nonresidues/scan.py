@@ -66,7 +66,8 @@ class ScanViolationError(AssertionError):
 
 
 class TaskMismatchError(RuntimeError):
-    """Checkpoint does not belong to this task definition."""
+    """Checkpoint cannot be resumed: it belongs to another task definition,
+    or its record file is missing or shorter than the committed offset."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,8 @@ class OrderPolicy:
     """Which character orders to scan for each prime p.
 
     quadratic       -> d = 2 only (the classical least-nonresidue case)
-    divisors-up-to  -> every d | p-1 with 2 <= d <= limit
+    divisors-up-to  -> every d | p-1 with 2 <= d <= limit (tested directly,
+                       so p-1 is never factorized)
     fixed-set       -> the listed d that happen to divide p-1
     """
 
@@ -109,7 +111,7 @@ class OrderPolicy:
             return [2]
         if self.kind == "fixed-set":
             return [d for d in self.orders if d >= 2 and (p - 1) % d == 0]
-        return [d for d in pr.divisors(p - 1) if 2 <= d <= self.limit]
+        return [d for d in range(2, self.limit + 1) if (p - 1) % d == 0]
 
     def to_json_obj(self) -> dict:
         return {
@@ -129,7 +131,10 @@ class OrderPolicy:
 
 @dataclass(frozen=True)
 class ScanTask:
-    """A fully specified scan; hashable so checkpoints can refuse strangers."""
+    """A fully specified scan; hashable so checkpoints can refuse strangers.
+
+    c is the frozen constant; it may be None when the bound is not checked.
+    """
 
     p_lo: int
     p_hi: int
@@ -137,7 +142,7 @@ class ScanTask:
     n_max: int
     n0: int
     p0: float
-    c: float
+    c: float | None
     search_cap: int = 10**6
     shard_width: int = DEFAULT_SHARD_WIDTH
     check_bound: bool = True
@@ -184,10 +189,13 @@ class ScanTask:
         c: float | None = None,
         **kw,
     ) -> "ScanTask":
-        """Task with defaults: quadratic policy, reference (n_max, p_lo)."""
+        """Task with defaults: quadratic policy, reference (n_max, p_lo).
+
+        Without a bound check no constant is needed, so c stays as given.
+        """
         n0 = n0 if n0 is not None else n_max
         p0 = p0 if p0 is not None else float(p_lo)
-        if c is None:
+        if c is None and kw.get("check_bound", True):
             g = compute_g(n0, p0).g
             if g is None:
                 raise ValueError(f"g(n0={n0}, p0={p0}) is undefined")
@@ -205,7 +213,7 @@ class ScanTask:
             "n_max": self.n_max,
             "n0": self.n0,
             "p0": repr(self.p0),
-            "c": repr(self.c),
+            "c": None if self.c is None else repr(self.c),
             "search_cap": self.search_cap,
             "shard_width": self.shard_width,
             "check_bound": self.check_bound,
@@ -220,7 +228,7 @@ class ScanTask:
             n_max=obj["n_max"],
             n0=obj["n0"],
             p0=float(obj["p0"]),
-            c=float(obj["c"]),
+            c=None if obj["c"] is None else float(obj["c"]),
             search_cap=obj["search_cap"],
             shard_width=obj["shard_width"],
             check_bound=obj["check_bound"],
@@ -510,7 +518,7 @@ class ScanSummary:
     p_lo: int
     p_hi: int
     n_max: int
-    c: float
+    c: float | None
     aggregate: Aggregate
 
     def to_json_obj(self) -> dict:
@@ -599,10 +607,21 @@ def run_scan(
             if fmt == "csv":
                 out.write(csv_header(task.n_max) + "\n")
         else:
-            # replay-safe resume: drop anything written past the last commit
-            out = open(out_path, "r+" if os.path.exists(out_path) else "w")
-            out.truncate(byte_offset or 0)
-            out.seek(byte_offset or 0)
+            # replay-safe resume: drop anything written past the last commit,
+            # but never pad a file that lost committed records
+            if byte_offset is None:
+                raise TaskMismatchError(
+                    "checkpoint was written without a record file; refusing "
+                    f"to resume into {out_path!r}"
+                )
+            if not os.path.exists(out_path) or os.path.getsize(out_path) < byte_offset:
+                raise TaskMismatchError(
+                    f"record file {out_path!r} is missing or shorter than the "
+                    f"records the checkpoint committed; refusing to resume"
+                )
+            out = open(out_path, "r+")
+            out.truncate(byte_offset)
+            out.seek(byte_offset)
 
     shards_done = 0
     try:

@@ -188,6 +188,21 @@ def test_prime_nonresidues_skips_p_itself():
     assert 3 not in q
 
 
+@pytest.mark.parametrize("cap", [-1, 0, 1, 2, 97, 2**16, 2**16 + 1, 10**6])
+def test_prime_nonresidues_cap_edges(cap):
+    # 97 and 65537 = 2^16 + 1 are quadratic nonresidues mod 1033, so a prime
+    # cap is itself found; 10^6 is not prime (the last prime below is 999983)
+    p, d = 1033, 2
+    expected = [q for q in map(int, pr.sieve(max(cap, 0)))
+                if q != p and pow(q, (p - 1) // d, p) != 1]
+    with pytest.raises(SearchCapExceededError) as exc:
+        prime_nonresidues(p, d, len(expected) + 1, search_cap=cap)
+    assert exc.value.found == expected
+    assert prime_nonresidues(p, d, len(expected), search_cap=cap) == expected
+    if cap in (97, 2**16 + 1):
+        assert expected[-1] == cap
+
+
 def test_prime_nonresidues_exhaustive_against_sieve():
     for p in (7, 23, 101, 997):
         got = prime_nonresidues(p, 2, 5)

@@ -136,6 +136,12 @@ def test_nonresidues_bad_order_exit_2(capsys):
     assert code == 2
 
 
+def test_nonresidues_composite_p_exit_2(capsys):
+    for p in ("9", "1", "561"):
+        code, out, err = run_cli(["nonresidues", "--p", p, "--d", "2", "--n", "3"], capsys)
+        assert code == 2 and "not prime" in err and out == ""
+
+
 def test_verify_requires_selector(capsys):
     code, _, err = run_cli(["verify"], capsys)
     assert code == 2 and "--all" in err
@@ -231,6 +237,49 @@ def test_scan_usage_errors(capsys):
         capsys,
     )
     assert code == 2
+
+
+def test_scan_no_bound_check_needs_no_constant(capsys, tmp_path):
+    summary_path = tmp_path / "s.json"
+    code, _, err = run_cli(
+        ["scan", "--p-lo", "1e7", "--p-hi", "1.0001e7", "--n-max", "3",
+         "--no-bound-check", "--summary", str(summary_path)],
+        capsys,
+    )
+    assert code == 0, err
+    summary = json.loads(summary_path.read_text())
+    jsonschema.validate(summary, load_schema("scan_summary"))
+    assert summary["c"] is None and summary["records"] > 0
+
+
+def test_scan_resume_without_records_exit_2(capsys, tmp_path):
+    out, ck = tmp_path / "r.jsonl", tmp_path / "ck.json"
+    args = ["scan", "--p-lo", "1e7", "--p-hi", "1.0005e7", "--c", "1.530",
+            "--n0", "1", "--p0", "1e7", "--shard-width", "2000",
+            "--out", str(out), "--summary", str(tmp_path / "s.json"),
+            "--checkpoint", str(ck)]
+    code, _, _ = run_cli(args + ["--stop-after-shards", "1"], capsys)
+    assert code == 0
+    out.unlink()
+    code, _, err = run_cli(args, capsys)
+    assert code == 2 and "refusing to resume" in err
+    assert not out.exists()
+
+
+def test_scan_bounds_parsed_exactly(capsys):
+    assert cli._parse_exact_int(str(2**53 + 1)) == 2**53 + 1
+    assert cli._parse_exact_int("1.0001e7") == 10001000
+    # as floats both bounds round to 2^53, and the reversed range would scan
+    code, _, err = run_cli(
+        ["scan", "--p-lo", str(2**53 + 1), "--p-hi", str(2**53), "--no-bound-check"],
+        capsys,
+    )
+    assert code == 2 and str(2**53 + 1) in err
+    for bad in ("10000000.5", "1e-3", "nan", "inf", "ten", "1e999999999", str(2**63)):
+        code, _, err = run_cli(
+            ["scan", "--p-lo", "1e7", "--p-hi", bad, "--no-bound-check"], capsys
+        )
+        assert code == 2 and "error:" in err
 
 
 def test_unknown_flag_rejected():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,11 +32,36 @@ def test_segmented_sieve_matches_full_sieve():
     ]
 
 
-def test_iter_primes_prefix():
-    import itertools
+def test_primes_upto_prefix():
+    first = pr.primes_upto(8000)
+    kept = first.copy()
+    assert list(first) == list(pr.sieve(8000))
+    assert pr.primes_upto(7919)[-1] == 7919  # the bound is inclusive
+    assert list(pr.primes_upto(1)) == [] and list(pr.primes_upto(2)) == [2]
+    assert not first.flags.writeable
+    # growing the table leaves earlier entries, and views of them, unchanged
+    pr.primes_upto(pr._table_limit + 1)
+    assert list(first) == list(kept)
+    assert list(pr.primes_upto(8000)) == list(kept)
+    grown = pr.primes_upto(pr._table_limit)
+    assert list(grown) == list(pr.sieve(pr._table_limit))
 
-    got = list(itertools.islice(pr.iter_primes(), 1000))
-    assert got == [int(p) for p in pr.sieve(8000)][:1000]
+
+@pytest.mark.parametrize("lo, hi", [
+    (10**12, 10**12 + 1000),  # base primes up to 10^6, far wider than 1001
+    (10**9 - 50, 10**9 + 50),
+    (0, 9), (1, 2), (2, 2), (3, 9), (4, 4), (-7, 7), (8, 10),
+])
+def test_primes_in_range_matches_is_prime(lo, hi):
+    expected = [n for n in range(max(lo, 0), hi + 1) if pr.is_prime(n)]
+    assert list(pr.primes_in_range(lo, hi)) == expected
+
+
+@given(st.integers(min_value=0, max_value=10**10), st.integers(min_value=0, max_value=300))
+def test_primes_in_range_property(lo, width):
+    got = pr.primes_in_range(lo, lo + width)
+    assert got.dtype == np.int64
+    assert list(got) == [n for n in range(lo, lo + width + 1) if pr.is_prime(n)]
 
 
 @given(st.integers(min_value=1, max_value=10**6))

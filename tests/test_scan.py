@@ -99,11 +99,29 @@ def test_worker_counts_agree():
 def test_record_streams_identical_across_workers(tmp_path):
     task = small_task()
     blobs = []
-    for w in (1, 2):
+    for w in (1, 2, 4, 8):
         path = tmp_path / f"records_w{w}.jsonl"
         sc.run_scan(task, out_path=str(path), workers=w)
         blobs.append(path.read_bytes())
-    assert blobs[0] == blobs[1]
+    assert all(b == blobs[0] for b in blobs)
+
+
+def test_orders_scan_identical_across_workers_and_resume(tmp_path):
+    # p near 10^12: every base prime above 1000 takes the one-multiple strike
+    task = sc.ScanTask.make(10**12, 10**12 + 3999,
+                            policy=sc.OrderPolicy.divisors_up_to(12), n_max=3,
+                            shard_width=1000)
+    blobs = []
+    for w in (1, 2, 4, 8):
+        path = tmp_path / f"records_w{w}.jsonl"
+        sc.run_scan(task, out_path=str(path), workers=w)
+        blobs.append(path.read_bytes())
+    part, ck = tmp_path / "part.jsonl", tmp_path / "ck.json"
+    sc.run_scan(task, out_path=str(part), workers=2, checkpoint_path=str(ck),
+                stop_after_shards=1)
+    sc.run_scan(task, out_path=str(part), workers=8, checkpoint_path=str(ck))
+    blobs.append(part.read_bytes())
+    assert blobs[0] and all(b == blobs[0] for b in blobs)
 
 
 def test_checkpoint_resume_byte_identical(tmp_path):
@@ -130,6 +148,29 @@ def test_checkpoint_truncates_uncommitted_tail(tmp_path):
     s_full = sc.run_scan(task, out_path=str(full))
     assert part.read_bytes() == full.read_bytes()
     assert s_res.to_json() == s_full.to_json()
+
+
+def test_resume_refuses_missing_or_short_record_file(tmp_path):
+    task = small_task()
+    part, ck = tmp_path / "part.jsonl", tmp_path / "ck.json"
+    sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck), stop_after_shards=2)
+    short = part.read_bytes()[:-1]
+    part.write_bytes(short)
+    with pytest.raises(sc.TaskMismatchError):
+        sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck))
+    assert part.read_bytes() == short  # neither padded nor truncated
+    part.unlink()
+    with pytest.raises(sc.TaskMismatchError):
+        sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck))
+    assert not part.exists()
+
+
+def test_resume_refuses_checkpoint_without_record_offset(tmp_path):
+    task = small_task()
+    part, ck = tmp_path / "part.jsonl", tmp_path / "ck.json"
+    sc.run_scan(task, checkpoint_path=str(ck), stop_after_shards=1)
+    with pytest.raises(sc.TaskMismatchError):
+        sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck))
 
 
 def test_resume_refuses_modified_task(tmp_path):
@@ -182,6 +223,16 @@ def test_no_bound_check_allows_low_range():
     assert [r.p for r in recs] == [int(p) for p in pr.primes_in_range(100, 200)]
 
 
+def test_make_without_bound_check_computes_no_constant():
+    # g(3, 1e7) is undefined, which must not matter when nothing is checked
+    task = sc.ScanTask.make(10**7, 10**7 + 100, n_max=3, check_bound=False)
+    assert task.c is None
+    assert sc.ScanTask.from_json_obj(task.to_json_obj()) == task
+    summary = sc.run_scan(task, workers=2)
+    assert summary.aggregate.records > 0 and summary.aggregate.violations == 0
+    assert json.loads(summary.to_json())["c"] is None
+
+
 def test_cap_exhaustion_recorded_not_fatal():
     task = sc.ScanTask(
         p_lo=10**7, p_hi=10**7 + 60, policy=sc.OrderPolicy.quadratic(),
@@ -206,6 +257,14 @@ def test_order_policies():
     assert rt == upto
     with pytest.raises(ValueError):
         sc.OrderPolicy(kind="bogus")
+
+
+def test_divisor_policy_matches_divisors_of_p_minus_1():
+    for limit in (2, 12, 60):
+        policy = sc.OrderPolicy.divisors_up_to(limit)
+        for p in map(int, pr.sieve(10**5)[1:]):
+            expected = [d for d in pr.divisors(p - 1) if 2 <= d <= limit]
+            assert policy.orders_for(p) == expected
 
 
 def test_scan_with_divisor_policy():
