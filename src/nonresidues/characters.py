@@ -9,11 +9,12 @@ floating point enters until a caller asks for a complex value.
 The kernel of an order-d character mod p is exactly the set of d-th power
 residues, so membership is a single modular exponentiation
 q^((p-1)/d) == 1 (mod p) and never needs a discrete logarithm.  That is
-what makes smallest-prime-nonresidue computations cheap for large p; full
-discrete-log tables are only built for small p, where the character-sum
-oracles need arbitrary values of chi.  Candidate nonresidues are read from
-the package's one shared prime table (primes.primes_upto), so a search
-never sieves anything that an earlier search already sieved.
+what makes smallest-prime-nonresidue computations cheap for large p; the
+full table of t-values (CharacterSpec.t_table) is only built for small p,
+where the character-sum oracles need arbitrary values of chi.  Candidate
+nonresidues are read from the package's one shared prime table
+(primes.primes_upto), so a search never sieves anything that an earlier
+search already sieved.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from . import primes as pr
 
@@ -36,14 +39,14 @@ __all__ = [
     "prime_nonresidues",
 ]
 
-# Full index tables cost O(p) memory; beyond this, use is_kernel instead.
+# Full t-tables cost O(p) memory; beyond this, use is_kernel instead.
 DLOG_TABLE_THRESHOLD = 10**6
 
 DEFAULT_SEARCH_CAP = 10**6
 
 
 class DiscreteLogThresholdError(RuntimeError):
-    """Modulus too large for an index table; kernel tests don't need one."""
+    """Modulus too large for a t-table; kernel tests don't need one."""
 
 
 class SearchCapExceededError(RuntimeError):
@@ -98,14 +101,6 @@ class CharacterValue:
     def is_one(self) -> bool:
         return self.t == 0
 
-    def as_complex(self) -> complex:
-        if self.t is None:
-            return 0j
-        return complex(
-            math.cos(2.0 * math.pi * self.t / self.d),
-            math.sin(2.0 * math.pi * self.t / self.d),
-        )
-
 
 @dataclass(frozen=True)
 class CharacterSpec:
@@ -144,47 +139,41 @@ class CharacterSpec:
         return cls(p=p, d=d, g=g, m=(p - 1) // d)
 
     @cached_property
-    def _index_table(self) -> list[int]:
-        """ind[a] = discrete log of a base g, for a in [1, p)."""
-        if self.p > DLOG_TABLE_THRESHOLD:
-            raise DiscreteLogThresholdError(
-                f"p={self.p} exceeds the index-table threshold "
-                f"{DLOG_TABLE_THRESHOLD}; use is_kernel for membership tests"
-            )
-        ind = [0] * self.p
-        x = 1
-        for k in range(self.p - 1):
-            ind[x] = k
-            x = x * self.g % self.p
-        return ind
+    def t_table(self) -> np.ndarray:
+        """t-values of all residues 0..p-1 (-1 at 0), built once per spec.
+
+        A read-only int64 array: chi(a) = e^(2 pi i t[a] / d), and t = -1
+        marks chi(0) = 0.  One pass over the powers of g, exact.
+        """
+        p = self.p
+        step = self.m * self.d // (p - 1)  # t advances by this per g-step
+        powers = [1] * (p - 1)  # g^k mod p
+        for k in range(1, p - 1):
+            powers[k] = powers[k - 1] * self.g % p
+        table = np.full(p, -1, dtype=np.int64)
+        table[powers] = np.arange(p - 1, dtype=np.int64) * step % self.d
+        table.flags.writeable = False
+        return table
 
     def value_table(self) -> list[int | None]:
-        """t-values for all residues 0..p-1 (None at 0); one pass, exact."""
-        step = self.m * self.d // (self.p - 1)  # t advances by this per g-step
-        table: list[int | None] = [None] * self.p
-        x = 1
-        t = 0
-        for _ in range(self.p - 1):
-            table[x] = t
-            x = x * self.g % self.p
-            t = (t + step) % self.d
-        return table
+        """t-values for all residues 0..p-1 (None at 0), read from t_table."""
+        return [None if t < 0 else t for t in self.t_table.tolist()]
 
 
 def char_value(spec: CharacterSpec, a: int) -> CharacterValue:
     """chi(a) as an exact root-of-unity exponent t mod d (zero if p | a).
 
-    Needs the index table, hence p below the table threshold; callers that
-    only care whether chi(a) = 1 should use is_kernel, which works for any p.
+    Reads the spec's t_table, hence p below the table threshold; callers
+    that only care whether chi(a) = 1 should use is_kernel, which works for
+    any p.
     """
-    p, d = spec.p, spec.d
-    a_mod = a % p
-    if a_mod == 0:
-        return CharacterValue(t=None, d=d)
-    k = spec._index_table[a_mod]
-    t_full = spec.m * k % (p - 1)
-    # order d forces t_full to be a multiple of (p-1)/d
-    return CharacterValue(t=t_full * d // (p - 1) % d, d=d)
+    if spec.p > DLOG_TABLE_THRESHOLD:
+        raise DiscreteLogThresholdError(
+            f"p={spec.p} exceeds the table threshold "
+            f"{DLOG_TABLE_THRESHOLD}; use is_kernel for membership tests"
+        )
+    t = int(spec.t_table[a % spec.p])
+    return CharacterValue(t=None if t < 0 else t, d=spec.d)
 
 
 def is_kernel(p: int, d: int, q: int) -> bool:

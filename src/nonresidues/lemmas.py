@@ -29,9 +29,12 @@ upper bounds on one instance.
 
 Rounding discipline: the exact side of every inequality is integer or
 rational arithmetic; the real side is evaluated in interval arithmetic and
-compared at its unfavorable endpoint (see rounding.py).  Quadratic
-characters take a pure-integer path; higher orders use >= 100-bit complex
-arithmetic with an explicitly propagated error bound.
+compared at its unfavorable endpoint (see rounding.py).  Every character
+sum comes from one window kernel (_window_m2), which returns |w_x|^2 for
+all p window starts: exact integers for quadratic characters, complex128
+with an a-priori error bound (Higham, ch. 3-4) for higher orders.  The
+moments propagate that bound, and the shifted-window check passes a
+window only when the enclosure clears the bound or |w| = h exactly.
 
 These statements are theorems, so every check on a valid instance must
 pass; a failure signals a bug in this package, never new mathematics.
@@ -39,6 +42,7 @@ pass; a failure signals a bug in this package, never new mathematics.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -47,9 +51,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath
+import numpy as np
 
 from . import primes as pr
-from .characters import CharacterSpec, prime_nonresidues
+from .characters import CharacterSpec, SearchCapExceededError, prime_nonresidues
 from .rounding import IV, fresh_context, iv_from_fraction, lower_fraction, upper_fraction
 
 __all__ = [
@@ -71,9 +76,6 @@ __all__ = [
     "run_verification",
     "sandwich_report",
 ]
-
-COMPLEX_PREC = 128  # working precision for d > 2 character sums
-ABS_TOL = 1e-9  # tolerance absorbing roundoff in >=-checks that can be tight
 
 
 class HypothesisError(ValueError):
@@ -120,88 +122,100 @@ class SumStats:
         return Fraction(self.value) + Fraction(self.error_bound)
 
 
-def _quadratic_table(spec: CharacterSpec) -> list[int]:
-    """chi values as integers in {-1, 0, 1} for all residues (d = 2 only)."""
-    return [0 if t is None else (1 if t == 0 else -1) for t in spec.value_table()]
+_U = 2.0**-53  # unit roundoff of float64
 
 
-def _window_error_bound(p: int, h: int, r: int, prec: int) -> float:
-    """Conservative absolute error of the d>2 moment at binary precision prec.
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), which bounds k stacked roundings."""
+    return k * _U / (1 - k * _U)
 
-    Per window: h root values (each within 4 ulp of exact) are added; the
-    squared modulus and its r-th power then amplify by the usual product
-    rules.  Constants are deliberately generous.
+
+@functools.lru_cache(maxsize=1 << 16)  # bounded: sweeps over many orders d
+def _chi_value(t: int, d: int):
+    """The value a t-table entry stands for: 0 for t < 0, exactly +-1 for
+    d = 2, else e^(2 pi i t/d) from mpmath rounded once to complex128 (each
+    component within 2u of exact)."""
+    if t < 0:
+        return 0
+    if d == 2:
+        return 1 - 2 * t
+    with mpmath.workprec(113):
+        return complex(mpmath.expjpi(mpmath.mpf(2 * t) / d))
+
+
+def _window_m2(t_table: np.ndarray, d: int, h: int) -> tuple[np.ndarray, float]:
+    """|w_x|^2 for every window start x in [0, p), w_x = sum_{m<h} chi(x+m).
+
+    The one window-sum kernel behind every character-sum oracle.  t_table
+    holds chi's exponents as in CharacterSpec.t_table (-1 marks chi = 0);
+    windows wrap mod p = len(t_table) and are summed in the order
+    m = 0, ..., h-1.  For d = 2 the values are exact int64 and the error
+    is 0.  For d > 2 they are float64, and the error E bounds
+    |computed - exact| for every window a priori (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3-4): each component
+    of w sums h terms of modulus <= 1, each within 2u of exact, so it is
+    within e = h (2u + gamma_{h-1}); then |a^2 - a'^2| <= e (2h + e) per
+    component, and forming the squares and their sum adds gamma_2 of a
+    value below h^2 + 2e (2h + e).
     """
-    eps = math.ldexp(1.0, -prec)
-    err_w = 6.0 * h * h * eps  # window sum, both components
-    err_m2 = 5.0 * h * err_w + 8.0 * h * h * eps  # squared modulus
-    err_pow = r * float(h) ** (2 * (r - 1)) * err_m2 + 4.0 * r * float(h) ** (2 * r) * eps
-    return p * err_pow + 4.0 * p * p * float(h) ** (2 * r) * eps
+    p = len(t_table)
+    ts, inv = np.unique(t_table, return_inverse=True)
+    vals = np.array([_chi_value(t, d) for t in ts.tolist()])[np.resize(inv, p + h - 1)]
+    w = vals[:p].copy()
+    for m in range(1, h):
+        w += vals[m : m + p]
+    if d == 2:
+        return w * w, 0.0
+    e = h * (2 * _U + _gamma(h - 1))
+    shift = 2 * e * (2 * h + e)
+    # A positive expression evaluated in float is within a factor 1/2 of its
+    # exact value, so doubling (itself exact) makes it an upper bound.
+    return w.real * w.real + w.imag * w.imag, 2 * (shift + _gamma(2) * (h * h + shift))
 
 
 def _sum_S_multi(
-    spec: CharacterSpec, h: int, r_values: Sequence[int], prec: int = COMPLEX_PREC
+    spec: CharacterSpec, h: int, r_values: Sequence[int]
 ) -> dict[int, SumStats]:
-    """S(chi, h, r) for several r in one pass over the residue system."""
+    """S(chi, h, r) for several r from one call of the window kernel.
+
+    d = 2: exact Python integers from a bincount of the window values
+    |w_x|^2.  d > 2: float64 sums of |w_x|^(2r) with a propagated bound.
+    With E the kernel's error and Y = m2_x + E, above both the computed and
+    the exact |w_x|^2, the power misses by at most
+    r Y^(r-1) E + gamma_{r-1} Y^r per window, and the sum over the p
+    windows adds gamma_{p-1} times a sum below 2 sum Y^r.
+    """
     p = spec.p
     if not 1 <= h < p:
         raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
     if any(r < 1 for r in r_values):
         raise ValueError(f"moment powers must be >= 1, got {r_values!r}")
     r_set = sorted(set(r_values))
-    r_max = r_set[-1]
-
+    m2, err = _window_m2(spec.t_table, spec.d, h)
+    moments = {}
     if spec.d == 2:
-        chi = _quadratic_table(spec)
-        chi_ext = chi + chi[:h]  # windows wrap around the residue system
-        prefix = [0] * (p + h + 1)
-        for i, v in enumerate(chi_ext):
-            prefix[i + 1] = prefix[i] + v
-        acc = {r: 0 for r in r_set}
-        for x in range(p):
-            w2 = (prefix[x + h] - prefix[x]) ** 2
-            pw = 1
-            for r in range(1, r_max + 1):
-                pw *= w2
-                if r in acc:
-                    acc[r] += pw
-        out = {}
+        counts = np.bincount(m2)
+        squares = np.flatnonzero(counts)
+        pairs = list(zip(squares.tolist(), counts[squares].tolist()))
         for r in r_set:
-            _sanity_moment(p, h, r, acc[r], 0.0)
-            out[r] = SumStats(p=p, h=h, r=r, value=acc[r], error_bound=0.0)
-        return out
-
-    with mpmath.workprec(prec):
-        two_pi = 2 * mpmath.pi
-        roots = [mpmath.expjpi(mpmath.mpf(2 * t) / spec.d) for t in range(spec.d)]
-        t_table = spec.value_table()
-        vals = [None if t is None else roots[t] for t in t_table]
-        vals_ext = vals + vals[:h]
-        acc = {r: mpmath.mpf(0) for r in r_set}
-        for x in range(p):
-            w = mpmath.mpc(0)
-            for v in vals_ext[x : x + h]:
-                if v is not None:
-                    w = w + v
-            m2 = w.real * w.real + w.imag * w.imag
-            pw = mpmath.mpf(1)
-            for r in range(1, r_max + 1):
-                pw = pw * m2
-                if r in acc:
-                    acc[r] += pw
-        out = {}
-        for r in r_set:
-            err = _window_error_bound(p, h, r, prec)
-            val = float(acc[r])
-            err += abs(val) * 1e-15  # float conversion of the midpoint
-            if not err < 1e-6 * val + 1e-6:
-                raise ArithmeticError(
-                    f"error bound {err:.3e} too large at (p={p}, h={h}, r={r}); "
-                    f"raise the working precision"
-                )
-            _sanity_moment(p, h, r, val, err)
-            out[r] = SumStats(p=p, h=h, r=r, value=val, error_bound=err)
-        return out
+            moments[r] = sum(c * v**r for v, c in pairs), 0.0
+    else:
+        y = m2 + err
+        pw = np.ones(p)
+        y_pw = np.ones(p)
+        for r in range(1, r_set[-1] + 1):
+            y_prev = float(y_pw.sum())
+            pw *= m2
+            y_pw *= y
+            if r in r_set:
+                gamma = _gamma(r - 1) + 2 * _gamma(p - 1)
+                bound = r * err * y_prev + gamma * float(y_pw.sum())
+                moments[r] = float(pw.sum()), 2 * bound  # doubled as in _window_m2
+    out = {}
+    for r, (value, bound) in moments.items():
+        _sanity_moment(p, h, r, value, bound)
+        out[r] = SumStats(p=p, h=h, r=r, value=value, error_bound=bound)
+    return out
 
 
 def _sanity_moment(p: int, h: int, r: int, value, err: float) -> None:
@@ -212,46 +226,10 @@ def _sanity_moment(p: int, h: int, r: int, value, err: float) -> None:
         )
 
 
-def exact_sum_S(
-    spec: CharacterSpec, h: int, r: int, prec: int = COMPLEX_PREC, offset: int = 0
-) -> SumStats:
-    """The complete moment S(chi, h, r), exact for d = 2.
-
-    The outer sum runs over any complete residue system; `offset` shifts its
-    starting point, which must not change the result (a reordering check
-    used by the tests).  Requires an index table, hence p below the
-    table threshold.
-    """
-    if offset == 0:
-        return _sum_S_multi(spec, h, (r,), prec)[r]
-    p = spec.p
-    if not 1 <= h < p:
-        raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
-    if spec.d == 2:
-        chi = _quadratic_table(spec)
-        total = 0
-        for x in range(offset, offset + p):
-            w = sum(chi[(x + m) % p] for m in range(h))
-            total += w ** (2 * r)
-        _sanity_moment(p, h, r, total, 0.0)
-        return SumStats(p=p, h=h, r=r, value=total, error_bound=0.0)
-    with mpmath.workprec(prec):
-        roots = [mpmath.expjpi(mpmath.mpf(2 * t) / spec.d) for t in range(spec.d)]
-        t_table = spec.value_table()
-        acc = mpmath.mpf(0)
-        for x in range(offset, offset + p):
-            w = mpmath.mpc(0)
-            for m in range(h):
-                t = t_table[(x + m) % p]
-                if t is not None:
-                    w = w + roots[t]
-            m2 = w.real * w.real + w.imag * w.imag
-            acc += m2**r
-        err = _window_error_bound(p, h, r, prec)
-        val = float(acc)
-        err += abs(val) * 1e-15
-        _sanity_moment(p, h, r, val, err)
-        return SumStats(p=p, h=h, r=r, value=val, error_bound=err)
+def exact_sum_S(spec: CharacterSpec, h: int, r: int) -> SumStats:
+    """The complete moment S(chi, h, r): exact for d = 2, else with a
+    rigorous error bound.  Needs spec.t_table, hence a small p."""
+    return _sum_S_multi(spec, h, (r,))[r]
 
 
 @dataclass(frozen=True)
@@ -583,9 +561,8 @@ def verify_window_hypothesis(spec: CharacterSpec, u: int, H: int) -> None:
     """Enumerate (0, H] and confirm chi(n) = 1 whenever gcd(n, u) = 1."""
     if not H < spec.p:
         raise HypothesisError(f"window H={H} reaches the modulus p={spec.p}")
-    table = spec.value_table()
-    for n in range(1, H + 1):
-        if math.gcd(n, u) == 1 and table[n] != 0:
+    for n in (np.flatnonzero(spec.t_table[1 : H + 1]) + 1).tolist():
+        if math.gcd(n, u) == 1:
             raise HypothesisError(
                 f"chi({n}) != 1 inside (0, {H}] although gcd({n}, {u}) = 1"
             )
@@ -598,6 +575,7 @@ class ShiftedSumCheck:
     points_checked: int
     threshold: int
     min_abs: float
+    detail: str = ""
 
 
 def check_shifted_sum_lower(
@@ -605,16 +583,18 @@ def check_shifted_sum_lower(
     nf: NonresidueFactorization,
     h: int,
     interval: FareyInterval,
-    prec: int = COMPLEX_PREC,
 ) -> ShiftedSumCheck:
     """Certify |sum_{m=0}^{h-1} chi(z+m)| >= h - 2j on a starred interval.
 
     Requires: the window hypothesis (chi = 1 on (0, H] off u, enumerated
     directly, HypothesisError otherwise), u1 | a, gcd(a, b) = 1, and a
-    starred interval kind.  Quadratic characters are compared exactly;
-    higher orders at >= 100-bit precision with tolerance ABS_TOL, since the
-    bound is attained with equality when j = 0.  Instances with h <= 2j are
-    vacuous and reported as such.
+    starred interval kind.  Each window reads its |w|^2 from the window
+    kernel (_window_m2): exact for quadratic characters.  For higher
+    orders a window passes only if the kernel's enclosure clears the
+    bound, m2 - E >= (h-2j)^2, or if its h values are one and the same
+    nonzero root, so that |w| = h exactly; that covers the equality case
+    j = 0.  Any other window fails, and `detail` names the first one.
+    Instances with h <= 2j are vacuous and reported as such.
     """
     if interval.kind not in ("I*", "J*"):
         raise ValueError(f"interval must be starred, got kind {interval.kind!r}")
@@ -629,47 +609,31 @@ def check_shifted_sum_lower(
             passed=True, vacuous=True, points_checked=0, threshold=bound, min_abs=0.0
         )
 
-    zs = list(interval.integers())
     p = spec.p
-    if spec.d == 2:
-        chi = _quadratic_table(spec)
-        min_sq = math.inf
-        ok = True
-        for z in zs:
-            w = sum(chi[(z + m) % p] for m in range(h))
-            min_sq = min(min_sq, w * w)
-            if w * w < bound * bound:
-                ok = False
-        return ShiftedSumCheck(
-            passed=ok,
-            vacuous=False,
-            points_checked=len(zs),
-            threshold=bound,
-            min_abs=math.sqrt(min_sq) if zs else math.inf,
+    zs = np.array(interval.integers(), dtype=np.int64)
+    xs = zs % p
+    m2, err = _window_m2(spec.t_table, spec.d, h)
+    # m2 >= need gives |w|^2 >= m2 - err >= bound^2; need is rounded up
+    need = bound * bound if err == 0 else math.nextafter(bound * bound + err, math.inf)
+    t_win = spec.t_table[(xs[:, None] + np.arange(h)) % p]
+    uniform = (t_win == t_win[:, :1]).all(axis=1) & (t_win[:, 0] >= 0)
+    bad = np.flatnonzero(~(uniform | (m2[xs] >= need)))
+    detail = ""
+    if len(bad):
+        first = bad[0]
+        detail = (
+            f"{len(bad)} of {len(zs)} windows not certified; first at "
+            f"z={zs[first]}: |w|^2 = {m2[xs[first]].item()!r} with error <= {err:.3g}, "
+            f"need >= {bound * bound}"
         )
-
-    with mpmath.workprec(prec):
-        roots = [mpmath.expjpi(mpmath.mpf(2 * t) / spec.d) for t in range(spec.d)]
-        t_table = spec.value_table()
-        min_abs = math.inf
-        ok = True
-        for z in zs:
-            w = mpmath.mpc(0)
-            for m in range(h):
-                t = t_table[(z + m) % p]
-                if t is not None:
-                    w = w + roots[t]
-            m2 = float(w.real * w.real + w.imag * w.imag)
-            min_abs = min(min_abs, math.sqrt(max(m2, 0.0)))
-            if m2 < bound * bound - ABS_TOL:
-                ok = False
-        return ShiftedSumCheck(
-            passed=ok,
-            vacuous=False,
-            points_checked=len(zs),
-            threshold=bound,
-            min_abs=min_abs,
-        )
+    return ShiftedSumCheck(
+        passed=not len(bad),
+        vacuous=False,
+        points_checked=len(zs),
+        threshold=bound,
+        min_abs=math.sqrt(m2[xs].min()) if len(zs) else math.inf,
+        detail=detail,
+    )
 
 
 def _validate_split(spec: CharacterSpec, nf: NonresidueFactorization, h: int) -> None:
@@ -918,12 +882,8 @@ def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
             for r in range(1, r_max + 1):
                 lhs *= q2
                 rhs = rhs * base
-                passed = lhs <= lower_fraction(rhs)
-                rep.record(
-                    {"h": h, "r": r, "j": j},
-                    passed,
-                    float(lower_fraction(rhs) - lhs),
-                )
+                rhs_lo = lower_fraction(rhs)
+                rep.record({"h": h, "r": r, "j": j}, lhs <= rhs_lo, float(rhs_lo - lhs))
     rep.elapsed_s = time.perf_counter() - t0
     return rep
 
@@ -1026,7 +986,7 @@ def iter_proposition_instances(
         spec = None
         try:
             q = prime_nonresidues(p, 2, n_max)
-        except Exception:
+        except SearchCapExceededError:
             continue
         for n in range(1, n_max + 1):
             H = q[n - 1] - 1
@@ -1107,7 +1067,7 @@ def sweep_shifted_sum(
                 break
             try:
                 q = prime_nonresidues(p, d, n_max)
-            except Exception:
+            except SearchCapExceededError:
                 continue
             spec = CharacterSpec.of_order(p, d)
             for n in range(1, n_max + 1):

@@ -14,7 +14,6 @@ never affect the global mpmath.iv singleton.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from mpmath.ctx_iv import MPIntervalContext
@@ -55,10 +54,3 @@ def iv_from_fraction(q: Fraction, ctx: MPIntervalContext = IV):
     """Smallest representable interval containing the rational q."""
     return ctx.mpf(q.numerator) / q.denominator
 
-
-def float_next_up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def float_next_down(x: float) -> float:
-    return math.nextafter(x, -math.inf)

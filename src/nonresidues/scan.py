@@ -362,6 +362,15 @@ def _iter_shards(
 # ---------------------------------------------------------------------------
 
 
+def _beats(value, witness, best, best_witness) -> bool:
+    """Whether (value, witness) replaces the running maximum (best, its
+    witness): a larger value wins, equal values go to the smaller witness,
+    and a missing value (None) never wins."""
+    if value is None:
+        return False
+    return best is None or value > best or (value == best and witness < best_witness)
+
+
 @dataclass
 class PerNStats:
     n: int
@@ -378,13 +387,9 @@ class PerNStats:
         ratio = rec.ratio[self.n - 1]
         wit = (rec.p, rec.d)
         self.count += 1
-        if self.max_q is None or q > self.max_q or (q == self.max_q and wit < self.max_q_witness):
+        if _beats(q, wit, self.max_q, self.max_q_witness):
             self.max_q, self.max_q_witness = q, wit
-        if (
-            self.max_ratio is None
-            or ratio > self.max_ratio
-            or (ratio == self.max_ratio and wit < self.max_ratio_witness)
-        ):
+        if _beats(ratio, wit, self.max_ratio, self.max_ratio_witness):
             self.max_ratio, self.max_ratio_witness = ratio, wit
 
     def merge(self, other: "PerNStats") -> "PerNStats":
@@ -392,20 +397,10 @@ class PerNStats:
             raise ValueError("cannot merge stats for different n")
         out = PerNStats(self.n, self.count + other.count)
         for src in (self, other):
-            if src.max_q is not None and (
-                out.max_q is None
-                or src.max_q > out.max_q
-                or (src.max_q == out.max_q and src.max_q_witness < out.max_q_witness)
-            ):
+            if _beats(src.max_q, src.max_q_witness, out.max_q, out.max_q_witness):
                 out.max_q, out.max_q_witness = src.max_q, src.max_q_witness
-            if src.max_ratio is not None and (
-                out.max_ratio is None
-                or src.max_ratio > out.max_ratio
-                or (
-                    src.max_ratio == out.max_ratio
-                    and src.max_ratio_witness < out.max_ratio_witness
-                )
-            ):
+            if _beats(src.max_ratio, src.max_ratio_witness,
+                      out.max_ratio, out.max_ratio_witness):
                 out.max_ratio = src.max_ratio
                 out.max_ratio_witness = src.max_ratio_witness
         return out

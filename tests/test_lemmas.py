@@ -1,12 +1,18 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from nonresidues import lemmas as lm
 from nonresidues import primes as pr
-from nonresidues.characters import CharacterSpec, prime_nonresidues
+from nonresidues.characters import (
+    CharacterSpec,
+    SearchCapExceededError,
+    prime_nonresidues,
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,29 +43,91 @@ def test_sum_S_window_of_one_counts_units():
         assert s3.value == pytest.approx(p - 1, abs=1e-6)
 
 
-def test_sum_S_brute_force_oracle(spec5):
-    # independent dumb evaluation, no prefix sums, for several shapes
-    for p, d, h, r in ((5, 2, 2, 1), (7, 2, 3, 2), (13, 2, 4, 3)):
-        spec = CharacterSpec.of_order(p, d)
+def test_sum_S_brute_force_oracle():
+    # independent dumb evaluation, no kernel, over every small quadratic shape
+    for p in map(int, pr.sieve(61)):
+        if p == 2:
+            continue
+        spec = CharacterSpec.of_order(p, 2)
         table = [0 if t is None else (1 if t == 0 else -1)
                  for t in spec.value_table()]
-        brute = sum(
-            sum(table[(x + m) % p] for m in range(h)) ** (2 * r)
-            for x in range(p)
-        )
-        assert lm.exact_sum_S(spec, h, r).value == brute
+        for h in range(1, min(8, p - 1) + 1):
+            sums = [sum(table[(x + m) % p] for m in range(h)) for x in range(p)]
+            got = lm._sum_S_multi(spec, h, range(1, 7))
+            for r in range(1, 7):
+                brute = sum(w ** (2 * r) for w in sums)
+                assert got[r].value == brute and got[r].error_bound == 0.0
+                assert lm.exact_sum_S(spec, h, r).value == brute
+
+
+def _mpmath_window_m2(spec, h):
+    """|sum_{m<h} chi(x+m)|^2 for every x at 200 bits, straight from the
+    definition chi(g^k) = e^(2 pi i m k / (p-1)); shares nothing with the
+    kernel."""
+    p = spec.p
+    with mpmath.workprec(200):
+        chi = [mpmath.mpc(0)] * p
+        for k in range(p - 1):
+            chi[pow(spec.g, k, p)] = mpmath.expjpi(mpmath.mpf(2 * spec.m * k) / (p - 1))
+        return [abs(mpmath.fsum(chi[(x + m) % p] for m in range(h))) ** 2
+                for x in range(p)]
+
+
+def test_sum_S_higher_orders_against_mpmath():
+    checked = 0
+    for p in map(int, pr.sieve(60)):
+        for d in pr.divisors(p - 1):
+            if d <= 2:
+                continue
+            spec = CharacterSpec.of_order(p, d)
+            for h in range(1, min(8, p - 1) + 1):
+                exact_m2 = _mpmath_window_m2(spec, h)
+                m2, err = lm._window_m2(spec.t_table, d, h)
+                got = lm._sum_S_multi(spec, h, range(1, 7))
+                with mpmath.workprec(200):
+                    for a, b in zip(m2.tolist(), exact_m2):
+                        assert abs(mpmath.mpf(a) - b) <= err, (p, d, h)
+                    for r in range(1, 7):
+                        exact = mpmath.fsum(v**r for v in exact_m2)
+                        miss = abs(mpmath.mpf(got[r].value) - exact)
+                        assert miss <= got[r].error_bound, (p, d, h, r)
+                        bound_ok = got[r].error_bound < 1e-6 * got[r].value + 1e-6
+                        assert bound_ok, (p, d, h, r)
+                        checked += 1
+    assert checked > 1500
 
 
 def test_sum_S_higher_order_evaluation_orders_agree(spec11_5):
-    a = lm.exact_sum_S(spec11_5, 3, 2)
-    b = lm.exact_sum_S(spec11_5, 3, 2, offset=4)
-    assert abs(a.value - b.value) <= a.error_bound + b.error_bound
-    assert a.error_bound < 1e-6 * a.value + 1e-6
+    # rotating the residue system permutes the windows and changes nothing
+    # else: each window sums the same values in the same order
+    t = spec11_5.t_table
+    m2, err = lm._window_m2(t, 5, 3)
+    for k in range(1, 11):
+        m2_k, err_k = lm._window_m2(np.roll(t, k), 5, 3)
+        assert err_k == err
+        assert np.array_equal(m2_k, np.roll(m2, k))
+    # summed in another order, the moment stays inside both error bounds
+    s = lm.exact_sum_S(spec11_5, 3, 2)
+    assert abs(float((np.roll(m2, 4) ** 2).sum()) - s.value) <= 2 * s.error_bound
+    assert s.error_bound < 1e-6 * s.value + 1e-6
 
 
 def test_sum_S_shift_invariance_exact(spec5):
     for off in (1, 2, 3):
-        assert lm.exact_sum_S(spec5, 2, 1, offset=off).value == 6
+        m2, err = lm._window_m2(np.roll(spec5.t_table, off), 2, 2)
+        assert err == 0 and m2.tolist() == np.roll([1, 0, 4, 0, 1], off).tolist()
+        assert int(m2.sum()) == 6
+
+
+def test_window_kernel_does_not_certify_a_near_miss():
+    # window values 1, 1, zeta with zeta = e^(2 pi i / 10^6):
+    # |w|^2 = 5 + 4 cos(2 pi / 10^6) falls below h^2 = 9 by about 8e-11
+    m2, err = lm._window_m2(np.array([-1, 0, 0, 1]), 10**6, 3)
+    with mpmath.workprec(200):
+        exact = 5 + 4 * mpmath.cospi(mpmath.mpf(2) / 10**6)
+        assert abs(mpmath.mpf(m2[1]) - exact) <= err
+    assert not m2[1] - err >= 9
+    assert m2[1] + err < 9  # the enclosure even excludes |w| = h
 
 
 def test_sum_S_trivial_bound_holds(spec11_5):
@@ -328,29 +396,61 @@ def test_shifted_sum_requires_starred_interval_and_divisibility():
         )  # u1 = 2 does not divide a = 3
 
 
-def test_shifted_sum_higher_order_character():
-    # d = 3 instance; the bound must hold with complex character values
-    hit = False
+def _order3_instance(j):
+    """A d = 3 shifted-window instance with u = q1 and the given j (0 or 1)."""
     for p in map(int, pr.sieve(300)):
         if p == 2 or (p - 1) % 3:
             continue
         q = prime_nonresidues(p, 3, 2)
-        h = q[0] + 1  # all of u below h: j = 0
-        H = q[1] - 1
-        if H >= p or Fraction(H, q[0]) - h + 1 <= 0:
+        h = q[0] + 1 - j  # j = 0: q1 < h, so u1 = q1; j = 1: q1 = h, so u2 = q1
+        if h - 2 * j <= 0:
             continue
         spec = CharacterSpec.of_order(p, 3)
-        nf = lm.nonresidue_factorization(q[:1], h, H, p)
-        b = 1 if nf.u1 > 1 else 0
-        itv = lm.farey_interval("I*", max(nf.u1, 1), b, p, H, h)
-        if not itv.integers():
-            continue
-        c = lm.check_shifted_sum_lower(spec, nf, h, itv)
-        assert c.passed and not c.vacuous
-        assert c.min_abs == pytest.approx(h, abs=1e-6)  # j = 0: equality
-        hit = True
-        break
-    assert hit, "no usable order-3 instance below the search limit"
+        nf = lm.nonresidue_factorization(q[:1], h, q[1] - 1, p)
+        itv = lm.farey_interval("I*", max(nf.u1, 1), 1 if nf.u1 > 1 else 0, p, nf.H, h)
+        if nf.H < p and itv.integers():
+            return spec, nf, h, itv
+    raise AssertionError("no usable order-3 instance below the search limit")
+
+
+def test_shifted_sum_higher_order_character():
+    # d = 3 instance; the bound must hold with complex character values
+    spec, nf, h, itv = _order3_instance(j=0)
+    c = lm.check_shifted_sum_lower(spec, nf, h, itv)
+    assert c.passed and not c.vacuous
+    assert c.min_abs == pytest.approx(h, abs=1e-6)  # j = 0: equality
+
+
+def test_shifted_sum_passes_only_certified_windows(monkeypatch):
+    # with a kernel error too wide to clear any bound, only windows whose
+    # values are all one nonzero root (|w| = h exactly) may still pass
+    real = lm._window_m2
+    monkeypatch.setattr(lm, "_window_m2", lambda t, d, h: (real(t, d, h)[0], h * h))
+    c = lm.check_shifted_sum_lower(*_order3_instance(j=1))
+    assert not c.passed and not c.vacuous
+    assert "not certified" in c.detail
+    c0 = lm.check_shifted_sum_lower(*_order3_instance(j=0))
+    assert c0.passed and c0.detail == ""
+
+
+def test_sweeps_propagate_unexpected_errors(monkeypatch):
+    def broken(p, d, count):
+        raise ValueError("broken search")
+
+    monkeypatch.setattr(lm, "prime_nonresidues", broken)
+    with pytest.raises(ValueError, match="broken search"):
+        next(iter(lm.iter_proposition_instances(100)))
+    with pytest.raises(ValueError, match="broken search"):
+        lm.sweep_shifted_sum(100, max_instances=5)
+
+
+def test_sweeps_skip_exhausted_searches(monkeypatch):
+    def capped(p, d, count):
+        raise SearchCapExceededError(p, d, 10, [])
+
+    monkeypatch.setattr(lm, "prime_nonresidues", capped)
+    assert list(lm.iter_proposition_instances(100)) == []
+    assert lm.sweep_shifted_sum(100, max_instances=5).instances_run == 0
 
 
 def test_shifted_sum_sweep():

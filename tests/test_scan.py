@@ -320,6 +320,25 @@ def test_aggregate_merge_equals_concat(records):
         assert a.merge(b).to_json_obj() == full
 
 
+def test_per_n_stats_tie_break_same_through_add_and_merge():
+    # equal max_q and ratio on three witnesses: the smallest (p, d) wins,
+    # whether the records are added one by one or merged as singletons
+    recs = [sc.ScanRecord(p=p, d=2, q=(5,), ratio=(0.5,), bound_ok=(True,))
+            for p in (13, 11, 17)]
+    added = sc.PerNStats(1)
+    singles = []
+    for rec in recs:
+        added.add(rec)
+        one = sc.PerNStats(1)
+        one.add(rec)
+        singles.append(one)
+    forward = singles[0].merge(singles[1]).merge(singles[2])
+    backward = singles[2].merge(singles[1].merge(singles[0]))
+    assert added.to_json_obj() == forward.to_json_obj() == backward.to_json_obj()
+    assert added.max_q_witness == added.max_ratio_witness == (11, 2)
+    assert added.count == 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_aggregate_merge_associative(records, data):
