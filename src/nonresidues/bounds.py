@@ -90,12 +90,16 @@ def compute_xstar(n: int, p: float) -> float:
     _check_np(n, p)
     logp = math.log(p)
     ratio = (n + 1) / n
+    try:
+        damping = logp ** ((n - 1) / 2.0)
+    except OverflowError:  # beyond the double range (n > ~500): X* is ~0
+        return 0.0
     return (
         (math.pi / 3.0)
         / math.sqrt(2.0 * math.e)
         * ratio ** (n - 1)
         * p**0.25
-        / logp ** ((n - 1) / 2.0)
+        / damping
         * (1.0 - ratio * math.exp(-1.0 / n) / logp)
     )
 
@@ -224,7 +228,11 @@ def reference_validity(n0: int, p0: float) -> tuple[bool, tuple[str, ...]]:
         failed.append(COND_XSTAR)
     if not p0 > 2e6:
         failed.append(COND_P0_MIN)
-    if not p0 > math.exp(8.0 * (n0 - 1)):
+    try:
+        p0_floor = math.exp(8.0 * (n0 - 1))
+    except OverflowError:  # n0 >= 90: no double p0 exceeds the floor
+        p0_floor = math.inf
+    if not p0 > p0_floor:
         failed.append(COND_P0_EXP8N)
     return (not failed, tuple(failed))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -60,9 +61,18 @@ def _parse_int_spec(spec: str) -> list[int]:
     return out
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise UsageError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_float_list(spec: str) -> list[float]:
     """Float list, scientific notation welcome: "1e7,1e8" or "1e7,1e8,...,1e12"
-    (the ellipsis continues the ratio of the two preceding entries)."""
+    (the ellipsis continues the ratio of the two preceding entries).  Values
+    must be finite: "inf", "nan" and overflowing literals such as "1e400"
+    are refused."""
     parts = [s.strip() for s in spec.split(",") if s.strip()]
     out: list[float] = []
     i = 0
@@ -71,7 +81,7 @@ def _parse_float_list(spec: str) -> list[float]:
             if len(out) < 2 or i + 1 >= len(parts):
                 raise UsageError("'...' needs two values before and one after")
             ratio = out[-1] / out[-2]
-            stop = float(parts[i + 1])
+            stop = _parse_finite(parts[i + 1])
             if ratio <= 1 or out[-1] >= stop:
                 raise UsageError("'...' requires an increasing progression")
             v = out[-1] * ratio
@@ -81,7 +91,7 @@ def _parse_float_list(spec: str) -> list[float]:
             out.append(stop)
             i += 2
         else:
-            out.append(float(parts[i]))
+            out.append(_parse_finite(parts[i]))
             i += 1
     if not out:
         raise UsageError(f"empty float list: {spec!r}")

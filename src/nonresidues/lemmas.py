@@ -29,12 +29,20 @@ upper bounds on one instance.
 
 Rounding discipline: the exact side of every inequality is integer or
 rational arithmetic; the real side is evaluated in interval arithmetic and
-compared at its unfavorable endpoint (see rounding.py).  Every character
-sum comes from one window kernel (_window_m2), which returns |w_x|^2 for
-all p window starts: exact integers for quadratic characters, complex128
-with an a-priori error bound (Higham, ch. 3-4) for higher orders.  The
-moments propagate that bound, and the shifted-window check passes a
-window only when the enclosure clears the bound or |w| = h exactly.
+compared at its unfavorable endpoint (see rounding.py).  Constant factors
+are certified once per constant, in bounded caches that fill on first use:
+the lower endpoints of sqrt(2)(2r/e)^r and sqrt(p), and the upper endpoint
+of 9/pi^2.  Each instance multiplies them by positive exact integers, so
+the per-instance interval work is one logarithm (totient, proposition) or
+one product (convexity, compared with h^(2r) and (h-2j)^(2r) by integer
+shifts), and s-upper needs none.
+
+Every character sum comes from one window kernel (_window_m2), which
+returns |w_x|^2 for all p window starts: exact integers for quadratic
+characters, complex128 with an a-priori error bound (Higham, ch. 3-4) for
+higher orders.  The moments propagate that bound, and the shifted-window
+check passes a window only when the enclosure clears the bound or
+|w| = h exactly.
 
 These statements are theorems, so every check on a valid instance must
 pass; a failure signals a bug in this package, never new mathematics.
@@ -55,7 +63,15 @@ import numpy as np
 
 from . import primes as pr
 from .characters import CharacterSpec, SearchCapExceededError, prime_nonresidues
-from .rounding import IV, fresh_context, iv_from_fraction, lower_fraction, upper_fraction
+from .rounding import (
+    DEFAULT_PREC,
+    IV,
+    interval_context,
+    iv_from_fraction,
+    lower_fraction,
+    lower_minus,
+    upper_fraction,
+)
 
 __all__ = [
     "FareyInterval",
@@ -219,8 +235,9 @@ def _sum_S_multi(
 
 
 def _sanity_moment(p: int, h: int, r: int, value, err: float) -> None:
-    # |inner sum| <= h termwise, so S <= p h^(2r); cheap cross-check
-    if value < -err or value > p * Fraction(h) ** (2 * r) + Fraction(err):
+    # |inner sum| <= h termwise, so S <= p h^(2r); cheap cross-check, exact
+    # for integer moments (err = 0: an int compares exactly with a float)
+    if value < -err or value - p * h ** (2 * r) > err:
         raise AssertionError(
             f"moment {value} outside [0, p*h^(2r)] at (p={p}, h={h}, r={r})"
         )
@@ -244,11 +261,25 @@ class InequalityCheck:
     detail: str = ""
 
 
-def _moment_upper_rhs(p: int, h: int, r: int, ctx=IV):
-    """Interval value of sqrt(2)(2r/e)^r p h^r + (2r-1) sqrt(p) h^(2r)."""
-    term1 = ctx.sqrt(ctx.mpf(2)) * (ctx.mpf(2 * r) / ctx.e) ** r * p * h**r
-    term2 = (2 * r - 1) * ctx.sqrt(ctx.mpf(p)) * h ** (2 * r)
-    return term1 + term2
+@functools.lru_cache(maxsize=1 << 10)
+def _stirling_rhs_lo(r: int, prec: int = DEFAULT_PREC) -> Fraction:
+    """Lower endpoint of sqrt(2) (2r/e)^r at binary precision prec."""
+    ctx = interval_context(prec)
+    return lower_fraction(ctx.sqrt(ctx.mpf(2)) * (ctx.mpf(2 * r) / ctx.e) ** r)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _sqrt_lo(p: int) -> Fraction:
+    """Lower endpoint of sqrt(p) at the default precision."""
+    return lower_fraction(IV.sqrt(IV.mpf(p)))
+
+
+def _s_upper_rhs_lo(p: int, h: int, r: int) -> Fraction:
+    """Lower bound on sqrt(2)(2r/e)^r p h^r + (2r-1) sqrt(p) h^(2r): the
+    cached lower endpoints of sqrt(2)(2r/e)^r and sqrt(p) times positive
+    integers, summed exactly."""
+    hr = h**r
+    return _stirling_rhs_lo(r) * (p * hr) + _sqrt_lo(p) * ((2 * r - 1) * hr * hr)
 
 
 def check_S_upper(
@@ -256,8 +287,11 @@ def check_S_upper(
 ) -> InequalityCheck:
     """Certify S(chi,h,r) <= sqrt(2)(2r/e)^r p h^r + (2r-1) sqrt(p) h^(2r).
 
-    Hypotheses: h < p and r <= 9h.  The right side is compared at its lower
-    interval endpoint, the moment at value + error_bound.
+    Hypotheses: h < p and r <= 9h.  The right side is bounded below by
+    A(r) p h^r + B(p) (2r-1) h^(2r), where A(r) and B(p) are the cached
+    lower interval endpoints of sqrt(2)(2r/e)^r and sqrt(p); both terms are
+    positive, so the sum is exact rational arithmetic and no interval is
+    evaluated per instance.  The moment is compared at value + error_bound.
     """
     p = spec.p
     if not h < p:
@@ -266,8 +300,7 @@ def check_S_upper(
         raise ValueError(f"need r <= 9h, got r={r}, h={h}")
     if stats is None:
         stats = exact_sum_S(spec, h, r)
-    rhs = _moment_upper_rhs(p, h, r)
-    rhs_lo = lower_fraction(rhs)
+    rhs_lo = _s_upper_rhs_lo(p, h, r)
     lhs_hi = stats.upper()
     return InequalityCheck(
         passed=lhs_hi <= rhs_lo,
@@ -286,15 +319,14 @@ def check_stirling_ratio(r: int) -> InequalityCheck:
     """Certify (2r)! / (2^r r!) <= sqrt(2) (2r/e)^r with an exact LHS.
 
     The left side is an exact big integer (it is the odd double factorial
-    (2r-1)!!); the right side is lower-bounded by interval arithmetic.  The
-    relative gap shrinks like 1/(24r), so precision is raised with r.
+    (2r-1)!!); the right side is lower-bounded by interval arithmetic, in
+    one cached context per precision.  The relative gap shrinks like
+    1/(24r), so precision is raised with r.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     lhs = math.factorial(2 * r) // ((1 << r) * math.factorial(r))
-    ctx = fresh_context(96 + 2 * r.bit_length())
-    rhs = ctx.sqrt(ctx.mpf(2)) * (ctx.mpf(2 * r) / ctx.e) ** r
-    rhs_lo = lower_fraction(rhs)
+    rhs_lo = _stirling_rhs_lo(r, DEFAULT_PREC + 2 * r.bit_length())
     return InequalityCheck(
         passed=Fraction(lhs) <= rhs_lo,
         lhs=_as_float(lhs),
@@ -309,23 +341,40 @@ def check_stirling_ratio(r: int) -> InequalityCheck:
 # ---------------------------------------------------------------------------
 
 
-def _totient_rhs_upper(x: Fraction, ctx=IV) -> Fraction:
-    """Upper endpoint of (9/pi^2) x^2 f(x), f(x) = 1 - (pi^2/9)(log x + 9)/(3x)."""
-    xi = iv_from_fraction(x, ctx)
-    pi2 = ctx.pi**2
-    f = 1 - pi2 / 9 * (ctx.log(xi) + 9) / (3 * xi)
-    return upper_fraction(9 / pi2 * xi**2 * f)
+@functools.lru_cache(maxsize=1)
+def _nine_over_pi2_up() -> Fraction:
+    """Upper endpoint of 9/pi^2 at the default precision."""
+    return upper_fraction(9 / IV.pi**2)
 
 
-def _totient_lhs(x: Fraction, s0: int, s1: Fraction) -> Fraction:
-    return 2 * x * s1 - s0
+def _totient_rhs_upper(x: Fraction) -> Fraction:
+    """Upper bound on (9/pi^2) x^2 f(x), f(x) = 1 - (pi^2/9)(log x + 9)/(3x).
+
+    Through the identity (9/pi^2) x^2 f(x) = 9x^2/pi^2 - x (log x + 9)/3,
+    the bound is up(9/pi^2) x^2 - x (lo(log x) + 9)/3 for x > 0: 9/pi^2 is
+    rounded up once and cached, and log x is the only interval evaluated.
+    """
+    log_lo = lower_fraction(IV.log(iv_from_fraction(x)))
+    return _nine_over_pi2_up() * x * x - x * (log_lo + 9) / 3
+
+
+def _totient_slack(x: Fraction, s0: int, s1: Fraction, rhs: Fraction) -> tuple[int, int]:
+    """lhs - rhs as an unreduced fraction (n, d), d > 0, where the exact lhs
+    is 2x s1 - s0; cross-multiplied, so no gcd of the large s1 is taken."""
+    a, b = x.numerator, x.denominator
+    n1, d1 = s1.numerator, s1.denominator
+    return (
+        (2 * a * n1 - s0 * b * d1) * rhs.denominator - rhs.numerator * b * d1,
+        b * d1 * rhs.denominator,
+    )
 
 
 def check_totient_inequality(x) -> InequalityCheck:
     """Certify 2x sum_{a<=x} phi(a)/a - sum_{a<=x} phi(a) >= (9/pi^2) x^2 f(x).
 
-    The left side is exact rational; the right side is compared at its
-    upper interval endpoint.  x may be any rational (or float) > 1.
+    The left side is exact rational; the right side is bounded above with
+    the cached endpoint of 9/pi^2 and one interval logarithm (see
+    _totient_rhs_upper).  x may be any rational (or float) > 1.
     """
     x = Fraction(x)
     if not x > 1:
@@ -334,13 +383,13 @@ def check_totient_inequality(x) -> InequalityCheck:
     phi = pr.totient_sieve(n)
     s0 = int(phi[1:].sum())
     s1 = sum(Fraction(int(phi[a]), a) for a in range(1, n + 1))
-    lhs = _totient_lhs(x, s0, s1)
     rhs_up = _totient_rhs_upper(x)
+    n_slack, d_slack = _totient_slack(x, s0, s1, rhs_up)
     return InequalityCheck(
-        passed=lhs >= rhs_up,
-        lhs=float(lhs),
+        passed=n_slack >= 0,
+        lhs=float(2 * x * s1 - s0),
         rhs=float(rhs_up),
-        slack=float(lhs - rhs_up),
+        slack=n_slack / d_slack,
     )
 
 
@@ -648,6 +697,17 @@ def _validate_split(spec: CharacterSpec, nf: NonresidueFactorization, h: int) ->
 # ---------------------------------------------------------------------------
 
 
+def _proposition_rhs_upper(nf: NonresidueFactorization, h: int, r: int) -> Fraction:
+    """Upper bound on (18/pi^2) h (h-2j)^(2r) (phi(u1)/u1^2) X^2 f(X/u1).
+
+    With x = X/u1 that is the positive integer 2h (h-2j)^(2r) phi(u1) times
+    the totient right side (9/pi^2) x^2 f(x), bounded by _totient_rhs_upper.
+    """
+    phi_u1 = math.prod(q - 1 for q in nf.u1_primes)
+    x = Fraction(nf.H, 2 * h * nf.u1)
+    return 2 * h * (h - 2 * nf.j) ** (2 * r) * phi_u1 * _totient_rhs_upper(x)
+
+
 def check_proposition_lower(
     spec: CharacterSpec,
     nf: NonresidueFactorization,
@@ -681,16 +741,7 @@ def check_proposition_lower(
     if stats is None:
         stats = exact_sum_S(spec, h, r)
 
-    xu = x / nf.u1
-    phi_u1 = math.prod(q - 1 for q in nf.u1_primes)
-    xu_iv = iv_from_fraction(xu)
-    pi2 = IV.pi**2
-    f_iv = 1 - pi2 / 9 * (IV.log(xu_iv) + 9) / (3 * xu_iv)
-    scale = (
-        Fraction(18) * h * (h - 2 * nf.j) ** (2 * r) * phi_u1 * x * x / (nf.u1 * nf.u1)
-    )
-    rhs = iv_from_fraction(scale) / pi2 * f_iv
-    rhs_up = upper_fraction(rhs)
+    rhs_up = _proposition_rhs_upper(nf, h, r)
     lhs_lo = stats.lower()
     return InequalityCheck(
         passed=lhs_lo >= rhs_up,
@@ -749,25 +800,41 @@ def sandwich_report(
 # ---------------------------------------------------------------------------
 
 
+def _ratio_float(n: int, d: int) -> float:
+    """n / d correctly rounded (as float(Fraction(n, d))), clamped to +-inf."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _convexity_verdict(rhs, num: int, den: int) -> tuple[bool, float]:
+    """(num/den <= lo(rhs), lo(rhs) - num/den) for the integers
+    num = h^(2r), den = (h-2j)^(2r), compared by shifts (see lower_minus)."""
+    n, d = lower_minus(rhs, num, den)
+    return n >= 0, _ratio_float(n, d)
+
+
 def check_convexity_bound(h: int, r: int, j: int) -> InequalityCheck:
     """Certify (h/(h-2j))^(2r) <= exp(16rj/(3h)) for 0 <= j <= h/8.
 
-    The left side is an exact rational power; the right side is compared at
-    its lower interval endpoint (exp(0) = 1 is exact, so j = 0 is the
-    equality case and still passes).
+    The left side stays the two integers h^(2r) and (h-2j)^(2r); the right
+    side is compared at its lower interval endpoint man * 2^exp by integer
+    shifts (exp(0) = 1 is exact, so j = 0 is the equality case and still
+    passes).
     """
     if h < 1 or r < 1 or j < 0:
         raise ValueError(f"need h, r >= 1 and j >= 0, got h={h}, r={r}, j={j}")
     if 8 * j > h:
         raise ValueError(f"need j <= h/8, got j={j}, h={h}")
-    lhs = Fraction(h, h - 2 * j) ** (2 * r)
+    num, den = h ** (2 * r), (h - 2 * j) ** (2 * r)
     rhs = IV.exp(IV.mpf(16 * r * j) / (3 * h))
-    rhs_lo = lower_fraction(rhs)
+    passed, slack = _convexity_verdict(rhs, num, den)
     return InequalityCheck(
-        passed=lhs <= rhs_lo,
-        lhs=_as_float(lhs),
-        rhs=_as_float(rhs_lo),
-        slack=_as_float(rhs_lo - lhs),
+        passed=passed,
+        lhs=_ratio_float(num, den),
+        rhs=_as_float(lower_fraction(rhs)),
+        slack=slack,
     )
 
 
@@ -861,10 +928,8 @@ def sweep_totient(x_max: int = 5000, step_denom: int = 10) -> LemmaReport:
             floor_x += 1
             s0 += int(phi[floor_x])
             s1 += Fraction(int(phi[floor_x]), floor_x)
-        lhs = _totient_lhs(x, s0, s1)
-        rhs_up = _totient_rhs_upper(x)
-        passed = lhs >= rhs_up
-        rep.record({"x": f"{k}/{step_denom}"}, passed, float(lhs - rhs_up))
+        n_slack, d_slack = _totient_slack(x, s0, s1, _totient_rhs_upper(x))
+        rep.record({"x": f"{k}/{step_denom}"}, n_slack >= 0, n_slack / d_slack)
     rep.elapsed_s = time.perf_counter() - t0
     return rep
 
@@ -876,14 +941,14 @@ def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
     for h in range(1, h_max + 1):
         for j in range(0, h // 8 + 1):
             base = IV.exp(IV.mpf(16 * j) / (3 * h))
-            q2 = Fraction(h, h - 2 * j) ** 2
-            lhs = Fraction(1)
+            num = den = 1
             rhs = IV.mpf(1)
             for r in range(1, r_max + 1):
-                lhs *= q2
+                num *= h * h
+                den *= (h - 2 * j) ** 2
                 rhs = rhs * base
-                rhs_lo = lower_fraction(rhs)
-                rep.record({"h": h, "r": r, "j": j}, lhs <= rhs_lo, float(rhs_lo - lhs))
+                passed, slack = _convexity_verdict(rhs, num, den)
+                rep.record({"h": h, "r": r, "j": j}, passed, slack)
     rep.elapsed_s = time.perf_counter() - t0
     return rep
 

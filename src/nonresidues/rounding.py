@@ -4,40 +4,57 @@ The inequality oracles in this package certify statements of the form
 LHS <= RHS where one side is exact (a Python int or Fraction) and the other
 is a real expression.  The real side is evaluated in interval arithmetic
 (outward rounding guaranteed), and the unfavorable endpoint is extracted as
-an exact dyadic Fraction for the final comparison: the RHS of a "<=" is
-rounded down, the RHS of a ">=" is rounded up.  A reported pass is then a
-numerical certificate at the working precision, never a rounding accident.
+an exact dyadic number man * 2^exp for the final comparison: the RHS of a
+"<=" is rounded down, the RHS of a ">=" is rounded up.  A reported pass is
+then a numerical certificate at the working precision, never a rounding
+accident.
 
-A package-private interval context is used so that precision changes here
-never affect the global mpmath.iv singleton.
+Endpoints come out either as Fractions (lower_fraction, upper_fraction) or,
+for comparisons in a hot loop, as an unreduced integer difference against a
+rational (lower_minus), built by shifts with no Fraction and no gcd.  The
+oracles cache the endpoints of their constant factors (sqrt(2)(2r/e)^r,
+sqrt(p), 9/pi^2) and combine them with exact integers, so an interval
+evaluation per instance is needed only where the instance itself enters a
+transcendental function.
+
+Interval contexts are package-private and cached per precision, so
+precision here never affects the global mpmath.iv singleton.  Callers must
+not change a cached context's precision.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from mpmath.ctx_iv import MPIntervalContext
 
 DEFAULT_PREC = 96
 
-IV = MPIntervalContext()
-IV.prec = DEFAULT_PREC
 
-
-def fresh_context(prec: int) -> MPIntervalContext:
-    """A new interval context at the given binary precision."""
+@functools.lru_cache(maxsize=32)
+def interval_context(prec: int) -> MPIntervalContext:
+    """The shared interval context at the given binary precision."""
     ctx = MPIntervalContext()
     ctx.prec = prec
     return ctx
 
 
-def _raw_to_fraction(raw) -> Fraction:
-    """Exact value of one interval endpoint from its raw (sign, man, exp, bc)."""
+IV = interval_context(DEFAULT_PREC)
+
+
+def _signed_man_exp(raw) -> tuple[int, int]:
+    """(m, e) with endpoint value m * 2^e, from a raw (sign, man, exp, bc)."""
     sign, man, exp, _ = raw
     if man == 0 and exp != 0:
         raise ValueError(f"nonfinite interval endpoint: {raw}")
-    v = Fraction(int(man)) * Fraction(2) ** exp
-    return -v if sign else v
+    return (-int(man) if sign else int(man)), exp
+
+
+def _raw_to_fraction(raw) -> Fraction:
+    """Exact value of one interval endpoint from its raw (sign, man, exp, bc)."""
+    man, exp = _signed_man_exp(raw)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def lower_fraction(x) -> Fraction:
@@ -50,7 +67,18 @@ def upper_fraction(x) -> Fraction:
     return _raw_to_fraction(x._mpi_[1])
 
 
+def lower_minus(x, num: int, den: int) -> tuple[int, int]:
+    """lo(x) - num/den exactly, as an unreduced fraction (n, d) with d > 0.
+
+    The sign of n decides lo(x) >= num/den, and n / d (int true division,
+    correctly rounded) is the same float as float() of the reduced Fraction.
+    """
+    man, exp = _signed_man_exp(x._mpi_[0])
+    if exp >= 0:
+        return (man << exp) * den - num, den
+    return man * den - (num << -exp), den << -exp
+
+
 def iv_from_fraction(q: Fraction, ctx: MPIntervalContext = IV):
     """Smallest representable interval containing the rational q."""
     return ctx.mpf(q.numerator) / q.denominator
-

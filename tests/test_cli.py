@@ -1,11 +1,15 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonresidues import cli
+from nonresidues import primes as pr
 
 from table1_data import TABLE1
 
@@ -74,6 +78,103 @@ def test_table_all_dash_below_threshold(capsys):
     assert code == 0
     for line in out.splitlines()[1:]:
         assert line.split()[1] == "-"
+
+
+def test_table_refuses_non_finite_p0(capsys):
+    # refused while parsing: a non-finite p0 cannot even be labelled
+    for p0 in ("inf", "1e400", "nan", "-inf", "1e7,1e8,...,1e400", "1e7,inf"):
+        code, out, err = run_cli(["table", f"--p0={p0}"], capsys)
+        assert code == 2 and "not a finite number" in err and out == "", p0
+
+
+def test_table_large_n0_is_dashes_not_overflow(capsys):
+    # exp(8(n0-1)) overflows from n0 = 90 on, (log p0)^((n0-1)/2) near 500
+    code, out, _ = run_cli(["table", "--n0", "89,90,600,100000",
+                            "--p0", "1e7,1e300"], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4 and all(row.split()[1:] == ["-", "-"] for row in rows)
+
+
+# -- invalid input: exit 2, never a traceback ---------------------------------
+
+
+def main_in_process(argv):
+    """(exit code, stderr) of cli.main(argv); argparse refusals raise
+    SystemExit, any other exception fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+def assert_refused(argv):
+    code, err = main_in_process(argv)
+    assert code == 2, (argv, code, err)
+    assert "Traceback" not in err and "error" in err, (argv, err)
+
+
+def with_one_bad(valid, bad):
+    """Comma lists of valid tokens with one bad token at a random place."""
+    return st.tuples(st.lists(valid, max_size=3), bad, st.lists(valid, max_size=3)).map(
+        lambda t: ",".join(t[0] + [t[1]] + t[2]))
+
+
+N0_VALID = st.one_of(st.integers(1, 10**6).map(str), st.just("1..8"))
+N0_BAD = st.one_of(
+    st.sampled_from(["x", "1.5", "2e3", "..", "1..x", "0x10", "1..2..3"]),
+    st.integers(-(10**6), 0).map(str),
+    st.integers(-5, 0).map(lambda lo: f"{lo}..3"),
+)
+P0_VALID = st.floats(min_value=2, max_value=1e308).map(repr)
+P0_BAD = st.one_of(
+    st.sampled_from(["x", "1e", "e7", "1..2", "inf", "-inf", "nan", "1e400", "-1e999"]),
+    st.floats(max_value=2, exclude_max=True, allow_nan=False).map(repr),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(with_one_bad(N0_VALID, N0_BAD))
+def test_malformed_n0_list_exits_2(spec):
+    assert_refused(["table", f"--n0={spec}", "--p0=1e7"])
+
+
+@settings(deadline=None, max_examples=60)
+@given(with_one_bad(P0_VALID, P0_BAD))
+def test_malformed_p0_list_exits_2(spec):
+    assert_refused(["table", "--n0=1..3", f"--p0={spec}"])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(
+    st.tuples(st.integers(2, 10**4), st.integers(2, 10**4)).map(lambda t: t[0] * t[1]),
+    st.integers(-(10**6), 1),
+))
+def test_composite_p_exits_2(p):
+    assert_refused(["nonresidues", f"--p={p}", "--d=2", "--n=3"])
+
+
+ODD_PRIMES = [int(p) for p in pr.primes_upto(10**4) if p > 2]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.tuples(st.sampled_from(ODD_PRIMES), st.integers(-10, 10**6)).filter(
+    lambda t: t[1] < 2 or (t[0] - 1) % t[1] != 0))
+def test_order_not_dividing_p_minus_1_exits_2(pd):
+    p, d = pd
+    assert_refused(["nonresidues", f"--p={p}", f"--d={d}", "--n=1"])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.tuples(st.integers(2, 10**15), st.integers(1, 10**15)).filter(
+    lambda t: t[0] > t[1]), st.booleans())
+def test_reversed_scan_range_exits_2(bounds, check_bound):
+    lo, hi = bounds
+    argv = ["scan", f"--p-lo={lo}", f"--p-hi={hi}"]
+    assert_refused(argv if check_bound else argv + ["--no-bound-check"])
 
 
 def test_bound_text_and_json(capsys):

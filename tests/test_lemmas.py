@@ -13,6 +13,13 @@ from nonresidues.characters import (
     SearchCapExceededError,
     prime_nonresidues,
 )
+from nonresidues.rounding import (
+    IV,
+    interval_context,
+    iv_from_fraction,
+    lower_fraction,
+    upper_fraction,
+)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +179,80 @@ def test_check_S_upper_small_grid():
                     continue
                 for r in (1, 2):
                     assert lm.check_S_upper(spec, h, r).passed
+
+
+# The right sides evaluated as whole interval expressions: references that
+# the cached endpoint bounds must lie within.  HP encloses the true values
+# far more tightly than the 96-bit working precision.
+HP = interval_context(256)
+
+
+def _interval_s_upper_rhs(p, h, r, ctx):
+    term1 = ctx.sqrt(ctx.mpf(2)) * (ctx.mpf(2 * r) / ctx.e) ** r * p * h**r
+    term2 = (2 * r - 1) * ctx.sqrt(ctx.mpf(p)) * h ** (2 * r)
+    return term1 + term2
+
+
+def _interval_totient_rhs(x, ctx):
+    xi = iv_from_fraction(x, ctx)
+    pi2 = ctx.pi**2
+    f = 1 - pi2 / 9 * (ctx.log(xi) + 9) / (3 * xi)
+    return 9 / pi2 * xi**2 * f
+
+
+def _interval_proposition_rhs(nf, h, r, ctx):
+    x = Fraction(nf.H, 2 * h)
+    xu = iv_from_fraction(x / nf.u1, ctx)
+    pi2 = ctx.pi**2
+    f = 1 - pi2 / 9 * (ctx.log(xu) + 9) / (3 * xu)
+    phi_u1 = math.prod(q - 1 for q in nf.u1_primes)
+    scale = Fraction(18) * h * (h - 2 * nf.j) ** (2 * r) * phi_u1 * x * x / nf.u1**2
+    return iv_from_fraction(scale, ctx) / pi2 * f
+
+
+def test_s_upper_endpoint_bound_within_interval_formula():
+    for p in map(int, pr.primes_upto(300)):
+        if p == 2:
+            continue
+        for h in range(1, min(8, p - 1) + 1):
+            for r in range(1, 7):
+                got = lm._s_upper_rhs_lo(p, h, r)
+                ref = _interval_s_upper_rhs(p, h, r, IV)
+                assert lower_fraction(ref) <= got <= upper_fraction(ref), (p, h, r)
+                # a lower bound: below the 256-bit enclosure of the true value
+                assert got <= lower_fraction(_interval_s_upper_rhs(p, h, r, HP))
+
+
+def test_totient_endpoint_bound_within_interval_formula():
+    for k in range(11, 2001):
+        x = Fraction(k, 10)
+        got = lm._totient_rhs_upper(x)
+        ref = _interval_totient_rhs(x, IV)
+        assert lower_fraction(ref) <= got <= upper_fraction(ref), x
+        # an upper bound: above the 256-bit enclosure of the true value
+        assert got >= upper_fraction(_interval_totient_rhs(x, HP))
+
+
+def test_totient_bound_rounds_the_logarithm_down(monkeypatch):
+    # with 9/pi^2 nearly exact, only the logarithm's rounding keeps the
+    # bound above the true value; rounded the wrong way it falls below
+    nine_over_pi2 = upper_fraction(9 / HP.pi**2)
+    monkeypatch.setattr(lm, "_nine_over_pi2_up", lambda: nine_over_pi2)
+    for k in range(11, 2001, 7):
+        x = Fraction(k, 10)
+        assert lm._totient_rhs_upper(x) >= upper_fraction(_interval_totient_rhs(x, HP)), x
+
+
+def test_proposition_endpoint_bound_within_interval_formula():
+    count = 0
+    for inst, r in lm.iter_proposition_instances(10**5, r_values=(1, 2, 3),
+                                                 max_instances=300):
+        got = lm._proposition_rhs_upper(inst.nf, inst.h, r)
+        ref = _interval_proposition_rhs(inst.nf, inst.h, r, IV)
+        assert lower_fraction(ref) <= got <= upper_fraction(ref), (inst, r)
+        assert got >= upper_fraction(_interval_proposition_rhs(inst.nf, inst.h, r, HP))
+        count += 1
+    assert count == 300
 
 
 # -- Stirling ratio ----------------------------------------------------------
@@ -559,6 +640,26 @@ def test_convexity_examples():
     assert c.rhs == pytest.approx(math.e**2, rel=1e-9)
     c0 = lm.check_convexity_bound(8, 3, 0)
     assert c0.passed and c0.lhs == 1.0 and c0.rhs == 1.0  # exact equality
+
+
+def test_convexity_integer_comparison_matches_fractions():
+    for h in range(1, 41):
+        for j in range(h // 8 + 1):
+            for r in range(1, 41):
+                rhs = IV.exp(IV.mpf(16 * r * j) / (3 * h))
+                lhs = Fraction(h, h - 2 * j) ** (2 * r)
+                rhs_lo = lower_fraction(rhs)
+                got = lm._convexity_verdict(rhs, h ** (2 * r), (h - 2 * j) ** (2 * r))
+                assert got == (lhs <= rhs_lo, float(rhs_lo - lhs)), (h, r, j)
+                if j == 0:
+                    assert got == (True, 0.0)  # exp(0) = 1 = lhs exactly
+    # a left side just above the endpoint fails, one just below passes
+    rhs = IV.exp(IV.mpf(16) / 24)
+    rhs_lo = lower_fraction(rhs)
+    num, den = rhs_lo.numerator, rhs_lo.denominator
+    assert lm._convexity_verdict(rhs, num, den) == (True, 0.0)
+    assert not lm._convexity_verdict(rhs, 2 * num + 1, 2 * den)[0]
+    assert lm._convexity_verdict(rhs, 2 * num - 1, 2 * den)[0]
 
 
 def test_convexity_preconditions():
