@@ -44,6 +44,7 @@ __all__ = [
     "ConstantsResult",
     "MonotonicityReport",
     "TableCell",
+    "bound_shape",
     "burgess_params",
     "compute_bound",
     "compute_g",
@@ -83,6 +84,17 @@ def totient_factor_f(x: float) -> float:
     if not x > 1:
         raise ValueError(f"totient_factor_f needs x > 1, got {x!r}")
     return 1.0 - (math.pi**2 / 9.0) * (math.log(x) + 9.0) / (3.0 * x)
+
+
+def bound_shape(n: int, p: float, c: float = 1.0) -> float:
+    """c * p^(1/4) * (log p)^((n+1)/2), evaluated in one place and order;
+    ValueError if the power overflows a double (n in the hundreds)."""
+    try:
+        return c * p**0.25 * math.log(p) ** ((n + 1) / 2.0)
+    except OverflowError:
+        raise ValueError(
+            f"(log p)^((n+1)/2) overflows a double at n={n}, p={p}"
+        ) from None
 
 
 def compute_xstar(n: int, p: float) -> float:
@@ -155,7 +167,7 @@ def compute_g(n: int, p: float) -> ConstantsResult:
             * (n / (n + 1.0))
             * math.sqrt((1.0 + math.sqrt(2.0) / sqrt_den) / f_at_xstar)
         )
-        bound = g * p**0.25 * logp ** ((n + 1) / 2.0)
+        bound = bound_shape(n, p, g)
 
     return ConstantsResult(
         n=n,
@@ -213,7 +225,7 @@ def compute_bound(n: int, p: float, c: float) -> float:
     _check_np(n, p)
     if not c > 0:
         raise ValueError(f"constant c must be positive, got {c!r}")
-    return c * p**0.25 * math.log(p) ** ((n + 1) / 2.0)
+    return bound_shape(n, p, c)
 
 
 def reference_validity(n0: int, p0: float) -> tuple[bool, tuple[str, ...]]:

@@ -20,6 +20,7 @@ search already sieved.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,18 +73,22 @@ def mod_pow(a: int, e: int, p: int) -> int:
     return pow(a, e, p)
 
 
+def _primitive_root_test(p: int) -> Callable[[int], bool]:
+    """The test "g generates the units mod the prime p": p does not divide
+    g, and g^((p-1)/q) != 1 (mod p) for every prime q | p-1.  p-1 is
+    factorized once, so it must be below primes.FACTORIZE_LIMIT."""
+    exponents = [(p - 1) // q for q in pr.factorize(p - 1)]
+    return lambda g: g % p != 0 and all(pow(g, e, p) != 1 for e in exponents)
+
+
 def find_primitive_root(p: int) -> int:
     """Least g >= 2 generating the multiplicative group mod an odd prime p."""
     if p == 2:
         raise ValueError("p = 2 has a trivial unit group; no root to find")
     if not pr.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    q_list = list(pr.factorize(p - 1))
-    exponents = [(p - 1) // q for q in q_list]
-    for g in range(2, p):
-        if all(pow(g, e, p) != 1 for e in exponents):
-            return g
-    raise AssertionError(f"no primitive root found for prime {p}")
+    is_root = _primitive_root_test(p)
+    return next(g for g in range(2, p) if is_root(g))
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,7 @@ class CharacterSpec:
                 f"exponent m={self.m} gives order "
                 f"{(self.p - 1) // math.gcd(self.m, self.p - 1)}, expected {self.d}"
             )
-        q_list = list(pr.factorize(self.p - 1))
-        if any(pow(self.g, (self.p - 1) // q, self.p) == 1 for q in q_list):
+        if not _primitive_root_test(self.p)(self.g):
             raise ValueError(f"g={self.g} is not a primitive root mod {self.p}")
 
     @classmethod

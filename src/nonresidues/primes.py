@@ -1,12 +1,14 @@
 """Prime and multiplicative-function plumbing used across the package.
 
-Everything here is exact integer arithmetic.  Sieves are numpy bool arrays;
-factorization is trial division with a Pollard-rho (Brent) fallback that
-gives up loudly when its effort budget is exhausted.
+Everything here is exact integer arithmetic.  Sieves are numpy bool arrays.
 
 Small primes have one source: primes_upto, a view of a single cached int64
 table that grows by doubling on demand.  The nonresidue search walks it,
-and the segmented range sieve takes its base primes from it.
+the segmented range sieve takes its base primes from it, and factorize
+trial-divides by it.  The package factorizes only p-1 for small p
+(primitive roots and divisor lists in the lemma sweeps), so factorize
+refuses n >= 2^40: below that, isqrt(n) < 2^20 and the table never grows
+past the size a scan near 10^12 already builds.
 """
 
 from __future__ import annotations
@@ -21,18 +23,13 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # n < 3.3 * 10^24, far above anything this package scans.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-TRIAL_DIVISION_LIMIT = 10**7
-RHO_ITERATION_BUDGET = 10**7
+FACTORIZE_LIMIT = 1 << 40
 
 # The shared prime table: every prime <= _table_limit.  It starts empty, so
 # importing the module sieves nothing.
 _TABLE_MIN_LIMIT = 1 << 16
 _table = np.array([], dtype=np.int64)
 _table_limit = 1
-
-
-class FactorizationError(RuntimeError):
-    """Raised when a factorization exceeds the configured effort budget."""
 
 
 def is_prime(n: int) -> bool:
@@ -119,82 +116,25 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64) + lo
 
 
-def _pollard_brent(n: int, seed: int = 1) -> int:
-    """One Brent-cycle attempt at a nontrivial factor of odd composite n."""
-    if n % 2 == 0:
-        return 2
-    y, c, m = seed % n + 1, seed % (n - 1) + 1, 128
-    g = r = q = 1
-    x = ys = y
-    count = 0
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-            count += m
-            if count > RHO_ITERATION_BUDGET:
-                raise FactorizationError(f"factor search budget exhausted for {n}")
-        r *= 2
-    if g == n:
-        while True:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-            if g > 1:
-                break
-    return g
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: exponent} of 1 <= n < 2^40, keys increasing.
 
-
-def factorize(n: int, trial_limit: int = TRIAL_DIVISION_LIMIT) -> dict[int, int]:
-    """Prime factorization {p: exponent} of n >= 1.
-
-    Trial division up to trial_limit, then Pollard rho; raises
-    FactorizationError if the rho budget runs out.
+    Trial division by the shared table up to isqrt(n): the primes dividing
+    n are picked out in one vectorised step and divided out, and a cofactor
+    above 1 has no prime factor <= isqrt(n), so it is prime.  Larger n are
+    refused, so that the table never grows past 2^20.
     """
-    if n < 1:
-        raise ValueError(f"factorize needs n >= 1, got {n}")
+    if not 1 <= n < FACTORIZE_LIMIT:
+        raise ValueError(f"factorize needs 1 <= n < 2^40, got {n}")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    base = primes_upto(math.isqrt(n))
+    for p in base[n % base == 0].tolist():
+        out[p] = 0
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+            out[p] += 1
             n //= p
-    f = 7
-    steps = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30
-    i = 0
-    while f * f <= n and f <= trial_limit:
-        if n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        else:
-            f += steps[i]
-            i = (i + 1) % 8
-    if n == 1:
-        return out
-    if f * f > n:
-        out[n] = out.get(n, 0) + 1
-        return out
-    # n still composite beyond the trial range: recurse through rho splits
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = m
-        seed = 1
-        while d == m:
-            d = _pollard_brent(m, seed)
-            seed += 1
-            if seed > 20:
-                raise FactorizationError(f"could not split {m}")
-        stack.extend((d, m // d))
+    if n > 1:
+        out[n] = 1
     return out
 
 

@@ -10,7 +10,7 @@ reproducer.
 
 Determinism is a hard requirement: the prime range is split into
 fixed-width shards, each shard is processed independently (segmented sieve,
-then per-prime kernel tests), and shard outputs are merged in shard order.
+then per-prime kernel tests), and shard outputs are written in shard order.
 The record stream and the summary are byte-identical for any worker count,
 and a checkpointed run resumed from interruption reproduces the
 uninterrupted output exactly (the checkpoint stores the output byte
@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 import mpmath
 
 from . import primes as pr
-from .bounds import compute_g, reference_validity
+from .bounds import bound_shape, compute_g, reference_validity
 from .characters import SearchCapExceededError, prime_nonresidues
 
 __all__ = [
@@ -120,14 +120,6 @@ class OrderPolicy:
             "orders": list(self.orders) if self.orders else None,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "OrderPolicy":
-        return cls(
-            kind=obj["kind"],
-            limit=obj.get("limit"),
-            orders=tuple(obj["orders"]) if obj.get("orders") else None,
-        )
-
 
 @dataclass(frozen=True)
 class ScanTask:
@@ -155,6 +147,8 @@ class ScanTask:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.shard_width < 1:
             raise ValueError("shard_width must be positive")
+        if self.p_hi >= 3:  # 3 is the least prime with a record
+            bound_shape(self.n_max, self.p_hi)  # the largest shape; refuses overflow
         if self.check_bound:
             if self.n_max > self.n0:
                 raise ValueError(
@@ -219,21 +213,6 @@ class ScanTask:
             "check_bound": self.check_bound,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ScanTask":
-        return cls(
-            p_lo=obj["p_lo"],
-            p_hi=obj["p_hi"],
-            policy=OrderPolicy.from_json_obj(obj["policy"]),
-            n_max=obj["n_max"],
-            n0=obj["n0"],
-            p0=float(obj["p0"]),
-            c=None if obj["c"] is None else float(obj["c"]),
-            search_cap=obj["search_cap"],
-            shard_width=obj["shard_width"],
-            check_bound=obj["check_bound"],
-        )
-
     def task_hash(self) -> str:
         blob = json.dumps(self.to_json_obj(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -288,13 +267,9 @@ def csv_header(n_max: int) -> str:
     return ",".join(["p", "d", *qs, *rs, "bound_ok", "cap_exhausted"])
 
 
-def _norm_factor(p: int, n: int) -> float:
-    return p**0.25 * math.log(p) ** ((n + 1) / 2.0)
-
-
 def _bound_ok(q_n: int, n: int, p: int, c: float) -> bool:
     """Exact integer q_n against the real bound; never a false violation."""
-    b = c * _norm_factor(p, n)
+    b = c * bound_shape(n, p)
     if q_n <= b * (1.0 - 1e-9):
         return True
     if q_n > b * (1.0 + 1e-9):
@@ -315,7 +290,7 @@ def _record_for(task: ScanTask, p: int, d: int) -> ScanRecord:
     except SearchCapExceededError as e:
         q = e.found
         cap = True
-    ratio = tuple(q[n - 1] / _norm_factor(p, n) for n in range(1, len(q) + 1))
+    ratio = tuple(q[n - 1] / bound_shape(n, p) for n in range(1, len(q) + 1))
     if task.check_bound:
         ok = tuple(
             _bound_ok(q[n - 1], n, p, task.c) for n in range(1, len(q) + 1)
@@ -335,9 +310,8 @@ def _compute_shard(task: ScanTask, i: int) -> list[ScanRecord]:
     return out
 
 
-def _shard_worker(args: tuple[str, int]) -> tuple[int, list[ScanRecord]]:
-    task_json, i = args
-    task = ScanTask.from_json_obj(json.loads(task_json))
+def _shard_worker(args: tuple[ScanTask, int]) -> tuple[int, list[ScanRecord]]:
+    task, i = args
     return i, _compute_shard(task, i)
 
 
@@ -350,11 +324,9 @@ def _iter_shards(
         for i in shards:
             yield i, _compute_shard(task, i)
         return
-    task_json = json.dumps(task.to_json_obj(), sort_keys=True)
+    # the task pickles as it is: a worker does not validate it again
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        args = [(task_json, i) for i in shards]
-        for i, records in ex.map(_shard_worker, args, chunksize=1):
-            yield i, records
+        yield from ex.map(_shard_worker, [(task, i) for i in shards], chunksize=1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +336,8 @@ def _iter_shards(
 
 def _beats(value, witness, best, best_witness) -> bool:
     """Whether (value, witness) replaces the running maximum (best, its
-    witness): a larger value wins, equal values go to the smaller witness,
-    and a missing value (None) never wins."""
-    if value is None:
-        return False
+    witness, None before the first record): a larger value wins, and equal
+    values go to the smaller witness."""
     return best is None or value > best or (value == best and witness < best_witness)
 
 
@@ -391,19 +361,6 @@ class PerNStats:
             self.max_q, self.max_q_witness = q, wit
         if _beats(ratio, wit, self.max_ratio, self.max_ratio_witness):
             self.max_ratio, self.max_ratio_witness = ratio, wit
-
-    def merge(self, other: "PerNStats") -> "PerNStats":
-        if self.n != other.n:
-            raise ValueError("cannot merge stats for different n")
-        out = PerNStats(self.n, self.count + other.count)
-        for src in (self, other):
-            if _beats(src.max_q, src.max_q_witness, out.max_q, out.max_q_witness):
-                out.max_q, out.max_q_witness = src.max_q, src.max_q_witness
-            if _beats(src.max_ratio, src.max_ratio_witness,
-                      out.max_ratio, out.max_ratio_witness):
-                out.max_ratio = src.max_ratio
-                out.max_ratio_witness = src.max_ratio_witness
-        return out
 
     def to_json_obj(self) -> dict:
         return {
@@ -433,11 +390,11 @@ class PerNStats:
 
 @dataclass
 class Aggregate:
-    """Mergeable extremal statistics over scan records.
+    """Extremal statistics over scan records, built by add.
 
-    merge is associative and commutative, and merging aggregates of two
-    record sets equals aggregating their concatenation, so sharded and
-    resumed scans summarize identically.
+    run_scan adds records in shard order whatever the worker count, and a
+    resumed scan reloads the aggregate from its checkpoint and goes on
+    adding, so identical record streams give identical summaries.
     """
 
     n_max: int
@@ -468,19 +425,6 @@ class Aggregate:
         for rec in records:
             agg.add(rec)
         return agg
-
-    def merge(self, other: "Aggregate") -> "Aggregate":
-        if self.n_max != other.n_max:
-            raise ValueError("cannot merge aggregates with different n_max")
-        out = Aggregate(
-            n_max=self.n_max,
-            records=self.records + other.records,
-            cap_exhausted=self.cap_exhausted + other.cap_exhausted,
-            violations=self.violations + other.violations,
-            violation_examples=(self.violation_examples + other.violation_examples)[:10],
-            per_n=[a.merge(b) for a, b in zip(self.per_n, other.per_n)],
-        )
-        return out
 
     def to_json_obj(self) -> dict:
         return {

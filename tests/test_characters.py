@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nonresidues
 from nonresidues import primes as pr
 from nonresidues.characters import (
     DLOG_TABLE_THRESHOLD,
@@ -77,6 +80,37 @@ def test_find_primitive_root_rejects():
         find_primitive_root(10)
 
 
+def test_find_primitive_root_refuses_p_minus_1_beyond_factorize_limit():
+    p = 2**40 + 15  # the least prime above 2^40
+    assert pr.is_prime(p) and p - 1 >= pr.FACTORIZE_LIMIT
+    with pytest.raises(ValueError):
+        find_primitive_root(p)
+    with pytest.raises(ValueError):
+        CharacterSpec(p=p, d=2, g=3, m=(p - 1) // 2)
+
+
+def test_primitive_root_search_and_validation_agree():
+    # a spec accepts exactly the generators, the least of which is the root
+    for p in (3, 7, 31, 97, 101):
+        roots = [g for g in range(1, p) if brute_force_order(g, p) == p - 1]
+        assert find_primitive_root(p) == roots[0]
+        for g in range(1, p):
+            if g in roots:
+                CharacterSpec(p=p, d=p - 1, g=g, m=1)
+            else:
+                with pytest.raises(ValueError):
+                    CharacterSpec(p=p, d=p - 1, g=g, m=1)
+
+
+@pytest.mark.parametrize("module", ["nonresidues"] + [
+    f"nonresidues.{m.name}" for m in pkgutil.iter_modules(nonresidues.__path__)
+])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"{module}.__all__ lists missing {name!r}"
+
+
 def test_character_spec_validation():
     with pytest.raises(ValueError):
         CharacterSpec.of_order(7, 4)  # 4 does not divide 6
@@ -84,6 +118,9 @@ def test_character_spec_validation():
         CharacterSpec.of_order(9, 2)  # 9 not prime
     with pytest.raises(ValueError):
         CharacterSpec(p=7, d=2, g=2, m=3)  # 2 is not a primitive root mod 7
+    for g in (0, 7, -14):  # g^e = 0, never 1, but 0 generates nothing
+        with pytest.raises(ValueError):
+            CharacterSpec(p=7, d=2, g=g, m=3)
     with pytest.raises(ValueError):
         CharacterSpec(p=7, d=3, g=3, m=3)  # m=3 gives order 2, not 3
 

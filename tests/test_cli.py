@@ -196,6 +196,14 @@ def test_bound_invalid_reference_exits_2(capsys):
     assert "invalid" in err
 
 
+def test_bound_refuses_overflowing_power(capsys):
+    # (log 1e7)^((1000+1)/2) is past the double range
+    code, out, err = run_cli(["bound", "--n", "1000", "--p", "1e7",
+                              "--n0", "1", "--p0", "1e7"], capsys)
+    assert code == 2 and "error:" in err and "overflows" in err and out == ""
+    assert "Traceback" not in err
+
+
 def test_bound_warns_below_p0_but_exits_0(capsys):
     code, out, _ = run_cli(
         ["bound", "--n", "1", "--p", "5e6", "--n0", "1", "--p0", "1e7"], capsys
@@ -351,6 +359,19 @@ def test_scan_no_bound_check_needs_no_constant(capsys, tmp_path):
     summary = json.loads(summary_path.read_text())
     jsonschema.validate(summary, load_schema("scan_summary"))
     assert summary["c"] is None and summary["records"] > 0
+
+
+def test_scan_refuses_overflowing_power_before_any_record(capsys, tmp_path):
+    # n_max=600 overflows (log p_hi)^((n_max+1)/2): refused when the task is
+    # built, so no record file is opened
+    out = tmp_path / "r.jsonl"
+    code, _, err = run_cli(
+        ["scan", "--p-lo", "1e7", "--p-hi", "1.00001e7", "--n-max", "600",
+         "--no-bound-check", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2 and "error:" in err and "overflows" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_scan_resume_without_records_exit_2(capsys, tmp_path):

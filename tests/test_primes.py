@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nonresidues import primes as pr
 
@@ -64,16 +64,47 @@ def test_primes_in_range_property(lo, width):
     assert list(got) == [n for n in range(lo, lo + width + 1) if pr.is_prime(n)]
 
 
-@given(st.integers(min_value=1, max_value=10**6))
-def test_factorize_roundtrip(n):
+def _check_factorization(n):
     fac = pr.factorize(n)
     assert math.prod(p**e for p, e in fac.items()) == n
     assert all(pr.is_prime(p) for p in fac)
+    assert list(fac) == sorted(fac)
+
+
+@settings(deadline=None)
+@given(st.one_of(st.integers(min_value=1, max_value=10**6),
+                 st.integers(min_value=1, max_value=pr.FACTORIZE_LIMIT - 1)))
+def test_factorize_roundtrip(n):
+    _check_factorization(n)
 
 
 def test_factorize_large_semiprime():
     n = 1000003 * 999983
     assert pr.factorize(n) == {999983: 1, 1000003: 1}
+
+
+@pytest.mark.parametrize("n", [
+    1048571 * 1048573,  # the two largest primes below 2^20
+    1048573**2,  # the square of the largest
+    2**39,
+    2**40 - 1,
+    10**12 + 38,
+])
+def test_factorize_fixed_cases(n):
+    _check_factorization(n)
+
+
+def test_factorize_refuses_outside_range_and_keeps_table_small(monkeypatch):
+    # start from an empty table, whatever earlier tests sieved
+    monkeypatch.setattr(pr, "_table", np.array([], dtype=np.int64))
+    monkeypatch.setattr(pr, "_table_limit", 1)
+    assert pr.FACTORIZE_LIMIT == 2**40
+    for n in (0, -5, 2**40, 2**64):
+        with pytest.raises(ValueError):
+            pr.factorize(n)
+    assert pr.factorize(2**40 - 1) == {3: 1, 5: 2, 11: 1, 17: 1, 31: 1, 41: 1, 61681: 1}
+    assert pr.factorize(1048573**2) == {1048573: 2}
+    assert pr._table_limit <= 2**20
 
 
 def test_is_prime_small_oracle():
