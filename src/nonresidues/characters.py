@@ -11,8 +11,10 @@ residues, so membership is a single modular exponentiation
 q^((p-1)/d) == 1 (mod p) and never needs a discrete logarithm.  That is
 what makes smallest-prime-nonresidue computations cheap for large p; the
 full table of t-values (CharacterSpec.t_table) is only built for small p,
-where the character-sum oracles need arbitrary values of chi.  Candidate
-nonresidues are read from the package's one shared prime table
+where the character-sum oracles need arbitrary values of chi.  Kernel
+tests and searches are batched over (p, d) rows (kernel_mask,
+nonresidue_table); is_kernel and prime_nonresidues are one-row calls.
+Candidate nonresidues are read from the package's one shared prime table
 (primes.primes_upto), so a search never sieves anything that an earlier
 search already sieved.
 """
@@ -36,7 +38,9 @@ __all__ = [
     "char_value",
     "find_primitive_root",
     "is_kernel",
+    "kernel_mask",
     "mod_pow",
+    "nonresidue_table",
     "prime_nonresidues",
 ]
 
@@ -44,6 +48,10 @@ __all__ = [
 DLOG_TABLE_THRESHOLD = 10**6
 
 DEFAULT_SEARCH_CAP = 10**6
+
+_INT64_MODULUS_LIMIT = 1 << 31  # below it, products of residues fit in int64
+_INT64_MIN_CELLS = 64  # below it, numpy's cost per call outweighs Python pow
+_KERNEL_BLOCK = 1 << 14  # cells of one search step at most, to bound its memory
 
 
 class DiscreteLogThresholdError(RuntimeError):
@@ -180,46 +188,115 @@ def char_value(spec: CharacterSpec, a: int) -> CharacterValue:
     return CharacterValue(t=None if t < 0 else t, d=spec.d)
 
 
+def _int_array(x) -> np.ndarray:
+    """x as an int64 array (at least 1-d), or of Python ints if int64
+    cannot hold it."""
+    x = np.atleast_1d(x)
+    return x.astype(np.int64 if x.dtype.kind == "i" else object, copy=False)
+
+
+def _small_moduli(p: np.ndarray) -> bool:
+    """Every p < 2^31, so that a product of two residues fits in int64."""
+    return p.dtype != object and p.max(initial=0) < _INT64_MODULUS_LIMIT
+
+
+def _kernel(p: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q^e == 1 (mod p), broadcast over int64 or Python-int arrays."""
+    shape = np.broadcast_shapes(q.shape, e.shape)
+    if math.prod(shape) < _INT64_MIN_CELLS or not _small_moduli(p):
+        return np.frompyfunc(pow, 3, 1)(q, e, p) == 1
+    bits = (e[..., None] >> np.arange(int(e.max(initial=0)).bit_length())) & 1
+    base = q % p
+    r = np.ones(shape, dtype=np.int64)
+    for k in range(bits.shape[-1]):
+        if k:
+            base = base * base % p
+        r = np.where(bits[..., k], r * base % p, r)
+    return r == 1
+
+
+def kernel_mask(p, d, q) -> np.ndarray:
+    """Whether q^((p-1)/d) == 1 (mod p), i.e. q is a d-th power residue,
+    broadcast over integer arrays p, d and q (d | p-1, p not dividing q).
+    Square-and-multiply in int64 when every p < 2^31, so that a product of
+    two residues is below 2^62, and there are at least _INT64_MIN_CELLS
+    cells to repay numpy's fixed cost per call; Python pow on each cell
+    otherwise."""
+    p = _int_array(p)
+    return _kernel(p, (p - 1) // _int_array(d), _int_array(q))
+
+
 def is_kernel(p: int, d: int, q: int) -> bool:
     """True iff q is a d-th power residue mod p, i.e. chi(q) = 1 for any
-    character of order d mod p.  Tested as q^((p-1)/d) == 1 (mod p)."""
+    character of order d mod p: kernel_mask on one cell."""
     if d < 1 or (p - 1) % d != 0:
         raise ValueError(f"order d={d} does not divide p-1={p - 1}")
     if q % p == 0:
         raise ValueError(f"q={q} is divisible by the modulus {p}")
-    return pow(q, (p - 1) // d, p) == 1
+    return bool(kernel_mask(p, d, q % p)[0])
+
+
+def nonresidue_table(
+    p, d, count: int, search_cap: int = DEFAULT_SEARCH_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q, found): row i of q holds the first found[i] of the `count`
+    smallest prime nonresidues of (p[i], d[i]), then zeros; found[i] <
+    count means the search reached search_cap.  p must be prime and d | p-1;
+    a prime q != p is a nonresidue iff it is not a d-th power residue.
+
+    Candidates come from the shared prime table in increasing order, in
+    chunks of doubling length up to search_cap exactly, and a row retires
+    once it is full.  Each step is one kernel test over the active rows:
+    of a block of candidates if every p < 2^31, or else of one candidate
+    per row, so that no exponentiation of a large modulus is spent past a
+    row's last nonresidue.
+    """
+    p, d = _int_array(p), _int_array(d)
+    e = (p - 1) // d
+    blocks = _small_moduli(p)
+    q = np.zeros((len(p), count), dtype=np.int64)
+    found = np.zeros(len(p), dtype=np.int64)
+    active = np.arange(len(p) if count else 0)
+    done, limit = 0, 64  # table entries tested, and the chunk's end
+    while active.size:
+        primes = pr.primes_upto(min(limit, search_cap))
+        while done < len(primes) and active.size:
+            # one candidate per row, or for small moduli a block as long as all
+            # earlier ones, over >= _INT64_MIN_CELLS and <= _KERNEL_BLOCK cells
+            n = active.size
+            step = max(1, min(max(done, _INT64_MIN_CELLS // n), _KERNEL_BLOCK // n))
+            block = primes[done : done + (step if blocks else 1)]
+            done += len(block)
+            pa = p[active, None]
+            hit = (block != pa) & ~_kernel(pa, e[active, None], block)
+            rank = found[active, None] + np.cumsum(hit, axis=1)  # 1-based
+            r, c = np.nonzero(hit & (rank <= count))
+            q[active[r], rank[r, c] - 1] = block[c]
+            found[active] = np.minimum(rank[:, -1], count)
+            active = active[found[active] < count]
+        if limit >= search_cap:
+            break
+        limit *= 2
+    return q, found
 
 
 def prime_nonresidues(
     p: int, d: int, count: int, search_cap: int = DEFAULT_SEARCH_CAP
 ) -> list[int]:
-    """The `count` smallest prime nonresidues of an order-d character mod p.
+    """The `count` smallest prime nonresidues of an order-d character mod p:
+    nonresidue_table on one row.
 
     p must be prime; that is not checked here, because a primality test per
     call would cost as much as the search itself (scans take p from the
-    sieve, and the CLI checks its input).  A prime q != p is a nonresidue
-    iff it is not a d-th power residue; this depends only on (p, d).
-    Candidates q are read in increasing order from the shared prime table,
-    in chunks of doubling length up to search_cap; if the cap is reached
-    first, SearchCapExceededError reports the partial list.
+    sieve, and the CLI checks its input).  If search_cap is reached first,
+    SearchCapExceededError reports the partial list.
     """
     if d < 2 or (p - 1) % d != 0:
         raise ValueError(f"order d={d} invalid for p={p}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    out: list[int] = []
-    if count == 0:
-        return out
-    done = 0  # table entries already tested
-    limit = 64
-    while True:
-        primes = pr.primes_upto(min(limit, search_cap))
-        for q in primes[done:].tolist():
-            if q != p and not is_kernel(p, d, q):
-                out.append(q)
-                if len(out) == count:
-                    return out
-        if limit >= search_cap:
-            raise SearchCapExceededError(p, d, search_cap, out)
-        done = len(primes)
-        limit *= 2
+    q, found = nonresidue_table([p], [d], count, search_cap)
+    out = q[0, : found[0]].tolist()
+    if len(out) < count:
+        raise SearchCapExceededError(p, d, search_cap, out)
+    return out

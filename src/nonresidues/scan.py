@@ -9,8 +9,10 @@ means an implementation bug; the scanner halts on one by default, with a
 reproducer.
 
 Determinism is a hard requirement: the prime range is split into
-fixed-width shards, each shard is processed independently (segmented sieve,
-then per-prime kernel tests), and shard outputs are written in shard order.
+fixed-width shards, each shard is processed independently (a Shard of
+columns: segmented sieve, one batched nonresidue search, vectorised ratios
+and bound filter, its records formatted in one join), and shard outputs
+are written and aggregated in shard order.  ScanRecord is the row view.
 The record stream and the summary are byte-identical for any worker count,
 and a checkpointed run resumed from interruption reproduces the
 uninterrupted output exactly (the checkpoint stores the output byte
@@ -30,19 +32,22 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import mpmath
+import numpy as np
 
 from . import primes as pr
 from .bounds import bound_shape, compute_g, reference_validity
-from .characters import SearchCapExceededError, prime_nonresidues
+from .characters import nonresidue_table
 
 __all__ = [
     "Aggregate",
     "OrderPolicy",
     "ScanRecord",
     "ScanSummary",
+    "Shard",
     "ScanViolationError",
     "TaskMismatchError",
     "ScanTask",
@@ -72,7 +77,8 @@ class TaskMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class OrderPolicy:
-    """Which character orders to scan for each prime p.
+    """Which character orders to scan for each prime p (rows: for all the
+    primes of a shard; orders_for: for one).
 
     quadratic       -> d = 2 only (the classical least-nonresidue case)
     divisors-up-to  -> every d | p-1 with 2 <= d <= limit (tested directly,
@@ -104,14 +110,26 @@ class OrderPolicy:
     def fixed_set(cls, orders: Sequence[int]) -> "OrderPolicy":
         return cls(kind="fixed-set", orders=tuple(sorted(set(orders))))
 
-    def orders_for(self, p: int) -> list[int]:
-        if p == 2:
-            return []
+    @property
+    def _candidates(self) -> tuple[int, ...]:
         if self.kind == "quadratic":
-            return [2]
+            return (2,)
         if self.kind == "fixed-set":
-            return [d for d in self.orders if d >= 2 and (p - 1) % d == 0]
-        return [d for d in range(2, self.limit + 1) if (p - 1) % d == 0]
+            return tuple(d for d in self.orders if d >= 2)
+        return tuple(range(2, self.limit + 1))
+
+    def orders_for(self, p: int) -> list[int]:
+        return [d for d in self._candidates if p != 2 and (p - 1) % d == 0]
+
+    def rows(self, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (p, d) rows of increasing primes, in (p, d) order: one vector
+        (P - 1) % d == 0 per candidate order d over the odd primes P."""
+        odd = primes[primes > 2]
+        hits = [np.flatnonzero((odd - 1) % d == 0) for d in self._candidates]
+        at = np.concatenate([np.zeros(0, np.int64), *hits])
+        d = np.repeat(np.array(self._candidates, np.int64), [len(h) for h in hits])
+        order = np.argsort(at, kind="stable")  # d already increases within a p
+        return odd[at[order]], d[order]
 
     def to_json_obj(self) -> dict:
         return {
@@ -213,6 +231,7 @@ class ScanTask:
             "check_bound": self.check_bound,
         }
 
+
     def task_hash(self) -> str:
         blob = json.dumps(self.to_json_obj(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -268,7 +287,27 @@ def csv_header(n_max: int) -> str:
 
 
 def _bound_ok(q_n: int, n: int, p: int, c: float) -> bool:
-    """Exact integer q_n against the real bound; never a false violation."""
+    """Exact integer q_n against the real bound c*S, S = p^(1/4) (log p)^k
+    with k = (n+1)/2; never a false violation.
+
+    The float filter b = c * bound_shape(n, p) decides every q_n outside
+    b (1 -/+ 10^-9); only q_n inside goes to 50-digit arithmetic.  Why no
+    q_n above c*S passes (and none below fails), with u = 2^-53, q_n <
+    2^53 exact as a double, and log and pow within 1 ulp (2u), as glibc
+    documents for both:
+      * p^(1/4): p to a double (u), times 1/4, and the pow (2u): 2.25u;
+      * log p: p to a double (u, over log p >= 1) and the log (2u): 3u;
+        raised to k, 3ku; that pow, 2u;
+      * the product in bound_shape, the multiply by c, 1 -/+ 10^-9 as a
+        double and the multiply by it: u each.
+    So the filter's threshold is within (3k + 8.25)u, plus second-order
+    terms, of c*S*(1 -/+ 10^-9).  ScanTask refuses a scan whose
+    (log p_hi)^((n_max+1)/2) overflows, and (log p)^k >= (log 3)^k for
+    p >= 3, so k < 1024 log 2 / log log 3 < 7552 for every n it admits
+    (a bound-checked scan, with log p > 8(n0 - 1), has k <= 3.8 below
+    2^63).  The error is then below 2.3*10^4 u < 2.6*10^-12 << 10^-9.
+    Shard's vectorised filter performs the same double operations.
+    """
     b = c * bound_shape(n, p)
     if q_n <= b * (1.0 - 1e-9):
         return True
@@ -283,50 +322,113 @@ def _bound_ok(q_n: int, n: int, p: int, c: float) -> bool:
         return mpmath.mpf(q_n) <= exact
 
 
-def _record_for(task: ScanTask, p: int, d: int) -> ScanRecord:
-    try:
-        q = prime_nonresidues(p, d, task.n_max, search_cap=task.search_cap)
-        cap = False
-    except SearchCapExceededError as e:
-        q = e.found
-        cap = True
-    ratio = tuple(q[n - 1] / bound_shape(n, p) for n in range(1, len(q) + 1))
-    if task.check_bound:
-        ok = tuple(
-            _bound_ok(q[n - 1], n, p, task.c) for n in range(1, len(q) + 1)
+
+_BOOL = ("false", "true")
+# a record line from its p, d, q cells, ratio cells, bound_ok and cap_exhausted
+_LINE = {
+    "jsonl": '{{"bound_ok": [{4}], "cap_exhausted": {5}, "d": {1}, "p": {0}, '
+             '"q": [{2}], "ratio": [{3}]}}\n',
+    "csv": "{0},{1},{2},{3},{4},{5}\n",
+}
+
+
+@dataclass
+class Shard:
+    """One shard's results as columns, one row per (p, d) in (p, d) order.
+
+    q, ratio and ok are n_max wide; cells past a row's count (a search
+    that reached the cap) hold 0, 0.0 and True.  text is the rows'
+    JSONL or CSV lines, each ending in a newline, or "" if no format was
+    asked for.
+    """
+
+    p: np.ndarray
+    d: np.ndarray
+    q: np.ndarray
+    count: np.ndarray
+    ratio: np.ndarray
+    ok: np.ndarray
+    cap: np.ndarray
+    text: str = ""
+
+    @classmethod
+    def from_records(cls, records: Sequence[ScanRecord], n_max: int) -> "Shard":
+        q = np.zeros((len(records), n_max), dtype=np.int64)
+        ratio = np.zeros(q.shape)
+        ok = np.ones(q.shape, dtype=bool)
+        for r, rec in enumerate(records):
+            k = len(rec.q)
+            q[r, :k], ratio[r, :k], ok[r, :k] = rec.q, rec.ratio, rec.bound_ok
+        return cls(p=np.array([rec.p for rec in records], dtype=np.int64),
+                   d=np.array([rec.d for rec in records], dtype=np.int64), q=q,
+                   count=np.array([len(rec.q) for rec in records], dtype=np.int64),
+                   ratio=ratio, ok=ok,
+                   cap=np.array([rec.cap_exhausted for rec in records], dtype=bool))
+
+    def record(self, r: int) -> ScanRecord:
+        k = int(self.count[r])
+        return ScanRecord(
+            p=int(self.p[r]), d=int(self.d[r]), q=tuple(self.q[r, :k].tolist()),
+            ratio=tuple(self.ratio[r, :k].tolist()),
+            bound_ok=tuple(self.ok[r, :k].tolist()), cap_exhausted=bool(self.cap[r]),
         )
-    else:
-        ok = tuple(True for _ in q)
-    return ScanRecord(p=p, d=d, q=tuple(q), ratio=ratio, bound_ok=ok,
-                      cap_exhausted=cap)
+
+    def _joined(self, col: np.ndarray, text, csv: bool) -> list[str]:
+        """Each row's cells of col as text, joined as in a CSV row or a JSON
+        list.  A cell past the row's count is empty; in CSV it keeps its
+        separator."""
+        cols = []
+        for n in range(col.shape[1]):
+            lead = ("," if csv else ", ") if n else ""
+            strs = list(map(lead.__add__, map(text, col[:, n].tolist())))
+            for r in np.flatnonzero(self.count <= n).tolist():
+                strs[r] = lead if csv else ""
+            cols.append(strs)
+        return list(map("".join, zip(*cols)))
+
+    def format(self, fmt: str) -> str:
+        """The rows' lines, equal to ScanRecord.to_jsonl or to_csv_row of
+        each row (json writes a float as its repr), in one join."""
+        csv = fmt == "csv"
+        oks = ([_BOOL[b] for b in self.ok.all(axis=1).tolist()] if csv
+               else self._joined(self.ok, _BOOL.__getitem__, csv))
+        cols = (self.p.tolist(), self.d.tolist(), self._joined(self.q, str, csv),
+                self._joined(self.ratio, repr, csv), oks,
+                [_BOOL[b] for b in self.cap.tolist()])
+        return "".join(map(_LINE[fmt].format, *cols))
 
 
-def _compute_shard(task: ScanTask, i: int) -> list[ScanRecord]:
+def _compute_shard(task: ScanTask, i: int, fmt: str | None = None) -> Shard:
     lo, hi = task.shard_range(i)
-    out = []
-    for p in map(int, pr.primes_in_range(lo, hi)):
-        for d in task.policy.orders_for(p):
-            out.append(_record_for(task, p, d))
-    return out
+    p, d = task.policy.rows(pr.primes_in_range(lo, hi))
+    q, count = nonresidue_table(p, d, task.n_max, task.search_cap)
+    primes, at = np.unique(p, return_inverse=True)
+    ns = range(1, task.n_max + 1)
+    shape = np.array([[bound_shape(n, x) for n in ns] for x in primes.tolist()])
+    shape = shape.reshape(len(primes), task.n_max)[at]
+    ok = np.ones(q.shape, dtype=bool)
+    if task.check_bound:  # _bound_ok's float filter; it decides the rest
+        b = task.c * shape
+        ok = (np.arange(task.n_max) >= count[:, None]) | (q <= b * (1.0 - 1e-9))
+        for r, n in zip(*np.nonzero(~ok & (q <= b * (1.0 + 1e-9)))):
+            ok[r, n] = _bound_ok(int(q[r, n]), int(n) + 1, int(p[r]), task.c)
+    shard = Shard(p, d, q, count, ratio=q / shape, ok=ok, cap=count < task.n_max)
+    shard.text = shard.format(fmt) if fmt else ""
+    return shard
 
 
-def _shard_worker(args: tuple[ScanTask, int]) -> tuple[int, list[ScanRecord]]:
-    task, i = args
-    return i, _compute_shard(task, i)
-
-
-def _iter_shards(
-    task: ScanTask, workers: int, first_shard: int = 0
-) -> Iterator[tuple[int, list[ScanRecord]]]:
-    """Shard results in shard order, regardless of worker count."""
+def _iter_shards(task: ScanTask, workers: int, first_shard: int = 0,
+                 fmt: str | None = None) -> Iterator[tuple[int, Shard]]:
+    """(i, shard i) in shard order, regardless of worker count, with the
+    shard's text in the format fmt (None: no text)."""
     shards = range(first_shard, task.shard_count)
+    args = (repeat(task), shards, repeat(fmt))
     if workers <= 1:
-        for i in shards:
-            yield i, _compute_shard(task, i)
+        yield from zip(shards, map(_compute_shard, *args))
         return
     # the task pickles as it is: a worker does not validate it again
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(_shard_worker, [(task, i) for i in shards], chunksize=1)
+        yield from zip(shards, ex.map(_compute_shard, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +452,23 @@ class PerNStats:
     max_ratio: float | None = None
     max_ratio_witness: tuple[int, int] | None = None
 
-    def add(self, rec: ScanRecord) -> None:
-        if len(rec.q) < self.n:
+    def add(self, shard: Shard) -> None:
+        """Count the shard's rows with an n-th q and update both running
+        maxima: a larger value wins, and equal values go to the smaller
+        witness (p, d), so the result does not depend on how rows are
+        split into shards."""
+        rows = np.flatnonzero(shard.count >= self.n)
+        self.count += rows.size
+        if not rows.size:
             return
-        q = rec.q[self.n - 1]
-        ratio = rec.ratio[self.n - 1]
-        wit = (rec.p, rec.d)
-        self.count += 1
-        if _beats(q, wit, self.max_q, self.max_q_witness):
-            self.max_q, self.max_q_witness = q, wit
-        if _beats(ratio, wit, self.max_ratio, self.max_ratio_witness):
-            self.max_ratio, self.max_ratio_witness = ratio, wit
+        for col, attr in ((shard.q, "max_q"), (shard.ratio, "max_ratio")):
+            vals = col[rows, self.n - 1]
+            top = rows[vals == vals.max()]
+            r = top[np.lexsort((shard.d[top], shard.p[top]))[0]]
+            value, wit = col[r, self.n - 1].item(), (int(shard.p[r]), int(shard.d[r]))
+            if _beats(value, wit, getattr(self, attr), getattr(self, attr + "_witness")):
+                setattr(self, attr, value)
+                setattr(self, attr + "_witness", wit)
 
     def to_json_obj(self) -> dict:
         return {
@@ -390,9 +498,9 @@ class PerNStats:
 
 @dataclass
 class Aggregate:
-    """Extremal statistics over scan records, built by add.
+    """Extremal statistics over scan records, built by adding shards.
 
-    run_scan adds records in shard order whatever the worker count, and a
+    run_scan adds shards in shard order whatever the worker count, and a
     resumed scan reloads the aggregate from its checkpoint and goes on
     adding, so identical record streams give identical summaries.
     """
@@ -408,22 +516,20 @@ class Aggregate:
     def empty(cls, n_max: int) -> "Aggregate":
         return cls(n_max=n_max, per_n=[PerNStats(n) for n in range(1, n_max + 1)])
 
-    def add(self, rec: ScanRecord) -> None:
-        self.records += 1
-        if rec.cap_exhausted:
-            self.cap_exhausted += 1
-        if not all(rec.bound_ok):
-            self.violations += 1
-            if len(self.violation_examples) < 10:
-                self.violation_examples.append(rec.to_json_obj())
+    def add(self, shard: Shard) -> None:
+        self.records += len(shard.p)
+        self.cap_exhausted += int(shard.cap.sum())
+        bad = np.flatnonzero(~shard.ok.all(axis=1))
+        self.violations += bad.size
+        room = max(0, 10 - len(self.violation_examples))
+        self.violation_examples += [shard.record(r).to_json_obj() for r in bad[:room]]
         for stats in self.per_n:
-            stats.add(rec)
+            stats.add(shard)
 
     @classmethod
     def from_records(cls, records: Sequence[ScanRecord], n_max: int) -> "Aggregate":
         agg = cls.empty(n_max)
-        for rec in records:
-            agg.add(rec)
+        agg.add(Shard.from_records(records, n_max))
         return agg
 
     def to_json_obj(self) -> dict:
@@ -470,6 +576,7 @@ class ScanSummary:
             **self.aggregate.to_json_obj(),
         }
 
+
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
@@ -481,8 +588,8 @@ class ScanSummary:
 
 def scan_records(task: ScanTask, workers: int = 1) -> Iterator[ScanRecord]:
     """All records of the task in deterministic (p, d) order."""
-    for _, records in _iter_shards(task, workers):
-        yield from records
+    for _, shard in _iter_shards(task, workers):
+        yield from map(shard.record, range(len(shard.p)))
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
@@ -519,7 +626,9 @@ def run_scan(
     stop_after_shards: int | None = None,
     raise_on_violation: bool = True,
 ) -> ScanSummary:
-    """Run (or resume) a scan, streaming records to out_path.
+    """Run (or resume) a scan, streaming records to out_path a shard at a
+    time; a violation halts it after writing the records up to and
+    including the violating one.
 
     With a checkpoint path, progress is committed after every shard; an
     interrupted run resumed with identical arguments produces output files
@@ -538,6 +647,7 @@ def run_scan(
         first_shard = ckpt["next_shard"]
         agg = Aggregate.from_json_obj(ckpt["aggregate"])
         byte_offset = ckpt["byte_offset"]
+
 
     out = None
     if out_path is not None:
@@ -563,17 +673,18 @@ def run_scan(
             out.seek(byte_offset)
 
     shards_done = 0
+    text_fmt = fmt if out is not None else None  # no text without a record file
     try:
-        for i, records in _iter_shards(task, workers, first_shard):
-            for rec in records:
+        for i, shard in _iter_shards(task, workers, first_shard, text_fmt):
+            bad = np.flatnonzero(~shard.ok.all(axis=1)) if raise_on_violation else ()
+            if len(bad):  # records up to and including the first violation
                 if out is not None:
-                    line = rec.to_jsonl() if fmt == "jsonl" else rec.to_csv_row(task.n_max)
-                    out.write(line + "\n")
-                agg.add(rec)
-                if raise_on_violation and not all(rec.bound_ok):
-                    raise ScanViolationError(rec, task.c)
+                    out.write("".join(shard.text.splitlines(True)[: bad[0] + 1]))
+                raise ScanViolationError(shard.record(bad[0]), task.c)
             if out is not None:
+                out.write(shard.text)
                 out.flush()
+            agg.add(shard)
             if checkpoint_path is not None:
                 _write_checkpoint(
                     checkpoint_path,

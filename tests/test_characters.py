@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,9 @@ from nonresidues.characters import (
     char_value,
     find_primitive_root,
     is_kernel,
+    kernel_mask,
     mod_pow,
+    nonresidue_table,
     prime_nonresidues,
 )
 
@@ -269,3 +272,110 @@ def test_prime_nonresidues_validation():
         prime_nonresidues(7, 4, 1)
     with pytest.raises(ValueError):
         prime_nonresidues(7, 2, -1)
+
+
+# -- the batched kernel and search --------------------------------------------
+
+_SMALL_PRIMES = [int(q) for q in pr.sieve(20_000)]
+
+
+def pow_loop_nonresidues(p, d, count, cap):
+    """Reference search, sharing nothing with the package but the sieve:
+    primes q != p up to cap in increasing order, tested by builtin pow."""
+    assert cap <= _SMALL_PRIMES[-1]
+    out = []
+    for q in _SMALL_PRIMES:
+        if q > cap or len(out) == count:
+            break
+        if q != p and pow(q, (p - 1) // d, p) != 1:
+            out.append(q)
+    return out
+
+
+def all_rows(primes, d_max=None):
+    """(p, d) for every d | p-1 with 2 <= d (<= d_max)."""
+    return [(p, d) for p in primes for d in pr.divisors(p - 1)
+            if d >= 2 and (d_max is None or d <= d_max)]
+
+
+def primes_near(center, half_width):
+    return [int(p) for p in pr.primes_in_range(center - half_width, center + half_width)]
+
+
+def check_table(rows, count, cap=10_000):
+    p, d = zip(*rows)
+    q, found = nonresidue_table(list(p), list(d), count, search_cap=cap)
+    assert q.shape == (len(rows), count) and found.shape == (len(rows),)
+    for i, (pi, di) in enumerate(rows):
+        expected = pow_loop_nonresidues(pi, di, count, cap)
+        assert found[i] == len(expected), (pi, di)
+        assert q[i, : found[i]].tolist() == expected, (pi, di)
+        assert not q[i, found[i] :].any()
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+def test_nonresidue_table_small_primes_against_pow_loop(count):
+    # every prime in [3, 600] and every order, so that q = p is skipped
+    check_table(all_rows([int(p) for p in pr.sieve(600)[1:]]), count)
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+def test_nonresidue_table_across_the_int64_switch(count):
+    below = [p for p in primes_near(2**31, 400) if p < 2**31]
+    above = [p for p in primes_near(2**31, 400) if p > 2**31]
+    assert below[-1] == 2147483647 and above[0] == 2147483659
+    for primes in (below, above, below + above):
+        check_table(all_rows(primes, d_max=12), count)
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+def test_nonresidue_table_near_10_to_12(count):
+    check_table(all_rows(primes_near(10**12, 300), d_max=12), count)
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 1, 2, 3, 10, 63, 64, 65, 100, 131])
+def test_nonresidue_table_exhausts_its_cap(cap):
+    # caps at, below and above the first chunk ends 64 and 128; from 63 on,
+    # 30 nonresidues cannot all lie below the cap
+    count = 5 if cap <= 10 else 30
+    primes = [int(p) for p in pr.sieve(600)[1:]] + primes_near(2**31, 100)
+    check_table(all_rows(primes, d_max=12), count, cap=max(cap, 0))
+    p, d = zip(*all_rows(primes, d_max=12))
+    q, found = nonresidue_table(list(p), list(d), count, search_cap=cap)
+    assert (found < count).any()
+
+
+def test_nonresidue_table_empty_inputs():
+    q, found = nonresidue_table([], [], 3)
+    assert q.shape == (0, 3) and found.shape == (0,)
+    q, found = nonresidue_table([7, 11], [2, 5], 0)
+    assert q.shape == (2, 0) and not found.any()
+
+
+def test_kernel_mask_broadcasts_and_matches_pow():
+    for p in (3, 101, 2147483647, 2147483659, 10**12 + 39, 2**89 - 1):
+        for d in (2, 3, 6):
+            if (p - 1) % d:
+                continue
+            a = np.array([x for x in range(1, 200) if x % p])
+            got = kernel_mask(p, d, a)
+            assert got.shape == a.shape
+            assert got.tolist() == [pow(int(x), (p - 1) // d, p) == 1 for x in a]
+    p = np.array([[7], [13]])
+    d = np.array([[2], [3]])
+    got = kernel_mask(p, d, np.arange(1, 7))
+    assert got.shape == (2, 6)
+    for i in range(2):
+        for j, a in enumerate(range(1, 7)):
+            assert got[i, j] == is_kernel(int(p[i, 0]), int(d[i, 0]), a)
+
+
+def test_one_row_calls_keep_their_refusals():
+    with pytest.raises(ValueError):
+        is_kernel(7, 4, 2)
+    with pytest.raises(ValueError):
+        prime_nonresidues(7, 1, 2)
+    with pytest.raises(SearchCapExceededError) as exc:
+        prime_nonresidues(2**89 - 1, 2, 3, search_cap=3)
+    assert exc.value.found == pow_loop_nonresidues(2**89 - 1, 2, 3, 3)
+    assert is_kernel(2**89 - 1, 2, 5) is (pow(5, 2**88 - 1, 2**89 - 1) == 1)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nonresidues import primes as pr
@@ -314,7 +315,7 @@ def test_per_n_stats_tie_break_through_add():
             for p in (13, 11, 17)]
     added = sc.PerNStats(1)
     for rec in recs:
-        added.add(rec)
+        added.add(sc.Shard.from_records([rec], 1))
     assert added.max_q_witness == added.max_ratio_witness == (11, 2)
     assert added.count == 3
 
@@ -334,3 +335,179 @@ def test_csv_format(tmp_path):
     cells = lines[1].split(",")
     assert cells[0] == "10000019" and cells[1] == "2"
     assert cells[4] == "true" and cells[5] == "false"
+
+
+# -- columnar shards ----------------------------------------------------------
+
+POLICIES = [sc.OrderPolicy.quadratic(), sc.OrderPolicy.divisors_up_to(12),
+            sc.OrderPolicy.fixed_set([2, 3, 5, 7, 1000])]
+
+
+def pow_loop_nonresidues(p, d, count, small_primes):
+    """Reference search written out with builtin pow."""
+    out = []
+    for q in small_primes:
+        if len(out) == count:
+            break
+        if q != p and pow(q, (p - 1) // d, p) != 1:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 5])
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda pol: pol.kind)
+def test_scan_small_primes_against_pow_loop(policy, n_max):
+    # every prime in [3, 600], so that q = p arises and is skipped
+    task = sc.ScanTask(p_lo=2, p_hi=600, policy=policy, n_max=n_max, n0=n_max,
+                       p0=2.0, c=None, check_bound=False, shard_width=97)
+    small = [int(q) for q in pr.sieve(5000)]
+    recs = list(sc.scan_records(task))
+    assert [(r.p, r.d) for r in recs] == [
+        (p, d) for p in map(int, pr.sieve(600)) for d in policy.orders_for(p)]
+    for r in recs:
+        assert list(r.q) == pow_loop_nonresidues(r.p, r.d, n_max, small)
+        assert r.ratio == tuple(q / (r.p**0.25 * math.log(r.p) ** ((n + 1) / 2))
+                                for n, q in enumerate(r.q, start=1))
+        assert r.bound_ok == (True,) * n_max and not r.cap_exhausted
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda pol: pol.kind)
+def test_policy_rows_match_orders_for(policy):
+    for lo, hi in ((2, 3000), (10**7, 10**7 + 2000), (10**12, 10**12 + 2000)):
+        primes = pr.primes_in_range(lo, hi)
+        p, d = policy.rows(primes)
+        assert p.dtype == d.dtype == np.int64
+        assert list(zip(p.tolist(), d.tolist())) == [
+            (x, y) for x in map(int, primes) for y in policy.orders_for(x)]
+
+
+def _capped_task():
+    # caps at 7 and divisor orders: full rows, short rows and empty rows
+    return sc.ScanTask(p_lo=10**7, p_hi=10**7 + 3000,
+                       policy=sc.OrderPolicy.divisors_up_to(6), n_max=3, n0=3,
+                       p0=1e7, c=None, search_cap=7, check_bound=False,
+                       shard_width=1000)
+
+
+def _forged_task():
+    # a forged constant: some rows pass and some violate
+    task = small_task(shard_width=1000)
+    object.__setattr__(task, "c", 0.015)
+    return task
+
+
+@pytest.mark.parametrize("make_task", [
+    _capped_task, _forged_task,
+    lambda: sc.ScanTask.make(10**12, 10**12 + 1999,
+                             policy=sc.OrderPolicy.divisors_up_to(12), n_max=3,
+                             shard_width=1000),
+], ids=["capped", "forged", "orders-1e12"])
+def test_shard_text_equals_row_serializers(make_task):
+    task = make_task()
+    seen = set()
+    for i in range(task.shard_count):
+        jsonl = sc._compute_shard(task, i, "jsonl")
+        csv = sc._compute_shard(task, i, "csv")
+        recs = [jsonl.record(r) for r in range(len(jsonl.p))]
+        assert jsonl.text.splitlines() == [
+            json.dumps(rec.to_json_obj(), sort_keys=True) for rec in recs]
+        assert csv.text.splitlines() == [rec.to_csv_row(task.n_max) for rec in recs]
+        assert jsonl.text.endswith("\n") == bool(recs) and csv.text.count("\n") == len(recs)
+        seen |= {(len(r.q), r.cap_exhausted, all(r.bound_ok)) for r in recs}
+    if make_task is _capped_task:
+        assert {(0, True, True), (2, True, True), (3, False, True)} <= seen
+    if make_task is _forged_task:
+        assert {(1, False, True), (1, False, False)} <= seen
+
+
+def test_shard_bound_filter_sends_only_border_cells_to_bound_ok(monkeypatch):
+    task = small_task(p_hi=10**7 + 100)
+    rec = next(sc.scan_records(task))
+    p, n, q = rec.p, 1, rec.q[0]
+    c_tight = q / (p**0.25 * math.log(p) ** ((n + 1) / 2))
+    calls = []
+    bound_ok = sc._bound_ok
+
+    def counted(*args):
+        calls.append(args)
+        return bound_ok(*args)
+
+    monkeypatch.setattr(sc, "_bound_ok", counted)
+    for forged, verdict in ((c_tight * (1 + 1e-12), True), (c_tight * (1 - 1e-12), False)):
+        object.__setattr__(task, "c", forged)
+        calls.clear()
+        shard = sc._compute_shard(task, 0)
+        assert calls == [(q, n, p, forged)]
+        assert shard.p[0] == p and shard.ok[0, 0] == verdict
+        for r in range(len(shard.p)):  # the filter agrees with _bound_ok everywhere
+            assert shard.ok[r, 0] == bound_ok(int(shard.q[r, 0]), 1, int(shard.p[r]), forged)
+
+
+def _per_row_aggregate(records, n_max):
+    """The aggregate as a record-at-a-time loop: a larger value wins, equal
+    values go to the smaller (p, d)."""
+    agg = {"records": 0, "cap_exhausted": 0, "violations": 0, "violation_examples": [],
+           "per_n": [dict(n=n, count=0, max_q=None, max_q_witness=None, max_ratio=None,
+                          max_ratio_witness=None) for n in range(1, n_max + 1)]}
+    for rec in records:
+        agg["records"] += 1
+        agg["cap_exhausted"] += rec.cap_exhausted
+        if not all(rec.bound_ok):
+            agg["violations"] += 1
+            if len(agg["violation_examples"]) < 10:
+                agg["violation_examples"].append(rec.to_json_obj())
+        for st in agg["per_n"]:
+            if len(rec.q) < st["n"]:
+                continue
+            st["count"] += 1
+            wit = [rec.p, rec.d]
+            for key, value in (("max_q", rec.q[st["n"] - 1]), ("max_ratio", rec.ratio[st["n"] - 1])):
+                best, best_wit = st[key], st[key + "_witness"]
+                if best is None or value > best or (value == best and wit < best_wit):
+                    st[key], st[key + "_witness"] = value, wit
+    return {"n_max": n_max, **agg}
+
+
+def test_shard_aggregate_equals_per_row_addition_on_ties():
+    import random
+
+    rng = random.Random(7)
+    n_max = 3
+    recs = []
+    for p in (101, 103, 107, 109, 113, 127, 131, 137, 139, 149):
+        for d in (2, 3, 5):
+            k = rng.choice([0, 1, 2, 3, 3, 3])
+            q = tuple(sorted(rng.sample([5, 7, 11, 13], k)))
+            ratio = tuple(rng.choice([0.25, 0.5]) for _ in q)
+            ok = tuple(rng.random() < 0.6 for _ in q)
+            recs.append(sc.ScanRecord(p=p, d=d, q=q, ratio=ratio, bound_ok=ok,
+                                      cap_exhausted=k < n_max))
+    assert sum(not all(r.bound_ok) for r in recs) > 10  # the example list fills up
+    for order in (recs, recs[::-1], rng.sample(recs, len(recs))):
+        want = json.dumps(_per_row_aggregate(order, n_max), sort_keys=True)
+        whole = sc.Aggregate.from_records(order, n_max)
+        rows = sc.Aggregate.empty(n_max)
+        for rec in order:
+            rows.add(sc.Shard.from_records([rec], n_max))
+        split = sc.Aggregate.empty(n_max)
+        for part in (order[:5], order[5:6], [], order[6:]):
+            split.add(sc.Shard.from_records(part, n_max))
+        for agg in (whole, rows, split):
+            assert json.dumps(agg.to_json_obj(), sort_keys=True) == want
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_violation_halt_writes_through_the_first_violation(tmp_path, fmt):
+    task = _forged_task()
+    full = tmp_path / f"full.{fmt}"
+    sc.run_scan(task, out_path=str(full), fmt=fmt, raise_on_violation=False)
+    recs = list(sc.scan_records(task))
+    first = next(i for i, r in enumerate(recs) if not all(r.bound_ok))
+    assert first >= 62  # past the first shard, inside a later one
+    part = tmp_path / f"part.{fmt}"
+    with pytest.raises(sc.ScanViolationError) as exc:
+        sc.run_scan(task, out_path=str(part), fmt=fmt, workers=2)
+    assert exc.value.record == recs[first]
+    head = 1 if fmt == "csv" else 0
+    lines = full.read_text().splitlines(keepends=True)
+    assert part.read_text() == "".join(lines[: head + first + 1])
