@@ -115,6 +115,13 @@ def _parse_exact_int(text: str) -> int:
     return int(value)
 
 
+def _positive_int(text: str) -> int:
+    """A verify grid bound: an integer >= 1 (argparse refuses others)."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return int(text)
+
+
 def _write_out(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -356,12 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {', '.join(lm.LEMMA_NAMES)} (repeatable)")
     v.add_argument("--small", action="store_true",
                    help="desk-scale grids (the defaults; kept for explicitness)")
-    v.add_argument("--r-max", type=int, default=None)
-    v.add_argument("--x-max", type=int, default=None)
-    v.add_argument("--h-max", type=int, default=None)
-    v.add_argument("--p-max", type=int, default=None)
-    v.add_argument("--trials", type=int, default=None)
-    v.add_argument("--instances", type=int, default=None)
+    for opt in ("--r-max", "--x-max", "--h-max", "--p-max", "--trials", "--instances"):
+        v.add_argument(opt, type=_positive_int, default=None)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--report", default=None, help="write the JSON report here")
     v.set_defaults(func=cmd_verify)

@@ -32,10 +32,14 @@ rational arithmetic; the real side is evaluated in interval arithmetic and
 compared at its unfavorable endpoint (see rounding.py).  Constant factors
 are certified once per constant, in bounded caches that fill on first use:
 the lower endpoints of sqrt(2)(2r/e)^r and sqrt(p), and the upper endpoint
-of 9/pi^2.  Each instance multiplies them by positive exact integers, so
-the per-instance interval work is one logarithm (totient, proposition) or
-one product (convexity, compared with h^(2r) and (h-2j)^(2r) by integer
-shifts), and s-upper needs none.
+of 9/pi^2.  Each instance multiplies them by positive exact integers in unreduced
+ratios (n, d), compared by cross-multiplication with no Fraction and no
+gcd; the reported float is n / d, which int true division rounds correctly,
+as float() of a Fraction does.  The only per-instance interval work is one
+raw endpoint from rounding.py: a logarithm (totient, proposition) or a
+product (convexity, compared with h^(2r) and (h-2j)^(2r) by shifts).
+s-upper needs none, and disjointness compares integer numerators over one
+common denominator.
 
 Every character sum comes from one window kernel (_window_m2), which
 returns |w_x|^2 for all p window starts: exact integers for quadratic
@@ -67,9 +71,10 @@ from .rounding import (
     DEFAULT_PREC,
     IV,
     interval_context,
-    iv_from_fraction,
     lower_fraction,
+    lower_log,
     lower_minus,
+    lower_product,
     upper_fraction,
 )
 
@@ -131,11 +136,18 @@ class SumStats:
     value: int | float
     error_bound: float
 
-    def lower(self) -> Fraction:
-        return Fraction(self.value) - Fraction(self.error_bound)
+    def lower(self) -> tuple[int, int]:
+        """value - error_bound exactly, as an unreduced ratio (n, d), d > 0."""
+        return _ratio_minus(self.value.as_integer_ratio(), self.error_bound.as_integer_ratio())
 
-    def upper(self) -> Fraction:
-        return Fraction(self.value) + Fraction(self.error_bound)
+    def upper(self) -> tuple[int, int]:
+        """value + error_bound exactly, as an unreduced ratio (n, d), d > 0."""
+        return _ratio_minus(self.value.as_integer_ratio(), (-self.error_bound).as_integer_ratio())
+
+
+def _ratio_minus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x - y for unreduced ratios (n, d) with d > 0, cross-multiplied."""
+    return x[0] * y[1] - y[0] * x[1], x[1] * y[1]
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -274,12 +286,17 @@ def _sqrt_lo(p: int) -> Fraction:
     return lower_fraction(IV.sqrt(IV.mpf(p)))
 
 
-def _s_upper_rhs_lo(p: int, h: int, r: int) -> Fraction:
-    """Lower bound on sqrt(2)(2r/e)^r p h^r + (2r-1) sqrt(p) h^(2r): the
-    cached lower endpoints of sqrt(2)(2r/e)^r and sqrt(p) times positive
-    integers, summed exactly."""
+def _s_upper_rhs_lo(p: int, h: int, r: int) -> tuple[int, int]:
+    """Lower bound on sqrt(2)(2r/e)^r p h^r + (2r-1) sqrt(p) h^(2r), as an
+    unreduced ratio (n, d): the cached lower endpoints of sqrt(2)(2r/e)^r
+    and sqrt(p) times positive integers, summed exactly."""
     hr = h**r
-    return _stirling_rhs_lo(r) * (p * hr) + _sqrt_lo(p) * ((2 * r - 1) * hr * hr)
+    a, b = _stirling_rhs_lo(r), _sqrt_lo(p)
+    return (
+        a.numerator * (p * hr) * b.denominator
+        + b.numerator * ((2 * r - 1) * hr * hr) * a.denominator,
+        a.denominator * b.denominator,
+    )
 
 
 def check_S_upper(
@@ -290,7 +307,7 @@ def check_S_upper(
     Hypotheses: h < p and r <= 9h.  The right side is bounded below by
     A(r) p h^r + B(p) (2r-1) h^(2r), where A(r) and B(p) are the cached
     lower interval endpoints of sqrt(2)(2r/e)^r and sqrt(p); both terms are
-    positive, so the sum is exact rational arithmetic and no interval is
+    positive, so the sum is exact integer arithmetic and no interval is
     evaluated per instance.  The moment is compared at value + error_bound.
     """
     p = spec.p
@@ -301,12 +318,12 @@ def check_S_upper(
     if stats is None:
         stats = exact_sum_S(spec, h, r)
     rhs_lo = _s_upper_rhs_lo(p, h, r)
-    lhs_hi = stats.upper()
+    n, d = _ratio_minus(rhs_lo, stats.upper())
     return InequalityCheck(
-        passed=lhs_hi <= rhs_lo,
+        passed=n >= 0,
         lhs=float(stats.value),
-        rhs=float(rhs_lo),
-        slack=float(rhs_lo - lhs_hi),
+        rhs=rhs_lo[0] / rhs_lo[1],
+        slack=n / d,
     )
 
 
@@ -347,33 +364,34 @@ def _nine_over_pi2_up() -> Fraction:
     return upper_fraction(9 / IV.pi**2)
 
 
-def _totient_rhs_upper(x: Fraction) -> Fraction:
-    """Upper bound on (9/pi^2) x^2 f(x), f(x) = 1 - (pi^2/9)(log x + 9)/(3x).
+def _totient_rhs_upper(x: Fraction) -> tuple[int, int]:
+    """Upper bound on (9/pi^2) x^2 f(x), f(x) = 1 - (pi^2/9)(log x + 9)/(3x),
+    as an unreduced ratio (n, d) of integers, d > 0.
 
     Through the identity (9/pi^2) x^2 f(x) = 9x^2/pi^2 - x (log x + 9)/3,
     the bound is up(9/pi^2) x^2 - x (lo(log x) + 9)/3 for x > 0: 9/pi^2 is
-    rounded up once and cached, and log x is the only interval evaluated.
+    rounded up once and cached, and lo(log x) is the one raw endpoint
+    evaluated (rounding.lower_log).  With x = a/b, up(9/pi^2) = P/Q and
+    lo(log x) + 9 = m/e, the bound is (3 P a^2 e - a b Q m) / (3 b^2 Q e).
     """
-    log_lo = lower_fraction(IV.log(iv_from_fraction(x)))
-    return _nine_over_pi2_up() * x * x - x * (log_lo + 9) / 3
+    a, b, nine = x.numerator, x.denominator, _nine_over_pi2_up()
+    P, Q = nine.numerator, nine.denominator
+    m, e = lower_minus(lower_log(x), -9, 1)
+    return 3 * P * a * a * e - a * b * Q * m, 3 * b * b * Q * e
 
 
-def _totient_slack(x: Fraction, s0: int, s1: Fraction, rhs: Fraction) -> tuple[int, int]:
+def _totient_slack(x: Fraction, s0: int, s1: Fraction, rhs: tuple[int, int]) -> tuple[int, int]:
     """lhs - rhs as an unreduced fraction (n, d), d > 0, where the exact lhs
     is 2x s1 - s0; cross-multiplied, so no gcd of the large s1 is taken."""
-    a, b = x.numerator, x.denominator
-    n1, d1 = s1.numerator, s1.denominator
-    return (
-        (2 * a * n1 - s0 * b * d1) * rhs.denominator - rhs.numerator * b * d1,
-        b * d1 * rhs.denominator,
-    )
+    a, b, n1, d1 = x.numerator, x.denominator, s1.numerator, s1.denominator
+    return _ratio_minus((2 * a * n1 - s0 * b * d1, b * d1), rhs)
 
 
 def check_totient_inequality(x) -> InequalityCheck:
     """Certify 2x sum_{a<=x} phi(a)/a - sum_{a<=x} phi(a) >= (9/pi^2) x^2 f(x).
 
     The left side is exact rational; the right side is bounded above with
-    the cached endpoint of 9/pi^2 and one interval logarithm (see
+    the cached endpoint of 9/pi^2 and one raw logarithm endpoint (see
     _totient_rhs_upper).  x may be any rational (or float) > 1.
     """
     x = Fraction(x)
@@ -388,7 +406,7 @@ def check_totient_inequality(x) -> InequalityCheck:
     return InequalityCheck(
         passed=n_slack >= 0,
         lhs=float(2 * x * s1 - s0),
-        rhs=float(rhs_up),
+        rhs=rhs_up[0] / rhs_up[1],
         slack=n_slack / d_slack,
     )
 
@@ -455,16 +473,16 @@ def farey_interval(kind: str, a: int, b: int, p: int, H: int, h: int = 1) -> Far
     return FareyInterval(a, b, kind, left, right, True, False)
 
 
-def _overlaps(u: FareyInterval, v: FareyInterval) -> bool:
-    if u.is_empty() or v.is_empty():
-        return False
-    if u.left > v.left or (u.left == v.left and not u.left_closed and v.left_closed):
-        u, v = v, u
-    if v.left < u.right:
-        return True
-    if v.left == u.right:
-        return v.left_closed and u.right_closed
-    return False
+def _starred_count(c: int, H: int, a: int, h: int) -> int:
+    """Integers in I*(a,b) and J*(a,b) together, for c = bp (see
+    check_interval_disjointness)."""
+    return max(0, (c + H) // a - c // a - h + 1) + max(0, (H - c) // a - (-c) // a - h + 1)
+
+
+def _meets(right: int, right_closed: bool, left: int, left_closed: bool) -> bool:
+    """Whether an interval ending at right shares a point with one starting
+    at left that starts no earlier."""
+    return left < right or (left == right and right_closed and left_closed)
 
 
 @dataclass(frozen=True)
@@ -481,11 +499,17 @@ def check_interval_disjointness(p: int, H: int, X, h: int | None = None) -> Disj
     """Verify the Farey interval family is pairwise disjoint in (0, p-H).
 
     Enumerates I(a,b), J(a,b) over 0 <= b < a <= X with gcd(a,b) = 1 and
-    checks, with exact rational endpoint comparisons: pairwise disjointness;
-    containment in (0, p-H) for every interval except J(1,0), which must
-    equal [-H, 0); and, when h is given, that the starred pair
-    I*(a,b), J*(a,b) contains at least 2(H/a - h) integers (the element
-    count the lower-bound proof relies on).  Requires 2XH < p.
+    checks, with exact endpoint comparisons: disjointness of neighbours in
+    left-endpoint order; containment in (0, p-H) for every interval except
+    J(1,0), which must equal [-H, 0); and, when h is given, that the
+    starred pair I*(a,b), J*(a,b) contains at least 2(H/a - h) integers (the
+    element count the lower-bound proof relies on).  Requires 2XH < p.
+
+    Every endpoint is (bp +- H)/a, so the comparisons run on the integer
+    numerators over L = lcm(1..floor X).  I*(a,b) = (bp/a, (bp+H)/a - h + 1]
+    holds max(0, floor((bp+H)/a) - floor(bp/a) - h + 1) integers and
+    J*(a,b) = [(bp-H)/a, bp/a - h + 1) holds max(0, ceil(bp/a) -
+    ceil((bp-H)/a) - h + 1), and the count test is n_star a < 2(H - a h).
     """
     X = Fraction(X)
     if not 2 * X * H < p:
@@ -493,48 +517,40 @@ def check_interval_disjointness(p: int, H: int, X, h: int | None = None) -> Disj
     if H < 1:
         raise ValueError(f"need H >= 1, got {H}")
 
-    intervals: list[FareyInterval] = []
+    n = math.floor(X)
+    L = math.lcm(*range(1, n + 1))
+    # (left, is I, right, a, b), endpoints times L: I(a,b) is open on the
+    # left and closed on the right, J(a,b) the reverse
+    intervals: list[tuple[int, bool, int, int, int]] = []
     count_viol: list[str] = []
-    exception_ok = True
-    for a in range(1, math.floor(X) + 1):
+    for a in range(1, n + 1):
+        s = L // a
         for b in range(a):
             if math.gcd(a, b) != 1:
                 continue
-            iab = farey_interval("I", a, b, p, H)
-            jab = farey_interval("J", a, b, p, H)
-            intervals.extend((iab, jab))
-            if a == 1 and b == 0:
-                exception_ok = (
-                    jab.left == -H
-                    and jab.right == 0
-                    and jab.left_closed
-                    and not jab.right_closed
-                )
+            c = b * p
+            intervals += [(c * s, True, (c + H) * s, a, b), ((c - H) * s, False, c * s, a, b)]
             if h is not None:
-                n_star = len(farey_interval("I*", a, b, p, H, h).integers()) + len(
-                    farey_interval("J*", a, b, p, H, h).integers()
-                )
-                if Fraction(n_star) < 2 * (Fraction(H, a) - h):
+                n_star = _starred_count(c, H, a, h)
+                if n_star * a < 2 * (H - a * h):
                     count_viol.append(
                         f"starred count {n_star} < 2(H/a - h) at (a={a}, b={b})"
                     )
+    exception_ok = n < 1 or (intervals[1][0], intervals[1][2]) == (-H * L, 0)
 
-    ordered = sorted(intervals, key=lambda t: (t.left, not t.left_closed))
+    ordered = sorted(intervals, key=lambda t: (t[0], t[1]))
     overlap_viol = [
-        f"{u.kind}({u.a},{u.b}) overlaps {v.kind}({v.a},{v.b})"
+        f"{'IJ'[not u[1]]}({u[3]},{u[4]}) overlaps {'IJ'[not v[1]]}({v[3]},{v[4]})"
         for u, v in zip(ordered, ordered[1:])
-        if _overlaps(u, v)
+        if _meets(u[2], u[1], v[0], not v[1])
     ]
-
-    contain_viol = []
-    upper = Fraction(p - H)
-    for t in intervals:
-        if t.kind == "J" and t.a == 1 and t.b == 0:
-            continue  # the stated exception, checked separately
-        low_ok = t.left > 0 or (t.left == 0 and not t.left_closed)
-        high_ok = t.right < upper or (t.right == upper and not t.right_closed)
-        if not (low_ok and high_ok):
-            contain_viol.append(f"{t.kind}({t.a},{t.b}) escapes (0, p-H)")
+    top = (p - H) * L
+    contain_viol = [  # J(1,0), the only J with a = 1, is the stated exception
+        f"{'IJ'[not i]}({a},{b}) escapes (0, p-H)"
+        for left, i, right, a, b in intervals
+        if (i or a > 1)
+        and not ((left > 0 or left == 0 and i) and (right < top or right == top and not i))
+    ]
 
     return DisjointnessCheck(
         passed=not overlap_viol
@@ -632,14 +648,16 @@ def check_shifted_sum_lower(
     nf: NonresidueFactorization,
     h: int,
     interval: FareyInterval,
+    window: tuple[np.ndarray, float] | None = None,
 ) -> ShiftedSumCheck:
     """Certify |sum_{m=0}^{h-1} chi(z+m)| >= h - 2j on a starred interval.
 
     Requires: the window hypothesis (chi = 1 on (0, H] off u, enumerated
     directly, HypothesisError otherwise), u1 | a, gcd(a, b) = 1, and a
     starred interval kind.  Each window reads its |w|^2 from the window
-    kernel (_window_m2): exact for quadratic characters.  For higher
-    orders a window passes only if the kernel's enclosure clears the
+    kernel (_window_m2, or its result for (spec, h) passed as `window`):
+    exact for quadratic characters.  For higher orders a window passes
+    only if the kernel's enclosure clears the
     bound, m2 - E >= (h-2j)^2, or if its h values are one and the same
     nonzero root, so that |w| = h exactly; that covers the equality case
     j = 0.  Any other window fails, and `detail` names the first one.
@@ -661,7 +679,7 @@ def check_shifted_sum_lower(
     p = spec.p
     zs = np.array(interval.integers(), dtype=np.int64)
     xs = zs % p
-    m2, err = _window_m2(spec.t_table, spec.d, h)
+    m2, err = window if window is not None else _window_m2(spec.t_table, spec.d, h)
     # m2 >= need gives |w|^2 >= m2 - err >= bound^2; need is rounded up
     need = bound * bound if err == 0 else math.nextafter(bound * bound + err, math.inf)
     t_win = spec.t_table[(xs[:, None] + np.arange(h)) % p]
@@ -697,15 +715,16 @@ def _validate_split(spec: CharacterSpec, nf: NonresidueFactorization, h: int) ->
 # ---------------------------------------------------------------------------
 
 
-def _proposition_rhs_upper(nf: NonresidueFactorization, h: int, r: int) -> Fraction:
-    """Upper bound on (18/pi^2) h (h-2j)^(2r) (phi(u1)/u1^2) X^2 f(X/u1).
+def _proposition_rhs_upper(nf: NonresidueFactorization, h: int, r: int) -> tuple[int, int]:
+    """Upper bound on (18/pi^2) h (h-2j)^(2r) (phi(u1)/u1^2) X^2 f(X/u1),
+    as an unreduced ratio (n, d) of integers.
 
     With x = X/u1 that is the positive integer 2h (h-2j)^(2r) phi(u1) times
     the totient right side (9/pi^2) x^2 f(x), bounded by _totient_rhs_upper.
     """
     phi_u1 = math.prod(q - 1 for q in nf.u1_primes)
-    x = Fraction(nf.H, 2 * h * nf.u1)
-    return 2 * h * (h - 2 * nf.j) ** (2 * r) * phi_u1 * _totient_rhs_upper(x)
+    n, d = _totient_rhs_upper(Fraction(nf.H, 2 * h * nf.u1))
+    return 2 * h * (h - 2 * nf.j) ** (2 * r) * phi_u1 * n, d
 
 
 def check_proposition_lower(
@@ -742,12 +761,12 @@ def check_proposition_lower(
         stats = exact_sum_S(spec, h, r)
 
     rhs_up = _proposition_rhs_upper(nf, h, r)
-    lhs_lo = stats.lower()
+    n, d = _ratio_minus(stats.lower(), rhs_up)
     return InequalityCheck(
-        passed=lhs_lo >= rhs_up,
+        passed=n >= 0,
         lhs=float(stats.value),
-        rhs=float(rhs_up),
-        slack=float(lhs_lo - rhs_up),
+        rhs=rhs_up[0] / rhs_up[1],
+        slack=n / d,
     )
 
 
@@ -808,10 +827,11 @@ def _ratio_float(n: int, d: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
-def _convexity_verdict(rhs, num: int, den: int) -> tuple[bool, float]:
-    """(num/den <= lo(rhs), lo(rhs) - num/den) for the integers
-    num = h^(2r), den = (h-2j)^(2r), compared by shifts (see lower_minus)."""
-    n, d = lower_minus(rhs, num, den)
+def _convexity_verdict(lo, num: int, den: int) -> tuple[bool, float]:
+    """(num/den <= lo, lo - num/den) for a raw lower endpoint lo of the right
+    side and the integers num = h^(2r), den = (h-2j)^(2r), compared by
+    shifts (see lower_minus)."""
+    n, d = lower_minus(lo, num, den)
     return n >= 0, _ratio_float(n, d)
 
 
@@ -819,9 +839,9 @@ def check_convexity_bound(h: int, r: int, j: int) -> InequalityCheck:
     """Certify (h/(h-2j))^(2r) <= exp(16rj/(3h)) for 0 <= j <= h/8.
 
     The left side stays the two integers h^(2r) and (h-2j)^(2r); the right
-    side is compared at its lower interval endpoint man * 2^exp by integer
-    shifts (exp(0) = 1 is exact, so j = 0 is the equality case and still
-    passes).
+    side is compared at the raw lower endpoint man * 2^exp of its interval
+    exponential by integer shifts (exp(0) = 1 is exact, so j = 0 is the
+    equality case and still passes).
     """
     if h < 1 or r < 1 or j < 0:
         raise ValueError(f"need h, r >= 1 and j >= 0, got h={h}, r={r}, j={j}")
@@ -829,7 +849,7 @@ def check_convexity_bound(h: int, r: int, j: int) -> InequalityCheck:
         raise ValueError(f"need j <= h/8, got j={j}, h={h}")
     num, den = h ** (2 * r), (h - 2 * j) ** (2 * r)
     rhs = IV.exp(IV.mpf(16 * r * j) / (3 * h))
-    passed, slack = _convexity_verdict(rhs, num, den)
+    passed, slack = _convexity_verdict(rhs._mpi_[0], num, den)
     return InequalityCheck(
         passed=passed,
         lhs=_ratio_float(num, den),
@@ -922,9 +942,7 @@ def sweep_totient(x_max: int = 5000, step_denom: int = 10) -> LemmaReport:
     floor_x = 1
     for k in range(step_denom + 1, x_max * step_denom + 1):
         x = Fraction(k, step_denom)
-        while floor_x < x:
-            if floor_x + 1 > x:
-                break
+        while (floor_x + 1) * step_denom <= k:
             floor_x += 1
             s0 += int(phi[floor_x])
             s1 += Fraction(int(phi[floor_x]), floor_x)
@@ -935,20 +953,22 @@ def sweep_totient(x_max: int = 5000, step_denom: int = 10) -> LemmaReport:
 
 
 def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
-    """All (h <= h_max, r <= r_max, j <= h/8), incremental powers per (h, j)."""
+    """All (h <= h_max, r <= r_max, j <= h/8), incremental powers per (h, j):
+    the right side is the interval product 1 * base * ... * base of
+    base = exp(16j/(3h)), whose lower endpoint lower_product chains (1 * base
+    is exact, so the chain starts at base's own endpoint)."""
     rep = LemmaReport("convexity")
     t0 = time.perf_counter()
     for h in range(1, h_max + 1):
         for j in range(0, h // 8 + 1):
-            base = IV.exp(IV.mpf(16 * j) / (3 * h))
+            base_lo = lo = IV.exp(IV.mpf(16 * j) / (3 * h))._mpi_[0]
             num = den = 1
-            rhs = IV.mpf(1)
             for r in range(1, r_max + 1):
                 num *= h * h
                 den *= (h - 2 * j) ** 2
-                rhs = rhs * base
-                passed, slack = _convexity_verdict(rhs, num, den)
+                passed, slack = _convexity_verdict(lo, num, den)
                 rep.record({"h": h, "r": r, "j": j}, passed, slack)
+                lo = lower_product(lo, base_lo)
     rep.elapsed_s = time.perf_counter() - t0
     return rep
 
@@ -983,6 +1003,8 @@ def sweep_disjointness(
     t0 = time.perf_counter()
     rng = random.Random(seed)
     plist = [int(q) for q in pr.primes_upto(p_max) if q >= 11]
+    if not plist:
+        raise ValueError(f"disjointness draws primes p >= 11, got p_max={p_max}")
     done = 0
     while done < trials:
         p = rng.choice(plist)
@@ -1045,6 +1067,8 @@ def iter_proposition_instances(
     (h <= 2j) combinations are not yielded.
     """
     count = 0
+    if max_instances is not None and max_instances < 1:
+        return
     for p in map(int, pr.primes_upto(p_limit)):
         if p == 2:
             continue
@@ -1135,6 +1159,7 @@ def sweep_shifted_sum(
             except SearchCapExceededError:
                 continue
             spec = CharacterSpec.of_order(p, d)
+            windows = {}  # h -> the window kernel's result for (spec, h)
             for n in range(1, n_max + 1):
                 H = q[n - 1] - 1
                 if H < 2 or H >= p:
@@ -1164,7 +1189,9 @@ def sweep_shifted_sum(
                                 itv = farey_interval(kind, a, b, p, H, h)
                                 if not itv.integers():
                                     continue
-                                c = check_shifted_sum_lower(spec, nf, h, itv)
+                                if h not in windows:
+                                    windows[h] = _window_m2(spec.t_table, d, h)
+                                c = check_shifted_sum_lower(spec, nf, h, itv, windows[h])
                                 key = {"p": p, "d": d, "n": n, "h": h,
                                        "a": a, "b": b, "kind": kind}
                                 slack = None
@@ -1203,7 +1230,9 @@ class VerifyConfig:
 def run_verification(
     lemmas: Sequence[str] | None = None, config: VerifyConfig | None = None
 ) -> dict:
-    """Run the selected lemma sweeps and assemble a JSON-ready report."""
+    """Run the selected lemma sweeps and assemble a JSON-ready report.  A
+    sweep whose grid holds no instance is refused (ValueError): its pass
+    would certify nothing."""
     cfg = config or VerifyConfig()
     names = list(lemmas) if lemmas else list(LEMMA_NAMES)
     unknown = [x for x in names if x not in LEMMA_NAMES]
@@ -1233,6 +1262,8 @@ def run_verification(
             reports[name] = sweep_shifted_sum(
                 cfg.shifted_p_limit, max_instances=cfg.shifted_max_instances
             )
+        if reports[name].instances_run == 0:
+            raise ValueError(f"the {name} grid holds no instances; widen its bounds")
     return {
         "seed": cfg.seed,
         "config": cfg.to_json_obj(),

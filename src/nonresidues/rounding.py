@@ -15,7 +15,10 @@ rational (lower_minus), built by shifts with no Fraction and no gcd.  The
 oracles cache the endpoints of their constant factors (sqrt(2)(2r/e)^r,
 sqrt(p), 9/pi^2) and combine them with exact integers, so an interval
 evaluation per instance is needed only where the instance itself enters a
-transcendental function.
+transcendental function.  There lower_log and lower_product return the
+one endpoint needed as a raw (sign, man, exp, bc) tuple, from the libmp
+call and rounding mode that mpmath's interval function makes for it, so no
+interval object is built per instance.
 
 Interval contexts are package-private and cached per precision, so
 precision here never affects the global mpmath.iv singleton.  Callers must
@@ -28,6 +31,7 @@ import functools
 from fractions import Fraction
 
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_mul, round_ceiling, round_floor
 
 DEFAULT_PREC = 96
 
@@ -67,13 +71,14 @@ def upper_fraction(x) -> Fraction:
     return _raw_to_fraction(x._mpi_[1])
 
 
-def lower_minus(x, num: int, den: int) -> tuple[int, int]:
-    """lo(x) - num/den exactly, as an unreduced fraction (n, d) with d > 0.
+def lower_minus(lo, num: int, den: int) -> tuple[int, int]:
+    """lo - num/den exactly, as an unreduced fraction (n, d) with d > 0, for
+    a raw lower endpoint lo (x._mpi_[0], or from lower_log/lower_product).
 
-    The sign of n decides lo(x) >= num/den, and n / d (int true division,
+    The sign of n decides lo >= num/den, and n / d (int true division,
     correctly rounded) is the same float as float() of the reduced Fraction.
     """
-    man, exp = _signed_man_exp(x._mpi_[0])
+    man, exp = _signed_man_exp(lo)
     if exp >= 0:
         return (man << exp) * den - num, den
     return man * den - (num << -exp), den << -exp
@@ -82,3 +87,18 @@ def lower_minus(x, num: int, den: int) -> tuple[int, int]:
 def iv_from_fraction(q: Fraction, ctx: MPIntervalContext = IV):
     """Smallest representable interval containing the rational q."""
     return ctx.mpf(q.numerator) / q.denominator
+
+
+def lower_log(q: Fraction, prec: int = DEFAULT_PREC):
+    """Raw lower endpoint of log(iv_from_fraction(q)) for a rational q > 0:
+    the numerator rounded down over the denominator rounded up, their
+    quotient rounded down, and its log rounded down."""
+    num = from_int(q.numerator, prec, round_floor)
+    den = from_int(q.denominator, prec, round_ceiling)
+    return mpf_log(mpf_div(num, den, prec, round_floor), prec, round_floor)
+
+
+def lower_product(lo, base_lo, prec: int = DEFAULT_PREC):
+    """Raw lower endpoint of x * y for positive intervals x, y with raw
+    lower endpoints lo and base_lo: their product rounded down."""
+    return mpf_mul(lo, base_lo, prec, round_floor)

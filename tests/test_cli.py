@@ -285,6 +285,48 @@ def test_verify_multiple_lemmas(capsys):
     assert "PASS stirling" in out and "PASS convexity" in out
 
 
+# -- invalid verify grids: refused, never a pass over zero instances ----------
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lemma", "disjointness", "--p-max", "5"],  # drew from no primes: IndexError
+    ["--lemma", "stirling", "--r-max", "0"],
+    ["--lemma", "convexity", "--r-max", "-3"],
+    ["--lemma", "disjointness", "--trials", "-1"],
+    ["--lemma", "totient", "--x-max", "1"],
+    ["--lemma", "convexity", "--h-max", "0"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_verify_empty_grid_exits_2(argv):
+    assert_refused(["verify", *argv])
+
+
+@pytest.mark.parametrize("opt", ["--r-max", "--x-max", "--h-max", "--p-max", "--trials",
+                                 "--instances"])
+def test_verify_grid_bound_below_one_refused_before_any_sweep(opt, monkeypatch):
+    monkeypatch.setattr(cli.lm, "run_verification", lambda *a: pytest.fail("ran a sweep"))
+    assert_refused(["verify", "--all", f"{opt}=0"])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(
+    st.tuples(st.sampled_from(["stirling", "convexity", "s-upper"]), st.just("--r-max"),
+              st.integers(-(10**6), 0)),
+    st.tuples(st.sampled_from(["convexity", "s-upper"]), st.just("--h-max"),
+              st.integers(-(10**6), 0)),
+    st.tuples(st.just("totient"), st.just("--x-max"), st.integers(-(10**6), 1)),
+    st.tuples(st.just("disjointness"), st.sampled_from(["--p-max", "--trials"]),
+              st.integers(-(10**6), 0)),
+    st.tuples(st.just("disjointness"), st.just("--p-max"), st.integers(1, 10)),
+    st.tuples(st.sampled_from(["s-upper", "proposition"]), st.just("--p-max"),
+              st.integers(-(10**6), 2)),
+    st.tuples(st.just("proposition"), st.just("--p-max"), st.integers(3, 19)),
+    st.tuples(st.just("proposition"), st.just("--instances"), st.integers(-(10**6), 0)),
+))
+def test_verify_grid_without_instances_exits_2(case):
+    lemma, opt, value = case
+    assert_refused(["verify", "--lemma", lemma, f"{opt}={value}"])
+
+
 def test_scan_summary_schema_and_records(capsys, tmp_path):
     out_path = tmp_path / "records.jsonl"
     summary_path = tmp_path / "summary.json"

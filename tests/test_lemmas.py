@@ -1,4 +1,7 @@
+import json
 import math
+import pathlib
+import random
 from fractions import Fraction
 
 import mpmath
@@ -210,13 +213,43 @@ def _interval_proposition_rhs(nf, h, r, ctx):
     return iv_from_fraction(scale, ctx) / pi2 * f
 
 
+def _fraction_s_upper(stats, p, h, r):
+    """(passed, rhs, slack) of check_S_upper in Fraction arithmetic."""
+    rhs_lo = lm._stirling_rhs_lo(r) * (p * h**r) + lm._sqrt_lo(p) * ((2 * r - 1) * h ** (2 * r))
+    lhs_hi = Fraction(stats.value) + Fraction(stats.error_bound)
+    return lhs_hi <= rhs_lo, float(rhs_lo), float(rhs_lo - lhs_hi)
+
+
+def test_s_upper_matches_fraction_formula():
+    # every (p <= 300, d | p-1, h <= 8, r <= 6) of the default sweep
+    for p in map(int, pr.primes_upto(300)):
+        if p == 2:
+            continue
+        for d in pr.divisors(p - 1)[1:]:
+            spec = CharacterSpec.of_order(p, d)
+            for h in range(1, min(8, p - 1) + 1):
+                stats = lm._sum_S_multi(spec, h, range(1, 7))
+                for r in range(1, 7):
+                    c = lm.check_S_upper(spec, h, r, stats=stats[r])
+                    assert (c.passed, c.rhs, c.slack) == _fraction_s_upper(
+                        stats[r], p, h, r), (p, d, h, r)
+    # a moment pushed just past the bound fails, with the same slack
+    stats = lm.exact_sum_S(CharacterSpec.of_order(7, 3), 2, 1)
+    lo = Fraction(*lm._s_upper_rhs_lo(7, 2, 1))
+    for err in (float(lo - stats.value) * 2, float(lo - stats.value) / 2):
+        forged = lm.SumStats(7, 2, 1, stats.value, err)
+        c = lm.check_S_upper(CharacterSpec.of_order(7, 3), 2, 1, stats=forged)
+        assert (c.passed, c.rhs, c.slack) == _fraction_s_upper(forged, 7, 2, 1)
+        assert c.passed == (err < float(lo - stats.value))
+
+
 def test_s_upper_endpoint_bound_within_interval_formula():
     for p in map(int, pr.primes_upto(300)):
         if p == 2:
             continue
         for h in range(1, min(8, p - 1) + 1):
             for r in range(1, 7):
-                got = lm._s_upper_rhs_lo(p, h, r)
+                got = Fraction(*lm._s_upper_rhs_lo(p, h, r))
                 ref = _interval_s_upper_rhs(p, h, r, IV)
                 assert lower_fraction(ref) <= got <= upper_fraction(ref), (p, h, r)
                 # a lower bound: below the 256-bit enclosure of the true value
@@ -226,11 +259,38 @@ def test_s_upper_endpoint_bound_within_interval_formula():
 def test_totient_endpoint_bound_within_interval_formula():
     for k in range(11, 2001):
         x = Fraction(k, 10)
-        got = lm._totient_rhs_upper(x)
+        got = Fraction(*lm._totient_rhs_upper(x))
         ref = _interval_totient_rhs(x, IV)
         assert lower_fraction(ref) <= got <= upper_fraction(ref), x
         # an upper bound: above the 256-bit enclosure of the true value
         assert got >= upper_fraction(_interval_totient_rhs(x, HP))
+
+
+def _fraction_totient_rhs(x):
+    """_totient_rhs_upper in Fraction arithmetic on the interval log."""
+    log_lo = lower_fraction(IV.log(iv_from_fraction(x)))
+    return lm._nine_over_pi2_up() * x * x - x * (log_lo + 9) / 3
+
+
+def test_totient_and_proposition_bounds_match_fraction_formula():
+    for k in range(1, 2001):
+        x = Fraction(k, 10)
+        assert Fraction(*lm._totient_rhs_upper(x)) == _fraction_totient_rhs(x), x
+        c = lm.check_totient_inequality(x) if x > 1 else None
+        if c is not None:
+            assert c.rhs == float(_fraction_totient_rhs(x))
+    for inst, r in lm.iter_proposition_instances(10**4, r_values=(1, 2, 3),
+                                                 max_instances=200):
+        nf, h = inst.nf, inst.h
+        phi_u1 = math.prod(q - 1 for q in nf.u1_primes)
+        want = 2 * h * (h - 2 * nf.j) ** (2 * r) * phi_u1 * _fraction_totient_rhs(
+            Fraction(nf.H, 2 * h * nf.u1))
+        assert Fraction(*lm._proposition_rhs_upper(nf, h, r)) == want
+        stats = lm.exact_sum_S(inst.spec, h, r)
+        c = lm.check_proposition_lower(inst.spec, nf, h, r, stats=stats)
+        lhs_lo = Fraction(stats.value) - Fraction(stats.error_bound)
+        assert (c.passed, c.rhs, c.slack) == (lhs_lo >= want, float(want),
+                                              float(lhs_lo - want))
 
 
 def test_totient_bound_rounds_the_logarithm_down(monkeypatch):
@@ -240,14 +300,15 @@ def test_totient_bound_rounds_the_logarithm_down(monkeypatch):
     monkeypatch.setattr(lm, "_nine_over_pi2_up", lambda: nine_over_pi2)
     for k in range(11, 2001, 7):
         x = Fraction(k, 10)
-        assert lm._totient_rhs_upper(x) >= upper_fraction(_interval_totient_rhs(x, HP)), x
+        got = Fraction(*lm._totient_rhs_upper(x))
+        assert got >= upper_fraction(_interval_totient_rhs(x, HP)), x
 
 
 def test_proposition_endpoint_bound_within_interval_formula():
     count = 0
     for inst, r in lm.iter_proposition_instances(10**5, r_values=(1, 2, 3),
                                                  max_instances=300):
-        got = lm._proposition_rhs_upper(inst.nf, inst.h, r)
+        got = Fraction(*lm._proposition_rhs_upper(inst.nf, inst.h, r))
         ref = _interval_proposition_rhs(inst.nf, inst.h, r, IV)
         assert lower_fraction(ref) <= got <= upper_fraction(ref), (inst, r)
         assert got >= upper_fraction(_interval_proposition_rhs(inst.nf, inst.h, r, HP))
@@ -353,6 +414,20 @@ def test_farey_interval_integers_match_brute_force(a, b, H, h):
         assert got == want
 
 
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=39),
+    st.integers(min_value=1, max_value=500),
+    st.integers(min_value=-3, max_value=60),
+    st.sampled_from([101, 1009, 10007]),
+)
+def test_starred_count_matches_interval_integers(a, b, H, h, p):
+    if not (b < a and math.gcd(a, b) == 1):
+        return
+    want = sum(len(lm.farey_interval(kind, a, b, p, H, h).integers()) for kind in ("I*", "J*"))
+    assert lm._starred_count(b * p, H, a, h) == want
+
+
 def test_disjointness_worked_example():
     c = lm.check_interval_disjointness(101, 9, 2, h=2)
     assert c.passed and c.intervals == 4 and c.exception_interval_ok
@@ -373,14 +448,90 @@ def test_disjointness_randomized_sweep():
     assert rep.failures == 0 and rep.instances_run == 40
 
 
+def _fraction_disjointness(p, H, X, h=None):
+    """check_interval_disjointness on Fraction FareyIntervals: the reference
+    the integer version must reproduce, message for message."""
+    def overlaps(u, v):
+        if u.is_empty() or v.is_empty():
+            return False
+        if u.left > v.left or (u.left == v.left and not u.left_closed and v.left_closed):
+            u, v = v, u
+        if v.left < u.right:
+            return True
+        return v.left == u.right and v.left_closed and u.right_closed
+
+    X = Fraction(X)
+    intervals, count_viol, exception_ok = [], [], True
+    for a in range(1, math.floor(X) + 1):
+        for b in range(a):
+            if math.gcd(a, b) != 1:
+                continue
+            iab = lm.farey_interval("I", a, b, p, H)
+            jab = lm.farey_interval("J", a, b, p, H)
+            intervals.extend((iab, jab))
+            if a == 1 and b == 0:
+                exception_ok = (jab.left == -H and jab.right == 0
+                                and jab.left_closed and not jab.right_closed)
+            if h is not None:
+                n_star = len(lm.farey_interval("I*", a, b, p, H, h).integers()) + len(
+                    lm.farey_interval("J*", a, b, p, H, h).integers())
+                if Fraction(n_star) < 2 * (Fraction(H, a) - h):
+                    count_viol.append(f"starred count {n_star} < 2(H/a - h) at (a={a}, b={b})")
+    ordered = sorted(intervals, key=lambda t: (t.left, not t.left_closed))
+    overlap_viol = [f"{u.kind}({u.a},{u.b}) overlaps {v.kind}({v.a},{v.b})"
+                    for u, v in zip(ordered, ordered[1:]) if overlaps(u, v)]
+    contain_viol = []
+    for t in intervals:
+        if t.kind == "J" and t.a == 1 and t.b == 0:
+            continue
+        low_ok = t.left > 0 or (t.left == 0 and not t.left_closed)
+        high_ok = t.right < p - H or (t.right == p - H and not t.right_closed)
+        if not (low_ok and high_ok):
+            contain_viol.append(f"{t.kind}({t.a},{t.b}) escapes (0, p-H)")
+    return lm.DisjointnessCheck(
+        passed=not overlap_viol and not contain_viol and not count_viol and exception_ok,
+        intervals=len(intervals),
+        overlap_violations=tuple(overlap_viol),
+        containment_violations=tuple(contain_viol),
+        count_violations=tuple(count_viol),
+        exception_interval_ok=exception_ok,
+    )
+
+
+PRIMES_BELOW_5000 = [int(q) for q in pr.primes_upto(5000) if q >= 11]
+
+
+def test_disjointness_matches_fraction_reference():
+    rng = random.Random(2024)
+    cases = [
+        (101, 10, 5, 2),  # 2XH = p - 1
+        (101, 10, 5, None),
+        (1009, 36, 14, 3),  # 2XH = 1008 = p - 1
+        (1009, 9, Fraction(7, 2), 4),  # non-integral X
+        (1009, 9, Fraction(55, 4), 30),  # h > H/a for every a
+        (10007, 100, Fraction(99, 2), 101),  # h > H
+        (10007, 1, 40, 1),
+    ]
+    while len(cases) < 2000:
+        p = rng.choice(PRIMES_BELOW_5000)
+        x = Fraction(rng.randint(1, 64), 4)
+        h_cap = (p - 1) // (2 * x)
+        if h_cap < 1:
+            continue
+        H = rng.randint(1, int(h_cap))
+        cases.append((p, H, x, rng.choice((None, rng.randint(1, H + 3)))))
+    for p, H, X, h in cases:
+        assert lm.check_interval_disjointness(p, H, X, h=h) == _fraction_disjointness(
+            p, H, X, h), (p, H, X, h)
+
+
+
 def test_overlap_detector_sees_planted_overlap():
-    a = lm.FareyInterval(1, 0, "I", Fraction(0), Fraction(5), False, True)
-    b = lm.FareyInterval(1, 0, "I", Fraction(4), Fraction(9), False, True)
-    c = lm.FareyInterval(1, 0, "I", Fraction(5), Fraction(9), False, True)
-    assert lm._overlaps(a, b)
-    assert not lm._overlaps(a, c)  # (0,5] vs (5,9] touch but do not meet
-    d = lm.FareyInterval(1, 0, "J", Fraction(5), Fraction(9), True, False)
-    assert lm._overlaps(a, d)  # 5 belongs to both
+    # (0,5] against (4,9], (5,9] and [5,9): right end, then left end
+    assert lm._meets(5, True, 4, False)
+    assert not lm._meets(5, True, 5, False)  # (0,5] vs (5,9] touch but do not meet
+    assert lm._meets(5, True, 5, True)  # 5 belongs to both
+    assert not lm._meets(5, False, 5, True)  # [0,5) vs [5,9): J then I of one b/a
 
 
 # -- nonresidue factorizations and the window hypothesis ---------------------
@@ -540,6 +691,13 @@ def test_shifted_sum_sweep():
     assert rep.instances_run - rep.vacuous_skips >= 50
 
 
+def test_shifted_sum_takes_the_window_kernel_result():
+    spec, nf, h, itv = _order3_instance(j=0)
+    window = lm._window_m2(spec.t_table, spec.d, h)
+    assert lm.check_shifted_sum_lower(spec, nf, h, itv, window=window) == (
+        lm.check_shifted_sum_lower(spec, nf, h, itv))
+
+
 # -- proposition lower bound and sandwich ------------------------------------
 
 
@@ -649,7 +807,7 @@ def test_convexity_integer_comparison_matches_fractions():
                 rhs = IV.exp(IV.mpf(16 * r * j) / (3 * h))
                 lhs = Fraction(h, h - 2 * j) ** (2 * r)
                 rhs_lo = lower_fraction(rhs)
-                got = lm._convexity_verdict(rhs, h ** (2 * r), (h - 2 * j) ** (2 * r))
+                got = lm._convexity_verdict(rhs._mpi_[0], h ** (2 * r), (h - 2 * j) ** (2 * r))
                 assert got == (lhs <= rhs_lo, float(rhs_lo - lhs)), (h, r, j)
                 if j == 0:
                     assert got == (True, 0.0)  # exp(0) = 1 = lhs exactly
@@ -657,9 +815,26 @@ def test_convexity_integer_comparison_matches_fractions():
     rhs = IV.exp(IV.mpf(16) / 24)
     rhs_lo = lower_fraction(rhs)
     num, den = rhs_lo.numerator, rhs_lo.denominator
-    assert lm._convexity_verdict(rhs, num, den) == (True, 0.0)
-    assert not lm._convexity_verdict(rhs, 2 * num + 1, 2 * den)[0]
-    assert lm._convexity_verdict(rhs, 2 * num - 1, 2 * den)[0]
+    lo = rhs._mpi_[0]
+    assert lm._convexity_verdict(lo, num, den) == (True, 0.0)
+    assert not lm._convexity_verdict(lo, 2 * num + 1, 2 * den)[0]
+    assert lm._convexity_verdict(lo, 2 * num - 1, 2 * den)[0]
+
+
+def test_convexity_sweep_compares_the_chained_interval_product(monkeypatch):
+    seen = []
+    real = lm._convexity_verdict
+    monkeypatch.setattr(lm, "_convexity_verdict",
+                        lambda lo, num, den: seen.append((lo, num, den)) or real(lo, num, den))
+    lm.sweep_convexity(40, 40)
+    want = []
+    for h in range(1, 41):
+        for j in range(h // 8 + 1):
+            base, rhs = IV.exp(IV.mpf(16 * j) / (3 * h)), IV.mpf(1)
+            for r in range(1, 41):
+                rhs = rhs * base
+                want.append((rhs._mpi_[0], h ** (2 * r), (h - 2 * j) ** (2 * r)))
+    assert seen == want
 
 
 def test_convexity_preconditions():
@@ -678,6 +853,16 @@ def test_convexity_sweep_small():
 # -- report plumbing ---------------------------------------------------------
 
 
+def test_run_verification_refuses_grids_without_instances():
+    assert list(lm.iter_proposition_instances(max_instances=0)) == []
+    for lemma, cfg in (("proposition", lm.VerifyConfig(proposition_instances=0)),
+                       ("proposition", lm.VerifyConfig(proposition_p_limit=19)),
+                       ("totient", lm.VerifyConfig(totient_x_max=1)),
+                       ("disjointness", lm.VerifyConfig(disjoint_p_max=7))):
+        with pytest.raises(ValueError):
+            lm.run_verification([lemma], cfg)
+
+
 def test_run_verification_selectors_and_shape():
     rep = lm.run_verification(
         ["stirling", "convexity"],
@@ -689,3 +874,19 @@ def test_run_verification_selectors_and_shape():
     assert st_rep["instances_run"] == 20 and st_rep["failures"] == 0
     with pytest.raises(ValueError):
         lm.run_verification(["no-such-lemma"])
+
+
+# Reports of the reduced benchmark grid at two seeds, elapsed_s stripped, as
+# the rational-arithmetic certificates wrote them before they moved to plain
+# integers: every verdict, slack, count and message must stay byte for byte
+# the same.
+@pytest.mark.parametrize("seed", [5, 11])
+def test_verify_report_matches_golden(seed):
+    path = pathlib.Path(__file__).parent / "data" / f"verify_report_seed{seed}.json"
+    want = path.read_text()
+    cfg = lm.VerifyConfig(**json.loads(want)["config"])
+    assert cfg.seed == seed
+    report = lm.run_verification(config=cfg)
+    for rep in report["lemmas"].values():
+        del rep["elapsed_s"]
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == want
