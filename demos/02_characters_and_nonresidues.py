@@ -10,7 +10,6 @@ single modular exponentiation and scales far past any table.
 from nonresidues import bounds as bd
 from nonresidues.characters import (
     CharacterSpec,
-    char_value,
     is_kernel,
     prime_nonresidues,
 )
@@ -22,7 +21,7 @@ spec = CharacterSpec.of_order(13, 4)
 print(f"  primitive root mod 13: g = {spec.g}")
 row = []
 for a in range(1, 13):
-    t = char_value(spec, a).t
+    t = spec.t_table[a]
     row.append(f"chi({a})=z^{t}")
 print("  " + "  ".join(row[:6]))
 print("  " + "  ".join(row[6:]))

@@ -31,11 +31,8 @@ from .bounds import (
 )
 from .characters import (
     CharacterSpec,
-    CharacterValue,
-    char_value,
     find_primitive_root,
     is_kernel,
-    mod_pow,
     prime_nonresidues,
 )
 from .lemmas import (
@@ -64,7 +61,6 @@ __all__ = [
     "Aggregate",
     "BurgessParameters",
     "CharacterSpec",
-    "CharacterValue",
     "ConstantsResult",
     "FareyInterval",
     "HypothesisError",
@@ -74,7 +70,6 @@ __all__ = [
     "ScanTask",
     "SumStats",
     "burgess_params",
-    "char_value",
     "check_S_upper",
     "check_convexity_bound",
     "check_interval_disjointness",
@@ -92,7 +87,6 @@ __all__ = [
     "find_primitive_root",
     "is_kernel",
     "make_table",
-    "mod_pow",
     "monotonicity_scan",
     "nonresidue_factorization",
     "prime_nonresidues",

@@ -2,16 +2,19 @@
 
 A character of order d mod a prime p is realized concretely: pick a
 primitive root g, pick an exponent m with (p-1)/gcd(m, p-1) = d, and set
-chi(g^k) = e^(2 pi i m k / (p-1)).  Values are kept exact as residue
-classes t mod d, standing for the root of unity e^(2 pi i t / d); no
-floating point enters until a caller asks for a complex value.
+chi(g^k) = e^(2 pi i m k / (p-1)).  A CharacterSpec is the one table of
+chi: t_table holds each value exactly as a residue class t mod d, standing
+for the root of unity e^(2 pi i t / d), and values holds the numbers
+themselves (exact int64 0/+-1 for d = 2, complex128 roots rounded once from
+mpmath for d > 2).  Both are built once per spec, on first use, and cost
+O(p) memory.
 
 The kernel of an order-d character mod p is exactly the set of d-th power
 residues, so membership is a single modular exponentiation
-q^((p-1)/d) == 1 (mod p) and never needs a discrete logarithm.  That is
-what makes smallest-prime-nonresidue computations cheap for large p; the
-full table of t-values (CharacterSpec.t_table) is only built for small p,
-where the character-sum oracles need arbitrary values of chi.  Kernel
+q^((p-1)/d) == 1 (mod p) and never needs a discrete logarithm or a table.
+That is what makes smallest-prime-nonresidue computations cheap for large
+p; the tables are for the character-sum oracles, which need arbitrary
+values of chi.  Kernel
 tests and searches are batched over (p, d) rows (kernel_mask,
 nonresidue_table); is_kernel and prime_nonresidues are one-row calls.
 Candidate nonresidues are read from the package's one shared prime table
@@ -26,36 +29,27 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
+import mpmath
 import numpy as np
 
 from . import primes as pr
 
 __all__ = [
     "CharacterSpec",
-    "CharacterValue",
-    "DiscreteLogThresholdError",
     "SearchCapExceededError",
-    "char_value",
     "find_primitive_root",
     "is_kernel",
     "kernel_mask",
-    "mod_pow",
     "nonresidue_table",
     "prime_nonresidues",
+    "root_values",
 ]
-
-# Full t-tables cost O(p) memory; beyond this, use is_kernel instead.
-DLOG_TABLE_THRESHOLD = 10**6
 
 DEFAULT_SEARCH_CAP = 10**6
 
 _INT64_MODULUS_LIMIT = 1 << 31  # below it, products of residues fit in int64
 _INT64_MIN_CELLS = 64  # below it, numpy's cost per call outweighs Python pow
 _KERNEL_BLOCK = 1 << 14  # cells of one search step at most, to bound its memory
-
-
-class DiscreteLogThresholdError(RuntimeError):
-    """Modulus too large for a t-table; kernel tests don't need one."""
 
 
 class SearchCapExceededError(RuntimeError):
@@ -70,15 +64,6 @@ class SearchCapExceededError(RuntimeError):
         self.d = d
         self.cap = cap
         self.found = found
-
-
-def mod_pow(a: int, e: int, p: int) -> int:
-    """a^e mod p, result in [0, p)."""
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return pow(a, e, p)
 
 
 def _primitive_root_test(p: int) -> Callable[[int], bool]:
@@ -97,22 +82,6 @@ def find_primitive_root(p: int) -> int:
         raise ValueError(f"{p} is not prime")
     is_root = _primitive_root_test(p)
     return next(g for g in range(2, p) if is_root(g))
-
-
-@dataclass(frozen=True)
-class CharacterValue:
-    """A character value: zero, or the root of unity e^(2 pi i t / d)."""
-
-    t: int | None
-    d: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.t is None
-
-    @property
-    def is_one(self) -> bool:
-        return self.t == 0
 
 
 @dataclass(frozen=True)
@@ -167,25 +136,26 @@ class CharacterSpec:
         table.flags.writeable = False
         return table
 
-    def value_table(self) -> list[int | None]:
-        """t-values for all residues 0..p-1 (None at 0), read from t_table."""
-        return [None if t < 0 else t for t in self.t_table.tolist()]
+    @cached_property
+    def values(self) -> np.ndarray:
+        """chi(a) for all residues 0..p-1, built once per spec:
+        root_values(t_table, d), read-only."""
+        return root_values(self.t_table, self.d)
 
 
-def char_value(spec: CharacterSpec, a: int) -> CharacterValue:
-    """chi(a) as an exact root-of-unity exponent t mod d (zero if p | a).
-
-    Reads the spec's t_table, hence p below the table threshold; callers
-    that only care whether chi(a) = 1 should use is_kernel, which works for
-    any p.
-    """
-    if spec.p > DLOG_TABLE_THRESHOLD:
-        raise DiscreteLogThresholdError(
-            f"p={spec.p} exceeds the table threshold "
-            f"{DLOG_TABLE_THRESHOLD}; use is_kernel for membership tests"
-        )
-    t = int(spec.t_table[a % spec.p])
-    return CharacterValue(t=None if t < 0 else t, d=spec.d)
+def root_values(t_table: np.ndarray, d: int) -> np.ndarray:
+    """The values a t-table of an order-d character stands for, read-only:
+    0 where t < 0; for d = 2, exactly 1 - 2t as int64; for d > 2,
+    e^(2 pi i t/d) from mpmath at 113 bits, rounded once to complex128
+    (each component within 2u of exact)."""
+    if d == 2:
+        values = np.where(t_table < 0, 0, 1 - 2 * t_table)
+    else:
+        with mpmath.workprec(113):
+            roots = [complex(mpmath.expjpi(mpmath.mpf(2 * t) / d)) for t in range(d)]
+        values = np.array(roots + [0j])[t_table]  # t = -1 reads the final 0
+    values.flags.writeable = False
+    return values
 
 
 def _int_array(x) -> np.ndarray:

@@ -8,8 +8,8 @@ Subcommands:
   scan         scan a prime range against a frozen bound
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 usage error, 3 resource-cap exhaustion.  NONRES_WORKERS sets the default
-worker count for scans.
+2 usage error, 3 resource-cap exhaustion.  NONRES_WORKERS (an integer
+>= 1) sets the default worker count for scans; only `scan` reads it.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def _parse_exact_int(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """A verify grid bound: an integer >= 1 (argparse refuses others)."""
+    """A grid bound, count or cap: an integer >= 1 (argparse refuses others)."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return int(text)
@@ -279,7 +279,17 @@ def _order_policy(spec: str) -> sc.OrderPolicy:
     )
 
 
+def _env_workers() -> int:
+    """The default scan worker count: NONRES_WORKERS, or 1 if it is unset."""
+    text = os.environ.get("NONRES_WORKERS", "1")
+    try:
+        return _positive_int(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"NONRES_WORKERS must be an integer >= 1, got {text!r}") from None
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
+    workers = args.workers if args.workers is not None else _env_workers()
     policy = _order_policy(args.orders)
     task = sc.ScanTask.make(
         p_lo=_parse_exact_int(args.p_lo),
@@ -293,7 +303,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         shard_width=args.shard_width,
         check_bound=not args.no_bound_check,
     )
-    workers = args.workers
     try:
         summary = sc.run_scan(
             task,
@@ -379,15 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p0", type=float, default=None, help="reference p0 (default p-lo)")
     s.add_argument("--c", type=float, default=None,
                    help="frozen constant (default: g(n0,p0) rounded up)")
-    s.add_argument("--cap", type=int, default=10**6)
+    s.add_argument("--cap", type=_positive_int, default=10**6)
     s.add_argument("--shard-width", type=int, default=sc.DEFAULT_SHARD_WIDTH)
-    s.add_argument("--workers", type=int,
-                   default=int(os.environ.get("NONRES_WORKERS", "1")))
+    s.add_argument("--workers", type=_positive_int, default=None,
+                   help="worker processes (default: NONRES_WORKERS, else 1)")
     s.add_argument("--out", default=None, help="record stream path")
     s.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     s.add_argument("--summary", default=None, help="summary path (default stdout)")
     s.add_argument("--checkpoint", default=None, help="checkpoint file; resumes if present")
-    s.add_argument("--stop-after-shards", type=int, default=None,
+    s.add_argument("--stop-after-shards", type=_positive_int, default=None,
                    help="stop early after N shards (for interruption testing)")
     s.add_argument("--keep-going", action="store_true",
                    help="record violations instead of halting")

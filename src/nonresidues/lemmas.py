@@ -41,10 +41,11 @@ product (convexity, compared with h^(2r) and (h-2j)^(2r) by shifts).
 s-upper needs none, and disjointness compares integer numerators over one
 common denominator.
 
-Every character sum comes from one window kernel (_window_m2), which
-returns |w_x|^2 for all p window starts: exact integers for quadratic
-characters, complex128 with an a-priori error bound (Higham, ch. 3-4) for
-higher orders.  The moments propagate that bound, and the shifted-window
+Every character sum comes from one window kernel (_window_m2) over the
+spec's one table of values (CharacterSpec.values), which returns |w_x|^2
+for all p window starts: exact integers for quadratic characters,
+complex128 with an a-priori error bound (Higham, ch. 3-4) for higher
+orders.  The moments propagate that bound, and the shifted-window
 check passes a window only when the enclosure clears the bound or
 |w| = h exactly.
 
@@ -62,7 +63,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import mpmath
 import numpy as np
 
 from . import primes as pr
@@ -158,41 +158,27 @@ def _gamma(k: int) -> float:
     return k * _U / (1 - k * _U)
 
 
-@functools.lru_cache(maxsize=1 << 16)  # bounded: sweeps over many orders d
-def _chi_value(t: int, d: int):
-    """The value a t-table entry stands for: 0 for t < 0, exactly +-1 for
-    d = 2, else e^(2 pi i t/d) from mpmath rounded once to complex128 (each
-    component within 2u of exact)."""
-    if t < 0:
-        return 0
-    if d == 2:
-        return 1 - 2 * t
-    with mpmath.workprec(113):
-        return complex(mpmath.expjpi(mpmath.mpf(2 * t) / d))
-
-
-def _window_m2(t_table: np.ndarray, d: int, h: int) -> tuple[np.ndarray, float]:
+def _window_m2(values: np.ndarray, h: int) -> tuple[np.ndarray, float]:
     """|w_x|^2 for every window start x in [0, p), w_x = sum_{m<h} chi(x+m).
 
-    The one window-sum kernel behind every character-sum oracle.  t_table
-    holds chi's exponents as in CharacterSpec.t_table (-1 marks chi = 0);
-    windows wrap mod p = len(t_table) and are summed in the order
-    m = 0, ..., h-1.  For d = 2 the values are exact int64 and the error
-    is 0.  For d > 2 they are float64, and the error E bounds
-    |computed - exact| for every window a priori (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 3-4): each component
-    of w sums h terms of modulus <= 1, each within 2u of exact, so it is
-    within e = h (2u + gamma_{h-1}); then |a^2 - a'^2| <= e (2h + e) per
+    The one window-sum kernel behind every character-sum oracle.  values
+    holds chi(0), ..., chi(p-1) as in CharacterSpec.values; windows wrap
+    mod p = len(values) and are summed in the order m = 0, ..., h-1.  For
+    int64 values (d = 2) the sums are exact and the error is 0.  For
+    complex128 values (d > 2) the error E bounds |computed - exact| for
+    every window a priori (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3-4): each component of w sums h terms of
+    modulus <= 1, each within 2u of exact, so it is within
+    e = h (2u + gamma_{h-1}); then |a^2 - a'^2| <= e (2h + e) per
     component, and forming the squares and their sum adds gamma_2 of a
     value below h^2 + 2e (2h + e).
     """
-    p = len(t_table)
-    ts, inv = np.unique(t_table, return_inverse=True)
-    vals = np.array([_chi_value(t, d) for t in ts.tolist()])[np.resize(inv, p + h - 1)]
+    p = len(values)
+    vals = np.resize(values, p + h - 1)
     w = vals[:p].copy()
     for m in range(1, h):
         w += vals[m : m + p]
-    if d == 2:
+    if w.dtype.kind == "i":
         return w * w, 0.0
     e = h * (2 * _U + _gamma(h - 1))
     shift = 2 * e * (2 * h + e)
@@ -219,7 +205,7 @@ def _sum_S_multi(
     if any(r < 1 for r in r_values):
         raise ValueError(f"moment powers must be >= 1, got {r_values!r}")
     r_set = sorted(set(r_values))
-    m2, err = _window_m2(spec.t_table, spec.d, h)
+    m2, err = _window_m2(spec.values, h)
     moments = {}
     if spec.d == 2:
         counts = np.bincount(m2)
@@ -257,7 +243,7 @@ def _sanity_moment(p: int, h: int, r: int, value, err: float) -> None:
 
 def exact_sum_S(spec: CharacterSpec, h: int, r: int) -> SumStats:
     """The complete moment S(chi, h, r): exact for d = 2, else with a
-    rigorous error bound.  Needs spec.t_table, hence a small p."""
+    rigorous error bound.  Reads spec.values, O(p) memory."""
     return _sum_S_multi(spec, h, (r,))[r]
 
 
@@ -679,7 +665,7 @@ def check_shifted_sum_lower(
     p = spec.p
     zs = np.array(interval.integers(), dtype=np.int64)
     xs = zs % p
-    m2, err = window if window is not None else _window_m2(spec.t_table, spec.d, h)
+    m2, err = window if window is not None else _window_m2(spec.values, h)
     # m2 >= need gives |w|^2 >= m2 - err >= bound^2; need is rounded up
     need = bound * bound if err == 0 else math.nextafter(bound * bound + err, math.inf)
     t_win = spec.t_table[(xs[:, None] + np.arange(h)) % p]
@@ -932,22 +918,23 @@ def sweep_stirling(r_max: int = 500) -> LemmaReport:
     return rep
 
 
-def sweep_totient(x_max: int = 5000, step_denom: int = 10) -> LemmaReport:
-    """Sweep x over {1 + 1/step_denom, ..., x_max} keeping exact running sums."""
+def sweep_totient(x_max: int = 5000) -> LemmaReport:
+    """Sweep x over the tenths {1.1, 1.2, ..., x_max} keeping exact running
+    sums."""
     rep = LemmaReport("totient")
     t0 = time.perf_counter()
     phi = pr.totient_sieve(x_max)
     s0 = 1  # phi(1)
     s1 = Fraction(1)
     floor_x = 1
-    for k in range(step_denom + 1, x_max * step_denom + 1):
-        x = Fraction(k, step_denom)
-        while (floor_x + 1) * step_denom <= k:
+    for k in range(11, x_max * 10 + 1):
+        x = Fraction(k, 10)
+        while (floor_x + 1) * 10 <= k:
             floor_x += 1
             s0 += int(phi[floor_x])
             s1 += Fraction(int(phi[floor_x]), floor_x)
         n_slack, d_slack = _totient_slack(x, s0, s1, _totient_rhs_upper(x))
-        rep.record({"x": f"{k}/{step_denom}"}, n_slack >= 0, n_slack / d_slack)
+        rep.record({"x": f"{k}/10"}, n_slack >= 0, n_slack / d_slack)
     rep.elapsed_s = time.perf_counter() - t0
     return rep
 
@@ -995,10 +982,9 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
     return rep
 
 
-def sweep_disjointness(
-    trials: int = 200, p_max: int = 10**5, x_max: int = 40, seed: int = 0
-) -> LemmaReport:
-    """Random (p, H, X) with 2XH < p; exact rational interval checks."""
+def sweep_disjointness(trials: int = 200, p_max: int = 10**5, seed: int = 0) -> LemmaReport:
+    """Random (p, H, X) with 2XH < p and X a quarter in [1, 40]; exact
+    rational interval checks."""
     rep = LemmaReport("disjointness")
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -1008,7 +994,7 @@ def sweep_disjointness(
     done = 0
     while done < trials:
         p = rng.choice(plist)
-        x = Fraction(rng.randint(4, 4 * x_max), 4)
+        x = Fraction(rng.randint(4, 160), 4)
         h_cap = (p - 1) // (2 * x)
         if h_cap < 1:
             continue
@@ -1101,19 +1087,13 @@ def iter_proposition_instances(
                         return
 
 
-def sweep_proposition(
-    min_instances: int = 50,
-    p_limit: int = 10**5,
-    n_max: int = 3,
-    r_values: Sequence[int] = (1, 2),
-) -> LemmaReport:
-    """Lower bound plus sandwich on constructed quadratic instances."""
+def sweep_proposition(min_instances: int = 50, p_limit: int = 10**5) -> LemmaReport:
+    """Lower bound plus sandwich on constructed quadratic instances, with
+    iter_proposition_instances' n <= 3 and r in (1, 2)."""
     rep = LemmaReport("proposition")
     t0 = time.perf_counter()
     regimes = {"u1_only": 0, "u2_only": 0, "mixed": 0, "trivial": 0}
-    for inst, r in iter_proposition_instances(
-        p_limit, n_max, r_values, max_instances=min_instances
-    ):
+    for inst, r in iter_proposition_instances(p_limit, max_instances=min_instances):
         sw = sandwich_report(inst.spec, inst.nf, inst.h, r)
         key = {"p": inst.spec.p, "n": inst.nf.n, "h": inst.h, "r": r,
                "j": inst.nf.j, "k": inst.nf.k}
@@ -1133,13 +1113,9 @@ def sweep_proposition(
     return rep
 
 
-def sweep_shifted_sum(
-    p_limit: int = 1500,
-    n_max: int = 3,
-    max_instances: int = 300,
-    extra_orders: bool = True,
-) -> LemmaReport:
-    """Shifted-window lower bound over constructed starred intervals."""
+def sweep_shifted_sum(p_limit: int = 1500, max_instances: int = 300) -> LemmaReport:
+    """Shifted-window lower bound over constructed starred intervals, for
+    n <= 3 and two orders per prime: 2 and the least d | p-1 in [3, 7]."""
     rep = LemmaReport("sum-chi")
     t0 = time.perf_counter()
     done = 0
@@ -1148,19 +1124,17 @@ def sweep_shifted_sum(
             break
         if p == 2:
             continue
-        orders = [2]
-        if extra_orders:
-            orders += [d for d in pr.divisors(p - 1) if 3 <= d <= 7][:1]
+        orders = [2] + [d for d in pr.divisors(p - 1) if 3 <= d <= 7][:1]
         for d in orders:
             if done >= max_instances:
                 break
             try:
-                q = prime_nonresidues(p, d, n_max)
+                q = prime_nonresidues(p, d, 3)
             except SearchCapExceededError:
                 continue
             spec = CharacterSpec.of_order(p, d)
             windows = {}  # h -> the window kernel's result for (spec, h)
-            for n in range(1, n_max + 1):
+            for n in range(1, 4):
                 H = q[n - 1] - 1
                 if H < 2 or H >= p:
                     continue
@@ -1190,7 +1164,7 @@ def sweep_shifted_sum(
                                 if not itv.integers():
                                     continue
                                 if h not in windows:
-                                    windows[h] = _window_m2(spec.t_table, d, h)
+                                    windows[h] = _window_m2(spec.values, h)
                                 c = check_shifted_sum_lower(spec, nf, h, itv, windows[h])
                                 key = {"p": p, "d": d, "n": n, "h": h,
                                        "a": a, "b": b, "kind": kind}

@@ -83,7 +83,7 @@ class OrderPolicy:
     quadratic       -> d = 2 only (the classical least-nonresidue case)
     divisors-up-to  -> every d | p-1 with 2 <= d <= limit (tested directly,
                        so p-1 is never factorized)
-    fixed-set       -> the listed d that happen to divide p-1
+    fixed-set       -> the listed d (each >= 2) that happen to divide p-1
     """
 
     kind: str
@@ -97,6 +97,8 @@ class OrderPolicy:
             raise ValueError("divisors-up-to needs a limit >= 2")
         if self.kind == "fixed-set" and not self.orders:
             raise ValueError("fixed-set needs a nonempty order list")
+        if self.kind == "fixed-set" and min(self.orders) < 2:
+            raise ValueError(f"fixed-set orders must be >= 2, got {list(self.orders)}")
 
     @classmethod
     def quadratic(cls) -> "OrderPolicy":
@@ -115,7 +117,7 @@ class OrderPolicy:
         if self.kind == "quadratic":
             return (2,)
         if self.kind == "fixed-set":
-            return tuple(d for d in self.orders if d >= 2)
+            return self.orders
         return tuple(range(2, self.limit + 1))
 
     def orders_for(self, p: int) -> list[int]:
@@ -165,6 +167,8 @@ class ScanTask:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.shard_width < 1:
             raise ValueError("shard_width must be positive")
+        if self.search_cap < 1:
+            raise ValueError(f"search_cap must be >= 1, got {self.search_cap}")
         if self.p_hi >= 3:  # 3 is the least prime with a record
             bound_shape(self.n_max, self.p_hi)  # the largest shape; refuses overflow
         if self.check_bound:
@@ -637,6 +641,10 @@ def run_scan(
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be jsonl or csv, got {fmt!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if stop_after_shards is not None and stop_after_shards < 1:
+        raise ValueError(f"stop_after_shards must be >= 1, got {stop_after_shards}")
 
     first_shard = 0
     agg = Aggregate.empty(task.n_max)

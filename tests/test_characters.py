@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,47 +10,15 @@ from hypothesis import given, settings, strategies as st
 import nonresidues
 from nonresidues import primes as pr
 from nonresidues.characters import (
-    DLOG_TABLE_THRESHOLD,
     CharacterSpec,
-    DiscreteLogThresholdError,
     SearchCapExceededError,
-    char_value,
     find_primitive_root,
     is_kernel,
     kernel_mask,
-    mod_pow,
     nonresidue_table,
     prime_nonresidues,
+    root_values,
 )
-
-
-def naive_pow(a, e, p):
-    r = 1 % p
-    for _ in range(e):
-        r = r * a % p
-    return r
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 0, 7) == 1
-    assert mod_pow(3, 4, 5) == 1  # 81 mod 5
-    assert mod_pow(10, 10**6, 17) == naive_pow(10, 10**6, 17)
-
-
-@given(
-    st.integers(min_value=-50, max_value=50),
-    st.integers(min_value=0, max_value=2000),
-    st.integers(min_value=2, max_value=97),
-)
-def test_mod_pow_matches_naive_loop(a, e, p):
-    assert mod_pow(a, e, p) == naive_pow(a, e, p)
-
-
-def test_mod_pow_validation():
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
 
 
 def brute_force_order(a, p):
@@ -132,17 +101,12 @@ def test_char_value_quadratic_mod_7():
     spec = CharacterSpec.of_order(7, 2)
     squares = {a * a % 7 for a in range(1, 7)}
     assert squares == {1, 2, 4}
-    assert char_value(spec, 3).t == 1
-    assert char_value(spec, 7).is_zero
-    assert char_value(spec, 1).t == 0
+    assert spec.t_table[3] == 1
+    assert spec.t_table[0] == -1 and spec.values[0] == 0
+    assert spec.t_table[1] == 0
     for a in range(1, 7):
-        assert (char_value(spec, a).t == 0) == (a in squares)
-
-
-def test_char_value_negative_and_large_arguments():
-    spec = CharacterSpec.of_order(11, 5)
-    for a in (-1, -13, 123456789):
-        assert char_value(spec, a).t == char_value(spec, a % 11).t
+        assert (spec.t_table[a] == 0) == (a in squares)
+        assert spec.values[a] == (1 if a in squares else -1)
 
 
 def test_char_value_multiplicative():
@@ -152,12 +116,10 @@ def test_char_value_multiplicative():
         for d in pr.divisors(p - 1):
             if d < 2:
                 continue
-            spec = CharacterSpec.of_order(p, d)
-            for a in range(1, p):
-                for b in range(1, p):
-                    lhs = char_value(spec, a * b % p).t
-                    rhs = (char_value(spec, a).t + char_value(spec, b).t) % d
-                    assert lhs == rhs
+            t = CharacterSpec.of_order(p, d).t_table
+            a = np.arange(1, p)
+            lhs = t[np.outer(a, a) % p]
+            assert np.array_equal(lhs, (t[a, None] + t[None, a]) % d)
 
 
 @settings(max_examples=30, deadline=None)
@@ -168,28 +130,18 @@ def test_char_value_multiplicative_sampled(p, data):
     a = data.draw(st.integers(min_value=1, max_value=p - 1))
     b = data.draw(st.integers(min_value=1, max_value=p - 1))
     spec = CharacterSpec.of_order(p, d)
-    assert char_value(spec, a * b % p).t == (
-        char_value(spec, a).t + char_value(spec, b).t
-    ) % d
+    t = spec.t_table
+    assert t[a * b % p] == (t[a] + t[b]) % d
+    assert abs(spec.values[a * b % p] - spec.values[a] * spec.values[b]) < 1e-12
 
 
 def test_character_has_exact_order():
     for p, d in ((7, 2), (7, 3), (7, 6), (11, 5), (13, 4), (31, 15)):
         spec = CharacterSpec.of_order(p, d)
-        values = {char_value(spec, a).t for a in range(1, p)}
+        values = set(spec.t_table[1:].tolist())
         assert values == set(range(d))  # all of Z/d is hit
         # exact order: some value is a primitive d-th root exponent
         assert any(math.gcd(t, d) == 1 for t in values)
-
-
-def test_char_value_threshold_error_points_to_is_kernel():
-    big = 1000003
-    assert pr.is_prime(big) and big > DLOG_TABLE_THRESHOLD
-    spec = CharacterSpec.of_order(big, 2)
-    with pytest.raises(DiscreteLogThresholdError, match="is_kernel"):
-        char_value(spec, 17)
-    # the kernel path keeps working far beyond the table threshold
-    assert is_kernel(big, 2, 17) in (True, False)
 
 
 def test_is_kernel_examples():
@@ -206,7 +158,52 @@ def test_is_kernel_matches_char_value():
     for p, d in ((13, 2), (13, 3), (13, 12), (29, 7)):
         spec = CharacterSpec.of_order(p, d)
         for q in range(1, p):
-            assert is_kernel(p, d, q) == (char_value(spec, q).t == 0)
+            assert is_kernel(p, d, q) == (spec.t_table[q] == 0) == (spec.values[q] == 1)
+
+
+def _chi_from_definition(spec):
+    """chi(0), ..., chi(p-1) straight from chi(g^k) = e^(2 pi i m k/(p-1)),
+    without t_table: for d > 2, e^(2 pi i e/(p-1)) with e = m k mod p-1,
+    from mpmath at 113 bits (one call per distinct e), rounded to complex.
+    2e/(p-1) and 2t/d are one rational, so their 113-bit quotients agree."""
+    p = spec.p
+    out, roots = [0] * p, {}
+    for k in range(p - 1):
+        e = spec.m * k % (p - 1)
+        if e not in roots:
+            if spec.d == 2:
+                roots[e] = 1 if e == 0 else -1
+            else:
+                with mpmath.workprec(113):
+                    roots[e] = complex(mpmath.expjpi(mpmath.mpf(2 * e) / (p - 1)))
+        out[pow(spec.g, k, p)] = roots[e]
+    return np.array(out, dtype=np.int64 if spec.d == 2 else np.complex128)
+
+
+def test_root_values_bitwise_against_the_definition():
+    pairs = 0
+    for p in map(int, pr.primes_upto(400)):
+        for d in pr.divisors(p - 1) if p > 2 else ():
+            if d < 2:
+                continue
+            spec = CharacterSpec.of_order(p, d)
+            want = _chi_from_definition(spec)
+            for got in (root_values(spec.t_table, d), spec.values):
+                assert got.dtype == want.dtype, (p, d)
+                assert got.tobytes() == want.tobytes(), (p, d)
+            pairs += 1
+    assert pairs > 500
+
+
+def test_values_are_one_read_only_table():
+    for p, d in ((7, 2), (13, 4)):
+        spec = CharacterSpec.of_order(p, d)
+        assert spec.values is spec.values  # built once per spec
+        assert not spec.values.flags.writeable
+        with pytest.raises(ValueError):
+            spec.values[1] = 0
+        with pytest.raises(ValueError):
+            spec.t_table[1] = 0
 
 
 def test_kernel_density():

@@ -446,6 +446,71 @@ def test_scan_bounds_parsed_exactly(capsys):
         assert code == 2 and "error:" in err
 
 
+# -- scan values that were once answered silently: refused before any scan ----
+
+SCAN_ARGS = ["scan", "--p-lo", "1e7", "--p-hi", "1.0001e7", "--no-bound-check"]
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    monkeypatch.setattr(cli.sc, "run_scan", lambda *a, **k: pytest.fail("ran a scan"))
+
+
+@pytest.mark.parametrize("extra", [
+    ["--orders", "set:1"],  # scanned no order, exit 0
+    ["--orders", "set:0,-4"],
+    ["--workers", "-3"],  # ran serially
+    ["--stop-after-shards", "0"],  # processed one shard
+    ["--stop-after-shards", "-2"],
+    ["--cap", "-5"],  # reported cap exhaustion, exit 3
+], ids=" ".join)
+def test_scan_bad_value_exits_2(extra, no_scan):
+    assert_refused([*SCAN_ARGS, *extra])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(
+    st.tuples(st.sampled_from(["--workers", "--stop-after-shards", "--cap"]),
+              st.integers(-(10**6), 0).map(str)),
+    st.tuples(st.just("--orders"), with_one_bad(
+        st.integers(2, 60).map(str), st.integers(-(10**6), 1).map(str)).map("set:".__add__)),
+))
+def test_scan_value_below_its_minimum_exits_2(case):
+    opt, value = case
+    code, err = main_in_process([*SCAN_ARGS, opt, value])
+    assert code == 2 and "Traceback" not in err and "error" in err, (case, err)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-2"])
+def test_nonres_workers_is_read_only_by_scan(value, monkeypatch, capsys, no_scan):
+    monkeypatch.setenv("NONRES_WORKERS", value)
+    code, out, _ = run_cli(["table", "--n0", "1", "--p0", "1e7"], capsys)
+    assert code == 0 and "1.530" in out
+    code, _, err = run_cli(SCAN_ARGS, capsys)
+    assert code == 2 and "error: NONRES_WORKERS" in err
+
+
+class _Ran(Exception):
+    pass
+
+
+def test_scan_workers_from_flag_then_environment(monkeypatch):
+    seen = []
+
+    def run_scan(task, **kw):
+        seen.append(kw["workers"])
+        raise _Ran
+
+    monkeypatch.setattr(cli.sc, "run_scan", run_scan)
+    monkeypatch.delenv("NONRES_WORKERS", raising=False)
+    for env, argv in ((None, []), ("3", []), ("abc", ["--workers", "2"])):
+        if env is not None:
+            monkeypatch.setenv("NONRES_WORKERS", env)
+        with pytest.raises(_Ran):
+            cli.main([*SCAN_ARGS, *argv])
+    assert seen == [1, 3, 2]
+
+
 def test_unknown_flag_rejected():
     proc = subprocess.run(
         [sys.executable, "-m", "nonresidues.cli", "table", "--frobnicate"],

@@ -59,8 +59,8 @@ def test_sum_S_brute_force_oracle():
         if p == 2:
             continue
         spec = CharacterSpec.of_order(p, 2)
-        table = [0 if t is None else (1 if t == 0 else -1)
-                 for t in spec.value_table()]
+        table = [0 if t < 0 else (1 if t == 0 else -1)
+                 for t in spec.t_table.tolist()]
         for h in range(1, min(8, p - 1) + 1):
             sums = [sum(table[(x + m) % p] for m in range(h)) for x in range(p)]
             got = lm._sum_S_multi(spec, h, range(1, 7))
@@ -92,7 +92,7 @@ def test_sum_S_higher_orders_against_mpmath():
             spec = CharacterSpec.of_order(p, d)
             for h in range(1, min(8, p - 1) + 1):
                 exact_m2 = _mpmath_window_m2(spec, h)
-                m2, err = lm._window_m2(spec.t_table, d, h)
+                m2, err = lm._window_m2(spec.values, h)
                 got = lm._sum_S_multi(spec, h, range(1, 7))
                 with mpmath.workprec(200):
                     for a, b in zip(m2.tolist(), exact_m2):
@@ -110,10 +110,10 @@ def test_sum_S_higher_orders_against_mpmath():
 def test_sum_S_higher_order_evaluation_orders_agree(spec11_5):
     # rotating the residue system permutes the windows and changes nothing
     # else: each window sums the same values in the same order
-    t = spec11_5.t_table
-    m2, err = lm._window_m2(t, 5, 3)
+    v = spec11_5.values
+    m2, err = lm._window_m2(v, 3)
     for k in range(1, 11):
-        m2_k, err_k = lm._window_m2(np.roll(t, k), 5, 3)
+        m2_k, err_k = lm._window_m2(np.roll(v, k), 3)
         assert err_k == err
         assert np.array_equal(m2_k, np.roll(m2, k))
     # summed in another order, the moment stays inside both error bounds
@@ -124,7 +124,7 @@ def test_sum_S_higher_order_evaluation_orders_agree(spec11_5):
 
 def test_sum_S_shift_invariance_exact(spec5):
     for off in (1, 2, 3):
-        m2, err = lm._window_m2(np.roll(spec5.t_table, off), 2, 2)
+        m2, err = lm._window_m2(np.roll(spec5.values, off), 2)
         assert err == 0 and m2.tolist() == np.roll([1, 0, 4, 0, 1], off).tolist()
         assert int(m2.sum()) == 6
 
@@ -132,7 +132,9 @@ def test_sum_S_shift_invariance_exact(spec5):
 def test_window_kernel_does_not_certify_a_near_miss():
     # window values 1, 1, zeta with zeta = e^(2 pi i / 10^6):
     # |w|^2 = 5 + 4 cos(2 pi / 10^6) falls below h^2 = 9 by about 8e-11
-    m2, err = lm._window_m2(np.array([-1, 0, 0, 1]), 10**6, 3)
+    with mpmath.workprec(113):
+        zeta = complex(mpmath.expjpi(mpmath.mpf(2) / 10**6))
+    m2, err = lm._window_m2(np.array([0, 1, 1, zeta]), 3)
     with mpmath.workprec(200):
         exact = 5 + 4 * mpmath.cospi(mpmath.mpf(2) / 10**6)
         assert abs(mpmath.mpf(m2[1]) - exact) <= err
@@ -657,7 +659,7 @@ def test_shifted_sum_passes_only_certified_windows(monkeypatch):
     # with a kernel error too wide to clear any bound, only windows whose
     # values are all one nonzero root (|w| = h exactly) may still pass
     real = lm._window_m2
-    monkeypatch.setattr(lm, "_window_m2", lambda t, d, h: (real(t, d, h)[0], h * h))
+    monkeypatch.setattr(lm, "_window_m2", lambda v, h: (real(v, h)[0], h * h))
     c = lm.check_shifted_sum_lower(*_order3_instance(j=1))
     assert not c.passed and not c.vacuous
     assert "not certified" in c.detail
@@ -693,7 +695,7 @@ def test_shifted_sum_sweep():
 
 def test_shifted_sum_takes_the_window_kernel_result():
     spec, nf, h, itv = _order3_instance(j=0)
-    window = lm._window_m2(spec.t_table, spec.d, h)
+    window = lm._window_m2(spec.values, h)
     assert lm.check_shifted_sum_lower(spec, nf, h, itv, window=window) == (
         lm.check_shifted_sum_lower(spec, nf, h, itv))
 

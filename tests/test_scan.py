@@ -256,6 +256,25 @@ def test_order_policies():
         sc.OrderPolicy(kind="bogus")
 
 
+@pytest.mark.parametrize("orders", [[1], [0, -4], [2, 1], [-3, 5]])
+def test_fixed_set_refuses_orders_below_2(orders):
+    # such an order was dropped without a word, and set:1 scanned nothing
+    with pytest.raises(ValueError, match=">= 2"):
+        sc.OrderPolicy.fixed_set(orders)
+
+
+def test_scan_refuses_bad_counts():
+    task = sc.ScanTask(p_lo=101, p_hi=140, policy=sc.OrderPolicy.quadratic(),
+                       n_max=1, n0=1, p0=101.0, c=None, check_bound=False)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="search_cap"):
+            sc.ScanTask(**dict(task.__dict__, search_cap=cap))
+    for kw in ({"workers": 0}, {"workers": -3},
+               {"stop_after_shards": 0}, {"stop_after_shards": -2}):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            sc.run_scan(task, **kw)
+
+
 def test_divisor_policy_matches_divisors_of_p_minus_1():
     for limit in (2, 12, 60):
         policy = sc.OrderPolicy.divisors_up_to(limit)
