@@ -275,12 +275,18 @@ def make_table(n0_list: list[int], p0_list: list[float]) -> list[list[TableCell]
 
 
 def ceil_3dp(g: float) -> float:
-    """Round a constant up to 3 decimals.
+    """Round a constant up to 3 decimals: the least double k/1000 (k an
+    integer, the quotient correctly rounded) that is >= g.
 
     A frozen constant must be rounded up, never to nearest: any value below
     the true g(n0, p0) would void the bound for some (n, p).
     """
-    return math.ceil(g * 1000 - 1e-9) / 1000
+    k = math.ceil(g * 1000)  # g * 1000 is rounded, so k may be one off
+    while k / 1000 < g:
+        k += 1
+    while (k - 1) / 1000 >= g:
+        k -= 1
+    return k / 1000
 
 
 def render_table_text(table: list[list[TableCell]]) -> str:

@@ -360,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("nonresidues", help="smallest prime nonresidues")
     q.add_argument("--p", type=int, required=True, help="odd prime modulus")
     q.add_argument("--d", type=int, required=True, help="character order, d | p-1")
-    q.add_argument("--n", type=int, required=True, help="how many")
-    q.add_argument("--cap", type=int, default=10**6, help="search cap on q")
+    q.add_argument("--n", type=_positive_int, required=True, help="how many")
+    q.add_argument("--cap", type=_positive_int, default=10**6, help="search cap on q")
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_nonresidues)

@@ -32,14 +32,12 @@ rational arithmetic; the real side is evaluated in interval arithmetic and
 compared at its unfavorable endpoint (see rounding.py).  Constant factors
 are certified once per constant, in bounded caches that fill on first use:
 the lower endpoints of sqrt(2)(2r/e)^r and sqrt(p), and the upper endpoint
-of 9/pi^2.  Each instance multiplies them by positive exact integers in unreduced
-ratios (n, d), compared by cross-multiplication with no Fraction and no
-gcd; the reported float is n / d, which int true division rounds correctly,
-as float() of a Fraction does.  The only per-instance interval work is one
-raw endpoint from rounding.py: a logarithm (totient, proposition) or a
-product (convexity, compared with h^(2r) and (h-2j)^(2r) by shifts).
-s-upper needs none, and disjointness compares integer numerators over one
-common denominator.
+of 9/pi^2, each an integer ratio (n, d).  Each instance multiplies them by
+positive exact integers, and every verdict and slack comes from one call
+of rounding.certify(small, big).  The only per-instance interval work is
+one raw endpoint: a logarithm (totient, proposition) or a product
+(convexity, compared with h^(2r) / (h-2j)^(2r)).  s-upper needs none, and
+disjointness compares integer numerators over one common denominator.
 
 Every character sum comes from one window kernel (_window_m2) over the
 spec's one table of values (CharacterSpec.values), which returns |w_x|^2
@@ -70,12 +68,15 @@ from .characters import CharacterSpec, SearchCapExceededError, prime_nonresidues
 from .rounding import (
     DEFAULT_PREC,
     IV,
+    certify,
     interval_context,
-    lower_fraction,
+    lower,
     lower_log,
-    lower_minus,
     lower_product,
-    upper_fraction,
+    minus,
+    ratio,
+    to_float,
+    upper,
 )
 
 __all__ = [
@@ -108,14 +109,6 @@ class HypothesisError(ValueError):
     """
 
 
-def _as_float(x) -> float:
-    """float(x) clamped to +-inf; report fields only, never comparisons."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
 # ---------------------------------------------------------------------------
 # Character-sum moments
 # ---------------------------------------------------------------------------
@@ -138,16 +131,11 @@ class SumStats:
 
     def lower(self) -> tuple[int, int]:
         """value - error_bound exactly, as an unreduced ratio (n, d), d > 0."""
-        return _ratio_minus(self.value.as_integer_ratio(), self.error_bound.as_integer_ratio())
+        return minus(self.value.as_integer_ratio(), self.error_bound.as_integer_ratio())
 
     def upper(self) -> tuple[int, int]:
         """value + error_bound exactly, as an unreduced ratio (n, d), d > 0."""
-        return _ratio_minus(self.value.as_integer_ratio(), (-self.error_bound).as_integer_ratio())
-
-
-def _ratio_minus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """x - y for unreduced ratios (n, d) with d > 0, cross-multiplied."""
-    return x[0] * y[1] - y[0] * x[1], x[1] * y[1]
+        return minus(self.value.as_integer_ratio(), (-self.error_bound).as_integer_ratio())
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -260,16 +248,16 @@ class InequalityCheck:
 
 
 @functools.lru_cache(maxsize=1 << 10)
-def _stirling_rhs_lo(r: int, prec: int = DEFAULT_PREC) -> Fraction:
+def _stirling_rhs_lo(r: int, prec: int = DEFAULT_PREC) -> tuple[int, int]:
     """Lower endpoint of sqrt(2) (2r/e)^r at binary precision prec."""
     ctx = interval_context(prec)
-    return lower_fraction(ctx.sqrt(ctx.mpf(2)) * (ctx.mpf(2 * r) / ctx.e) ** r)
+    return lower(ctx.sqrt(ctx.mpf(2)) * (ctx.mpf(2 * r) / ctx.e) ** r)
 
 
 @functools.lru_cache(maxsize=1 << 14)
-def _sqrt_lo(p: int) -> Fraction:
+def _sqrt_lo(p: int) -> tuple[int, int]:
     """Lower endpoint of sqrt(p) at the default precision."""
-    return lower_fraction(IV.sqrt(IV.mpf(p)))
+    return lower(IV.sqrt(IV.mpf(p)))
 
 
 def _s_upper_rhs_lo(p: int, h: int, r: int) -> tuple[int, int]:
@@ -277,12 +265,8 @@ def _s_upper_rhs_lo(p: int, h: int, r: int) -> tuple[int, int]:
     unreduced ratio (n, d): the cached lower endpoints of sqrt(2)(2r/e)^r
     and sqrt(p) times positive integers, summed exactly."""
     hr = h**r
-    a, b = _stirling_rhs_lo(r), _sqrt_lo(p)
-    return (
-        a.numerator * (p * hr) * b.denominator
-        + b.numerator * ((2 * r - 1) * hr * hr) * a.denominator,
-        a.denominator * b.denominator,
-    )
+    (a, a_d), (b, b_d) = _stirling_rhs_lo(r), _sqrt_lo(p)
+    return a * (p * hr) * b_d + b * ((2 * r - 1) * hr * hr) * a_d, a_d * b_d
 
 
 def check_S_upper(
@@ -304,12 +288,9 @@ def check_S_upper(
     if stats is None:
         stats = exact_sum_S(spec, h, r)
     rhs_lo = _s_upper_rhs_lo(p, h, r)
-    n, d = _ratio_minus(rhs_lo, stats.upper())
+    passed, slack = certify(stats.upper(), rhs_lo)
     return InequalityCheck(
-        passed=n >= 0,
-        lhs=float(stats.value),
-        rhs=rhs_lo[0] / rhs_lo[1],
-        slack=n / d,
+        passed=passed, lhs=float(stats.value), rhs=to_float(*rhs_lo), slack=slack
     )
 
 
@@ -329,14 +310,10 @@ def check_stirling_ratio(r: int) -> InequalityCheck:
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     lhs = math.factorial(2 * r) // ((1 << r) * math.factorial(r))
-    rhs_lo = _stirling_rhs_lo(r, DEFAULT_PREC + 2 * r.bit_length())
-    return InequalityCheck(
-        passed=Fraction(lhs) <= rhs_lo,
-        lhs=_as_float(lhs),
-        rhs=_as_float(rhs_lo),
-        slack=float(1 - Fraction(lhs) / rhs_lo),
-        detail="slack is relative",
-    )
+    n, d = _stirling_rhs_lo(r, DEFAULT_PREC + 2 * r.bit_length())
+    passed, slack = certify((lhs * d, n), (1, 1))  # lhs / rhs_lo <= 1
+    return InequalityCheck(passed=passed, lhs=to_float(lhs, 1), rhs=to_float(n, d),
+                           slack=slack, detail="slack is relative")
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +322,9 @@ def check_stirling_ratio(r: int) -> InequalityCheck:
 
 
 @functools.lru_cache(maxsize=1)
-def _nine_over_pi2_up() -> Fraction:
+def _nine_over_pi2_up() -> tuple[int, int]:
     """Upper endpoint of 9/pi^2 at the default precision."""
-    return upper_fraction(9 / IV.pi**2)
+    return upper(9 / IV.pi**2)
 
 
 def _totient_rhs_upper(x: Fraction) -> tuple[int, int]:
@@ -360,17 +337,17 @@ def _totient_rhs_upper(x: Fraction) -> tuple[int, int]:
     evaluated (rounding.lower_log).  With x = a/b, up(9/pi^2) = P/Q and
     lo(log x) + 9 = m/e, the bound is (3 P a^2 e - a b Q m) / (3 b^2 Q e).
     """
-    a, b, nine = x.numerator, x.denominator, _nine_over_pi2_up()
-    P, Q = nine.numerator, nine.denominator
-    m, e = lower_minus(lower_log(x), -9, 1)
+    a, b = x.numerator, x.denominator
+    P, Q = _nine_over_pi2_up()
+    m, e = minus(ratio(lower_log(x)), (-9, 1))
     return 3 * P * a * a * e - a * b * Q * m, 3 * b * b * Q * e
 
 
-def _totient_slack(x: Fraction, s0: int, s1: Fraction, rhs: tuple[int, int]) -> tuple[int, int]:
-    """lhs - rhs as an unreduced fraction (n, d), d > 0, where the exact lhs
-    is 2x s1 - s0; cross-multiplied, so no gcd of the large s1 is taken."""
+def _totient_lhs(x: Fraction, s0: int, s1: Fraction) -> tuple[int, int]:
+    """The exact left side 2x s1 - s0 as an unreduced ratio (n, d), d > 0,
+    so no gcd of the large s1 is taken."""
     a, b, n1, d1 = x.numerator, x.denominator, s1.numerator, s1.denominator
-    return _ratio_minus((2 * a * n1 - s0 * b * d1, b * d1), rhs)
+    return 2 * a * n1 - s0 * b * d1, b * d1
 
 
 def check_totient_inequality(x) -> InequalityCheck:
@@ -387,13 +364,10 @@ def check_totient_inequality(x) -> InequalityCheck:
     phi = pr.totient_sieve(n)
     s0 = int(phi[1:].sum())
     s1 = sum(Fraction(int(phi[a]), a) for a in range(1, n + 1))
-    rhs_up = _totient_rhs_upper(x)
-    n_slack, d_slack = _totient_slack(x, s0, s1, rhs_up)
+    rhs_up, lhs = _totient_rhs_upper(x), _totient_lhs(x, s0, s1)
+    passed, slack = certify(rhs_up, lhs)
     return InequalityCheck(
-        passed=n_slack >= 0,
-        lhs=float(2 * x * s1 - s0),
-        rhs=rhs_up[0] / rhs_up[1],
-        slack=n_slack / d_slack,
+        passed=passed, lhs=to_float(*lhs), rhs=to_float(*rhs_up), slack=slack
     )
 
 
@@ -747,12 +721,9 @@ def check_proposition_lower(
         stats = exact_sum_S(spec, h, r)
 
     rhs_up = _proposition_rhs_upper(nf, h, r)
-    n, d = _ratio_minus(stats.lower(), rhs_up)
+    passed, slack = certify(rhs_up, stats.lower())
     return InequalityCheck(
-        passed=n >= 0,
-        lhs=float(stats.value),
-        rhs=rhs_up[0] / rhs_up[1],
-        slack=n / d,
+        passed=passed, lhs=float(stats.value), rhs=to_float(*rhs_up), slack=slack
     )
 
 
@@ -767,14 +738,6 @@ class SandwichReport:
     vacuous: bool
     lower_slack: float
     upper_slack: float
-
-    @property
-    def lower_ratio(self) -> float | None:
-        return self.value / self.lower if self.lower > 0 else None
-
-    @property
-    def upper_ratio(self) -> float | None:
-        return self.value / self.upper if self.upper > 0 else None
 
 
 def sandwich_report(
@@ -805,42 +768,23 @@ def sandwich_report(
 # ---------------------------------------------------------------------------
 
 
-def _ratio_float(n: int, d: int) -> float:
-    """n / d correctly rounded (as float(Fraction(n, d))), clamped to +-inf."""
-    try:
-        return n / d
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
-
-
-def _convexity_verdict(lo, num: int, den: int) -> tuple[bool, float]:
-    """(num/den <= lo, lo - num/den) for a raw lower endpoint lo of the right
-    side and the integers num = h^(2r), den = (h-2j)^(2r), compared by
-    shifts (see lower_minus)."""
-    n, d = lower_minus(lo, num, den)
-    return n >= 0, _ratio_float(n, d)
-
-
 def check_convexity_bound(h: int, r: int, j: int) -> InequalityCheck:
     """Certify (h/(h-2j))^(2r) <= exp(16rj/(3h)) for 0 <= j <= h/8.
 
-    The left side stays the two integers h^(2r) and (h-2j)^(2r); the right
-    side is compared at the raw lower endpoint man * 2^exp of its interval
-    exponential by integer shifts (exp(0) = 1 is exact, so j = 0 is the
-    equality case and still passes).
+    The left side stays the ratio of the integers h^(2r) and (h-2j)^(2r);
+    the right side is compared at the lower endpoint of its interval
+    exponential (exp(0) = 1 is exact, so j = 0 is the equality case and
+    still passes).
     """
     if h < 1 or r < 1 or j < 0:
         raise ValueError(f"need h, r >= 1 and j >= 0, got h={h}, r={r}, j={j}")
     if 8 * j > h:
         raise ValueError(f"need j <= h/8, got j={j}, h={h}")
     num, den = h ** (2 * r), (h - 2 * j) ** (2 * r)
-    rhs = IV.exp(IV.mpf(16 * r * j) / (3 * h))
-    passed, slack = _convexity_verdict(rhs._mpi_[0], num, den)
+    rhs_lo = lower(IV.exp(IV.mpf(16 * r * j) / (3 * h)))
+    passed, slack = certify((num, den), rhs_lo)
     return InequalityCheck(
-        passed=passed,
-        lhs=_ratio_float(num, den),
-        rhs=_as_float(lower_fraction(rhs)),
-        slack=slack,
+        passed=passed, lhs=to_float(num, den), rhs=to_float(*rhs_lo), slack=slack
     )
 
 
@@ -933,8 +877,8 @@ def sweep_totient(x_max: int = 5000) -> LemmaReport:
             floor_x += 1
             s0 += int(phi[floor_x])
             s1 += Fraction(int(phi[floor_x]), floor_x)
-        n_slack, d_slack = _totient_slack(x, s0, s1, _totient_rhs_upper(x))
-        rep.record({"x": f"{k}/10"}, n_slack >= 0, n_slack / d_slack)
+        verdict = certify(_totient_rhs_upper(x), _totient_lhs(x, s0, s1))
+        rep.record({"x": f"{k}/10"}, *verdict)
     rep.elapsed_s = time.perf_counter() - t0
     return rep
 
@@ -953,8 +897,7 @@ def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
             for r in range(1, r_max + 1):
                 num *= h * h
                 den *= (h - 2 * j) ** 2
-                passed, slack = _convexity_verdict(lo, num, den)
-                rep.record({"h": h, "r": r, "j": j}, passed, slack)
+                rep.record({"h": h, "r": r, "j": j}, *certify((num, den), ratio(lo)))
                 lo = lower_product(lo, base_lo)
     rep.elapsed_s = time.perf_counter() - t0
     return rep

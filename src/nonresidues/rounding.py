@@ -1,24 +1,26 @@
 """Directed-rounding helpers on top of mpmath interval arithmetic.
 
-The inequality oracles in this package certify statements of the form
-LHS <= RHS where one side is exact (a Python int or Fraction) and the other
-is a real expression.  The real side is evaluated in interval arithmetic
-(outward rounding guaranteed), and the unfavorable endpoint is extracted as
-an exact dyadic number man * 2^exp for the final comparison: the RHS of a
-"<=" is rounded down, the RHS of a ">=" is rounded up.  A reported pass is
-then a numerical certificate at the working precision, never a rounding
+Every certificate in this package decides a statement small <= big where
+one side is exact (integers, or a rational) and the other is a real
+expression.  The real side is evaluated in interval arithmetic (outward
+rounding guaranteed), and only its unfavorable endpoint is used: the
+bigger side is rounded down, the smaller side rounded up.  A reported pass
+is then a numerical certificate at the working precision, never a rounding
 accident.
 
-Endpoints come out either as Fractions (lower_fraction, upper_fraction) or,
-for comparisons in a hot loop, as an unreduced integer difference against a
-rational (lower_minus), built by shifts with no Fraction and no gcd.  The
-oracles cache the endpoints of their constant factors (sqrt(2)(2r/e)^r,
-sqrt(p), 9/pi^2) and combine them with exact integers, so an interval
-evaluation per instance is needed only where the instance itself enters a
-transcendental function.  There lower_log and lower_product return the
-one endpoint needed as a raw (sign, man, exp, bc) tuple, from the libmp
-call and rounding mode that mpmath's interval function makes for it, so no
-interval object is built per instance.
+One exact form serves every comparison: an unreduced integer ratio (n, d)
+with d > 0.  ratio() reads a raw endpoint man * 2^exp by shifts, lower()
+and upper() read an interval's endpoints, and minus() subtracts two ratios
+by cross-multiplication, with no Fraction and no gcd.  certify(small, big)
+is the one comparison: it returns small <= big and big - small as a float
+(to_float, int true division, which rounds correctly as float() of a
+Fraction does).  The oracles cache the endpoints of their constant factors
+(sqrt(2)(2r/e)^r, sqrt(p), 9/pi^2) and combine them with exact integers,
+so an interval evaluation per instance is needed only where the instance
+itself enters a transcendental function.  There lower_log and
+lower_product return the one endpoint needed as a raw (sign, man, exp, bc)
+tuple, from the libmp call and rounding mode that mpmath's interval
+function makes for it, so no interval object is built per instance.
 
 Interval contexts are package-private and cached per precision, so
 precision here never affects the global mpmath.iv singleton.  Callers must
@@ -28,6 +30,7 @@ not change a cached context's precision.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from mpmath.ctx_iv import MPIntervalContext
@@ -47,41 +50,44 @@ def interval_context(prec: int) -> MPIntervalContext:
 IV = interval_context(DEFAULT_PREC)
 
 
-def _signed_man_exp(raw) -> tuple[int, int]:
-    """(m, e) with endpoint value m * 2^e, from a raw (sign, man, exp, bc)."""
+def ratio(raw) -> tuple[int, int]:
+    """Exact value man * 2^exp of a raw endpoint (sign, man, exp, bc) as an
+    integer ratio (n, d), d > 0."""
     sign, man, exp, _ = raw
     if man == 0 and exp != 0:
         raise ValueError(f"nonfinite interval endpoint: {raw}")
-    return (-int(man) if sign else int(man)), exp
+    man = -int(man) if sign else int(man)
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
-def _raw_to_fraction(raw) -> Fraction:
-    """Exact value of one interval endpoint from its raw (sign, man, exp, bc)."""
-    man, exp = _signed_man_exp(raw)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+def lower(x) -> tuple[int, int]:
+    """Exact lower endpoint of an interval number, as a ratio."""
+    return ratio(x._mpi_[0])
 
 
-def lower_fraction(x) -> Fraction:
-    """Exact lower endpoint of an interval number."""
-    return _raw_to_fraction(x._mpi_[0])
+def upper(x) -> tuple[int, int]:
+    """Exact upper endpoint of an interval number, as a ratio."""
+    return ratio(x._mpi_[1])
 
 
-def upper_fraction(x) -> Fraction:
-    """Exact upper endpoint of an interval number."""
-    return _raw_to_fraction(x._mpi_[1])
+def minus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x - y for ratios (n, d) with d > 0, cross-multiplied and unreduced."""
+    return x[0] * y[1] - y[0] * x[1], x[1] * y[1]
 
 
-def lower_minus(lo, num: int, den: int) -> tuple[int, int]:
-    """lo - num/den exactly, as an unreduced fraction (n, d) with d > 0, for
-    a raw lower endpoint lo (x._mpi_[0], or from lower_log/lower_product).
+def to_float(n: int, d: int) -> float:
+    """n / d correctly rounded (as float(Fraction(n, d))), clamped to +-inf."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
-    The sign of n decides lo >= num/den, and n / d (int true division,
-    correctly rounded) is the same float as float() of the reduced Fraction.
-    """
-    man, exp = _signed_man_exp(lo)
-    if exp >= 0:
-        return (man << exp) * den - num, den
-    return man * den - (num << -exp), den << -exp
+
+def certify(small: tuple[int, int], big: tuple[int, int]) -> tuple[bool, float]:
+    """(small <= big, big - small as a float), exactly, for ratios (n, d)
+    with d > 0."""
+    n, d = minus(big, small)
+    return n >= 0, to_float(n, d)
 
 
 def iv_from_fraction(q: Fraction, ctx: MPIntervalContext = IV):

@@ -20,27 +20,28 @@ offset, and resume truncates back to it).
 
 Border arithmetic: ratios are stored as doubles, but the bound decision
 compares the exact integer q_n against a two-sided float enclosure of the
-bound, falling back to high-precision arithmetic when q_n lands between
-the endpoints.  Rounding can therefore never manufacture a violation.
+bound, and a q_n between its endpoints goes to an interval certificate
+(_bound_ok), so rounding can never manufacture or hide a violation.  A
+record certifies the double c that the task holds (its repr is in the task
+hash and the summary), not a decimal that c was parsed from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator, Sequence
 
-import mpmath
 import numpy as np
 
 from . import primes as pr
-from .bounds import bound_shape, compute_g, reference_validity
+from .bounds import bound_shape, ceil_3dp, compute_g, reference_validity
 from .characters import nonresidue_table
+from .rounding import DEFAULT_PREC, certify, interval_context, lower, upper
 
 __all__ = [
     "Aggregate",
@@ -188,7 +189,7 @@ class ScanTask:
                     f"valid: failed {failed}"
                 )
             g_ref = compute_g(self.n0, self.p0).g
-            if not self.c >= g_ref - 1e-9 or self.c > g_ref + 0.001 + 1e-9:
+            if not self.c >= g_ref or self.c > g_ref + 0.001 + 1e-9:
                 raise ValueError(
                     f"c={self.c} is not a rounding-up of g(n0,p0)={g_ref:.6f}"
                 )
@@ -215,7 +216,7 @@ class ScanTask:
             g = compute_g(n0, p0).g
             if g is None:
                 raise ValueError(f"g(n0={n0}, p0={p0}) is undefined")
-            c = math.ceil(g * 1000) / 1000  # freeze rounded up, as published
+            c = ceil_3dp(g)  # freeze rounded up, as published
         return cls(
             p_lo=p_lo, p_hi=p_hi, policy=policy or OrderPolicy.quadratic(),
             n_max=n_max, n0=n0, p0=p0, c=c, **kw,
@@ -291,40 +292,21 @@ def csv_header(n_max: int) -> str:
 
 
 def _bound_ok(q_n: int, n: int, p: int, c: float) -> bool:
-    """Exact integer q_n against the real bound c*S, S = p^(1/4) (log p)^k
-    with k = (n+1)/2; never a false violation.
-
-    The float filter b = c * bound_shape(n, p) decides every q_n outside
-    b (1 -/+ 10^-9); only q_n inside goes to 50-digit arithmetic.  Why no
-    q_n above c*S passes (and none below fails), with u = 2^-53, q_n <
-    2^53 exact as a double, and log and pow within 1 ulp (2u), as glibc
-    documents for both:
-      * p^(1/4): p to a double (u), times 1/4, and the pow (2u): 2.25u;
-      * log p: p to a double (u, over log p >= 1) and the log (2u): 3u;
-        raised to k, 3ku; that pow, 2u;
-      * the product in bound_shape, the multiply by c, 1 -/+ 10^-9 as a
-        double and the multiply by it: u each.
-    So the filter's threshold is within (3k + 8.25)u, plus second-order
-    terms, of c*S*(1 -/+ 10^-9).  ScanTask refuses a scan whose
-    (log p_hi)^((n_max+1)/2) overflows, and (log p)^k >= (log 3)^k for
-    p >= 3, so k < 1024 log 2 / log log 3 < 7552 for every n it admits
-    (a bound-checked scan, with log p > 8(n0 - 1), has k <= 3.8 below
-    2^63).  The error is then below 2.3*10^4 u < 2.6*10^-12 << 10^-9.
-    Shard's vectorised filter performs the same double operations.
-    """
-    b = c * bound_shape(n, p)
-    if q_n <= b * (1.0 - 1e-9):
-        return True
-    if q_n > b * (1.0 + 1e-9):
-        return False
-    with mpmath.workdps(50):
-        exact = (
-            mpmath.mpf(c)
-            * mpmath.mpf(p) ** mpmath.mpf("0.25")
-            * mpmath.log(p) ** (mpmath.mpf(n + 1) / 2)
-        )
-        return mpmath.mpf(q_n) <= exact
-
+    """Whether q_n <= c p^(1/4) (log p)^((n+1)/2) for the double c > 0,
+    certified as q_n^4 <= c^4 p (log p)^(2n+2) against both endpoints of an
+    interval enclosure of log p.  The precision doubles from DEFAULT_PREC
+    until one endpoint decides, which must happen: q_n^4 / (c^4 p) is
+    rational and a power of log p is transcendental."""
+    cn, cd = c.as_integer_ratio()
+    q4, k, prec = (q_n**4, 1), 2 * n + 2, DEFAULT_PREC
+    while True:
+        log_p = interval_context(prec).log(p)
+        (lo, lo_d), (hi, hi_d) = lower(log_p), upper(log_p)
+        if certify(q4, (cn**4 * p * lo**k, cd**4 * lo_d**k))[0]:
+            return True
+        if not certify(q4, (cn**4 * p * hi**k, cd**4 * hi_d**k))[0]:
+            return False
+        prec *= 2
 
 
 _BOOL = ("false", "true")
@@ -403,6 +385,26 @@ class Shard:
 
 
 def _compute_shard(task: ScanTask, i: int, fmt: str | None = None) -> Shard:
+    """Shard i of the task, with its text in the format fmt (None: none).
+
+    The bound is checked by a float filter: b = c * bound_shape(n, p)
+    decides every q_n outside b (1 -/+ 10^-9), and only q_n inside goes to
+    _bound_ok.  Why no q_n above c*S passes the filter (and none below
+    fails it), for S = p^(1/4) (log p)^k with k = (n+1)/2, u = 2^-53, q_n <
+    2^53 exact as a double, and log and pow within 1 ulp (2u), as glibc
+    documents for both:
+      * p^(1/4): p to a double (u), times 1/4, and the pow (2u): 2.25u;
+      * log p: p to a double (u, over log p >= 1) and the log (2u): 3u;
+        raised to k, 3ku; that pow, 2u;
+      * the product in bound_shape, the multiply by c, 1 -/+ 10^-9 as a
+        double and the multiply by it: u each.
+    So the filter's threshold is within (3k + 8.25)u, plus second-order
+    terms, of c*S*(1 -/+ 10^-9).  ScanTask refuses a scan whose
+    (log p_hi)^((n_max+1)/2) overflows, and (log p)^k >= (log 3)^k for
+    p >= 3, so k < 1024 log 2 / log log 3 < 7552 for every n it admits
+    (a bound-checked scan, with log p > 8(n0 - 1), has k <= 3.8 below
+    2^63).  The error is then below 2.3*10^4 u < 2.6*10^-12 << 10^-9.
+    """
     lo, hi = task.shard_range(i)
     p, d = task.policy.rows(pr.primes_in_range(lo, hi))
     q, count = nonresidue_table(p, d, task.n_max, task.search_cap)
@@ -411,7 +413,7 @@ def _compute_shard(task: ScanTask, i: int, fmt: str | None = None) -> Shard:
     shape = np.array([[bound_shape(n, x) for n in ns] for x in primes.tolist()])
     shape = shape.reshape(len(primes), task.n_max)[at]
     ok = np.ones(q.shape, dtype=bool)
-    if task.check_bound:  # _bound_ok's float filter; it decides the rest
+    if task.check_bound:
         b = task.c * shape
         ok = (np.arange(task.n_max) >= count[:, None]) | (q <= b * (1.0 - 1e-9))
         for r, n in zip(*np.nonzero(~ok & (q <= b * (1.0 + 1e-9)))):
@@ -424,10 +426,18 @@ def _compute_shard(task: ScanTask, i: int, fmt: str | None = None) -> Shard:
 def _iter_shards(task: ScanTask, workers: int, first_shard: int = 0,
                  fmt: str | None = None) -> Iterator[tuple[int, Shard]]:
     """(i, shard i) in shard order, regardless of worker count, with the
-    shard's text in the format fmt (None: no text)."""
-    shards = range(first_shard, task.shard_count)
+    shard's text in the format fmt (None: no text), as a generator that the
+    caller may close.  Refuses workers below 1 at the call, before any shard
+    is computed."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return _shard_stream(task, workers, range(first_shard, task.shard_count), fmt)
+
+
+def _shard_stream(task: ScanTask, workers: int, shards: range,
+                  fmt: str | None) -> Iterator[tuple[int, Shard]]:
     args = (repeat(task), shards, repeat(fmt))
-    if workers <= 1:
+    if workers == 1:
         yield from zip(shards, map(_compute_shard, *args))
         return
     # the task pickles as it is: a worker does not validate it again
@@ -641,8 +651,6 @@ def run_scan(
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be jsonl or csv, got {fmt!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if stop_after_shards is not None and stop_after_shards < 1:
         raise ValueError(f"stop_after_shards must be >= 1, got {stop_after_shards}")
 
@@ -655,7 +663,8 @@ def run_scan(
         first_shard = ckpt["next_shard"]
         agg = Aggregate.from_json_obj(ckpt["aggregate"])
         byte_offset = ckpt["byte_offset"]
-
+    # bad workers are refused before the record file is opened; no file, no text
+    shards = _iter_shards(task, workers, first_shard, None if out_path is None else fmt)
 
     out = None
     if out_path is not None:
@@ -681,9 +690,8 @@ def run_scan(
             out.seek(byte_offset)
 
     shards_done = 0
-    text_fmt = fmt if out is not None else None  # no text without a record file
     try:
-        for i, shard in _iter_shards(task, workers, first_shard, text_fmt):
+        for i, shard in shards:
             bad = np.flatnonzero(~shard.ok.all(axis=1)) if raise_on_violation else ()
             if len(bad):  # records up to and including the first violation
                 if out is not None:
@@ -710,6 +718,7 @@ def run_scan(
             if stop_after_shards is not None and shards_done >= stop_after_shards:
                 break
     finally:
+        shards.close()  # a pool stops with the scan, not when the frame is freed
         if out is not None:
             out.close()
 

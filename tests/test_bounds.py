@@ -193,3 +193,19 @@ def test_input_validation():
         bd.compute_g(1, 1.0)
     with pytest.raises(ValueError):
         bd.compute_xstar(2, 0.5)
+
+
+def test_ceil_3dp_never_rounds_below_its_argument():
+    # ceil(g * 1000 - 1e-9) / 1000 once returned 1.53 and 0.043, below g
+    assert bd.ceil_3dp(1.530 + 4e-13) == 1.531
+    assert bd.ceil_3dp(math.nextafter(0.043, 1)) == 0.044  # g * 1000 rounds to 43
+    assert bd.ceil_3dp(math.nextafter(1.53, 2)) == 1.531
+    assert bd.ceil_3dp(1.53) == 1.53 and bd.ceil_3dp(math.nextafter(1.53, 0)) == 1.53
+    assert bd.ceil_3dp(2.007) == 2.007  # g * 1000 rounds above 2007
+
+
+@given(st.floats(min_value=1e-3, max_value=1e6))
+def test_ceil_3dp_is_the_least_3_decimal_double_at_or_above(g):
+    c = bd.ceil_3dp(g)
+    k = round(c * 1000)
+    assert c == k / 1000 and c >= g and (k - 1) / 1000 < g

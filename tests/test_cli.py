@@ -217,8 +217,6 @@ def test_nonresidues_text(capsys):
     assert code == 0 and out.split() == ["3", "5", "13"]
     code, out, _ = run_cli(["nonresidues", "--p", "5", "--d", "2", "--n", "2"], capsys)
     assert code == 0 and out.split() == ["2", "3"]
-    code, out, _ = run_cli(["nonresidues", "--p", "7", "--d", "2", "--n", "0"], capsys)
-    assert code == 0 and out.strip() == ""
 
 
 def test_nonresidues_json_schema(capsys):
@@ -238,6 +236,16 @@ def test_nonresidues_cap_exit_3(capsys):
         capsys,
     )
     assert code == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--n", "0"],  # printed an empty line, exit 0
+    ["--n", "-2"],
+    ["--n", "3", "--cap", "-5"],  # reported "search cap -5 exhausted", exit 3
+    ["--n", "3", "--cap", "0"],
+], ids=" ".join)
+def test_nonresidues_count_below_one_exits_2(extra):
+    assert_refused(["nonresidues", "--p", "1000003", "--d", "2", *extra])
 
 
 def test_nonresidues_bad_order_exit_2(capsys):

@@ -16,13 +16,17 @@ from nonresidues.characters import (
     SearchCapExceededError,
     prime_nonresidues,
 )
-from nonresidues.rounding import (
-    IV,
-    interval_context,
-    iv_from_fraction,
-    lower_fraction,
-    upper_fraction,
-)
+from nonresidues.rounding import IV, interval_context, iv_from_fraction, lower, upper
+
+
+def _lo(x):
+    """Exact lower endpoint of an interval as a Fraction."""
+    return Fraction(*lower(x))
+
+
+def _hi(x):
+    """Exact upper endpoint of an interval as a Fraction."""
+    return Fraction(*upper(x))
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +221,8 @@ def _interval_proposition_rhs(nf, h, r, ctx):
 
 def _fraction_s_upper(stats, p, h, r):
     """(passed, rhs, slack) of check_S_upper in Fraction arithmetic."""
-    rhs_lo = lm._stirling_rhs_lo(r) * (p * h**r) + lm._sqrt_lo(p) * ((2 * r - 1) * h ** (2 * r))
+    rhs_lo = (Fraction(*lm._stirling_rhs_lo(r)) * (p * h**r)
+              + Fraction(*lm._sqrt_lo(p)) * ((2 * r - 1) * h ** (2 * r)))
     lhs_hi = Fraction(stats.value) + Fraction(stats.error_bound)
     return lhs_hi <= rhs_lo, float(rhs_lo), float(rhs_lo - lhs_hi)
 
@@ -253,9 +258,9 @@ def test_s_upper_endpoint_bound_within_interval_formula():
             for r in range(1, 7):
                 got = Fraction(*lm._s_upper_rhs_lo(p, h, r))
                 ref = _interval_s_upper_rhs(p, h, r, IV)
-                assert lower_fraction(ref) <= got <= upper_fraction(ref), (p, h, r)
+                assert _lo(ref) <= got <= _hi(ref), (p, h, r)
                 # a lower bound: below the 256-bit enclosure of the true value
-                assert got <= lower_fraction(_interval_s_upper_rhs(p, h, r, HP))
+                assert got <= _lo(_interval_s_upper_rhs(p, h, r, HP))
 
 
 def test_totient_endpoint_bound_within_interval_formula():
@@ -263,15 +268,15 @@ def test_totient_endpoint_bound_within_interval_formula():
         x = Fraction(k, 10)
         got = Fraction(*lm._totient_rhs_upper(x))
         ref = _interval_totient_rhs(x, IV)
-        assert lower_fraction(ref) <= got <= upper_fraction(ref), x
+        assert _lo(ref) <= got <= _hi(ref), x
         # an upper bound: above the 256-bit enclosure of the true value
-        assert got >= upper_fraction(_interval_totient_rhs(x, HP))
+        assert got >= _hi(_interval_totient_rhs(x, HP))
 
 
 def _fraction_totient_rhs(x):
     """_totient_rhs_upper in Fraction arithmetic on the interval log."""
-    log_lo = lower_fraction(IV.log(iv_from_fraction(x)))
-    return lm._nine_over_pi2_up() * x * x - x * (log_lo + 9) / 3
+    log_lo = _lo(IV.log(iv_from_fraction(x)))
+    return Fraction(*lm._nine_over_pi2_up()) * x * x - x * (log_lo + 9) / 3
 
 
 def test_totient_and_proposition_bounds_match_fraction_formula():
@@ -293,17 +298,26 @@ def test_totient_and_proposition_bounds_match_fraction_formula():
         lhs_lo = Fraction(stats.value) - Fraction(stats.error_bound)
         assert (c.passed, c.rhs, c.slack) == (lhs_lo >= want, float(want),
                                               float(lhs_lo - want))
+    # a moment whose error bound reaches below the bound fails, with the same
+    # slack: the lower end of the moment is compared
+    gap = Fraction(stats.value) - want
+    for err in (float(gap) * 2, float(gap) / 2):
+        forged = lm.SumStats(stats.p, stats.h, stats.r, stats.value, err)
+        c = lm.check_proposition_lower(inst.spec, nf, h, r, stats=forged)
+        lhs_lo = Fraction(stats.value) - Fraction(err)
+        assert (c.passed, c.slack) == (lhs_lo >= want, float(lhs_lo - want))
+        assert c.passed == (err < gap)
 
 
 def test_totient_bound_rounds_the_logarithm_down(monkeypatch):
     # with 9/pi^2 nearly exact, only the logarithm's rounding keeps the
     # bound above the true value; rounded the wrong way it falls below
-    nine_over_pi2 = upper_fraction(9 / HP.pi**2)
+    nine_over_pi2 = upper(9 / HP.pi**2)
     monkeypatch.setattr(lm, "_nine_over_pi2_up", lambda: nine_over_pi2)
     for k in range(11, 2001, 7):
         x = Fraction(k, 10)
         got = Fraction(*lm._totient_rhs_upper(x))
-        assert got >= upper_fraction(_interval_totient_rhs(x, HP)), x
+        assert got >= _hi(_interval_totient_rhs(x, HP)), x
 
 
 def test_proposition_endpoint_bound_within_interval_formula():
@@ -312,13 +326,24 @@ def test_proposition_endpoint_bound_within_interval_formula():
                                                  max_instances=300):
         got = Fraction(*lm._proposition_rhs_upper(inst.nf, inst.h, r))
         ref = _interval_proposition_rhs(inst.nf, inst.h, r, IV)
-        assert lower_fraction(ref) <= got <= upper_fraction(ref), (inst, r)
-        assert got >= upper_fraction(_interval_proposition_rhs(inst.nf, inst.h, r, HP))
+        assert _lo(ref) <= got <= _hi(ref), (inst, r)
+        assert got >= _hi(_interval_proposition_rhs(inst.nf, inst.h, r, HP))
         count += 1
     assert count == 300
 
 
 # -- Stirling ratio ----------------------------------------------------------
+
+
+def test_stirling_verdict_matches_fraction_formula():
+    for r in range(1, 141):  # rhs below the largest double
+        lhs = Fraction(math.factorial(2 * r), 2**r * math.factorial(r))
+        rhs_lo = Fraction(*lm._stirling_rhs_lo(r, lm.DEFAULT_PREC + 2 * r.bit_length()))
+        c = lm.check_stirling_ratio(r)
+        assert (c.passed, c.rhs, c.slack) == (lhs <= rhs_lo, float(rhs_lo),
+                                              float(1 - lhs / rhs_lo)), r
+    c = lm.check_stirling_ratio(300)  # both sides overflow a double: clamped
+    assert c.passed and c.lhs == c.rhs == math.inf and 0 < c.slack < 1 / (24 * 300)
 
 
 def test_stirling_examples():
@@ -808,26 +833,24 @@ def test_convexity_integer_comparison_matches_fractions():
             for r in range(1, 41):
                 rhs = IV.exp(IV.mpf(16 * r * j) / (3 * h))
                 lhs = Fraction(h, h - 2 * j) ** (2 * r)
-                rhs_lo = lower_fraction(rhs)
-                got = lm._convexity_verdict(rhs._mpi_[0], h ** (2 * r), (h - 2 * j) ** (2 * r))
+                rhs_lo = _lo(rhs)
+                c = lm.check_convexity_bound(h, r, j)
+                got = (c.passed, c.slack)
                 assert got == (lhs <= rhs_lo, float(rhs_lo - lhs)), (h, r, j)
                 if j == 0:
                     assert got == (True, 0.0)  # exp(0) = 1 = lhs exactly
     # a left side just above the endpoint fails, one just below passes
-    rhs = IV.exp(IV.mpf(16) / 24)
-    rhs_lo = lower_fraction(rhs)
-    num, den = rhs_lo.numerator, rhs_lo.denominator
-    lo = rhs._mpi_[0]
-    assert lm._convexity_verdict(lo, num, den) == (True, 0.0)
-    assert not lm._convexity_verdict(lo, 2 * num + 1, 2 * den)[0]
-    assert lm._convexity_verdict(lo, 2 * num - 1, 2 * den)[0]
+    num, den = rhs_lo = lower(IV.exp(IV.mpf(16) / 24))
+    assert lm.certify((num, den), rhs_lo) == (True, 0.0)
+    assert not lm.certify((2 * num + 1, 2 * den), rhs_lo)[0]
+    assert lm.certify((2 * num - 1, 2 * den), rhs_lo)[0]
 
 
 def test_convexity_sweep_compares_the_chained_interval_product(monkeypatch):
     seen = []
-    real = lm._convexity_verdict
-    monkeypatch.setattr(lm, "_convexity_verdict",
-                        lambda lo, num, den: seen.append((lo, num, den)) or real(lo, num, den))
+    real = lm.certify
+    monkeypatch.setattr(lm, "certify",
+                        lambda small, big: seen.append((small, big)) or real(small, big))
     lm.sweep_convexity(40, 40)
     want = []
     for h in range(1, 41):
@@ -835,7 +858,7 @@ def test_convexity_sweep_compares_the_chained_interval_product(monkeypatch):
             base, rhs = IV.exp(IV.mpf(16 * j) / (3 * h)), IV.mpf(1)
             for r in range(1, 41):
                 rhs = rhs * base
-                want.append((rhs._mpi_[0], h ** (2 * r), (h - 2 * j) ** (2 * r)))
+                want.append(((h ** (2 * r), (h - 2 * j) ** (2 * r)), lower(rhs)))
     assert seen == want
 
 

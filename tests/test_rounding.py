@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,38 +25,67 @@ def _reference_fraction(raw):
 @given(rationals)
 def test_endpoints_are_exact_and_enclose(q):
     x = rd.iv_from_fraction(q)
-    lo, hi = rd.lower_fraction(x), rd.upper_fraction(x)
-    assert lo == _reference_fraction(x._mpi_[0])
-    assert hi == _reference_fraction(x._mpi_[1])
-    assert lo <= q <= hi
+    lo, hi = rd.lower(x), rd.upper(x)
+    assert lo[1] > 0 and hi[1] > 0
+    assert lo == rd.ratio(x._mpi_[0]) and Fraction(*lo) == _reference_fraction(x._mpi_[0])
+    assert Fraction(*hi) == _reference_fraction(x._mpi_[1])
+    assert Fraction(*lo) <= q <= Fraction(*hi)
+
+
+ratios = st.tuples(st.integers(min_value=-(10**50), max_value=10**50),
+                   st.integers(min_value=1, max_value=10**50))
+
+
+@settings(deadline=None, max_examples=300)
+@given(ratios, ratios)
+def test_minus_and_certify_match_fraction_arithmetic(x, y):
+    n, d = rd.minus(x, y)
+    exact = Fraction(*x) - Fraction(*y)
+    assert d > 0 and Fraction(n, d) == exact
+    assert rd.to_float(n, d) == float(exact)
+    assert rd.certify(y, x) == (Fraction(*y) <= Fraction(*x), float(exact))
 
 
 @settings(deadline=None, max_examples=200)
 @given(rationals, st.integers(min_value=-(10**50), max_value=10**50),
        st.integers(min_value=1, max_value=10**50))
-def test_lower_minus_matches_fraction_arithmetic(q, num, den):
-    x = rd.iv_from_fraction(q)
-    n, d = rd.lower_minus(x._mpi_[0], num, den)
-    exact = rd.lower_fraction(x) - Fraction(num, den)
-    assert d > 0 and Fraction(n, d) == exact
-    assert (n >= 0) == (rd.lower_fraction(x) >= Fraction(num, den))
-    assert n / d == float(exact)
+def test_certify_against_an_endpoint_matches_fraction_arithmetic(q, num, den):
+    # the form every lemma uses: an exact side against a raw endpoint
+    lo = Fraction(*rd.lower(rd.iv_from_fraction(q)))
+    assert rd.certify((num, den), rd.lower(rd.iv_from_fraction(q))) == (
+        Fraction(num, den) <= lo, float(lo - Fraction(num, den)))
 
 
-def test_lower_minus_large_exponents():
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=-(10**400), max_value=10**400),
+       st.integers(min_value=1, max_value=10**400))
+def test_to_float_rounds_like_fraction_and_clamps(n, d):
+    try:
+        want = float(Fraction(n, d))
+    except OverflowError:
+        want = math.inf if n > 0 else -math.inf
+    assert rd.to_float(n, d) == want
+    assert rd.to_float(10**400, 1) == math.inf and rd.to_float(-(10**400), 3) == -math.inf
+
+
+def test_ratio_large_exponents():
     big = rd.IV.mpf(3) * rd.IV.mpf(2) ** 200  # exact, exp > 0
-    n, d = rd.lower_minus(big._mpi_[0], 3 * 2**200, 1)
-    assert (n, d) == (0, 1)
-    n, d = rd.lower_minus(rd.IV.mpf(1)._mpi_[0], 1, 1)  # exp(0) = 1: the equality case
-    assert n == 0
+    assert rd.lower(big) == (3 * 2**200, 1)
+    assert rd.certify((3 * 2**200, 1), rd.lower(big)) == (True, 0.0)
+    assert rd.certify((3 * 2**200 + 1, 1), rd.lower(big))[0] is False
+    tiny = rd.IV.mpf(3) / rd.IV.mpf(2) ** 300  # exact, exp < 0
+    assert rd.lower(tiny) == (3, 2**300)
+    one = rd.ratio(rd.IV.mpf(1)._mpi_[0])  # exp(0) = 1: the equality case
+    assert rd.certify((1, 1), one) == (True, 0.0)
+    assert rd.ratio(rd.IV.mpf(0)._mpi_[0]) == (0, 1)
 
 
 def test_nonfinite_endpoint_refused():
     x = rd.IV.mpf([0, "inf"])
     with pytest.raises(ValueError):
-        rd.upper_fraction(x)
+        rd.upper(x)
     with pytest.raises(ValueError):
-        rd.lower_minus(rd.IV.mpf(["-inf", 0])._mpi_[0], 1, 1)
+        rd.ratio(rd.IV.mpf(["-inf", 0])._mpi_[0])
 
 
 def test_interval_context_is_cached_per_precision():

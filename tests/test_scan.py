@@ -1,11 +1,16 @@
 import json
 import math
+import pathlib
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
+from nonresidues import bounds as bd
 from nonresidues import primes as pr
 from nonresidues import scan as sc
+from nonresidues.bounds import bound_shape
 
 
 def small_task(**kw):
@@ -263,6 +268,34 @@ def test_fixed_set_refuses_orders_below_2(orders):
         sc.OrderPolicy.fixed_set(orders)
 
 
+def test_scan_records_refuses_workers_below_one(tmp_path):
+    task = sc.ScanTask(p_lo=101, p_hi=140, policy=sc.OrderPolicy.quadratic(),
+                       n_max=1, n0=1, p0=101.0, c=None, check_bound=False)
+    for workers in (0, -3):  # -3 ran serially and yielded 9 records
+        with pytest.raises(ValueError, match="workers"):
+            list(sc.scan_records(task, workers=workers))
+    # run_scan refuses before it touches the record file
+    out = tmp_path / "records.jsonl"
+    out.write_text("kept\n")
+    with pytest.raises(ValueError, match="workers"):
+        sc.run_scan(task, out_path=str(out), workers=0)
+    assert out.read_text() == "kept\n"
+
+
+def test_scan_task_refuses_a_constant_below_g(monkeypatch):
+    g = bd.compute_g(1, 1e7).g
+    task = small_task(c=bd.ceil_3dp(g))
+    for c in (g - 5e-10, math.nextafter(g, 0)):  # once let through by a 1e-9 allowance
+        with pytest.raises(ValueError, match="rounding-up"):
+            sc.ScanTask(**dict(task.__dict__, c=c))
+    assert sc.ScanTask(**dict(task.__dict__, c=g)).c == g
+    # the default freeze rounds g up with ceil_3dp, never below g: for g one
+    # ulp above the double 1.126, g * 1000 rounds to 1126 exactly
+    g = math.nextafter(1.126, 2)
+    monkeypatch.setattr(sc, "compute_g", lambda n0, p0: SimpleNamespace(g=g))
+    assert small_task(c=None).c == bd.ceil_3dp(g) == 1.127
+
+
 def test_scan_refuses_bad_counts():
     task = sc.ScanTask(p_lo=101, p_hi=140, policy=sc.OrderPolicy.quadratic(),
                        n_max=1, n0=1, p0=101.0, c=None, check_bound=False)
@@ -302,6 +335,55 @@ def test_bound_ok_exact_decision():
     c_tight = q / (p**0.25 * math.log(p) ** ((n + 1) / 2))
     assert sc._bound_ok(q, n, p, c_tight * (1 + 1e-12))
     assert not sc._bound_ok(q, n, p, c_tight * (1 - 1e-12))
+
+
+def _bound_ok_50_digits(q_n, n, p, c):
+    """The border rule the scan used before its interval enclosure: a float
+    filter at b (1 -/+ 10^-9), then one 50-digit point evaluation."""
+    b = c * bound_shape(n, p)
+    if q_n <= b * (1.0 - 1e-9):
+        return True
+    if q_n > b * (1.0 + 1e-9):
+        return False
+    with mpmath.workdps(50):
+        exact = (mpmath.mpf(c) * mpmath.mpf(p) ** mpmath.mpf("0.25")
+                 * mpmath.log(p) ** (mpmath.mpf(n + 1) / 2))
+        return mpmath.mpf(q_n) <= exact
+
+
+BORDER_PRIMES = (1000003, 10**7 + 19, 10**9 + 7, 10**12 + 39, 2**61 - 1)
+BORDER_DELTAS = (0.0, 1e-16, -1e-16, 1e-14, -1e-14, 1e-12, -1e-12, 1e-10, -1e-10,
+                 5e-9, -5e-9)
+
+
+def test_bound_ok_agrees_with_the_50_digit_rule_on_border_cases():
+    cases = verdicts = 0
+    for p in BORDER_PRIMES:
+        for n in range(1, 9):
+            for q in (2, 3, 11, 997, 65537, 10**6):
+                c_tight = q / (p**0.25 * math.log(p) ** ((n + 1) / 2))
+                for delta in BORDER_DELTAS:
+                    c = c_tight * (1 + delta)
+                    got = sc._bound_ok(q, n, p, c)
+                    assert got == _bound_ok_50_digits(q, n, p, c), (q, n, p, delta)
+                    cases += 1
+                    verdicts += got
+    assert cases == 5 * 8 * 6 * 11 and 0 < verdicts < cases
+
+
+def test_bound_ok_raises_the_precision_until_the_enclosure_decides(monkeypatch):
+    precs = []
+    context = sc.interval_context
+    monkeypatch.setattr(sc, "interval_context",
+                        lambda prec: precs.append(prec) or context(prec))
+    monkeypatch.setattr(sc, "DEFAULT_PREC", 10)
+    p, n, q = 10**7 + 19, 2, 11
+    c_tight = q / (p**0.25 * math.log(p) ** ((n + 1) / 2))
+    for delta in (1e-12, -1e-12):
+        precs.clear()
+        c = c_tight * (1 + delta)
+        assert sc._bound_ok(q, n, p, c) == _bound_ok_50_digits(q, n, p, c) == (delta > 0)
+        assert precs[:3] == [10, 20, 40]  # two doublings at least
 
 
 def test_violation_halts_with_reproducer():
@@ -530,3 +612,26 @@ def test_violation_halt_writes_through_the_first_violation(tmp_path, fmt):
     head = 1 if fmt == "csv" else 0
     lines = full.read_text().splitlines(keepends=True)
     assert part.read_text() == "".join(lines[: head + first + 1])
+
+
+# Records and summaries of two scans, written before border cells moved from
+# a 50-digit point evaluation to an interval enclosure: every byte must stay.
+# Each data file is run_scan's output for ScanTask.make(**GOLDEN_SCANS[name]),
+# and the .summary.json file is its ScanSummary.to_json().
+GOLDEN_SCANS = {
+    "scan_quadratic_1e7": dict(p_lo=10**7, p_hi=10**7 + 5000, n_max=1, shard_width=1000,
+                               policy=sc.OrderPolicy.quadratic()),
+    "scan_upto12_1e12": dict(p_lo=10**12, p_hi=10**12 + 1000, n_max=3, shard_width=250,
+                             policy=sc.OrderPolicy.divisors_up_to(12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_scan_outputs_match_golden(name, tmp_path):
+    data = pathlib.Path(__file__).parent / "data"
+    task = sc.ScanTask.make(**GOLDEN_SCANS[name])
+    for fmt in ("jsonl", "csv"):
+        out = tmp_path / f"{name}.{fmt}"
+        summary = sc.run_scan(task, out_path=str(out), fmt=fmt)
+        assert out.read_bytes() == (data / f"{name}.{fmt}").read_bytes(), fmt
+        assert summary.to_json() == (data / f"{name}.summary.json").read_text()
