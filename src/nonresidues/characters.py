@@ -11,12 +11,14 @@ O(p) memory.
 
 The kernel of an order-d character mod p is exactly the set of d-th power
 residues, so membership is a single modular exponentiation
-q^((p-1)/d) == 1 (mod p) and never needs a discrete logarithm or a table.
-That is what makes smallest-prime-nonresidue computations cheap for large
-p; the tables are for the character-sum oracles, which need arbitrary
-values of chi.  Kernel
-tests and searches are batched over (p, d) rows (kernel_mask,
-nonresidue_table); is_kernel and prime_nonresidues are one-row calls.
+q^((p-1)/d) == 1 (mod p) (Euler's criterion) and never needs a discrete
+logarithm or a table.  The nonresidue search decides a quadratic (d = 2)
+candidate q, a prime, by reciprocity instead: one exponentiation mod the
+small q, not mod p.  That is what makes smallest-prime-nonresidue
+computations cheap for large p; the tables are for the character-sum
+oracles, which need arbitrary values of chi.  Kernel tests and searches
+are batched over (p, d) rows (kernel_mask, nonresidue_table); is_kernel
+and prime_nonresidues are one-row calls.
 Candidate nonresidues are read from the package's one shared prime table
 (primes.primes_upto), so a search never sieves anything that an earlier
 search already sieved.
@@ -172,12 +174,12 @@ def _small_moduli(p: np.ndarray) -> bool:
 
 def _kernel(p: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
     """q^e == 1 (mod p), broadcast over int64 or Python-int arrays."""
-    shape = np.broadcast_shapes(q.shape, e.shape)
-    if math.prod(shape) < _INT64_MIN_CELLS or not _small_moduli(p):
+    cells = np.broadcast(p, e, q)
+    if cells.size < _INT64_MIN_CELLS or not _small_moduli(p):
         return np.frompyfunc(pow, 3, 1)(q, e, p) == 1
     bits = (e[..., None] >> np.arange(int(e.max(initial=0)).bit_length())) & 1
-    base = q % p
-    r = np.ones(shape, dtype=np.int64)
+    base = (q % p).astype(np.int64, copy=False)  # q may hold Python ints
+    r = np.ones(cells.shape, dtype=np.int64)
     for k in range(bits.shape[-1]):
         if k:
             base = base * base % p
@@ -217,13 +219,29 @@ def nonresidue_table(
     Candidates come from the shared prime table in increasing order, in
     chunks of doubling length up to search_cap exactly, and a row retires
     once it is full.  Each step is one kernel test over the active rows:
-    of a block of candidates if every p < 2^31, or else of one candidate
-    per row, so that no exponentiation of a large modulus is spent past a
-    row's last nonresidue.
+    of a block of candidates if every modulus is below 2^31, or else of one
+    candidate per row, so that no exponentiation of a large modulus is spent
+    past a row's last nonresidue.
+
+    A d > 2 cell is Euler's criterion mod p: q^((p-1)/d) == 1 (mod p).  A
+    d = 2 cell is decided mod q instead, by quadratic reciprocity.  Let
+    p* = (-1)^((p-1)/2) p, so p* = 1 (mod 4).  For an odd prime q != p,
+    (q|p) = (p|q) (-1)^((p-1)/2 (q-1)/2), and (-1|q) = (-1)^((q-1)/2), so
+    (q|p) = (p*|q), which is Euler's criterion mod q:
+    (p* mod q)^((q-1)/2) == 1 (mod q).  For q = 2, (2|p) = 1 iff
+    p = +-1 (mod 8), i.e. iff p* = 1 (mod 8), and since (2-1)/2 rounds to
+    1 = 2 >> 1, the cell is (p* mod 8)^1 == 1 (mod 8).  So a d = 2 cell is
+    the kernel test of modulus q (8 for q = 2), exponent q >> 1 and base
+    p* (which _kernel reduces mod q), its modulus is a candidate below 2^31
+    at any p, and a search of d = 2 rows steps in blocks at any p.  kernel_mask and is_kernel stay
+    Euler's criterion mod p, because their q need not be prime.
     """
     p, d = _int_array(p), _int_array(d)
     e = (p - 1) // d
-    blocks = _small_moduli(p)
+    quad = d == 2
+    n_quad = np.count_nonzero(quad)
+    some_quad, all_quad = n_quad > 0, n_quad == len(p)
+    blocks = all_quad or _small_moduli(p[~quad])
     q = np.zeros((len(p), count), dtype=np.int64)
     found = np.zeros(len(p), dtype=np.int64)
     active = np.arange(len(p) if count else 0)
@@ -238,8 +256,15 @@ def nonresidue_table(
             block = primes[done : done + (step if blocks else 1)]
             done += len(block)
             pa = p[active, None]
-            hit = (block != pa) & ~_kernel(pa, e[active, None], block)
-            rank = found[active, None] + np.cumsum(hit, axis=1)  # 1-based
+            cells = pa, e[active, None], block  # modulus, exponent, base
+            if some_quad:
+                p_star = pa * (1 - (pa & 2))  # pa & 2 is 2 iff p = 3 (mod 4)
+                recip = np.where(block == 2, 8, block), block >> 1, p_star
+                qa = quad[active, None]
+                cells = recip if all_quad else [np.where(qa, *c)
+                                                for c in zip(recip, cells)]
+            hit = (block != pa) & ~_kernel(*cells)
+            rank = found[active, None] + hit.cumsum(axis=1)  # 1-based
             r, c = np.nonzero(hit & (rank <= count))
             q[active[r], rank[r, c] - 1] = block[c]
             found[active] = np.minimum(rank[:, -1], count)

@@ -8,7 +8,9 @@ the segmented range sieve takes its base primes from it, and factorize
 trial-divides by it.  The package factorizes only p-1 for small p
 (primitive roots and divisor lists in the lemma sweeps), so factorize
 refuses n >= 2^40: below that, isqrt(n) < 2^20 and the table never grows
-past the size a scan near 10^12 already builds.
+past the size a scan near 10^12 already builds.  The range sieve takes its
+base primes up to 2^20 as well, and above 2^40 it tests each survivor with
+is_prime, so that a scan near 2^63 does not sieve up to 2^32 first.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ FACTORIZE_LIMIT = 1 << 40
 # The shared prime table: every prime <= _table_limit.  It starts empty, so
 # importing the module sieves nothing.
 _TABLE_MIN_LIMIT = 1 << 16
+_RANGE_BASE_LIMIT = 1 << 20  # base primes of the range sieve, at most
 _table = np.array([], dtype=np.int64)
 _table_limit = 1
 
@@ -92,17 +95,20 @@ def primes_upto(n: int) -> np.ndarray:
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi] via a segmented sieve (memory ~ hi - lo).
 
-    Base primes come from the shared table.  Those up to the segment width
-    stride through the segment.  A wider base prime p has at most one
-    multiple in it, and that multiple is a proper one (p > hi - lo + 1 and
-    p*p <= hi force p < lo), so all of those are struck in one vectorised
-    step.
+    Base primes come from the shared table, up to isqrt(hi) but at most
+    _RANGE_BASE_LIMIT.  Those up to the segment width stride through the
+    segment.  A wider base prime p has at most one multiple in it, and that
+    multiple is a proper one (p > hi - lo + 1 and p*p <= hi force p < lo),
+    so all of those are struck in one vectorised step.  If isqrt(hi) is
+    above the limit, a survivor has no prime factor up to the limit but may
+    still be composite, so each one is then tested with is_prime.
     """
     if hi < 2 or hi < lo:
         return np.array([], dtype=np.int64)
     lo = max(lo, 2)
     width = hi - lo + 1
-    base = primes_upto(math.isqrt(hi))
+    root = math.isqrt(hi)
+    base = primes_upto(min(root, _RANGE_BASE_LIMIT))
     n_narrow = int(np.searchsorted(base, width, side="right"))
     flags = np.ones(width, dtype=bool)
     for p in base[:n_narrow].tolist():
@@ -113,7 +119,10 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
         flags[start - lo :: p] = False
     offsets = (-lo) % base[n_narrow:]
     flags[offsets[offsets < width]] = False
-    return np.flatnonzero(flags).astype(np.int64) + lo
+    found = np.flatnonzero(flags).astype(np.int64) + lo
+    if root > _RANGE_BASE_LIMIT:
+        found = found[[is_prime(x) for x in found.tolist()]]
+    return found
 
 
 def factorize(n: int) -> dict[int, int]:

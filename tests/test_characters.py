@@ -376,3 +376,131 @@ def test_one_row_calls_keep_their_refusals():
         prime_nonresidues(2**89 - 1, 2, 3, search_cap=3)
     assert exc.value.found == pow_loop_nonresidues(2**89 - 1, 2, 3, 3)
     assert is_kernel(2**89 - 1, 2, 5) is (pow(5, 2**88 - 1, 2**89 - 1) == 1)
+
+
+# -- quadratic cells by reciprocity --------------------------------------------
+
+_FIRST_100 = _SMALL_PRIMES[:100]  # 2, 3, ..., 541
+
+
+def euler_nonresidues(p, candidates):
+    """The candidates q != p that fail Euler's criterion mod p."""
+    return [q for q in candidates if q != p and pow(q, (p - 1) // 2, p) != 1]
+
+
+def check_quadratic_cells(primes, extra_rows=()):
+    """Each d = 2 row of one search call, over the first 100 primes with
+    room for all of them, lists exactly the candidates that Euler's
+    criterion mod p calls nonresidues; extra rows ride in the same call."""
+    rows = [(p, 2) for p in primes] + list(extra_rows)
+    p, d = zip(*rows)
+    q, found = nonresidue_table(list(p), list(d), 100, search_cap=_FIRST_100[-1])
+    for i, (pi, di) in enumerate(rows):
+        expected = pow_loop_nonresidues(pi, di, 100, _FIRST_100[-1])
+        if di == 2:
+            assert expected == euler_nonresidues(pi, _FIRST_100)
+        assert q[i, : found[i]].tolist() == expected, (pi, di)
+
+
+def test_quadratic_cells_every_odd_prime_below_3000():
+    primes = [int(p) for p in pr.sieve(3000)[1:]]
+    assert len(primes) == 429
+    check_quadratic_cells(primes)
+
+
+def test_quadratic_cells_two_in_each_class_mod_8():
+    # (2|p) = 1 iff p = +-1 (mod 8); each class, small and large
+    for residue in (1, 3, 5, 7):
+        small = [p for p in _SMALL_PRIMES[1:200] if p % 8 == residue]
+        large = [p for p in primes_near(2**40, 2000) if p % 8 == residue]
+        for p in small + large:
+            q, found = nonresidue_table([p], [2], 1, search_cap=2)
+            assert found[0] == (residue in (3, 5)), p
+            assert bool(found[0]) == (pow(2, (p - 1) // 2, p) != 1), p
+
+
+def _primes_by_is_prime(lo, hi):
+    return [x for x in range(lo, hi) if pr.is_prime(x)]
+
+
+_LARGE_QUADRATIC = {
+    "2^31": primes_near(2**31, 300),
+    "2^63": _primes_by_is_prime(2**63 - 1000, 2**63),
+    "2^89": _primes_by_is_prime(2**89 - 400, 2**89 + 400),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_LARGE_QUADRATIC))
+def test_quadratic_cells_large_moduli(where):
+    primes = _LARGE_QUADRATIC[where]
+    assert len(primes) >= 10 and any(p % 4 == 3 for p in primes)
+    assert any(p % 4 == 1 for p in primes)
+    if where == "2^31":
+        assert min(primes) < 2**31 < max(primes)
+    if where == "2^89":
+        assert 2**89 - 1 in primes
+        assert nonresidue_table(primes, [2] * len(primes), 0)[0].shape == (len(primes), 0)
+    check_quadratic_cells(primes)
+
+
+def test_quadratic_cells_mixed_with_higher_orders():
+    # d = 2 rows share each kernel call with d > 2 rows: small p, p near
+    # 2^31 and 10^12 (int64) and p = 2^89 - 1 (Python ints)
+    small = [int(p) for p in pr.sieve(400)[1:]]
+    for primes in (small, primes_near(2**31, 200), primes_near(10**12, 200)):
+        higher = [r for r in all_rows(primes, d_max=12) if r[1] > 2]
+        assert higher
+        check_quadratic_cells(primes, extra_rows=higher)
+    m89 = 2**89 - 1  # p - 1 = 2 * 3 * 5 * 17 * 23 * 89 * ..., too large to factorize
+    assert all((m89 - 1) % d == 0 for d in (3, 5, 6))
+    check_quadratic_cells([m89], extra_rows=[(m89, 3), (m89, 5), (m89, 6)])
+    # small rows of every order beside 2^89 - 1, in one Python-int call
+    higher = [r for r in all_rows(small[:30], d_max=12) if r[1] > 2]
+    check_quadratic_cells(small[:30] + [m89], extra_rows=higher)
+
+
+@pytest.mark.parametrize("cap", [63, 64, 65, 131])
+@pytest.mark.parametrize("count", [1, 3, 30])
+def test_nonresidue_table_quadratic_blocks_above_2_31(cap, count):
+    # d = 2 rows step in blocks at any p, since every modulus is a candidate
+    rows = [(p, 2) for p in (primes_near(2**31, 200) + primes_near(10**12, 200)
+                             + _LARGE_QUADRATIC["2^89"])]
+    check_table(rows, count, cap=cap)
+
+
+def test_kernel_mask_keeps_euler_for_composite_q():
+    # reciprocity holds for prime q only: kernel_mask and is_kernel stay
+    # Euler's criterion mod p, on both sides of the int64 switch
+    composites = [a for a in range(4, 400) if not pr.is_prime(a)]
+    for p in (7, 101, 4391, 2147483647, 2147483659, 10**12 + 39, 2**89 - 1):
+        for d in (2, 3, 6):
+            if (p - 1) % d:
+                continue
+            a = np.array([x for x in composites if x % p])
+            want = [pow(int(x), (p - 1) // d, p) == 1 for x in a]
+            assert kernel_mask(p, d, a).tolist() == want, (p, d)
+            assert [is_kernel(p, d, int(x)) for x in a[:20]] == want[:20]
+    # (15|7) = 1, but the Euler test mod 15 of 7 is not +-1
+    assert is_kernel(7, 2, 15) and pow(7, 7, 15) not in (1, 14)
+
+
+def test_quadratic_search_steps_in_blocks_at_any_p(monkeypatch):
+    from nonresidues import characters as ch
+
+    sizes = []
+
+    def counting(p, e, q):
+        sizes.append(np.broadcast(p, e, q).size)
+        return kernel(p, e, q)
+
+    kernel = ch._kernel
+    monkeypatch.setattr(ch, "_kernel", counting)
+    m89 = 2**89 - 1
+    for p, d in ((10**12 + 39, 2), (m89, 2), (10**12 + 39, 3), (m89, 3)):
+        sizes.clear()
+        got = prime_nonresidues(p, d, 30, search_cap=10_000)
+        assert got == pow_loop_nonresidues(p, d, 30, 10_000)
+        if d == 2:  # a block per step, the first all 18 primes below 64
+            assert sizes[0] == 18 and len(sizes) < 10 and min(sizes) > 1, (p, sizes)
+        else:  # one candidate per step, none tested past the last nonresidue
+            assert set(sizes) == {1} and len(sizes) == _SMALL_PRIMES.index(got[-1]) + 1

@@ -57,6 +57,24 @@ def test_primes_in_range_matches_is_prime(lo, hi):
     assert list(pr.primes_in_range(lo, hi)) == expected
 
 
+def test_primes_in_range_above_2_40_keeps_its_base_table(monkeypatch):
+    # base primes stop at 2^20, so a survivor may be a product of larger
+    # primes: the square of the least prime above 2^20, and a product of
+    # two primes near 2^31.5 just below 2^63, each inside a window
+    p20 = 1048583
+    assert pr.is_prime(p20) and not any(map(pr.is_prime, range(2**20, p20)))
+    a, b = 3036988393, 3037012607
+    assert pr.is_prime(a) and pr.is_prime(b) and 2**63 - 2 * 10**6 < a * b < 2**63
+    requested = []
+    upto = pr.primes_upto
+    monkeypatch.setattr(pr, "primes_upto", lambda n: requested.append(n) or upto(n))
+    for lo, hi in ((p20**2 - 300, p20**2 + 300), (2**40 - 100, 2**40 + 100),
+                   (a * b - 500, a * b + 500), (2**63 - 500, 2**63 - 1)):
+        expected = [n for n in range(lo, hi + 1) if pr.is_prime(n)]
+        assert pr.primes_in_range(lo, hi).tolist() == expected
+    assert max(requested) == 2**20
+
+
 @given(st.integers(min_value=0, max_value=10**10), st.integers(min_value=0, max_value=300))
 def test_primes_in_range_property(lo, width):
     got = pr.primes_in_range(lo, lo + width)

@@ -623,6 +623,13 @@ GOLDEN_SCANS = {
                                policy=sc.OrderPolicy.quadratic()),
     "scan_upto12_1e12": dict(p_lo=10**12, p_hi=10**12 + 1000, n_max=3, shard_width=250,
                              policy=sc.OrderPolicy.divisors_up_to(12)),
+    # quadratic searches decided by reciprocity, at p around 2^31, 10^12 and 2^63
+    "scan_quadratic_2e31": dict(p_lo=2**31 - 3000, p_hi=2**31 + 3000, n_max=3,
+                                shard_width=1000, policy=sc.OrderPolicy.quadratic()),
+    "scan_quadratic_1e12": dict(p_lo=10**12, p_hi=10**12 + 3000, n_max=3,
+                                shard_width=1000, policy=sc.OrderPolicy.quadratic()),
+    "scan_quadratic_2e63": dict(p_lo=2**63 - 3000, p_hi=2**63 - 2, n_max=3,
+                                shard_width=1000, policy=sc.OrderPolicy.quadratic()),
 }
 
 
