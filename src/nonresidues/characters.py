@@ -17,8 +17,10 @@ candidate q, a prime, by reciprocity instead: one exponentiation mod the
 small q, not mod p.  That is what makes smallest-prime-nonresidue
 computations cheap for large p; the tables are for the character-sum
 oracles, which need arbitrary values of chi.  Kernel tests and searches
-are batched over (p, d) rows (kernel_mask, nonresidue_table); is_kernel
-and prime_nonresidues are one-row calls.
+are batched over (p, d) rows (kernel_mask, nonresidue_table), in int64
+numpy for moduli below 2^50 (reducing each product by a float64 quotient
+from 2^31 on) and by Python pow above; is_kernel and prime_nonresidues are
+one-row calls.
 Candidate nonresidues are read from the package's one shared prime table
 (primes.primes_upto), so a search never sieves anything that an earlier
 search already sieved.
@@ -50,7 +52,9 @@ __all__ = [
 DEFAULT_SEARCH_CAP = 10**6
 
 _INT64_MODULUS_LIMIT = 1 << 31  # below it, products of residues fit in int64
+_FLOAT_QUOTIENT_LIMIT = 1 << 50  # below it, a float64 quotient reduces them exactly
 _INT64_MIN_CELLS = 64  # below it, numpy's cost per call outweighs Python pow
+_STEP_CELLS = 1 << 11  # cells a search step aims at, to repay numpy's cost per call
 _KERNEL_BLOCK = 1 << 14  # cells of one search step at most, to bound its memory
 
 
@@ -167,33 +171,61 @@ def _int_array(x) -> np.ndarray:
     return x.astype(np.int64 if x.dtype.kind == "i" else object, copy=False)
 
 
-def _small_moduli(p: np.ndarray) -> bool:
-    """Every p < 2^31, so that a product of two residues fits in int64."""
-    return p.dtype != object and p.max(initial=0) < _INT64_MODULUS_LIMIT
+def _int64_moduli(p: np.ndarray) -> bool:
+    """Every p < 2^50, so that _kernel can reduce products of residues in int64."""
+    return p.dtype != object and p.max(initial=0) < _FLOAT_QUOTIENT_LIMIT
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray,
+            pf: np.ndarray | None) -> np.ndarray:
+    """a*b mod p for int64 residues a, b of moduli p < 2^50: by % below
+    2^31 (pf None), else by the float64 quotient pf = fl(p) (see _kernel)."""
+    if pf is None:
+        return a * b % p
+    x = np.multiply(a, b, dtype=np.float64)
+    x /= pf
+    r = a * b
+    r -= np.rint(x, out=x).astype(np.int64) * p  # wraps mod 2^64, exact: |r| < p
+    r += p & (r >> 63)  # r >> 63 is -1 if r < 0, else 0
+    return r
 
 
 def _kernel(p: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """q^e == 1 (mod p), broadcast over int64 or Python-int arrays."""
+    """q^e == 1 (mod p), broadcast over int64 or Python-int arrays.
+
+    Python pow on each cell if there are fewer than _INT64_MIN_CELLS cells
+    or some p >= 2^50 or p holds Python ints; square-and-multiply in int64
+    otherwise.  Below 2^31 a product of two residues is below 2^62 and is
+    reduced by %.  From 2^31 to 2^50 it is reduced by a float64 quotient:
+    for residues 0 <= a, b < p < 2^50, fl(a), fl(b) and fl(p) are exact
+    (all below 2^53), so x = fl(fl(a) fl(b) / fl(p)) = (ab/p)(1+d1)(1+d2)
+    with |di| <= u = 2^-53.  As ab/p < p < 2^50,
+    |x - ab/p| < 2^50 (2u + u^2) = 1/4 + 2^-56, so k = rint(x) has
+    |k - ab/p| < 1/2 + 1/4 + 2^-56 < 1, and r = ab - kp has |r| < p.  Both
+    products wrap mod 2^64 in int64, but their difference is r exactly,
+    because |r| < 2^63; adding p once if r < 0 gives ab mod p.
+    """
     cells = np.broadcast(p, e, q)
-    if cells.size < _INT64_MIN_CELLS or not _small_moduli(p):
+    if cells.size < _INT64_MIN_CELLS or not _int64_moduli(p):
         return np.frompyfunc(pow, 3, 1)(q, e, p) == 1
+    pf = None if p.max() < _INT64_MODULUS_LIMIT else p.astype(np.float64)
     bits = (e[..., None] >> np.arange(int(e.max(initial=0)).bit_length())) & 1
     base = (q % p).astype(np.int64, copy=False)  # q may hold Python ints
     r = np.ones(cells.shape, dtype=np.int64)
     for k in range(bits.shape[-1]):
         if k:
-            base = base * base % p
-        r = np.where(bits[..., k], r * base % p, r)
+            base = _mulmod(base, base, p, pf)
+        r = np.where(bits[..., k], _mulmod(r, base, p, pf), r)
     return r == 1
 
 
 def kernel_mask(p, d, q) -> np.ndarray:
     """Whether q^((p-1)/d) == 1 (mod p), i.e. q is a d-th power residue,
     broadcast over integer arrays p, d and q (d | p-1, p not dividing q).
-    Square-and-multiply in int64 when every p < 2^31, so that a product of
-    two residues is below 2^62, and there are at least _INT64_MIN_CELLS
-    cells to repay numpy's fixed cost per call; Python pow on each cell
-    otherwise."""
+    Square-and-multiply in int64 when every p < 2^50, with a float64
+    quotient reducing each product from 2^31 on (see _kernel), and there
+    are at least _INT64_MIN_CELLS cells to repay numpy's fixed cost per
+    call; Python pow on each cell otherwise."""
     p = _int_array(p)
     return _kernel(p, (p - 1) // _int_array(d), _int_array(q))
 
@@ -219,9 +251,10 @@ def nonresidue_table(
     Candidates come from the shared prime table in increasing order, in
     chunks of doubling length up to search_cap exactly, and a row retires
     once it is full.  Each step is one kernel test over the active rows:
-    of a block of candidates if every modulus is below 2^31, or else of one
-    candidate per row, so that no exponentiation of a large modulus is spent
-    past a row's last nonresidue.
+    of a block of candidates, aiming at _STEP_CELLS cells, if every modulus
+    is below 2^50, where _kernel runs in int64; or else of one candidate per
+    row, so that no Python exponentiation of a modulus of 2^50 or more is
+    spent past a row's last nonresidue.
 
     A d > 2 cell is Euler's criterion mod p: q^((p-1)/d) == 1 (mod p).  A
     d = 2 cell is decided mod q instead, by quadratic reciprocity.  Let
@@ -241,7 +274,7 @@ def nonresidue_table(
     quad = d == 2
     n_quad = np.count_nonzero(quad)
     some_quad, all_quad = n_quad > 0, n_quad == len(p)
-    blocks = all_quad or _small_moduli(p[~quad])
+    blocks = all_quad or _int64_moduli(p[~quad])
     q = np.zeros((len(p), count), dtype=np.int64)
     found = np.zeros(len(p), dtype=np.int64)
     active = np.arange(len(p) if count else 0)
@@ -249,10 +282,10 @@ def nonresidue_table(
     while active.size:
         primes = pr.primes_upto(min(limit, search_cap))
         while done < len(primes) and active.size:
-            # one candidate per row, or for small moduli a block as long as all
-            # earlier ones, over >= _INT64_MIN_CELLS and <= _KERNEL_BLOCK cells
+            # one candidate per row, or for int64 moduli a block as long as all
+            # earlier ones, over >= _STEP_CELLS and <= _KERNEL_BLOCK cells
             n = active.size
-            step = max(1, min(max(done, _INT64_MIN_CELLS // n), _KERNEL_BLOCK // n))
+            step = max(1, min(max(done, _STEP_CELLS // n), _KERNEL_BLOCK // n))
             block = primes[done : done + (step if blocks else 1)]
             done += len(block)
             pa = p[active, None]

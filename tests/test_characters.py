@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import random
 
 import mpmath
 import numpy as np
@@ -350,7 +351,8 @@ def test_nonresidue_table_empty_inputs():
 
 
 def test_kernel_mask_broadcasts_and_matches_pow():
-    for p in (3, 101, 2147483647, 2147483659, 10**12 + 39, 2**89 - 1):
+    for p in (3, 101, 2147483647, 2147483659, 10**12 + 39, 2**50 - 27, 2**50 + 99,
+              2**89 - 1):
         for d in (2, 3, 6):
             if (p - 1) % d:
                 continue
@@ -470,9 +472,10 @@ def test_nonresidue_table_quadratic_blocks_above_2_31(cap, count):
 
 def test_kernel_mask_keeps_euler_for_composite_q():
     # reciprocity holds for prime q only: kernel_mask and is_kernel stay
-    # Euler's criterion mod p, on both sides of the int64 switch
+    # Euler's criterion mod p, on both sides of 2^31 and of 2^50
     composites = [a for a in range(4, 400) if not pr.is_prime(a)]
-    for p in (7, 101, 4391, 2147483647, 2147483659, 10**12 + 39, 2**89 - 1):
+    for p in (7, 101, 4391, 2147483647, 2147483659, 10**12 + 39, 2**50 - 27,
+              2**50 + 99, 2**89 - 1):
         for d in (2, 3, 6):
             if (p - 1) % d:
                 continue
@@ -485,6 +488,9 @@ def test_kernel_mask_keeps_euler_for_composite_q():
 
 
 def test_quadratic_search_steps_in_blocks_at_any_p(monkeypatch):
+    # d = 2 searches step in blocks at any p, and d > 2 searches below 2^50;
+    # one d > 2 row at or above 2^50 makes its whole call step one candidate
+    # per row, none tested past a row's last nonresidue
     from nonresidues import characters as ch
 
     sizes = []
@@ -500,7 +506,76 @@ def test_quadratic_search_steps_in_blocks_at_any_p(monkeypatch):
         sizes.clear()
         got = prime_nonresidues(p, d, 30, search_cap=10_000)
         assert got == pow_loop_nonresidues(p, d, 30, 10_000)
-        if d == 2:  # a block per step, the first all 18 primes below 64
+        if d == 2 or p < 2**50:  # a block per step, the first all 18 primes below 64
             assert sizes[0] == 18 and len(sizes) < 10 and min(sizes) > 1, (p, sizes)
-        else:  # one candidate per step, none tested past the last nonresidue
+        else:
             assert set(sizes) == {1} and len(sizes) == _SMALL_PRIMES.index(got[-1]) + 1
+    # a shard's rows near 10^12 test all 18 primes below 64 in the first step
+    rows = all_rows(primes_near(10**12, 300), d_max=12)
+    sizes.clear()
+    check_table(rows, 3)
+    assert sizes[0] == 18 * len(rows) and len(rows) > 50
+    rows = [(2**50 - 27, 3), (2**50 + 99, 3), (2**50 - 27, 2)]
+    sizes.clear()
+    check_table(rows, 30)
+    tested = [_SMALL_PRIMES.index(pow_loop_nonresidues(p, d, 30, 10_000)[-1]) + 1
+              for p, d in rows]
+    assert sizes == [sum(n > k for n in tested) for k in range(max(tested))]
+
+
+@pytest.mark.parametrize("center", [2**31, 10**12, 2**50])
+def test_kernel_against_pow_across_the_int64_limits(center):
+    # exponents with every bit of p, on the three primes on either side of
+    # each limit and of 10^12: near a power of two a floor quotient never
+    # falls below the integer part, far from one it does.  With e = (p-1)/d
+    # and bases x^d beside random x, about half the cells are 1, and e = p-1
+    # makes every cell 1.  _mulmod's products are residues in [0, p), which
+    # _kernel's test "== 1" alone cannot show.
+    from nonresidues.characters import _kernel, _mulmod
+
+    rng = random.Random(center)
+    near = primes_near(center, 400)
+    cut = sum(p < center for p in near)
+    for p in near[cut - 3 : cut + 3]:
+        d = 3 if (p - 1) % 3 == 0 else 2
+        xs = [rng.randrange(1, p) for _ in range(100)]
+        bases = xs + [pow(x, d, p) for x in xs]
+        if p < 2**50:  # products just above and below multiples of p, and random
+            inv = [pow(x, -1, p) for x in xs]
+            a = xs * 4 + bases
+            b = [s * y % p for s in (1, 2, p - 1, p - 2) for y in inv] + bases[::-1]
+            pf = None if p < 2**31 else np.float64(p)
+            got = _mulmod(np.array(a), np.array(b), p, pf)
+            assert got.tolist() == [x * y % p for x, y in zip(a, b)]
+        top = 1 << (p.bit_length() - 1)
+        for e in (p - 1, p - 2, (p - 1) // d, top - 1, top + 1, 2 * top - 1):
+            got = _kernel(np.array([p]), np.array([e]), np.array(bases))
+            want = [pow(b, e, p) == 1 for b in bases]
+            assert got.tolist() == want, (p, e)
+            assert (e != p - 1) or all(want)
+            assert (e != (p - 1) // d) or 0.4 < np.mean(want) < 0.9
+
+
+def test_kernel_runs_pow_only_at_2_50_and_above(monkeypatch):
+    # numpy from _INT64_MIN_CELLS cells up on every modulus below 2^50; pow on
+    # each cell at 2^50 and above, or of Python ints, or in small calls
+    from nonresidues import characters as ch
+
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(ch, "pow", counting_pow, raising=False)
+    q = np.arange(2, 2 + ch._INT64_MIN_CELLS)
+    for p, dtype, pow_cells in ((2**31 - 1, np.int64, 0), (2**50 - 27, np.int64, 0),
+                                (2**50 + 99, np.int64, q.size),
+                                (2**50 - 27, object, q.size)):
+        calls.clear()
+        got = ch._kernel(np.array([p], dtype=dtype), np.array([p - 2], dtype=dtype), q)
+        assert got.tolist() == [pow(int(x), p - 2, p) == 1 for x in q]
+        assert len(calls) == pow_cells, (p, dtype)
+    calls.clear()
+    ch._kernel(np.array([2**50 - 27]), np.array([3]), q[1:])
+    assert len(calls) == q.size - 1

@@ -630,6 +630,9 @@ GOLDEN_SCANS = {
                                 shard_width=1000, policy=sc.OrderPolicy.quadratic()),
     "scan_quadratic_2e63": dict(p_lo=2**63 - 3000, p_hi=2**63 - 2, n_max=3,
                                 shard_width=1000, policy=sc.OrderPolicy.quadratic()),
+    # shards of int64 kernel tests below 2^50, of pow above, and one across 2^50
+    "scan_upto12_2e50": dict(p_lo=2**50 - 2500, p_hi=2**50 + 1499, n_max=3,
+                             shard_width=1000, policy=sc.OrderPolicy.divisors_up_to(12)),
 }
 
 
