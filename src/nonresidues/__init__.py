@@ -1,7 +1,11 @@
 """Explicit bounds for small prime nonresidues of Dirichlet characters.
 
-The package has four layers:
+The package has seven modules:
 
+  primes      sieves, the one shared small-prime table, primality tests,
+              factorization and totients
+  rounding    directed comparisons on exact integer ratios over mpmath
+              interval endpoints (certify)
   bounds      closed-form constants g(n, p), validity conditions, the
               frozen-constant table and its monotonicity
   characters  exact character arithmetic mod a prime: primitive roots,
@@ -11,6 +15,8 @@ The package has four layers:
               rests on, with directed-rounding certificates
   scan        deterministic, checkpointable verification of the frozen
               bound over prime ranges
+  cli         the `nonres` command: table, bound, nonresidues, verify and
+              scan, with JSON outputs that the schemas/ files describe
 
 See the demos/ directory for narrative walkthroughs and the `nonres` CLI
 for machine-readable output.

@@ -35,7 +35,7 @@ functions) and, for cross-checking, with mpmath at >= 100 bits
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import mpmath
 
@@ -318,16 +318,7 @@ def render_table_csv(table: list[list[TableCell]]) -> str:
 
 
 def table_to_json_obj(table: list[list[TableCell]]) -> list[dict]:
-    return [
-        {
-            "n0": c.n0,
-            "p0": c.p0,
-            "g": c.g,
-            "failed_conditions": list(c.failed_conditions),
-        }
-        for row in table
-        for c in row
-    ]
+    return [asdict(c) for row in table for c in row]
 
 
 def _p0_label(p0: float) -> str:

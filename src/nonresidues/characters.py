@@ -178,15 +178,15 @@ def _int64_moduli(p: np.ndarray) -> bool:
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray,
             pf: np.ndarray | None) -> np.ndarray:
-    """a*b mod p for int64 residues a, b of moduli p < 2^50: by % below
-    2^31 (pf None), else by the float64 quotient pf = fl(p) (see _kernel)."""
+    """A residue r = a*b (mod p) with -p < r < p, for int64 residues
+    -p < a, b < p of moduli p < 2^50: by % below 2^31 (pf None; then r is
+    in [0, p)), else by the float64 quotient pf = fl(p) (see _kernel)."""
     if pf is None:
         return a * b % p
     x = np.multiply(a, b, dtype=np.float64)
     x /= pf
     r = a * b
     r -= np.rint(x, out=x).astype(np.int64) * p  # wraps mod 2^64, exact: |r| < p
-    r += p & (r >> 63)  # r >> 63 is -1 if r < 0, else 0
     return r
 
 
@@ -195,15 +195,27 @@ def _kernel(p: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Python pow on each cell if there are fewer than _INT64_MIN_CELLS cells
     or some p >= 2^50 or p holds Python ints; square-and-multiply in int64
-    otherwise.  Below 2^31 a product of two residues is below 2^62 and is
-    reduced by %.  From 2^31 to 2^50 it is reduced by a float64 quotient:
-    for residues 0 <= a, b < p < 2^50, fl(a), fl(b) and fl(p) are exact
-    (all below 2^53), so x = fl(fl(a) fl(b) / fl(p)) = (ab/p)(1+d1)(1+d2)
-    with |di| <= u = 2^-53.  As ab/p < p < 2^50,
-    |x - ab/p| < 2^50 (2u + u^2) = 1/4 + 2^-56, so k = rint(x) has
-    |k - ab/p| < 1/2 + 1/4 + 2^-56 < 1, and r = ab - kp has |r| < p.  Both
-    products wrap mod 2^64 in int64, but their difference is r exactly,
-    because |r| < 2^63; adding p once if r < 0 gives ab mod p.
+    otherwise.  Below 2^31 a product of two residues in [0, p) is below 2^62
+    and is reduced by %, into [0, p).  If some modulus of the call is 2^31
+    or more, every product is reduced by a float64 quotient instead, into
+    a signed residue.  For -p < a, b < p < 2^50, fl(a), fl(b) and fl(p) are
+    exact (all below 2^53 in magnitude), so x = fl(fl(a) fl(b) / fl(p)) =
+    (ab/p)(1+d1)(1+d2) with |di| <= u = 2^-53, and as |ab/p| < p,
+    |x - ab/p| < p (2u + u^2).  So k = rint(x) has
+    |k - ab/p| < 1/2 + p (2u + u^2) <= 3/4 + 2^-56 < 1, and r = ab - kp,
+    congruent to ab mod p, has |r| < p.  Both products wrap mod 2^64 in
+    int64, but their difference is r exactly, because |r| < 2^63.
+    The chain stays exact mod p: the base starts as q mod p, in [0, p),
+    the running product as 1, and every later value is such an r, so every
+    factor meets -p < a, b < p.  The verdict r == 1 is exact too.  The
+    final r is 1 or a product's r, and r = 1 (mod p) with |r| < p leaves
+    r = 1 or r = 1 - p.  A product's r = 1 - p would need
+    k - ab/p = 1 - 1/p, but 1 - 1/p > 1/2 + p (2u + u^2) for every modulus
+    3 <= p <= 2^50: 1/2 - 1/p - p (2u + u^2) is concave in p, and positive
+    at p = 3 (1/6 - 3(2u + u^2)) and at p = 2^50 (1/4 - 2^-50 - 2^-56).
+    That covers the prime moduli p of a call and the moduli that
+    nonresidue_table's quadratic cells put beside them in a mixed call:
+    the candidates q >= 3, and 8.
     """
     cells = np.broadcast(p, e, q)
     if cells.size < _INT64_MIN_CELLS or not _int64_moduli(p):

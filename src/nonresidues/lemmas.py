@@ -57,7 +57,7 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -792,17 +792,6 @@ def check_convexity_bound(h: int, r: int, j: int) -> InequalityCheck:
 # Grid sweeps and the verification report
 # ---------------------------------------------------------------------------
 
-LEMMA_NAMES = (
-    "stirling",
-    "totient",
-    "convexity",
-    "s-upper",
-    "disjointness",
-    "proposition",
-    "sum-chi",
-)
-
-
 @dataclass
 class LemmaReport:
     """Aggregated outcome of one lemma's sweep, JSON-serializable."""
@@ -839,17 +828,8 @@ class LemmaReport:
         return self.failures == 0
 
     def to_json_obj(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "instances_run": self.instances_run,
-            "passes": self.passes,
-            "failures": self.failures,
-            "vacuous_skips": self.vacuous_skips,
-            "min_slack": self.min_slack,
-            "worst_instance": self.worst_instance,
-            "failure_examples": self.failure_examples,
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
+        """The fields, with elapsed_s rounded to milliseconds."""
+        return {**asdict(self), "elapsed_s": round(self.elapsed_s, 3)}
 
 
 def sweep_stirling(r_max: int = 500) -> LemmaReport:
@@ -1144,6 +1124,23 @@ class VerifyConfig:
         return dict(self.__dict__)
 
 
+# lemma selector -> its sweep on a VerifyConfig, in report order; each sweep
+# is looked up as a module global at call time, so a wrapper put on it is seen
+_SWEEPS = {
+    "stirling": lambda c: sweep_stirling(c.stirling_r_max),
+    "totient": lambda c: sweep_totient(c.totient_x_max),
+    "convexity": lambda c: sweep_convexity(c.convexity_h_max, c.convexity_r_max),
+    "s-upper": lambda c: sweep_s_upper(c.s_upper_p_max, c.s_upper_h_max, c.s_upper_r_max),
+    "disjointness": lambda c: sweep_disjointness(c.disjoint_trials, c.disjoint_p_max,
+                                                 seed=c.seed),
+    "proposition": lambda c: sweep_proposition(c.proposition_instances,
+                                               c.proposition_p_limit),
+    "sum-chi": lambda c: sweep_shifted_sum(c.shifted_p_limit,
+                                           max_instances=c.shifted_max_instances),
+}
+LEMMA_NAMES = tuple(_SWEEPS)
+
+
 def run_verification(
     lemmas: Sequence[str] | None = None, config: VerifyConfig | None = None
 ) -> dict:
@@ -1157,28 +1154,7 @@ def run_verification(
         raise ValueError(f"unknown lemma selectors {unknown}; valid: {LEMMA_NAMES}")
     reports: dict[str, LemmaReport] = {}
     for name in names:
-        if name == "stirling":
-            reports[name] = sweep_stirling(cfg.stirling_r_max)
-        elif name == "totient":
-            reports[name] = sweep_totient(cfg.totient_x_max)
-        elif name == "convexity":
-            reports[name] = sweep_convexity(cfg.convexity_h_max, cfg.convexity_r_max)
-        elif name == "s-upper":
-            reports[name] = sweep_s_upper(
-                cfg.s_upper_p_max, cfg.s_upper_h_max, cfg.s_upper_r_max
-            )
-        elif name == "disjointness":
-            reports[name] = sweep_disjointness(
-                cfg.disjoint_trials, cfg.disjoint_p_max, seed=cfg.seed
-            )
-        elif name == "proposition":
-            reports[name] = sweep_proposition(
-                cfg.proposition_instances, cfg.proposition_p_limit
-            )
-        elif name == "sum-chi":
-            reports[name] = sweep_shifted_sum(
-                cfg.shifted_p_limit, max_instances=cfg.shifted_max_instances
-            )
+        reports[name] = _SWEEPS[name](cfg)
         if reports[name].instances_run == 0:
             raise ValueError(f"the {name} grid holds no instances; widen its bounds")
     return {

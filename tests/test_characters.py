@@ -529,8 +529,9 @@ def test_kernel_against_pow_across_the_int64_limits(center):
     # each limit and of 10^12: near a power of two a floor quotient never
     # falls below the integer part, far from one it does.  With e = (p-1)/d
     # and bases x^d beside random x, about half the cells are 1, and e = p-1
-    # makes every cell 1.  _mulmod's products are residues in [0, p), which
-    # _kernel's test "== 1" alone cannot show.
+    # makes every cell 1.  _mulmod's products are residues r = ab (mod p)
+    # with -p < r < p, for operands of either sign, which _kernel's test
+    # "== 1" alone cannot show.
     from nonresidues.characters import _kernel, _mulmod
 
     rng = random.Random(center)
@@ -544,9 +545,11 @@ def test_kernel_against_pow_across_the_int64_limits(center):
             inv = [pow(x, -1, p) for x in xs]
             a = xs * 4 + bases
             b = [s * y % p for s in (1, 2, p - 1, p - 2) for y in inv] + bases[::-1]
+            a, b = a + [x - p for x in a] * 2 + a, b + b + [y - p for y in b] * 2
             pf = None if p < 2**31 else np.float64(p)
-            got = _mulmod(np.array(a), np.array(b), p, pf)
-            assert got.tolist() == [x * y % p for x, y in zip(a, b)]
+            got = _mulmod(np.array(a), np.array(b), p, pf).tolist()
+            assert [r % p for r in got] == [x * y % p for x, y in zip(a, b)]
+            assert all(-p < r < p for r in got)
         top = 1 << (p.bit_length() - 1)
         for e in (p - 1, p - 2, (p - 1) // d, top - 1, top + 1, 2 * top - 1):
             got = _kernel(np.array([p]), np.array([e]), np.array(bases))

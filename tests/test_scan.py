@@ -3,11 +3,13 @@ import math
 import pathlib
 from types import SimpleNamespace
 
+import jsonschema
 import mpmath
 import numpy as np
 import pytest
 
 from nonresidues import bounds as bd
+from nonresidues import cli
 from nonresidues import primes as pr
 from nonresidues import scan as sc
 from nonresidues.bounds import bound_shape
@@ -176,6 +178,25 @@ def test_resume_refuses_checkpoint_without_record_offset(tmp_path):
     sc.run_scan(task, checkpoint_path=str(ck), stop_after_shards=1)
     with pytest.raises(sc.TaskMismatchError):
         sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck))
+
+
+@pytest.mark.parametrize("path", [("records",), ("per_n", 0, "max_q")],
+                         ids=["records", "max_q"])
+def test_resume_refuses_checkpoint_missing_an_aggregate_field(tmp_path, path):
+    # a field filled in by its default would corrupt the summary
+    task = small_task()
+    part, ck = tmp_path / "part.jsonl", tmp_path / "ck.json"
+    sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck), stop_after_shards=2)
+    saved = json.loads(ck.read_text())
+    node = saved["aggregate"]
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    ck.write_text(json.dumps(saved))
+    written = part.read_bytes()
+    with pytest.raises(sc.TaskMismatchError, match=path[-1]):
+        sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck))
+    assert part.read_bytes() == written
 
 
 def test_resume_refuses_modified_task(tmp_path):
@@ -595,6 +616,32 @@ def test_shard_aggregate_equals_per_row_addition_on_ties():
             split.add(sc.Shard.from_records(part, n_max))
         for agg in (whole, rows, split):
             assert json.dumps(agg.to_json_obj(), sort_keys=True) == want
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("make_task", [_capped_task, _forged_task], ids=["capped", "forged"])
+def test_resume_carries_caps_violations_and_tied_maxima(tmp_path, make_task, fmt):
+    # after 2 of 4 shards the checkpoint holds cap counts (capped) or
+    # violation examples (forged), and maxima that a later shard ties: the
+    # resumed run must go on from them, witnesses compared as tuples again
+    task = make_task()
+    full, part = tmp_path / f"full.{fmt}", tmp_path / f"part.{fmt}"
+    ck = tmp_path / "ck.json"
+    s_full = sc.run_scan(task, out_path=str(full), fmt=fmt, raise_on_violation=False)
+    sc.run_scan(task, out_path=str(part), fmt=fmt, checkpoint_path=str(ck),
+                stop_after_shards=2, raise_on_violation=False)
+    saved = json.loads(ck.read_text())
+    with open(cli.schema_path("checkpoint")) as fh:
+        jsonschema.validate(saved, json.load(fh))
+    agg = saved["aggregate"]
+    assert agg["cap_exhausted"] if make_task is _capped_task else agg["violation_examples"]
+    tail = [sc._compute_shard(task, i) for i in range(2, task.shard_count)]
+    assert any(st["max_q"] in sh.q[sh.count >= st["n"], st["n"] - 1]
+               for st in agg["per_n"] for sh in tail)
+    s_res = sc.run_scan(task, out_path=str(part), fmt=fmt, checkpoint_path=str(ck),
+                        raise_on_violation=False)
+    assert part.read_bytes() == full.read_bytes()
+    assert s_res.to_json() == s_full.to_json()
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
