@@ -45,6 +45,7 @@ __all__ = [
     "MonotonicityReport",
     "TableCell",
     "bound_shape",
+    "bound_shapes",
     "burgess_params",
     "compute_bound",
     "compute_g",
@@ -95,6 +96,16 @@ def bound_shape(n: int, p: float, c: float = 1.0) -> float:
         raise ValueError(
             f"(log p)^((n+1)/2) overflows a double at n={n}, p={p}"
         ) from None
+
+
+def bound_shapes(ps: list[int], n_max: int) -> list[list[float]]:
+    """For n = 1..n_max, the list of bound_shape(n, p) over p in ps, bit for
+    bit (c = 1.0 and 1.0 * a == a), one comprehension per n.  Like
+    bound_shape it uses libm's log and pow only: numpy's vectorised log
+    and power need not round as libm does.  Overflow is the caller's to
+    rule out."""
+    return [[x**0.25 * math.log(x) ** ((n + 1) / 2.0) for x in ps]
+            for n in range(1, n_max + 1)]
 
 
 def compute_xstar(n: int, p: float) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import mpmath
 import numpy as np
@@ -157,11 +157,21 @@ def root_values(t_table: np.ndarray, d: int) -> np.ndarray:
     if d == 2:
         values = np.where(t_table < 0, 0, 1 - 2 * t_table)
     else:
-        with mpmath.workprec(113):
-            roots = [complex(mpmath.expjpi(mpmath.mpf(2 * t) / d)) for t in range(d)]
-        values = np.array(roots + [0j])[t_table]  # t = -1 reads the final 0
+        values = _roots_of_unity(d)[t_table]  # t = -1 reads the final 0
     values.flags.writeable = False
     return values
+
+
+@lru_cache(maxsize=None)
+def _roots_of_unity(d: int) -> np.ndarray:
+    """e^(2 pi i t/d) for t = 0..d-1, then 0, read-only; computed once per d
+    on first use, since the lemma sweeps ask for the same few orders at
+    many primes."""
+    with mpmath.workprec(113):
+        roots = [complex(mpmath.expjpi(mpmath.mpf(2 * t) / d)) for t in range(d)]
+    table = np.array(roots + [0j])
+    table.flags.writeable = False
+    return table
 
 
 def _int_array(x) -> np.ndarray:

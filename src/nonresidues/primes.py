@@ -31,6 +31,7 @@ FACTORIZE_LIMIT = 1 << 40
 # importing the module sieves nothing.
 _TABLE_MIN_LIMIT = 1 << 16
 _RANGE_BASE_LIMIT = 1 << 20  # base primes of the range sieve, at most
+_STRIDE_LIMIT = 1 << 6  # base primes below it stride one slice each
 _table = np.array([], dtype=np.int64)
 _table_limit = 1
 
@@ -96,12 +97,28 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi] via a segmented sieve (memory ~ hi - lo).
 
     Base primes come from the shared table, up to isqrt(hi) but at most
-    _RANGE_BASE_LIMIT.  Those up to the segment width stride through the
-    segment.  A wider base prime p has at most one multiple in it, and that
-    multiple is a proper one (p > hi - lo + 1 and p*p <= hi force p < lo),
-    so all of those are struck in one vectorised step.  If isqrt(hi) is
-    above the limit, a survivor has no prime factor up to the limit but may
-    still be composite, so each one is then tested with is_prime.
+    _RANGE_BASE_LIMIT.  Each base prime p strikes its multiples from
+    max(p*p, lo) on.  Starting at p*p keeps a base prime that lies inside
+    the window, and loses nothing: a multiple kp < p*p has k < p, so a
+    prime factor of k below p strikes it.
+
+    Base primes below _STRIDE_LIMIT stride through the window, one slice
+    each.  The larger ones are struck in one numpy scatter per octave
+    [2^j, 2^(j+1)), over the primes of the octave that have a multiple in
+    the window.  The scatter's index rectangle has one row per prime and
+    (width - 1 - s) // p0 + 1 columns, for the least start offset s and
+    the least prime p0 of its rows: as many as the most multiples any row
+    has.  A row's prime p < 2 p0 has about width/p > width/(2 p0)
+    multiples, so each rectangle is at most about twice its true number of
+    multiples (its spill past the window is dropped before the scatter),
+    and memory stays O(width) however wide the window.  The octaves stop
+    at the first power of two above the width, and the primes beyond it
+    form the last rectangle: each has at most one multiple, so it has one
+    column.
+
+    If isqrt(hi) is above the limit, a survivor has no prime factor up to
+    the limit but may still be composite, so each one is then tested with
+    is_prime.
     """
     if hi < 2 or hi < lo:
         return np.array([], dtype=np.int64)
@@ -109,16 +126,25 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     width = hi - lo + 1
     root = math.isqrt(hi)
     base = primes_upto(min(root, _RANGE_BASE_LIMIT))
-    n_narrow = int(np.searchsorted(base, width, side="right"))
     flags = np.ones(width, dtype=bool)
-    for p in base[:n_narrow].tolist():
-        # from p*p on, so a base prime inside the window is kept
+    n_stride = int(np.searchsorted(base, _STRIDE_LIMIT))
+    for p in base[:n_stride].tolist():
         start = max(p * p, ((lo + p - 1) // p) * p)
-        if start > hi:
-            continue
         flags[start - lo :: p] = False
-    offsets = (-lo) % base[n_narrow:]
-    flags[offsets[offsets < width]] = False
+    big = base[n_stride:]
+    first = (-lo) % big  # offset of each prime's first multiple >= lo
+    squared = int(np.searchsorted(big, math.isqrt(lo) + 1))  # p*p > lo from here
+    first[squared:] = big[squared:] * big[squared:] - lo
+    edges = np.searchsorted(
+        big, [1 << j for j in range(_STRIDE_LIMIT.bit_length(), width.bit_length() + 1)]
+    ).tolist()
+    for a, b in zip([0, *edges], [*edges, len(big)]):
+        live = first[a:b] < width
+        p, start = big[a:b][live], first[a:b][live]
+        if len(p):
+            columns = (width - 1 - int(start.min())) // int(p[0]) + 1
+            at = start[:, None] + p[:, None] * np.arange(columns)
+            flags[at[at < width]] = False
     found = np.flatnonzero(flags).astype(np.int64) + lo
     if root > _RANGE_BASE_LIMIT:
         found = found[[is_prime(x) for x in found.tolist()]]

@@ -438,6 +438,55 @@ def test_scan_resume_without_records_exit_2(capsys, tmp_path):
     assert not out.exists()
 
 
+def _drop(key):
+    return lambda ck: ck.pop(key)
+
+
+def _set(key, value, inside=None):
+    return lambda ck: (ck[inside] if inside else ck).update({key: value})
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("next_shard"),  # was a KeyError traceback, exit 1
+    _set("per_n", "per_n", inside="aggregate"),  # was an AttributeError
+    _set("next_shard", 4), _set("next_shard", -1), _set("next_shard", "1"),
+    _set("next_shard", True), _drop("byte_offset"), _set("byte_offset", "0"),
+    _set("byte_offset", -1), _drop("aggregate"), _set("aggregate", []),
+    _set("per_n", [1], inside="aggregate"),
+    _set("per_n", [], inside="aggregate"),  # was a summary without per-n stats
+    _set("n_max", 2, inside="aggregate"),  # was a summary with n_max 2
+], ids=["no-next_shard", "string-per_n", "next_shard-past-total", "negative-next_shard",
+        "string-next_shard", "bool-next_shard", "no-byte_offset", "string-byte_offset",
+        "negative-byte_offset", "no-aggregate", "list-aggregate", "per_n-of-ints",
+        "empty-per_n", "aggregate-n_max"])
+def test_scan_resume_refuses_malformed_checkpoint_exit_2(capsys, tmp_path, edit):
+    out, ck = tmp_path / "r.jsonl", tmp_path / "ck.json"
+    args = ["scan", "--p-lo", "1e7", "--p-hi", "1.0005e7", "--c", "1.530",
+            "--n0", "1", "--p0", "1e7", "--shard-width", "2000",
+            "--out", str(out), "--summary", str(tmp_path / "s.json"),
+            "--checkpoint", str(ck)]
+    code, _, _ = run_cli(args + ["--stop-after-shards", "1"], capsys)
+    assert code == 0
+    saved = json.loads(ck.read_text())
+    assert saved["shards_total"] == 3
+    edit(saved)
+    ck.write_text(json.dumps(saved))
+    records = out.read_bytes()
+    code, _, err = run_cli(args, capsys)
+    assert code == 2 and "refusing to resume" in err and "Traceback" not in err
+    assert out.read_bytes() == records
+
+
+def test_scan_resume_refuses_unreadable_checkpoint_exit_2(capsys, tmp_path):
+    ck = tmp_path / "ck.json"
+    for text in ("{", "[]"):
+        ck.write_text(text)
+        code, _, err = run_cli(
+            ["scan", "--p-lo", "1e7", "--p-hi", "1.0005e7", "--c", "1.530",
+             "--n0", "1", "--p0", "1e7", "--checkpoint", str(ck)], capsys)
+        assert code == 2 and "refusing to resume" in err
+
+
 def test_scan_bounds_parsed_exactly(capsys):
     assert cli._parse_exact_int(str(2**53 + 1)) == 2**53 + 1
     assert cli._parse_exact_int("1.0001e7") == 10001000

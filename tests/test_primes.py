@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +83,79 @@ def test_primes_in_range_property(lo, width):
     got = pr.primes_in_range(lo, lo + width)
     assert got.dtype == np.int64
     assert list(got) == [n for n in range(lo, lo + width + 1) if pr.is_prime(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _bytearray_base(limit):
+    """The primes up to limit, by a plain bytearray sieve."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for d in range(2, math.isqrt(limit) + 1):
+        if flags[d]:
+            flags[d * d :: d] = bytes(len(range(d * d, limit + 1, d)))
+    return list(itertools.compress(range(limit + 1), flags))
+
+
+def bytearray_primes(lo, hi):
+    """Primes in [lo, hi] by a bytearray window struck from each base prime's
+    square on, with no numpy and no shared table.  Base primes stop at 2^20
+    as in the package; above 2^40 the survivors are then decided by
+    is_prime, which its own tests pin against trial division."""
+    lo = max(lo, 2)
+    root = math.isqrt(hi)
+    window = bytearray([1]) * (hi - lo + 1)
+    for p in _bytearray_base(min(root, 2**20)):
+        start = max(p * p, -(-lo // p) * p)
+        window[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+    found = [lo + i for i in itertools.compress(range(len(window)), window)]
+    return found if root <= 2**20 else [n for n in found if pr.is_prime(n)]
+
+
+_WIDTHS = sorted({1, 63, 64, 65, 127, 128, 129,
+                  *(2**k + e for k in range(1, 15) for e in (-1, 1))})
+
+
+@pytest.mark.parametrize("lo", [2, 10**9 - 7])
+def test_primes_in_range_widths_against_bytearray_sieve(lo):
+    # widths about the stride limit 64 and about every octave edge 2^k
+    for width in _WIDTHS:
+        hi = lo + width - 1
+        assert pr.primes_in_range(lo, hi).tolist() == bytearray_primes(lo, hi), width
+
+
+@pytest.mark.parametrize("p", [61, 67, 127, 131])
+def test_primes_in_range_about_a_base_prime_square(p):
+    # 61 strides and 67 is the first octave's; 127 and 131 straddle 2^7.
+    # A window from p itself must keep p, since strikes start at p*p.
+    for lo in (p, p * p - 1, p * p, p * p + 1):
+        for width in (1, 2, 100, 5000):
+            hi = lo + width - 1
+            assert pr.primes_in_range(lo, hi).tolist() == bytearray_primes(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2**31 - 3000, 2**31 + 3000),
+    (10**12 - 1500, 10**12 + 1500),
+    (2**63 - 3000, 2**63 - 1),
+])
+def test_primes_in_range_far_windows_against_bytearray_sieve(lo, hi):
+    assert pr.primes_in_range(lo, hi).tolist() == bytearray_primes(lo, hi)
+
+
+def test_primes_in_range_memory_stays_linear_in_the_width():
+    # one scatter per octave keeps each index rectangle within about twice
+    # its multiples; a single rectangle over all base primes up to 10^6
+    # would hold about 10^6/67 columns for each of them
+    lo, width = 10**12, 10**6
+    pr.primes_upto(2**20)  # the shared table is not the sieve's to count
+    tracemalloc.start()
+    try:
+        found = pr.primes_in_range(lo, lo + width - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 36249
+    assert peak < 16 * width
 
 
 def _check_factorization(n):

@@ -503,12 +503,12 @@ def test_policy_rows_match_orders_for(policy):
             (x, y) for x in map(int, primes) for y in policy.orders_for(x)]
 
 
-def _capped_task():
+def _capped_task(n_max=3, cap=7):
     # caps at 7 and divisor orders: full rows, short rows and empty rows
     return sc.ScanTask(p_lo=10**7, p_hi=10**7 + 3000,
-                       policy=sc.OrderPolicy.divisors_up_to(6), n_max=3, n0=3,
-                       p0=1e7, c=None, search_cap=7, check_bound=False,
-                       shard_width=1000)
+                       policy=sc.OrderPolicy.divisors_up_to(6), n_max=n_max,
+                       n0=n_max, p0=1e7, c=None, search_cap=cap,
+                       check_bound=False, shard_width=1000)
 
 
 def _forged_task():
@@ -523,7 +523,10 @@ def _forged_task():
     lambda: sc.ScanTask.make(10**12, 10**12 + 1999,
                              policy=sc.OrderPolicy.divisors_up_to(12), n_max=3,
                              shard_width=1000),
-], ids=["capped", "forged", "orders-1e12"])
+    # one template per cell count: every count 0..n_max occurs
+    lambda: _capped_task(n_max=1, cap=3),
+    lambda: _capped_task(n_max=5, cap=11),
+], ids=["capped", "forged", "orders-1e12", "capped-n1", "capped-n5"])
 def test_shard_text_equals_row_serializers(make_task):
     task = make_task()
     seen = set()
@@ -538,8 +541,27 @@ def test_shard_text_equals_row_serializers(make_task):
         seen |= {(len(r.q), r.cap_exhausted, all(r.bound_ok)) for r in recs}
     if make_task is _capped_task:
         assert {(0, True, True), (2, True, True), (3, False, True)} <= seen
+    if not task.check_bound:
+        assert {k for k, _, _ in seen} == set(range(task.n_max + 1))
     if make_task is _forged_task:
         assert {(1, False, True), (1, False, False)} <= seen
+
+
+@pytest.mark.parametrize("lo", [10**7, 2**31 - 500, 10**12, 2**63 - 1001])
+def test_shard_shapes_are_bound_shape_bit_for_bit(lo):
+    # a shard's shapes come from one comprehension per n, which must round
+    # exactly as bound_shape does, or the ratios would change
+    task = sc.ScanTask(p_lo=lo, p_hi=lo + 1000, policy=sc.OrderPolicy.quadratic(),
+                       n_max=8, n0=8, p0=float(lo), c=None, check_bound=False,
+                       shard_width=1001)
+    primes = pr.primes_in_range(lo, lo + 1000).tolist()
+    assert bd.bound_shapes(primes, 8) == [
+        [bound_shape(n, p) for p in primes] for n in range(1, 9)]
+    shard = sc._compute_shard(task, 0)
+    assert shard.p.tolist() == primes and (shard.count == 8).all()
+    assert shard.ratio.tolist() == [
+        [q / bound_shape(n, p) for n, q in enumerate(qs, 1)]
+        for p, qs in zip(primes, shard.q.tolist())]
 
 
 def test_shard_bound_filter_sends_only_border_cells_to_bound_ok(monkeypatch):
