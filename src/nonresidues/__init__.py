@@ -7,7 +7,7 @@ The package has seven modules:
   rounding    directed comparisons on exact integer ratios over mpmath
               interval endpoints (certify)
   bounds      closed-form constants g(n, p), validity conditions, the
-              frozen-constant table and its monotonicity
+              frozen-constant table and its interval certificate
   characters  exact character arithmetic mod a prime: primitive roots,
               root-of-unity values, kernel tests, smallest prime
               nonresidues
@@ -26,13 +26,13 @@ from .bounds import (
     BurgessParameters,
     ConstantsResult,
     burgess_params,
+    certify_freeze,
     compute_bound,
     compute_g,
-    compute_g_highprec,
     compute_xstar,
+    enclose_g,
     reference_validity,
     make_table,
-    monotonicity_scan,
     totient_factor_f,
 )
 from .characters import (
@@ -76,6 +76,7 @@ __all__ = [
     "ScanTask",
     "SumStats",
     "burgess_params",
+    "certify_freeze",
     "check_S_upper",
     "check_convexity_bound",
     "check_interval_disjointness",
@@ -85,15 +86,14 @@ __all__ = [
     "check_totient_inequality",
     "compute_bound",
     "compute_g",
-    "compute_g_highprec",
     "compute_xstar",
+    "enclose_g",
     "reference_validity",
     "exact_sum_S",
     "farey_interval",
     "find_primitive_root",
     "is_kernel",
     "make_table",
-    "monotonicity_scan",
     "nonresidue_factorization",
     "prime_nonresidues",
     "run_scan",

@@ -18,42 +18,39 @@ with the explicit constant
 valid when X* > 3.8, log p > exp(8/3) and log p > 8(n-1).  Fixing a
 reference pair (n0, p0) with X*(p0, n0) > 3.8 and
 p0 > max(2*10^6, exp(8(n0-1))) yields a single constant C = g(n0, p0) that
-works for all p >= p0 and n <= n0; g is nonincreasing in p and nondecreasing
-in n on the validity region, which is what makes the freeze legitimate.
+works for all p >= p0 and n <= n0.
 
-This module evaluates all of those closed forms, reports validity condition
-by condition, regenerates the reference constant table, and checks the
-monotonicity claims on a grid.  All logarithms are natural.  p enters the
-formulas only as a real number, so moduli like 10^35 are accepted as floats
-and need not be prime here.
-
-Every quantity is computed twice: in double precision (the `compute_*`
-functions) and, for cross-checking, with mpmath at >= 100 bits
-(`compute_g_highprec`).  The two paths share no code.
+This module evaluates those closed forms in double precision, reports
+validity condition by condition and regenerates the reference constant
+table; p is a real number there, so 10^35 may be a float and need not be
+prime.  enclose_g evaluates them once more in interval arithmetic with p
+exact, and certify_freeze certifies a frozen C from those enclosures.  All
+logarithms are natural.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
-import mpmath
+from .rounding import IV, certify, iv_from_fraction, lower, minus, upper
 
 __all__ = [
     "BurgessParameters",
     "ConstantsResult",
-    "MonotonicityReport",
+    "FreezeCertificate",
     "TableCell",
     "bound_shape",
     "bound_shapes",
     "burgess_params",
+    "certify_freeze",
     "compute_bound",
     "compute_g",
-    "compute_g_highprec",
     "compute_xstar",
+    "enclose_g",
     "reference_validity",
     "make_table",
-    "monotonicity_scan",
     "totient_factor_f",
 ]
 
@@ -63,9 +60,9 @@ COND_LOGP_EXP = "logp_gt_exp(8/3)"
 COND_LOGP_8N = "logp_gt_8(n-1)"
 COND_P0_MIN = "p0_gt_2e6"
 COND_P0_EXP8N = "p0_gt_exp(8(n-1))"
+COND_G_LE_C = "g_le_c"
 
 XSTAR_FLOOR = 3.8
-HIGHPREC_DPS = 40  # ~133 bits
 
 
 def _check_np(n: int, p: float) -> None:
@@ -192,45 +189,6 @@ def compute_g(n: int, p: float) -> ConstantsResult:
     )
 
 
-def compute_g_highprec(n: int, p, dps: int = HIGHPREC_DPS):
-    """Independent evaluation of g(n, p) with mpmath at >= 100 bits.
-
-    Returns an mpmath.mpf, or None outside the region where the expression
-    is defined.  Used as the precision cross-check for compute_g; shares no
-    arithmetic with the double-precision path.
-    """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    with mpmath.workdps(dps):
-        n_ = mpmath.mpf(n)
-        p_ = mpmath.mpf(p)
-        if not p_ >= 2:
-            raise ValueError(f"p must be >= 2, got {p!r}")
-        logp = mpmath.log(p_)
-        ratio = (n_ + 1) / n_
-        xstar = (
-            (mpmath.pi / 3)
-            / mpmath.sqrt(2 * mpmath.e)
-            * ratio ** (n_ - 1)
-            * p_ ** mpmath.mpf("0.25")
-            / logp ** ((n_ - 1) / 2)
-            * (1 - ratio * mpmath.exp(-1 / n_) / logp)
-        )
-        if not xstar > 1:
-            return None
-        f_x = 1 - (mpmath.pi**2 / 9) * (mpmath.log(xstar) + 9) / (3 * xstar)
-        den = logp * n_ / (n_ + 1) - 3
-        if not (f_x > 0 and den > 0):
-            return None
-        g = (
-            (mpmath.pi / 3)
-            * mpmath.sqrt(2 * mpmath.e)
-            * (n_ / (n_ + 1))
-            * mpmath.sqrt((1 + mpmath.sqrt(2) / den) / f_x)
-        )
-        return +g
-
-
 def compute_bound(n: int, p: float, c: float) -> float:
     """c * p^(1/4) * (log p)^((n+1)/2) for a frozen constant c > 0."""
     _check_np(n, p)
@@ -258,6 +216,80 @@ def reference_validity(n0: int, p0: float) -> tuple[bool, tuple[str, ...]]:
     if not p0 > p0_floor:
         failed.append(COND_P0_EXP8N)
     return (not failed, tuple(failed))
+
+
+def _above(x, r: tuple[int, int] = (0, 1)) -> bool:
+    """Whether the interval x lies entirely above the ratio r."""
+    return minus(lower(x), r)[0] > 0
+
+
+def enclose_g(n: int, p) -> tuple:
+    """Enclosures (X*, f(X*), g(n, p)) on the 96-bit context rounding.IV.
+    p is exact (an int, a Fraction, or a float, which converts exactly), so
+    10**25 means 10^25.  f(X*) is None unless X* > 1, and g is None unless
+    its denominators f(X*) and 2B log p - 3 are certainly positive."""
+    _check_np(n, p)
+    p_iv = iv_from_fraction(Fraction(p))
+    logp = IV.log(p_iv)
+    ratio = IV.mpf(n + 1) / n
+    xstar = (IV.pi / 3 / IV.sqrt(2 * IV.e) * ratio ** (n - 1)
+             * IV.sqrt(IV.sqrt(p_iv)) / IV.sqrt(logp) ** (n - 1)
+             * (1 - ratio * IV.exp(IV.mpf(-1) / n) / logp))
+    if not _above(xstar, (1, 1)):
+        return xstar, None, None
+    f_at_xstar = 1 - IV.pi ** 2 / 9 * (IV.log(xstar) + 9) / (3 * xstar)
+    sqrt_den = IV.mpf(n) / (n + 1) * logp - 3
+    if not (_above(f_at_xstar) and _above(sqrt_den)):
+        return xstar, f_at_xstar, None
+    g = (IV.pi / 3 * IV.sqrt(2 * IV.e) * IV.mpf(n) / (n + 1)
+         * IV.sqrt((1 + IV.sqrt(2) / sqrt_den) / f_at_xstar))
+    return xstar, f_at_xstar, g
+
+
+@dataclass(frozen=True)
+class FreezeCertificate:
+    """ok iff no (n, condition) failed; min_slack is the least certified
+    c - g(n, p0) over the n whose g is enclosed, at n = min_slack_n."""
+
+    ok: bool
+    failed: tuple[tuple[int, str], ...]
+    min_slack: float | None
+    min_slack_n: int | None
+
+
+def certify_freeze(n0: int, p0, c: float) -> FreezeCertificate:
+    """Certify that (n, p) is valid and g(n, p) <= c for all p >= p0 and
+    n <= n0.  At p0 (exact, as in enclose_g) and each n <= n0, X* > 3.8,
+    log p0 > exp(8/3), log p0 > 8(n-1) and g <= c (rounding.certify against
+    c's exact ratio) are decided at the unfavorable endpoints of their
+    enclosures, and so are reference_validity's conditions on p0.
+
+    Checking p0 is enough.  Let L = log p and k = ((n+1)/n) e^(-1/n).
+      - k < 1, because e^(1/n) > 1 + 1/n; so X* > 0 for L > 1.
+      - On L > 8(n-1), d log X*/dL = 1/4 - (n-1)/(2L) + (k/L^2)/(1 - k/L)
+        >= 1/4 - 1/16 = 3/16, so X* increases with p.
+      - f'(x) = (pi^2/27)(log x + 8)/x^2 > 0, so f(X*) increases with p.
+      - sqrt(2)/(2BL - 3) decreases in L, where 2BL >= L/2 > 3.
+    So each condition that holds at p0 holds for all p >= p0, and there
+    g(n, p) <= g(n, p0), its numerator falling and f(X*) > 0 rising.
+    """
+    _check_np(n0, p0)
+    logp = IV.log(iv_from_fraction(Fraction(p0)))
+    failed = [(n0, name) for name, holds in (
+        (COND_P0_MIN, Fraction(p0) > 2 * 10**6),
+        (COND_P0_EXP8N, _above(logp, (8 * (n0 - 1), 1)))) if not holds]
+    slacks = []
+    for n in range(1, n0 + 1):
+        xstar, _, g = enclose_g(n, p0)
+        ok, slack = (False, None) if g is None else certify(upper(g), c.as_integer_ratio())
+        failed += [(n, name) for name, holds in (
+            (COND_XSTAR, _above(xstar, (19, 5))),  # 3.8
+            (COND_LOGP_EXP, _above(logp - IV.exp(IV.mpf(8) / 3))),
+            (COND_LOGP_8N, _above(logp, (8 * (n - 1), 1))),
+            (COND_G_LE_C, ok)) if not holds]
+        if slack is not None:
+            slacks.append((slack, n))
+    return FreezeCertificate(not failed, tuple(failed), *min(slacks, default=(None, None)))
 
 
 @dataclass(frozen=True)
@@ -340,70 +372,13 @@ def _p0_label(p0: float) -> str:
 
 
 @dataclass(frozen=True)
-class MonotonicityReport:
-    pairs_checked: int
-    valid_points: int
-    violations: tuple[tuple[str, int, float, int, float], ...]
-    # each violation: (axis, n, p, n', p') with g moving the wrong way
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def monotonicity_scan(n_values: list[int], p_values: list[float]) -> MonotonicityReport:
-    """Check that g is nonincreasing in p and nondecreasing in n on a grid.
-
-    Only grid points satisfying the validity conditions participate; within
-    each row (fixed n) and column (fixed p) consecutive valid entries are
-    compared.  Violations are reported, not raised.
-    """
-    n_values = sorted(n_values)
-    p_values = sorted(p_values)
-    g = {}
-    valid_points = 0
-    for n in n_values:
-        for p in p_values:
-            res = compute_g(n, p)
-            if res.valid and res.g is not None:
-                g[(n, p)] = res.g
-                valid_points += 1
-
-    violations = []
-    pairs = 0
-    for n in n_values:
-        prev = None
-        for p in p_values:
-            if (n, p) not in g:
-                continue
-            if prev is not None:
-                pairs += 1
-                if g[(n, p)] > g[(n, prev)]:
-                    violations.append(("p", n, prev, n, p))
-            prev = p
-    for p in p_values:
-        prev = None
-        for n in n_values:
-            if (n, p) not in g:
-                continue
-            if prev is not None:
-                pairs += 1
-                if g[(n, p)] < g[(prev, p)]:
-                    violations.append(("n", prev, p, n, p))
-            prev = n
-    return MonotonicityReport(
-        pairs_checked=pairs, valid_points=valid_points, violations=tuple(violations)
-    )
-
-
-@dataclass(frozen=True)
 class BurgessParameters:
     """Window length h and moment power r used by the character-sum method.
 
     h = ceil(A log p) and r = floor(B log p) with A = (n/(n+1)) e^(1/n) and
-    B = n/(2(n+1)).  These choices satisfy A = (2B/e) e^(1/(2B)), which
-    forces (2B/(Ae))^(B log p) = p^(-1/2); identity_error records how far
-    the floating evaluation of that identity is from exact.
+    B = n/(2(n+1)).  These choices force (2B/(Ae))^(B log p) = p^(-1/2)
+    (proved in burgess_params); identity_error records how far the floating
+    evaluation of that identity is from exact.
     """
 
     a: float
@@ -412,23 +387,17 @@ class BurgessParameters:
     r: int
     identity_error: float
 
-    def __post_init__(self) -> None:
-        if not (0 < self.b < 0.5):
-            raise ValueError(f"B out of range: {self.b}")
-        if self.h < 1 or self.r < 1:
-            raise ValueError(f"degenerate parameters h={self.h}, r={self.r}")
-        if self.r > 9 * self.h:
-            raise ValueError(f"r={self.r} exceeds 9h={9 * self.h}")
-
-
-IDENTITY_RTOL = 1e-9
-
 
 def burgess_params(n: int, p: float) -> BurgessParameters:
-    """Window/moment parameters for (n, p), with the p^(-1/2) identity check.
+    """Window/moment parameters for (n, p).
+
+    The identity holds exactly: 2B = n/(n+1) = A e^(-1/n), so
+    2B/(Ae) = e^(-1-1/n), and with L = log p,
+    (2B/(Ae))^(BL) = e^(-(1+1/n) nL/(2(n+1))) = e^(-L/2) = p^(-1/2).
 
     p must be large enough that r = floor(B log p) >= 1, i.e.
-    log p >= 2(n+1)/n.
+    log p >= 2(n+1)/n.  Then 1/4 <= B < 1/2 and, as A = 2B e^(1/n) >= 2B,
+    1 <= r <= h/2, well inside the moment bound's r <= 9h.
     """
     _check_np(n, p)
     logp = math.log(p)
@@ -441,8 +410,4 @@ def burgess_params(n: int, p: float) -> BurgessParameters:
             f"p={p!r} is too small for n={n}: floor(B log p) = {r} < 1"
         )
     err = abs((2.0 * b / (a * math.e)) ** (b * logp) * math.sqrt(p) - 1.0)
-    if err >= IDENTITY_RTOL:
-        raise ArithmeticError(
-            f"parameter identity violated at n={n}, p={p!r}: error {err:.3e}"
-        )
     return BurgessParameters(a=a, b=b, h=h, r=r, identity_error=err)

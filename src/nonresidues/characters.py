@@ -19,8 +19,8 @@ computations cheap for large p; the tables are for the character-sum
 oracles, which need arbitrary values of chi.  Kernel tests and searches
 are batched over (p, d) rows (kernel_mask, nonresidue_table), in int64
 numpy for moduli below 2^50 (reducing each product by a float64 quotient
-from 2^31 on) and by Python pow above; is_kernel and prime_nonresidues are
-one-row calls.
+from 2^31 on) and by Python pow above; prime_nonresidues is a one-row
+call of the batched search, and is_kernel is one Python pow.
 Candidate nonresidues are read from the package's one shared prime table
 (primes.primes_upto), so a search never sieves anything that an earlier
 search already sieved.
@@ -29,6 +29,7 @@ search already sieved.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -254,12 +255,13 @@ def kernel_mask(p, d, q) -> np.ndarray:
 
 def is_kernel(p: int, d: int, q: int) -> bool:
     """True iff q is a d-th power residue mod p, i.e. chi(q) = 1 for any
-    character of order d mod p: kernel_mask on one cell."""
+    character of order d mod p: Euler's criterion, one Python pow."""
+    p, d, q = map(operator.index, (p, d, q))  # numpy ints too, no floats
     if d < 1 or (p - 1) % d != 0:
         raise ValueError(f"order d={d} does not divide p-1={p - 1}")
     if q % p == 0:
         raise ValueError(f"q={q} is divisible by the modulus {p}")
-    return bool(kernel_mask(p, d, q % p)[0])
+    return pow(q, (p - 1) // d, p) == 1
 
 
 def nonresidue_table(

@@ -834,11 +834,9 @@ class LemmaReport:
 
 def sweep_stirling(r_max: int = 500) -> LemmaReport:
     rep = LemmaReport("stirling")
-    t0 = time.perf_counter()
     for r in range(1, r_max + 1):
         c = check_stirling_ratio(r)
         rep.record({"r": r}, c.passed, c.slack)
-    rep.elapsed_s = time.perf_counter() - t0
     return rep
 
 
@@ -846,7 +844,6 @@ def sweep_totient(x_max: int = 5000) -> LemmaReport:
     """Sweep x over the tenths {1.1, 1.2, ..., x_max} keeping exact running
     sums."""
     rep = LemmaReport("totient")
-    t0 = time.perf_counter()
     phi = pr.totient_sieve(x_max)
     s0 = 1  # phi(1)
     s1 = Fraction(1)
@@ -859,7 +856,6 @@ def sweep_totient(x_max: int = 5000) -> LemmaReport:
             s1 += Fraction(int(phi[floor_x]), floor_x)
         verdict = certify(_totient_rhs_upper(x), _totient_lhs(x, s0, s1))
         rep.record({"x": f"{k}/10"}, *verdict)
-    rep.elapsed_s = time.perf_counter() - t0
     return rep
 
 
@@ -869,7 +865,6 @@ def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
     base = exp(16j/(3h)), whose lower endpoint lower_product chains (1 * base
     is exact, so the chain starts at base's own endpoint)."""
     rep = LemmaReport("convexity")
-    t0 = time.perf_counter()
     for h in range(1, h_max + 1):
         for j in range(0, h // 8 + 1):
             base_lo = lo = IV.exp(IV.mpf(16 * j) / (3 * h))._mpi_[0]
@@ -879,14 +874,12 @@ def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
                 den *= (h - 2 * j) ** 2
                 rep.record({"h": h, "r": r, "j": j}, *certify((num, den), ratio(lo)))
                 lo = lower_product(lo, base_lo)
-    rep.elapsed_s = time.perf_counter() - t0
     return rep
 
 
 def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaReport:
     """All odd primes p <= p_max, all orders d | p-1, h <= h_max, r <= r_max."""
     rep = LemmaReport("s-upper")
-    t0 = time.perf_counter()
     for p in pr.primes_upto(p_max):
         p = int(p)
         if p == 2:
@@ -901,7 +894,6 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
                 for r in rs:
                     c = check_S_upper(spec, h, r, stats=stats[r])
                     rep.record({"p": p, "d": d, "h": h, "r": r}, c.passed, c.slack)
-    rep.elapsed_s = time.perf_counter() - t0
     return rep
 
 
@@ -909,7 +901,6 @@ def sweep_disjointness(trials: int = 200, p_max: int = 10**5, seed: int = 0) -> 
     """Random (p, H, X) with 2XH < p and X a quarter in [1, 40]; exact
     rational interval checks."""
     rep = LemmaReport("disjointness")
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     plist = [int(q) for q in pr.primes_upto(p_max) if q >= 11]
     if not plist:
@@ -930,7 +921,6 @@ def sweep_disjointness(trials: int = 200, p_max: int = 10**5, seed: int = 0) -> 
             None,
         )
         done += 1
-    rep.elapsed_s = time.perf_counter() - t0
     return rep
 
 
@@ -1014,7 +1004,6 @@ def sweep_proposition(min_instances: int = 50, p_limit: int = 10**5) -> LemmaRep
     """Lower bound plus sandwich on constructed quadratic instances, with
     iter_proposition_instances' n <= 3 and r in (1, 2)."""
     rep = LemmaReport("proposition")
-    t0 = time.perf_counter()
     regimes = {"u1_only": 0, "u2_only": 0, "mixed": 0, "trivial": 0}
     for inst, r in iter_proposition_instances(p_limit, max_instances=min_instances):
         sw = sandwich_report(inst.spec, inst.nf, inst.h, r)
@@ -1030,7 +1019,6 @@ def sweep_proposition(min_instances: int = 50, p_limit: int = 10**5) -> LemmaRep
             regimes["u2_only"] += 1
         else:
             regimes["mixed"] += 1
-    rep.elapsed_s = time.perf_counter() - t0
     if rep.worst_instance is not None:
         rep.worst_instance = dict(rep.worst_instance, regimes=regimes)
     return rep
@@ -1040,7 +1028,6 @@ def sweep_shifted_sum(p_limit: int = 1500, max_instances: int = 300) -> LemmaRep
     """Shifted-window lower bound over constructed starred intervals, for
     n <= 3 and two orders per prime: 2 and the least d | p-1 in [3, 7]."""
     rep = LemmaReport("sum-chi")
-    t0 = time.perf_counter()
     done = 0
     for p in map(int, pr.primes_upto(p_limit)):
         if done >= max_instances:
@@ -1097,7 +1084,6 @@ def sweep_shifted_sum(p_limit: int = 1500, max_instances: int = 300) -> LemmaRep
                                     done += 1
                                 rep.record(key, c.passed, slack, vacuous=c.vacuous)
                                 emitted += 1
-    rep.elapsed_s = time.perf_counter() - t0
     return rep
 
 
@@ -1144,9 +1130,9 @@ LEMMA_NAMES = tuple(_SWEEPS)
 def run_verification(
     lemmas: Sequence[str] | None = None, config: VerifyConfig | None = None
 ) -> dict:
-    """Run the selected lemma sweeps and assemble a JSON-ready report.  A
-    sweep whose grid holds no instance is refused (ValueError): its pass
-    would certify nothing."""
+    """Run the selected lemma sweeps, timing each into its elapsed_s, and
+    assemble a JSON-ready report.  A sweep whose grid holds no instance is
+    refused (ValueError): its pass would certify nothing."""
     cfg = config or VerifyConfig()
     names = list(lemmas) if lemmas else list(LEMMA_NAMES)
     unknown = [x for x in names if x not in LEMMA_NAMES]
@@ -1154,7 +1140,9 @@ def run_verification(
         raise ValueError(f"unknown lemma selectors {unknown}; valid: {LEMMA_NAMES}")
     reports: dict[str, LemmaReport] = {}
     for name in names:
+        t0 = time.perf_counter()
         reports[name] = _SWEEPS[name](cfg)
+        reports[name].elapsed_s = time.perf_counter() - t0
         if reports[name].instances_run == 0:
             raise ValueError(f"the {name} grid holds no instances; widen its bounds")
     return {

@@ -450,6 +450,19 @@ def _beats(value, witness, best, best_witness) -> bool:
     return best is None or value > best or (value == best and witness < best_witness)
 
 
+# Aggregate's and PerNStats' annotations -> whether a JSON value has that
+# type; the int checks go by exact type, since bool is an int subclass
+_JSON_TYPES = {
+    "int": lambda v: type(v) is int,
+    "int | None": lambda v: v is None or type(v) is int,
+    "float | None": lambda v: v is None or type(v) is float,
+    "tuple[int, int] | None": lambda v: v is None or (
+        type(v) is list and len(v) == 2 and all(type(x) is int for x in v)),
+    "list": lambda v: type(v) is list,
+    "list[PerNStats]": lambda v: type(v) is list,
+}
+
+
 @dataclass
 class PerNStats:
     n: int
@@ -522,14 +535,15 @@ class Aggregate:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Aggregate":
         """The inverse of to_json_obj after a JSON round trip.  A missing
-        field refuses the checkpoint instead of taking its default, and
-        witnesses come back as tuples, since _beats compares them."""
+        or mistyped field refuses the checkpoint instead of taking its
+        default or failing in a later comparison, and witnesses come back
+        as tuples, since _beats compares them."""
         def load(kind, o: dict):
-            names = [f.name for f in fields(kind)]
-            if missing := sorted(set(names) - o.keys()):
+            types = {f.name: f.type for f in fields(kind)}
+            if bad := [k for k, t in types.items() if k not in o or not _JSON_TYPES[t](o[k])]:
                 raise TaskMismatchError(
-                    f"checkpoint aggregate lacks {missing}; refusing to resume")
-            return kind(**{name: o[name] for name in names})
+                    f"checkpoint aggregate lacks or mistypes {bad}; refusing to resume")
+            return kind(**{k: o[k] for k in types})
 
         agg = load(cls, obj)
         agg.per_n = [load(PerNStats, s) for s in agg.per_n]

@@ -62,17 +62,22 @@ def test_table1_reproduction():
 
 
 def test_monotonicity_over_refined_grid():
-    """g nonincreasing in p and nondecreasing in n; zero violations."""
+    """All 45 published ceilings certified for every p >= p0 and n <= n0;
+    on the refined grid g's enclosures decrease along p and increase along n."""
     with criterion("monotonicity", 30.0):
-        table_grid = bd.monotonicity_scan(
-            list(range(1, 9)), [10.0**e for e in P0_EXPONENTS]
-        )
-        assert table_grid.ok, table_grid.violations
-        refined = bd.monotonicity_scan(
-            list(range(1, 9)), [10.0**e for e in range(7, 36)]
-        )
-        assert refined.ok, refined.violations
-        assert refined.valid_points > 150  # the grid is substantially covered
+        for n0, row in TABLE1.items():
+            for e, c in zip(P0_EXPONENTS, row):
+                if c is not None:
+                    cert = bd.certify_freeze(n0, 10**e, c)
+                    assert cert.ok, (n0, e, cert)
+        g = {(n, e): bd.enclose_g(n, 10**e)[2] for n in range(1, 9)
+             for e in range(7, 36) if bd.compute_g(n, 10.0**e).valid}
+        assert len(g) > 150  # the grid is substantially covered
+        for (n, e), iv in g.items():
+            if (n, e + 1) in g:  # g decreases along p
+                assert iv.a > g[n, e + 1].b, (n, e)
+            if (n + 1, e) in g:  # and increases along n
+                assert iv.b < g[n + 1, e].a, (n, e)
 
 
 def test_lemma_stirling():

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +9,7 @@ from table1_data import P0_EXPONENTS, TABLE1
 
 
 # Expected values frozen from an independent 60-digit mpmath evaluation of
-# the closed forms (see compute_g_highprec for the >= 100-bit path).
+# the closed forms (see enclose_g for the interval path).
 def test_totient_factor_f_values():
     assert bd.totient_factor_f(3.8) == pytest.approx(0.0058248342, abs=5e-4)
     assert bd.totient_factor_f(2.0) == pytest.approx(-0.77162089, abs=5e-4)
@@ -121,12 +120,20 @@ def test_table_renderings():
     assert bd.render_table_csv(dash).splitlines()[1] == "3,-"
 
 
-def test_monotonicity_scan_small_grid():
-    rep = bd.monotonicity_scan([1, 2, 3], [1e7, 1e8, 1e9])
-    assert rep.ok
-    assert rep.valid_points == 8  # (3, 1e7) is invalid
-    single = bd.monotonicity_scan([1], [1e7])
-    assert single.ok and single.pairs_checked == 0
+def test_certify_freeze_cases():
+    cert = bd.certify_freeze(1, 10**7, 1.530)
+    assert cert.ok and cert.failed == () and cert.min_slack_n == 1
+    assert 0 < cert.min_slack < 1e-3  # g(1, 10^7) = 1.52948
+    # g(7, 10^25) = 2.91598 exceeds 2.915; n <= 6 stay below it
+    below = bd.certify_freeze(7, 10**25, 2.915)
+    assert not below.ok and below.failed == ((7, bd.COND_G_LE_C),)
+    assert below.min_slack_n == 7 and -1e-3 < below.min_slack < 0
+    # X*(3, 10^7) = 2.62: invalid, and f(X*) < 0 leaves g unenclosed
+    dash = bd.certify_freeze(3, 10**7, 7.170)
+    assert not dash.ok
+    assert dash.failed == ((3, bd.COND_XSTAR), (3, bd.COND_G_LE_C))
+    assert bd.certify_freeze(1, 10**6, 2.0).failed == (
+        (1, bd.COND_P0_MIN), (1, bd.COND_LOGP_EXP))
 
 
 def test_burgess_params_example():
@@ -157,16 +164,18 @@ def test_burgess_params_too_small_p():
         bd.burgess_params(1, 2.0)  # floor(B log p) = 0
 
 
-def test_highprec_cross_check_on_table_grid():
-    # double-precision path agrees with the independent >=100-bit path
+def test_double_g_lies_in_its_enclosure_on_table_grid():
+    # the published double path agrees with the interval path, whose p is
+    # exactly 10^e where the double 10.0**e is not
     for n0 in range(1, 9):
         for e in P0_EXPONENTS:
             res = bd.compute_g(n0, 10.0**e)
+            xstar, f_at_xstar, g = bd.enclose_g(n0, 10**e)
             if res.g is None:
+                assert g is None
                 continue
-            hp = bd.compute_g_highprec(n0, mpmath.mpf(10) ** e)
-            assert hp is not None
-            assert abs(res.g - float(hp)) / float(hp) < 1e-12
+            for x, iv in ((res.xstar, xstar), (res.f_at_xstar, f_at_xstar), (res.g, g)):
+                assert float(iv.a) * (1 - 1e-12) <= x <= float(iv.b) * (1 + 1e-12)
 
 
 @given(

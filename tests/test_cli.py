@@ -1,8 +1,10 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -446,6 +448,10 @@ def _set(key, value, inside=None):
     return lambda ck: (ck[inside] if inside else ck).update({key: value})
 
 
+def _set_per_n(key, value):
+    return lambda ck: ck["aggregate"]["per_n"][0].update({key: value})
+
+
 @pytest.mark.parametrize("edit", [
     _drop("next_shard"),  # was a KeyError traceback, exit 1
     _set("per_n", "per_n", inside="aggregate"),  # was an AttributeError
@@ -455,10 +461,14 @@ def _set(key, value, inside=None):
     _set("per_n", [1], inside="aggregate"),
     _set("per_n", [], inside="aggregate"),  # was a summary without per-n stats
     _set("n_max", 2, inside="aggregate"),  # was a summary with n_max 2
+    _set_per_n("max_q", "x"),  # was a TypeError traceback in _beats, exit 1
+    _set_per_n("count", "3"), _set_per_n("max_ratio_witness", [1]),
+    _set("violations", True, inside="aggregate"),
 ], ids=["no-next_shard", "string-per_n", "next_shard-past-total", "negative-next_shard",
         "string-next_shard", "bool-next_shard", "no-byte_offset", "string-byte_offset",
         "negative-byte_offset", "no-aggregate", "list-aggregate", "per_n-of-ints",
-        "empty-per_n", "aggregate-n_max"])
+        "empty-per_n", "aggregate-n_max", "string-max_q", "string-count",
+        "short-max_ratio_witness", "bool-violations"])
 def test_scan_resume_refuses_malformed_checkpoint_exit_2(capsys, tmp_path, edit):
     out, ck = tmp_path / "r.jsonl", tmp_path / "ck.json"
     args = ["scan", "--p-lo", "1e7", "--p-hi", "1.0005e7", "--c", "1.530",
@@ -568,21 +578,21 @@ def test_scan_workers_from_flag_then_environment(monkeypatch):
     assert seen == [1, 3, 2]
 
 
+def run_module(*args):
+    """`python -m nonresidues.cli` in a child process that imports the
+    package under test, whether or not PYTHONPATH names it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "nonresidues.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_unknown_flag_rejected():
-    proc = subprocess.run(
-        [sys.executable, "-m", "nonresidues.cli", "table", "--frobnicate"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("table", "--frobnicate")
     assert proc.returncode == 2
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "nonresidues.cli", "nonresidues",
-         "--p", "7", "--d", "2", "--n", "3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("nonresidues", "--p", "7", "--d", "2", "--n", "3")
     assert proc.returncode == 0
     assert proc.stdout.split() == ["3", "5", "13"]
