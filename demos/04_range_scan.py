@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Walkthrough: scanning a prime range against a frozen bound.
 
-A scan is deterministic by construction: the range is sharded, shards are
-processed independently, and results are merged in shard order, so worker
-count never changes a byte of output.  Checkpoints commit after every
-shard, and a resumed run reproduces the uninterrupted output exactly.
+A scan is deterministic by construction: the range is sharded, batches of
+consecutive shards are computed row by row with no row depending on
+another, and results are merged in shard order, so neither the worker
+count nor the batching changes a byte of output.  Checkpoints commit at
+the end of every batch and name the next shard, and a resumed run
+reproduces the uninterrupted output exactly.
 """
 
 import json

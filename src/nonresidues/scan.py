@@ -9,19 +9,22 @@ means an implementation bug; the scanner halts on one by default, with a
 reproducer.
 
 Determinism is a hard requirement: the prime range is split into
-fixed-width shards, each shard is processed independently, and shard
-outputs are written and aggregated in shard order.  A shard works on whole
-columns, with no Python call per cell: a segmented sieve that strikes
-larger base primes one octave per numpy scatter, one batched nonresidue
-search, the bound's shapes in one comprehension per n (bit for bit those
-of bound_shape), vectorised ratios and bound filter, and its records
-written by %-templates, one per cell count, applied once to all its
-cells.  ScanRecord is the row view, and its to_jsonl and to_csv_row define
-the bytes each line must equal.
+fixed-width shards, the unit of output and of resume, and shard outputs
+are written and aggregated in shard order.  Shards are computed in
+batches of consecutive shards, the unit of work, of pool traffic and of
+checkpoint commits.  A batch works on whole columns, with no Python call
+per cell: a segmented sieve over its joint range that strikes larger base
+primes one octave per numpy scatter, one batched nonresidue search, the
+bound's shapes in one comprehension per n (bit for bit those of
+bound_shape), vectorised ratios and bound filter; it is then split back
+into shards, each written by %-templates, one per cell count, applied once
+to all its cells.  No row depends on another, so a shard's bytes do not
+depend on the batch it was computed in.  ScanRecord is the row view, and
+its to_jsonl and to_csv_row define the bytes each line must equal.
 The record stream and the summary are byte-identical for any worker count,
 and a checkpointed run resumed from interruption reproduces the
 uninterrupted output exactly (the checkpoint stores the output byte
-offset, and resume truncates back to it).
+offset and the next shard, and resume truncates back to it).
 
 Border arithmetic: ratios are stored as doubles, but the bound decision
 compares the exact integer q_n against a two-sided float enclosure of the
@@ -44,7 +47,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import primes as pr
-from .bounds import bound_shape, bound_shapes, ceil_3dp, compute_g, reference_validity
+from .bounds import (
+    bound_shape, bound_shapes, ceil_3dp, certify_freeze, compute_g, reference_validity,
+)
 from .characters import nonresidue_table
 from .rounding import DEFAULT_PREC, certify, interval_context, lower, upper
 
@@ -63,6 +68,10 @@ __all__ = [
 
 CHECKPOINT_VERSION = 1
 DEFAULT_SHARD_WIDTH = 10_000
+# integers per batch of shards, at most (a batch holds at least one shard):
+# large enough to spread a sieve's, a search's and a commit's fixed costs,
+# small enough to add only a few MB of columns
+_BATCH_SPAN = 1 << 17
 
 
 class ScanViolationError(AssertionError):
@@ -187,10 +196,17 @@ class ScanTask:
                     f"reference pair (n0={self.n0}, p0={self.p0}) is not "
                     f"valid: failed {failed}"
                 )
+            # below: a certificate that g(n, p) <= c for all p >= p0, n <= n0.
+            # above: a ceiling that ceil_3dp(g) = k/1000 always meets in
+            # doubles: the double (k-1)/1000 is below g, so (k-1)/1000 < g
+            # exactly (rounding is monotone); the double 0.001 exceeds 1/1000,
+            # so g + 0.001 > k/1000 exactly and rounds to at least its double
+            cert = certify_freeze(self.n0, self.p0, self.c)
             g_ref = compute_g(self.n0, self.p0).g
-            if not self.c >= g_ref or self.c > g_ref + 0.001 + 1e-9:
+            if not cert.ok or self.c > g_ref + 0.001:
                 raise ValueError(
                     f"c={self.c} is not a rounding-up of g(n0,p0)={g_ref:.6f}"
+                    + (f": failed {list(cert.failed)}" if cert.failed else "")
                 )
 
     @classmethod
@@ -377,8 +393,13 @@ class Shard:
         return lines % tuple(cells.tolist())
 
 
-def _compute_shard(task: ScanTask, i: int, fmt: str | None = None) -> Shard:
-    """Shard i of the task, with its text in the format fmt (None: none).
+def _compute_shards(task: ScanTask, shards: range, fmt: str | None = None) -> list[Shard]:
+    """The shards in the nonempty range shards, each with its text in the
+    format fmt (None: none), computed as one batch: one sieve over their
+    joint range, one rows call, one nonresidue search, one shapes pass and
+    one bound filter, then split into shards at each shard's lower end.
+    No row's result depends on another row, so each shard equals the one
+    that a one-shard batch gives.
 
     The bound is checked by a float filter: b = c * S, with S the shape
     bound_shape(n, p) (from bound_shapes, which equals it bit for bit),
@@ -399,8 +420,8 @@ def _compute_shard(task: ScanTask, i: int, fmt: str | None = None) -> Shard:
     (a bound-checked scan, with log p > 8(n0 - 1), has k <= 3.8 below
     2^63).  The error is then below 2.3*10^4 u < 2.6*10^-12 << 10^-9.
     """
-    lo, hi = task.shard_range(i)
-    p, d = task.policy.rows(pr.primes_in_range(lo, hi))
+    los = [task.shard_range(i)[0] for i in shards]
+    p, d = task.policy.rows(pr.primes_in_range(los[0], task.shard_range(shards[-1])[1]))
     q, count = nonresidue_table(p, d, task.n_max, task.search_cap)
     primes, at = np.unique(p, return_inverse=True)
     shape = np.array(bound_shapes(primes.tolist(), task.n_max))
@@ -411,31 +432,44 @@ def _compute_shard(task: ScanTask, i: int, fmt: str | None = None) -> Shard:
         ok = (np.arange(task.n_max) >= count[:, None]) | (q <= b * (1.0 - 1e-9))
         for r, n in zip(*np.nonzero(~ok & (q <= b * (1.0 + 1e-9)))):
             ok[r, n] = _bound_ok(int(q[r, n]), int(n) + 1, int(p[r]), task.c)
-    shard = Shard(p, d, q, count, ratio=q / shape, ok=ok, cap=count < task.n_max)
-    shard.text = shard.format(fmt) if fmt else ""
-    return shard
+    cols = (p, d, q, count, q / shape, ok, count < task.n_max)
+    cuts = np.searchsorted(p, los[1:]).tolist()
+    out = []
+    for a, b in zip([0, *cuts], [*cuts, len(p)]):
+        shard = Shard(*(col[a:b] for col in cols))
+        shard.text = shard.format(fmt) if fmt else ""
+        out.append(shard)
+    return out
 
 
-def _iter_shards(task: ScanTask, workers: int, first_shard: int = 0,
-                 fmt: str | None = None) -> Iterator[tuple[int, Shard]]:
-    """(i, shard i) in shard order, regardless of worker count, with the
-    shard's text in the format fmt (None: no text), as a generator that the
-    caller may close.  Refuses workers below 1 at the call, before any shard
-    is computed."""
+def _batches(task: ScanTask, workers: int, shards: range) -> list[range]:
+    """shards cut into consecutive batches of one size: one batch per
+    worker, or more where that would exceed _BATCH_SPAN integers, and at
+    least one shard each."""
+    size = max(1, min(-(-len(shards) // workers), _BATCH_SPAN // task.shard_width))
+    return [shards[a : a + size] for a in range(0, len(shards), size)]
+
+
+def _iter_batches(task: ScanTask, workers: int, shards: range,
+                  fmt: str | None = None) -> Iterator[tuple[range, list[Shard]]]:
+    """(batch, its shards) for the batches of shards in shard order,
+    regardless of worker count, with each shard's text in the format fmt
+    (None: no text), as a generator that the caller may close.  Refuses
+    workers below 1 at the call, before any shard is computed."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return _shard_stream(task, workers, range(first_shard, task.shard_count), fmt)
+    return _batch_stream(task, workers, _batches(task, workers, shards), fmt)
 
 
-def _shard_stream(task: ScanTask, workers: int, shards: range,
-                  fmt: str | None) -> Iterator[tuple[int, Shard]]:
-    args = (repeat(task), shards, repeat(fmt))
+def _batch_stream(task: ScanTask, workers: int, batches: list[range],
+                  fmt: str | None) -> Iterator[tuple[range, list[Shard]]]:
+    args = (repeat(task), batches, repeat(fmt))
     if workers == 1:
-        yield from zip(shards, map(_compute_shard, *args))
+        yield from zip(batches, map(_compute_shards, *args))
         return
     # the task pickles as it is: a worker does not validate it again
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        yield from zip(shards, ex.map(_compute_shard, *args))
+        yield from zip(batches, ex.map(_compute_shards, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +562,7 @@ class Aggregate:
         return agg
 
     def to_json_obj(self) -> dict:
-        """The fields, copied one level deep: this runs once per shard for
+        """The fields, copied one level deep: this runs once per batch for
         the checkpoint, where asdict's deep copy costs over 25 times as much."""
         return dict(vars(self), per_n=[dict(vars(s)) for s in self.per_n])
 
@@ -582,14 +616,17 @@ class ScanSummary:
 
 def scan_records(task: ScanTask, workers: int = 1) -> Iterator[ScanRecord]:
     """All records of the task in deterministic (p, d) order."""
-    for _, shard in _iter_shards(task, workers):
-        yield from map(shard.record, range(len(shard.p)))
+    for _, shards in _iter_batches(task, workers, range(task.shard_count)):
+        for shard in shards:
+            yield from map(shard.record, range(len(shard.p)))
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
+    """Commit payload to path: its sorted-key JSON, written whole to a .tmp
+    file that then replaces path (one write; json.dump writes piecemeal)."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))
     os.replace(tmp, path)
 
 
@@ -651,10 +688,13 @@ def run_scan(
     time; a violation halts it after writing the records up to and
     including the violating one.
 
-    With a checkpoint path, progress is committed after every shard; an
-    interrupted run resumed with identical arguments produces output files
-    byte-identical to an uninterrupted run.  stop_after_shards exists to
-    exercise exactly that (it simulates an interruption).
+    Shards are computed in batches (see _batches), and the record file is
+    flushed and, with a checkpoint path, progress committed at the end of
+    every batch, and before a violation halt, so that the checkpoint then
+    names the violating shard.  An interrupted run resumed with identical
+    arguments produces output files byte-identical to an uninterrupted run.
+    stop_after_shards exists to exercise exactly that (it simulates an
+    interruption): no shard past the stop is computed.
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be jsonl or csv, got {fmt!r}")
@@ -672,8 +712,12 @@ def run_scan(
         first_shard = ckpt["next_shard"]
         agg = Aggregate.from_json_obj(ckpt["aggregate"])
         byte_offset = ckpt["byte_offset"]
+    last_shard = task.shard_count
+    if stop_after_shards is not None:
+        last_shard = min(last_shard, first_shard + stop_after_shards)
     # bad workers are refused before the record file is opened; no file, no text
-    shards = _iter_shards(task, workers, first_shard, None if out_path is None else fmt)
+    batches = _iter_batches(task, workers, range(first_shard, last_shard),
+                            None if out_path is None else fmt)
 
     out = None
     if out_path is not None:
@@ -698,36 +742,39 @@ def run_scan(
             out.truncate(byte_offset)
             out.seek(byte_offset)
 
-    shards_done = 0
+    def commit(next_shard: int) -> None:
+        """Flush the records and checkpoint all shards before next_shard."""
+        if out is not None:
+            out.flush()
+        if checkpoint_path is not None:
+            _write_checkpoint(
+                checkpoint_path,
+                {
+                    "version": CHECKPOINT_VERSION,
+                    "task_hash": task_hash,
+                    "format": fmt,
+                    "shards_total": task.shard_count,
+                    "next_shard": next_shard,
+                    "byte_offset": out.tell() if out is not None else None,
+                    "aggregate": agg.to_json_obj(),
+                },
+            )
+
     try:
-        for i, shard in shards:
-            bad = np.flatnonzero(~shard.ok.all(axis=1)) if raise_on_violation else ()
-            if len(bad):  # records up to and including the first violation
+        for batch, shards in batches:
+            for i, shard in zip(batch, shards):
+                bad = np.flatnonzero(~shard.ok.all(axis=1)) if raise_on_violation else ()
+                if len(bad):  # records up to and including the first violation
+                    commit(i)
+                    if out is not None:
+                        out.write("".join(shard.text.splitlines(True)[: bad[0] + 1]))
+                    raise ScanViolationError(shard.record(bad[0]), task.c)
                 if out is not None:
-                    out.write("".join(shard.text.splitlines(True)[: bad[0] + 1]))
-                raise ScanViolationError(shard.record(bad[0]), task.c)
-            if out is not None:
-                out.write(shard.text)
-                out.flush()
-            agg.add(shard)
-            if checkpoint_path is not None:
-                _write_checkpoint(
-                    checkpoint_path,
-                    {
-                        "version": CHECKPOINT_VERSION,
-                        "task_hash": task_hash,
-                        "format": fmt,
-                        "shards_total": task.shard_count,
-                        "next_shard": i + 1,
-                        "byte_offset": out.tell() if out is not None else None,
-                        "aggregate": agg.to_json_obj(),
-                    },
-                )
-            shards_done += 1
-            if stop_after_shards is not None and shards_done >= stop_after_shards:
-                break
+                    out.write(shard.text)
+                agg.add(shard)
+            commit(batch.stop)
     finally:
-        shards.close()  # a pool stops with the scan, not when the frame is freed
+        batches.close()  # a pool stops with the scan, not when the frame is freed
         if out is not None:
             out.close()
 

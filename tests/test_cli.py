@@ -400,6 +400,18 @@ def test_scan_usage_errors(capsys):
     assert code == 2
 
 
+def test_scan_refuses_a_constant_below_the_certified_g(capsys, tmp_path):
+    # the double g(1, 10^7) lies below the true g: refused by the certificate
+    args = ["scan", "--p-lo", "1e7", "--p-hi", "10000100", "--n-max", "1", "--n0", "1",
+            "--p0", "1e7", "--summary", str(tmp_path / "s.json")]
+    code, _, err = run_cli([*args, "--c", "1.529478876435229"], capsys)
+    assert code == 2 and "g_le_c" in err and "Traceback" not in err
+    assert not (tmp_path / "s.json").exists()
+    code, _, err = run_cli([*args, "--c", "1.530"], capsys)
+    assert code == 0, err
+    assert json.loads((tmp_path / "s.json").read_text())["c"] == 1.53
+
+
 def test_scan_no_bound_check_needs_no_constant(capsys, tmp_path):
     summary_path = tmp_path / "s.json"
     code, _, err = run_cli(

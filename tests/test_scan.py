@@ -306,14 +306,24 @@ def test_scan_records_refuses_workers_below_one(tmp_path):
 def test_scan_task_refuses_a_constant_below_g(monkeypatch):
     g = bd.compute_g(1, 1e7).g
     task = small_task(c=bd.ceil_3dp(g))
-    for c in (g - 5e-10, math.nextafter(g, 0)):  # once let through by a 1e-9 allowance
-        with pytest.raises(ValueError, match="rounding-up"):
+    # the first two were once let through by a 1e-9 allowance; the double g
+    # itself lies 2.7e-16 below the true g(1, 10^7), and was once accepted
+    for c in (g - 5e-10, math.nextafter(g, 0), g):
+        with pytest.raises(ValueError, match=r"rounding-up.*g_le_c"):
             sc.ScanTask(**dict(task.__dict__, c=c))
-    assert sc.ScanTask(**dict(task.__dict__, c=g)).c == g
+    assert not bd.certify_freeze(1, 10**7, g).ok
+    # the ceiling g + 0.001 has no allowance: ceil_3dp(g) always meets it
+    top = g + 0.001
+    assert sc.ScanTask(**dict(task.__dict__, c=top)).c == top
+    with pytest.raises(ValueError, match="rounding-up"):
+        sc.ScanTask(**dict(task.__dict__, c=math.nextafter(top, 2)))
     # the default freeze rounds g up with ceil_3dp, never below g: for g one
-    # ulp above the double 1.126, g * 1000 rounds to 1126 exactly
+    # ulp above the double 1.126, g * 1000 rounds to 1126 exactly (the
+    # certificate is stubbed to g's side, since this g is not g(1, 10^7))
     g = math.nextafter(1.126, 2)
     monkeypatch.setattr(sc, "compute_g", lambda n0, p0: SimpleNamespace(g=g))
+    monkeypatch.setattr(sc, "certify_freeze", lambda n0, p0, c: SimpleNamespace(
+        ok=c >= g, failed=()))
     assert small_task(c=None).c == bd.ceil_3dp(g) == 1.127
 
 
@@ -531,8 +541,8 @@ def test_shard_text_equals_row_serializers(make_task):
     task = make_task()
     seen = set()
     for i in range(task.shard_count):
-        jsonl = sc._compute_shard(task, i, "jsonl")
-        csv = sc._compute_shard(task, i, "csv")
+        jsonl = sc._compute_shards(task, range(i, i + 1), "jsonl")[0]
+        csv = sc._compute_shards(task, range(i, i + 1), "csv")[0]
         recs = [jsonl.record(r) for r in range(len(jsonl.p))]
         assert jsonl.text.splitlines() == [
             json.dumps(rec.to_json_obj(), sort_keys=True) for rec in recs]
@@ -557,7 +567,7 @@ def test_shard_shapes_are_bound_shape_bit_for_bit(lo):
     primes = pr.primes_in_range(lo, lo + 1000).tolist()
     assert bd.bound_shapes(primes, 8) == [
         [bound_shape(n, p) for p in primes] for n in range(1, 9)]
-    shard = sc._compute_shard(task, 0)
+    shard = sc._compute_shards(task, range(1))[0]
     assert shard.p.tolist() == primes and (shard.count == 8).all()
     assert shard.ratio.tolist() == [
         [q / bound_shape(n, p) for n, q in enumerate(qs, 1)]
@@ -580,7 +590,7 @@ def test_shard_bound_filter_sends_only_border_cells_to_bound_ok(monkeypatch):
     for forged, verdict in ((c_tight * (1 + 1e-12), True), (c_tight * (1 - 1e-12), False)):
         object.__setattr__(task, "c", forged)
         calls.clear()
-        shard = sc._compute_shard(task, 0)
+        shard = sc._compute_shards(task, range(1))[0]
         assert calls == [(q, n, p, forged)]
         assert shard.p[0] == p and shard.ok[0, 0] == verdict
         for r in range(len(shard.p)):  # the filter agrees with _bound_ok everywhere
@@ -657,7 +667,7 @@ def test_resume_carries_caps_violations_and_tied_maxima(tmp_path, make_task, fmt
         jsonschema.validate(saved, json.load(fh))
     agg = saved["aggregate"]
     assert agg["cap_exhausted"] if make_task is _capped_task else agg["violation_examples"]
-    tail = [sc._compute_shard(task, i) for i in range(2, task.shard_count)]
+    tail = sc._compute_shards(task, range(2, task.shard_count))
     assert any(st["max_q"] in sh.q[sh.count >= st["n"], st["n"] - 1]
                for st in agg["per_n"] for sh in tail)
     s_res = sc.run_scan(task, out_path=str(part), fmt=fmt, checkpoint_path=str(ck),
@@ -714,3 +724,143 @@ def test_scan_outputs_match_golden(name, tmp_path):
         summary = sc.run_scan(task, out_path=str(out), fmt=fmt)
         assert out.read_bytes() == (data / f"{name}.{fmt}").read_bytes(), fmt
         assert summary.to_json() == (data / f"{name}.summary.json").read_text()
+
+
+def _sparse_task():
+    # 17-wide shards near 10^7, some of them without a prime
+    return sc.ScanTask(p_lo=10**7, p_hi=10**7 + 400, policy=sc.OrderPolicy.divisors_up_to(4),
+                       n_max=2, n0=2, p0=1e7, c=None, check_bound=False, shard_width=17)
+
+
+def _assert_same_shard(a, b):
+    for name in ("p", "d", "q", "count", "ratio", "ok", "cap"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all(), name
+    assert a.text == b.text
+
+
+@pytest.mark.parametrize("make_task", [
+    _capped_task, _forged_task, _sparse_task,
+    # int64 kernel tests below 2^50 and pow above, in one batch
+    lambda: sc.ScanTask.make(**GOLDEN_SCANS["scan_upto12_2e50"]),
+], ids=["capped", "forged", "sparse", "across-2e50"])
+def test_batched_shards_equal_one_shard_batches(make_task):
+    task = make_task()
+    n = task.shard_count
+    for fmt in ("jsonl", "csv", None):
+        alone = [sc._compute_shards(task, range(i, i + 1), fmt)[0] for i in range(n)]
+        if make_task is _sparse_task:
+            assert 0 in [len(s.p) for s in alone[1:-1]]  # empty shards inside a batch
+        for batch in (range(n), range(1, n - 1), range(n - 2, n)):
+            shards = sc._compute_shards(task, batch, fmt)
+            assert len(shards) == len(batch)
+            for i, shard in zip(batch, shards):
+                _assert_same_shard(shard, alone[i])
+
+
+def test_batch_sizes():
+    def sizes(p_lo, p_hi, width, workers, first=0):
+        task = sc.ScanTask(p_lo=p_lo, p_hi=p_hi, policy=sc.OrderPolicy.quadratic(), n_max=1,
+                           n0=1, p0=float(p_lo), c=None, check_bound=False, shard_width=width)
+        batches = sc._batches(task, workers, range(first, task.shard_count))
+        assert [i for b in batches for i in b] == list(range(first, task.shard_count))
+        return [len(b) for b in batches]
+
+    assert sc._BATCH_SPAN == 2**17
+    assert sizes(10**7, 10**7 + 2 * 10**5 - 1, 10_000, 1) == [13, 7]  # at most 2^17 wide
+    assert sizes(10**12, 10**12 + 9999, 1000, 2) == [5, 5]  # one batch per worker
+    assert sizes(10**12, 10**12 + 9999, 1000, 4) == [3, 3, 3, 1]
+    assert sizes(10**12, 10**12 + 9999, 1000, 16) == [1] * 10
+    assert sizes(10**12, 10**12 + 9999, 1000, 1, first=7) == [3]
+    assert sizes(10**12, 10**12 + 9999, 1000, 1, first=10) == []
+    assert sizes(10**7, 10**7 + 10**6 - 1, 2**18, 1) == [1, 1, 1, 1]  # wider than the span
+
+
+@pytest.fixture
+def commits(monkeypatch):
+    """The payloads of every checkpoint commit, each checked to be written as
+    one sorted-key json.dumps string."""
+    payloads = []
+    write = sc._write_checkpoint
+
+    def counted(path, payload):
+        write(path, payload)
+        with open(path) as fh:
+            assert fh.read() == json.dumps(payload, sort_keys=True)
+        payloads.append(json.loads(json.dumps(payload)))
+
+    monkeypatch.setattr(sc, "_write_checkpoint", counted)
+    return payloads
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_stop_inside_a_batch_commits_that_shard_and_resumes_exactly(
+        tmp_path, monkeypatch, commits, fmt):
+    # all 4 shards form one batch of a full run; a stop after 2 computes only
+    # those 2 and commits once, naming shard 2
+    task = _capped_task()
+    assert sc._batches(task, 1, range(task.shard_count)) == [range(4)]
+    full, part, ck = tmp_path / f"full.{fmt}", tmp_path / f"part.{fmt}", tmp_path / "ck.json"
+    s_full = sc.run_scan(task, out_path=str(full), fmt=fmt)
+    computed = []
+    compute = sc._compute_shards
+    monkeypatch.setattr(sc, "_compute_shards",
+                        lambda t, shards, f=None: computed.append(shards) or compute(t, shards, f))
+    sc.run_scan(task, out_path=str(part), fmt=fmt, checkpoint_path=str(ck), stop_after_shards=2)
+    assert computed == [range(2)]
+    assert [c["next_shard"] for c in commits] == [2]
+    head = sum(len(s.text) for s in compute(task, range(2), fmt))
+    assert commits[0]["byte_offset"] == part.stat().st_size == head + (
+        len(sc.csv_header(task.n_max)) + 1 if fmt == "csv" else 0)
+    s_res = sc.run_scan(task, out_path=str(part), fmt=fmt, checkpoint_path=str(ck))
+    assert computed == [range(2), range(2, 4)]
+    assert [c["next_shard"] for c in commits] == [2, 4]
+    assert part.read_bytes() == full.read_bytes()
+    assert s_res.to_json() == s_full.to_json()
+    assert json.loads(ck.read_text())["aggregate"] == json.loads(
+        json.dumps(s_full.aggregate.to_json_obj()))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_violation_inside_a_batch_commits_the_violating_shard(tmp_path, commits, workers):
+    task = _forged_task()
+    recs = list(sc.scan_records(task))
+    first = next(i for i, r in enumerate(recs) if not all(r.bound_ok))
+    bad_shard = (recs[first].p - task.p_lo) // task.shard_width
+    assert bad_shard >= 1
+    if workers == 1:  # the violation is not at a batch's first shard
+        assert sc._batches(task, 1, range(task.shard_count)) == [range(4)]
+    part, ck = tmp_path / "part.jsonl", tmp_path / "ck.json"
+    with pytest.raises(sc.ScanViolationError):
+        sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck), workers=workers)
+    saved = json.loads(ck.read_text())
+    before = [r for r in recs if r.p < task.shard_range(bad_shard)[0]]
+    assert commits[-1] == saved and saved["next_shard"] == bad_shard
+    assert saved["byte_offset"] == sum(len(r.to_jsonl()) + 1 for r in before)
+    assert saved["aggregate"]["records"] == len(before)
+    # resuming past the halt writes what an uninterrupted run writes
+    full = tmp_path / "full.jsonl"
+    s_full = sc.run_scan(task, out_path=str(full), raise_on_violation=False)
+    s_res = sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck),
+                        raise_on_violation=False)
+    assert part.read_bytes() == full.read_bytes()
+    assert s_res.to_json() == s_full.to_json()
+
+
+@pytest.mark.parametrize("span, workers, stop, want", [
+    (2**17, 1, None, [4]),  # one batch
+    (2000, 1, None, [2, 4]),  # batches of 2 shards
+    (2000, 2, None, [2, 4]),
+    (1000, 1, None, [1, 2, 3, 4]),  # one shard a batch
+    (2000, 1, 3, [2, 3]),  # the stop cuts the second batch
+    (2**17, 4, 1, [1]),
+])
+def test_one_commit_per_batch(tmp_path, monkeypatch, commits, span, workers, stop, want):
+    # a commit ends every batch; a stop ends the last one
+    monkeypatch.setattr(sc, "_BATCH_SPAN", span)
+    task = _capped_task()
+    ck = tmp_path / "ck.json"
+    sc.run_scan(task, out_path=str(tmp_path / "r.jsonl"), workers=workers,
+                checkpoint_path=str(ck), stop_after_shards=stop)
+    assert [c["next_shard"] for c in commits] == want
+    assert json.loads(ck.read_text()) == commits[-1]
