@@ -2,11 +2,14 @@
 """Walkthrough: scanning a prime range against a frozen bound.
 
 A scan is deterministic by construction: the range is sharded, batches of
-consecutive shards are computed row by row with no row depending on
-another, and results are merged in shard order, so neither the worker
-count nor the batching changes a byte of output.  Checkpoints commit at
-the end of every batch and name the next shard, and a resumed run
-reproduces the uninterrupted output exactly.
+consecutive shards (at most 2^17 integers each) are computed row by row
+with no row depending on another, and results are merged in shard order,
+so neither the worker count nor the batching changes a byte of output.
+Worker processes start only for two batches or more, at most one per
+batch; the 20,000-wide range below is one batch, so its 2-worker run is
+computed in this process too.  Checkpoints commit at the end of every
+batch and name the next shard, and a resumed run reproduces the
+uninterrupted output exactly.
 """
 
 import json

@@ -391,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cap", type=_positive_int, default=10**6)
     s.add_argument("--shard-width", type=int, default=sc.DEFAULT_SHARD_WIDTH)
     s.add_argument("--workers", type=_positive_int, default=None,
-                   help="worker processes (default: NONRES_WORKERS, else 1)")
+                   help="worker processes, started only for a scan of more than one "
+                        "2^17-integer batch, at most one per batch "
+                        "(default: NONRES_WORKERS, else 1)")
     s.add_argument("--out", default=None, help="record stream path")
     s.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     s.add_argument("--summary", default=None, help="summary path (default stdout)")

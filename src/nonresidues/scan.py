@@ -11,20 +11,22 @@ reproducer.
 Determinism is a hard requirement: the prime range is split into
 fixed-width shards, the unit of output and of resume, and shard outputs
 are written and aggregated in shard order.  Shards are computed in
-batches of consecutive shards, the unit of work, of pool traffic and of
-checkpoint commits.  A batch works on whole columns, with no Python call
-per cell: a segmented sieve over its joint range that strikes larger base
-primes one octave per numpy scatter, one batched nonresidue search, the
-bound's shapes in one comprehension per n (bit for bit those of
-bound_shape), vectorised ratios and bound filter; it is then split back
-into shards, each written by %-templates, one per cell count, applied once
-to all its cells.  No row depends on another, so a shard's bytes do not
-depend on the batch it was computed in.  ScanRecord is the row view, and
-its to_jsonl and to_csv_row define the bytes each line must equal.
-The record stream and the summary are byte-identical for any worker count,
-and a checkpointed run resumed from interruption reproduces the
-uninterrupted output exactly (the checkpoint stores the output byte
-offset and the next shard, and resume truncates back to it).
+batches of consecutive shards, at most 2^17 integers each whatever the
+worker count: the unit of work, of pool traffic and of checkpoint commits.
+Only a scan of two batches or more starts a pool, of at most one process
+per batch.  A batch works on whole columns, with no Python call per cell:
+a segmented sieve over its joint range that strikes larger base primes one
+octave per numpy scatter, one batched nonresidue search, the bound's
+shapes in one comprehension per n (bit for bit those of bound_shape),
+vectorised ratios and bound filter; it is then split back into shards,
+each written by %-templates, one per cell count, applied once to all its
+cells.  No row depends on another, so a shard's bytes do not depend on the
+batch it was computed in.  ScanRecord is the row view, and its to_jsonl
+and to_csv_row define the bytes each line must equal.  The record stream
+and the summary are byte-identical for any worker count, and a
+checkpointed run resumed from interruption reproduces the uninterrupted
+output exactly (the checkpoint stores the output byte offset and the next
+shard, and resume truncates back to it).
 
 Border arithmetic: ratios are stored as doubles, but the bound decision
 compares the exact integer q_n against a two-sided float enclosure of the
@@ -442,29 +444,30 @@ def _compute_shards(task: ScanTask, shards: range, fmt: str | None = None) -> li
     return out
 
 
-def _batches(task: ScanTask, workers: int, shards: range) -> list[range]:
-    """shards cut into consecutive batches of one size: one batch per
-    worker, or more where that would exceed _BATCH_SPAN integers, and at
-    least one shard each."""
-    size = max(1, min(-(-len(shards) // workers), _BATCH_SPAN // task.shard_width))
+def _batches(task: ScanTask, shards: range) -> list[range]:
+    """shards cut into consecutive batches of _BATCH_SPAN integers at most,
+    and at least one shard each, whatever the worker count."""
+    size = max(1, _BATCH_SPAN // task.shard_width)
     return [shards[a : a + size] for a in range(0, len(shards), size)]
 
 
 def _iter_batches(task: ScanTask, workers: int, shards: range,
                   fmt: str | None = None) -> Iterator[tuple[range, list[Shard]]]:
-    """(batch, its shards) for the batches of shards in shard order,
-    regardless of worker count, with each shard's text in the format fmt
-    (None: no text), as a generator that the caller may close.  Refuses
-    workers below 1 at the call, before any shard is computed."""
+    """(batch, its shards) for the batches of shards in shard order, with
+    each shard's text in the format fmt (None: no text), as a generator that
+    the caller may close.  A pool of min(workers, batches) processes computes
+    them if that is 2 or more, else this process does.  Refuses workers
+    below 1 at the call, before any shard is computed."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return _batch_stream(task, workers, _batches(task, workers, shards), fmt)
+    batches = _batches(task, shards)
+    return _batch_stream(task, min(workers, len(batches)), batches, fmt)
 
 
 def _batch_stream(task: ScanTask, workers: int, batches: list[range],
                   fmt: str | None) -> Iterator[tuple[range, list[Shard]]]:
     args = (repeat(task), batches, repeat(fmt))
-    if workers == 1:
+    if workers < 2:
         yield from zip(batches, map(_compute_shards, *args))
         return
     # the task pickles as it is: a worker does not validate it again
@@ -688,10 +691,11 @@ def run_scan(
     time; a violation halts it after writing the records up to and
     including the violating one.
 
-    Shards are computed in batches (see _batches), and the record file is
-    flushed and, with a checkpoint path, progress committed at the end of
-    every batch, and before a violation halt, so that the checkpoint then
-    names the violating shard.  An interrupted run resumed with identical
+    Shards are computed in batches (see _batches), in this process unless
+    there are two or more (see _iter_batches).  The record file is flushed
+    and, with a checkpoint path, progress committed at the end of every
+    batch, and before a violation halt, so that the checkpoint then names
+    the violating shard.  An interrupted run resumed with identical
     arguments produces output files byte-identical to an uninterrupted run.
     stop_after_shards exists to exercise exactly that (it simulates an
     interruption): no shard past the stop is computed.
@@ -778,11 +782,5 @@ def run_scan(
         if out is not None:
             out.close()
 
-    return ScanSummary(
-        task_hash=task_hash,
-        p_lo=task.p_lo,
-        p_hi=task.p_hi,
-        n_max=task.n_max,
-        c=task.c,
-        aggregate=agg,
-    )
+    return ScanSummary(task_hash=task_hash, p_lo=task.p_lo, p_hi=task.p_hi,
+                       n_max=task.n_max, c=task.c, aggregate=agg)

@@ -158,14 +158,17 @@ def test_character_oracle_equivalence():
         assert pairs > 8000
 
 
-def test_frozen_bound_scan():
+def test_frozen_bound_scan(monkeypatch, pool_starts):
     """[1e7, 1e7 + 1e5], quadratic, n_max=1, C=1.530: zero violations,
     byte-identical summaries across 1, 4 and 8 workers."""
+    # 6 batches of 2 shards, so the pools are 4 and 6 processes, not 4 and 8
+    monkeypatch.setattr(sc, "_BATCH_SPAN", 2 * sc.DEFAULT_SHARD_WIDTH)
     with criterion("frozen-bound-scan", 120.0):
         task = sc.ScanTask.make(
             p_lo=10**7, p_hi=10**7 + 10**5, n_max=1, n0=1, p0=1e7, c=1.530
         )
         summaries = {w: sc.run_scan(task, workers=w) for w in (1, 4, 8)}
+        assert pool_starts == [4, 6]
         blobs = {w: s.to_json() for w, s in summaries.items()}
         assert blobs[1] == blobs[4] == blobs[8]
         s = summaries[1]

@@ -94,27 +94,33 @@ def test_independent_q_recomputation_power_table():
         assert list(rec.q) == expected[: len(rec.q)]
 
 
-def test_worker_counts_agree():
+def test_worker_counts_agree(monkeypatch, pool_starts):
+    monkeypatch.setattr(sc, "_BATCH_SPAN", 1000)  # 4 batches of one shard
     task = small_task()
     s1 = sc.run_scan(task, workers=1)
     s2 = sc.run_scan(task, workers=2)
     s4 = sc.run_scan(task, workers=4)
+    assert pool_starts == [2, 4]
     assert s1.to_json() == s2.to_json() == s4.to_json()
     assert s1.aggregate.violations == 0
 
 
-def test_record_streams_identical_across_workers(tmp_path):
+def test_record_streams_identical_across_workers(tmp_path, monkeypatch, pool_starts):
+    monkeypatch.setattr(sc, "_BATCH_SPAN", 2000)  # 2 batches of 2 shards
     task = small_task()
     blobs = []
     for w in (1, 2, 4, 8):
         path = tmp_path / f"records_w{w}.jsonl"
         sc.run_scan(task, out_path=str(path), workers=w)
         blobs.append(path.read_bytes())
+    assert pool_starts == [2, 2, 2]  # one process per batch at most
     assert all(b == blobs[0] for b in blobs)
 
 
-def test_orders_scan_identical_across_workers_and_resume(tmp_path):
+def test_orders_scan_identical_across_workers_and_resume(tmp_path, monkeypatch,
+                                                         pool_starts):
     # p near 10^12: every base prime above 1000 takes the one-multiple strike
+    monkeypatch.setattr(sc, "_BATCH_SPAN", 1000)  # one shard a batch
     task = sc.ScanTask.make(10**12, 10**12 + 3999,
                             policy=sc.OrderPolicy.divisors_up_to(12), n_max=3,
                             shard_width=1000)
@@ -128,6 +134,8 @@ def test_orders_scan_identical_across_workers_and_resume(tmp_path):
                 stop_after_shards=1)
     sc.run_scan(task, out_path=str(part), workers=8, checkpoint_path=str(ck))
     blobs.append(part.read_bytes())
+    # 4 batches at 2, 4 and 8 workers; none for the stop's 1; 3 on resume
+    assert pool_starts == [2, 4, 4, 3]
     assert blobs[0] and all(b == blobs[0] for b in blobs)
 
 
@@ -249,11 +257,12 @@ def test_no_bound_check_allows_low_range():
     assert [r.p for r in recs] == [int(p) for p in pr.primes_in_range(100, 200)]
 
 
-def test_make_without_bound_check_computes_no_constant():
+def test_make_without_bound_check_computes_no_constant(pool_starts):
     # g(3, 1e7) is undefined, which must not matter when nothing is checked
     task = sc.ScanTask.make(10**7, 10**7 + 100, n_max=3, check_bound=False)
     assert task.c is None
     summary = sc.run_scan(task, workers=2)
+    assert pool_starts == []  # one batch: 2 workers start no pool
     assert summary.aggregate.records > 0 and summary.aggregate.violations == 0
     assert json.loads(summary.to_json())["c"] is None
 
@@ -677,7 +686,9 @@ def test_resume_carries_caps_violations_and_tied_maxima(tmp_path, make_task, fmt
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-def test_violation_halt_writes_through_the_first_violation(tmp_path, fmt):
+def test_violation_halt_writes_through_the_first_violation(tmp_path, monkeypatch,
+                                                           pool_starts, fmt):
+    monkeypatch.setattr(sc, "_BATCH_SPAN", 2000)  # the halt stops a pool of 2
     task = _forged_task()
     full = tmp_path / f"full.{fmt}"
     sc.run_scan(task, out_path=str(full), fmt=fmt, raise_on_violation=False)
@@ -687,6 +698,7 @@ def test_violation_halt_writes_through_the_first_violation(tmp_path, fmt):
     part = tmp_path / f"part.{fmt}"
     with pytest.raises(sc.ScanViolationError) as exc:
         sc.run_scan(task, out_path=str(part), fmt=fmt, workers=2)
+    assert pool_starts == [2]
     assert exc.value.record == recs[first]
     head = 1 if fmt == "csv" else 0
     lines = full.read_text().splitlines(keepends=True)
@@ -759,21 +771,21 @@ def test_batched_shards_equal_one_shard_batches(make_task):
 
 
 def test_batch_sizes():
-    def sizes(p_lo, p_hi, width, workers, first=0):
+    # the range alone decides the batches; the worker count does not enter
+    def sizes(p_lo, p_hi, width, first=0):
         task = sc.ScanTask(p_lo=p_lo, p_hi=p_hi, policy=sc.OrderPolicy.quadratic(), n_max=1,
                            n0=1, p0=float(p_lo), c=None, check_bound=False, shard_width=width)
-        batches = sc._batches(task, workers, range(first, task.shard_count))
+        batches = sc._batches(task, range(first, task.shard_count))
         assert [i for b in batches for i in b] == list(range(first, task.shard_count))
         return [len(b) for b in batches]
 
     assert sc._BATCH_SPAN == 2**17
-    assert sizes(10**7, 10**7 + 2 * 10**5 - 1, 10_000, 1) == [13, 7]  # at most 2^17 wide
-    assert sizes(10**12, 10**12 + 9999, 1000, 2) == [5, 5]  # one batch per worker
-    assert sizes(10**12, 10**12 + 9999, 1000, 4) == [3, 3, 3, 1]
-    assert sizes(10**12, 10**12 + 9999, 1000, 16) == [1] * 10
-    assert sizes(10**12, 10**12 + 9999, 1000, 1, first=7) == [3]
-    assert sizes(10**12, 10**12 + 9999, 1000, 1, first=10) == []
-    assert sizes(10**7, 10**7 + 10**6 - 1, 2**18, 1) == [1, 1, 1, 1]  # wider than the span
+    assert sizes(10**7, 10**7 + 2 * 10**5 - 1, 10_000) == [13, 7]  # at most 2^17 wide
+    assert sizes(10**10, 10**10 + 4 * 10**6 - 1, 10_000) == [13] * 30 + [10]
+    assert sizes(10**12, 10**12 + 9999, 1000) == [10]  # one batch: no pool to feed
+    assert sizes(10**12, 10**12 + 9999, 1000, first=7) == [3]
+    assert sizes(10**12, 10**12 + 9999, 1000, first=10) == []
+    assert sizes(10**7, 10**7 + 10**6 - 1, 2**18) == [1, 1, 1, 1]  # wider than the span
 
 
 @pytest.fixture
@@ -799,7 +811,7 @@ def test_stop_inside_a_batch_commits_that_shard_and_resumes_exactly(
     # all 4 shards form one batch of a full run; a stop after 2 computes only
     # those 2 and commits once, naming shard 2
     task = _capped_task()
-    assert sc._batches(task, 1, range(task.shard_count)) == [range(4)]
+    assert sc._batches(task, range(task.shard_count)) == [range(4)]
     full, part, ck = tmp_path / f"full.{fmt}", tmp_path / f"part.{fmt}", tmp_path / "ck.json"
     s_full = sc.run_scan(task, out_path=str(full), fmt=fmt)
     computed = []
@@ -822,17 +834,21 @@ def test_stop_inside_a_batch_commits_that_shard_and_resumes_exactly(
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_violation_inside_a_batch_commits_the_violating_shard(tmp_path, commits, workers):
+def test_violation_inside_a_batch_commits_the_violating_shard(
+        tmp_path, monkeypatch, commits, pool_starts, workers):
     task = _forged_task()
     recs = list(sc.scan_records(task))
     first = next(i for i, r in enumerate(recs) if not all(r.bound_ok))
     bad_shard = (recs[first].p - task.p_lo) // task.shard_width
     assert bad_shard >= 1
     if workers == 1:  # the violation is not at a batch's first shard
-        assert sc._batches(task, 1, range(task.shard_count)) == [range(4)]
+        assert sc._batches(task, range(task.shard_count)) == [range(4)]
+    else:  # 2 batches of 2 shards, in a pool of 2
+        monkeypatch.setattr(sc, "_BATCH_SPAN", 2 * task.shard_width)
     part, ck = tmp_path / "part.jsonl", tmp_path / "ck.json"
     with pytest.raises(sc.ScanViolationError):
         sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck), workers=workers)
+    assert pool_starts == ([2] if workers == 2 else [])
     saved = json.loads(ck.read_text())
     before = [r for r in recs if r.p < task.shard_range(bad_shard)[0]]
     assert commits[-1] == saved and saved["next_shard"] == bad_shard
@@ -853,14 +869,44 @@ def test_violation_inside_a_batch_commits_the_violating_shard(tmp_path, commits,
     (2000, 2, None, [2, 4]),
     (1000, 1, None, [1, 2, 3, 4]),  # one shard a batch
     (2000, 1, 3, [2, 3]),  # the stop cuts the second batch
-    (2**17, 4, 1, [1]),
+    (2**17, 4, 1, [1]),  # one batch: no pool
+    (1000, 8, None, [1, 2, 3, 4]),  # a pool of 4, one process per batch
+    (1000, 4, 3, [1, 2, 3]),  # a pool of 3 for the batches before the stop
 ])
-def test_one_commit_per_batch(tmp_path, monkeypatch, commits, span, workers, stop, want):
+def test_one_commit_per_batch(tmp_path, monkeypatch, commits, pool_starts,
+                              span, workers, stop, want):
     # a commit ends every batch; a stop ends the last one
     monkeypatch.setattr(sc, "_BATCH_SPAN", span)
     task = _capped_task()
     ck = tmp_path / "ck.json"
     sc.run_scan(task, out_path=str(tmp_path / "r.jsonl"), workers=workers,
                 checkpoint_path=str(ck), stop_after_shards=stop)
+    pool = min(workers, len(want))  # one commit per batch
+    assert pool_starts == ([pool] if pool > 1 else [])
     assert [c["next_shard"] for c in commits] == want
     assert json.loads(ck.read_text()) == commits[-1]
+
+
+def test_one_batch_scan_starts_no_pool(tmp_path, monkeypatch):
+    # 4 shards in one batch: 8 workers compute it in this process, as 1 does
+    def refuse(max_workers):
+        raise AssertionError(f"a pool of {max_workers} started for one batch")
+
+    monkeypatch.setattr(sc, "ProcessPoolExecutor", refuse)
+    task = _capped_task()
+    assert sc._batches(task, range(task.shard_count)) == [range(4)]
+    outputs = {}
+    for w in (1, 8):
+        out, ck = tmp_path / f"r{w}.jsonl", tmp_path / f"ck{w}.json"
+        summary = sc.run_scan(task, out_path=str(out), workers=w, checkpoint_path=str(ck))
+        outputs[w] = (out.read_bytes(), summary.to_json(), ck.read_bytes())
+    assert outputs[8] == outputs[1] and outputs[1][0]
+
+
+def test_pool_has_at_most_one_process_per_batch(pool_starts):
+    # 5 shards of 2^16 integers are 3 batches: 16 workers start 3 processes
+    task = sc.ScanTask.make(10**7, 10**7 + 5 * 2**16 - 1, n_max=1, shard_width=2**16)
+    assert [len(b) for b in sc._batches(task, range(task.shard_count))] == [2, 2, 1]
+    s16 = sc.run_scan(task, workers=16)
+    assert pool_starts == [3]
+    assert s16.to_json() == sc.run_scan(task, workers=1).to_json()
