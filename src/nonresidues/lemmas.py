@@ -40,12 +40,13 @@ one raw endpoint: a logarithm (totient, proposition) or a product
 disjointness compares integer numerators over one common denominator.
 
 Every character sum comes from one window kernel (_window_m2) over the
-spec's one table of values (CharacterSpec.values), which returns |w_x|^2
-for all p window starts: exact integers for quadratic characters,
-complex128 with an a-priori error bound (Higham, ch. 3-4) for higher
-orders.  The moments propagate that bound, and the shifted-window
-check passes a window only when the enclosure clears the bound or
-|w| = h exactly.
+spec's one table of values (CharacterSpec.values).  One pass grows the
+windows to the largest h and returns |w_x|^2 for all p window starts, one
+row per h <= h_max: exact integers for quadratic characters, complex128
+with a per-row a-priori error bound (Higham, ch. 3-4) for higher orders.
+Every (h, r) moment of a character comes from one such table.  The
+moments propagate the row's bound, and the shifted-window check passes a
+window only when the enclosure clears the bound or |w| = h exactly.
 
 These statements are theorems, so every check on a valid instance must
 pass; a failure signals a bug in this package, never new mathematics.
@@ -146,28 +147,34 @@ def _gamma(k: int) -> float:
     return k * _U / (1 - k * _U)
 
 
-def _window_m2(values: np.ndarray, h: int) -> tuple[np.ndarray, float]:
-    """|w_x|^2 for every window start x in [0, p), w_x = sum_{m<h} chi(x+m).
+def _window_m2(values: np.ndarray, h_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """|w_x|^2 for every window length h <= h_max and start x in [0, p),
+    w_x = sum_{m<h} chi(x+m): row h-1 of the (h_max, p) table, and its
+    error bound errs[h-1].
 
     The one window-sum kernel behind every character-sum oracle.  values
     holds chi(0), ..., chi(p-1) as in CharacterSpec.values; windows wrap
-    mod p = len(values) and are summed in the order m = 0, ..., h-1.  For
-    int64 values (d = 2) the sums are exact and the error is 0.  For
-    complex128 values (d > 2) the error E bounds |computed - exact| for
-    every window a priori (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 3-4): each component of w sums h terms of
-    modulus <= 1, each within 2u of exact, so it is within
-    e = h (2u + gamma_{h-1}); then |a^2 - a'^2| <= e (2h + e) per
-    component, and forming the squares and their sum adds gamma_2 of a
-    value below h^2 + 2e (2h + e).
+    mod p = len(values) and are summed in the order m = 0, ..., h-1.  One
+    pass grows the windows to h_max: the running sum after term m is the
+    window of length m + 1, so row h-1 holds the same additions in the
+    same order whatever h_max is, bit for bit.  For int64 values (d = 2)
+    the sums are exact and the error is 0.  For complex128 values (d > 2)
+    errs[h-1] bounds |computed - exact| for every window of length h a
+    priori (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 3-4): each component of w sums h terms of modulus <= 1, each
+    within 2u of exact, so it is within e = h (2u + gamma_{h-1}); then
+    |a^2 - a'^2| <= e (2h + e) per component, and forming the squares and
+    their sum adds gamma_2 of a value below h^2 + 2e (2h + e).
     """
     p = len(values)
-    vals = np.resize(values, p + h - 1)
-    w = vals[:p].copy()
-    for m in range(1, h):
-        w += vals[m : m + p]
+    vals = np.resize(values, p + h_max - 1)
+    w = np.empty((h_max, p), dtype=vals.dtype)
+    w[0] = vals[:p]
+    for m in range(1, h_max):
+        np.add(w[m - 1], vals[m : m + p], out=w[m])
     if w.dtype.kind == "i":
-        return w * w, 0.0
+        return w * w, np.zeros(h_max)
+    h = np.arange(1.0, h_max + 1)
     e = h * (2 * _U + _gamma(h - 1))
     shift = 2 * e * (2 * h + e)
     # A positive expression evaluated in float is within a factor 1/2 of its
@@ -176,47 +183,55 @@ def _window_m2(values: np.ndarray, h: int) -> tuple[np.ndarray, float]:
 
 
 def _sum_S_multi(
-    spec: CharacterSpec, h: int, r_values: Sequence[int]
-) -> dict[int, SumStats]:
-    """S(chi, h, r) for several r from one call of the window kernel.
+    spec: CharacterSpec, h_values: Sequence[int], r_values: Sequence[int]
+) -> dict[tuple[int, int], SumStats]:
+    """S(chi, h, r) for every h in h_values and r in r_values, keyed (h, r),
+    from one window-kernel pass grown to the largest h.
 
-    d = 2: exact Python integers from a bincount of the window values
-    |w_x|^2.  d > 2: float64 sums of |w_x|^(2r) with a propagated bound.
-    With E the kernel's error and Y = m2_x + E, above both the computed and
-    the exact |w_x|^2, the power misses by at most
+    d = 2: exact Python integers from one bincount per row of |w_x|^2.
+    d > 2: float64 sums of |w_x|^(2r) with a propagated bound, per row.
+    With E the row's kernel error and Y = m2_x + E, above both the computed
+    and the exact |w_x|^2, the power misses by at most
     r Y^(r-1) E + gamma_{r-1} Y^r per window, and the sum over the p
-    windows adds gamma_{p-1} times a sum below 2 sum Y^r.
+    windows adds gamma_{p-1} times a sum below 2 sum Y^r.  The products run
+    elementwise on the table of the requested rows; its rows are
+    C-contiguous, and NumPy reduces each contiguous row along axis 1 with
+    the same pairwise summation as the 1-D .sum() of that row, so every
+    moment is the one a single-h, single-r call computes.
     """
     p = spec.p
-    if not 1 <= h < p:
-        raise ValueError(f"need 1 <= h < p, got h={h}, p={p}")
-    if any(r < 1 for r in r_values):
-        raise ValueError(f"moment powers must be >= 1, got {r_values!r}")
-    r_set = sorted(set(r_values))
-    m2, err = _window_m2(spec.values, h)
+    h_set, r_set = sorted(set(h_values)), sorted(set(r_values))
+    if not (h_set and r_set and 1 <= h_set[0] and h_set[-1] < p and r_set[0] >= 1):
+        raise ValueError(f"need some 1 <= h < p={p} and r >= 1, got {h_values!r}, {r_values!r}")
+    table, errs = _window_m2(spec.values, h_set[-1])
     moments = {}
     if spec.d == 2:
-        counts = np.bincount(m2)
-        squares = np.flatnonzero(counts)
-        pairs = list(zip(squares.tolist(), counts[squares].tolist()))
-        for r in r_set:
-            moments[r] = sum(c * v**r for v, c in pairs), 0.0
+        for h in h_set:
+            counts = np.bincount(table[h - 1])
+            squares = np.flatnonzero(counts)
+            pairs = list(zip(squares.tolist(), counts[squares].tolist()))
+            for r in r_set:
+                moments[h, r] = sum(c * v**r for v, c in pairs), 0.0
     else:
-        y = m2 + err
-        pw = np.ones(p)
-        y_pw = np.ones(p)
+        rows = [h - 1 for h in h_set]
+        m2, err = table[rows], errs[rows]
+        y = m2 + err[:, None]
+        pw = np.ones(m2.shape)
+        y_pw = np.ones(m2.shape)
         for r in range(1, r_set[-1] + 1):
-            y_prev = float(y_pw.sum())
+            y_prev = y_pw.sum(axis=1)
             pw *= m2
             y_pw *= y
             if r in r_set:
                 gamma = _gamma(r - 1) + 2 * _gamma(p - 1)
-                bound = r * err * y_prev + gamma * float(y_pw.sum())
-                moments[r] = float(pw.sum()), 2 * bound  # doubled as in _window_m2
+                # doubled as in _window_m2
+                bound = 2 * (r * err * y_prev + gamma * y_pw.sum(axis=1))
+                for h, value, b in zip(h_set, pw.sum(axis=1).tolist(), bound.tolist()):
+                    moments[h, r] = value, b
     out = {}
-    for r, (value, bound) in moments.items():
+    for (h, r), (value, bound) in moments.items():
         _sanity_moment(p, h, r, value, bound)
-        out[r] = SumStats(p=p, h=h, r=r, value=value, error_bound=bound)
+        out[h, r] = SumStats(p=p, h=h, r=r, value=value, error_bound=bound)
     return out
 
 
@@ -231,8 +246,8 @@ def _sanity_moment(p: int, h: int, r: int, value, err: float) -> None:
 
 def exact_sum_S(spec: CharacterSpec, h: int, r: int) -> SumStats:
     """The complete moment S(chi, h, r): exact for d = 2, else with a
-    rigorous error bound.  Reads spec.values, O(p) memory."""
-    return _sum_S_multi(spec, h, (r,))[r]
+    rigorous error bound.  Reads spec.values, O(h p) memory."""
+    return _sum_S_multi(spec, (h,), (r,))[h, r]
 
 
 @dataclass(frozen=True)
@@ -269,6 +284,13 @@ def _s_upper_rhs_lo(p: int, h: int, r: int) -> tuple[int, int]:
     return a * (p * hr) * b_d + b * ((2 * r - 1) * hr * hr) * a_d, a_d * b_d
 
 
+def _s_upper_verdict(p: int, h: int, r: int, stats: SumStats) -> tuple[bool, float, tuple]:
+    """(passed, slack, rhs_lo) of S <= the bound at (p, h, r), with S taken at
+    value + error_bound: the one decision of check_S_upper and sweep_s_upper."""
+    rhs_lo = _s_upper_rhs_lo(p, h, r)
+    return *certify(stats.upper(), rhs_lo), rhs_lo
+
+
 def check_S_upper(
     spec: CharacterSpec, h: int, r: int, stats: SumStats | None = None
 ) -> InequalityCheck:
@@ -287,8 +309,7 @@ def check_S_upper(
         raise ValueError(f"need r <= 9h, got r={r}, h={h}")
     if stats is None:
         stats = exact_sum_S(spec, h, r)
-    rhs_lo = _s_upper_rhs_lo(p, h, r)
-    passed, slack = certify(stats.upper(), rhs_lo)
+    passed, slack, rhs_lo = _s_upper_verdict(p, h, r, stats)
     return InequalityCheck(
         passed=passed, lhs=float(stats.value), rhs=to_float(*rhs_lo), slack=slack
     )
@@ -615,8 +636,8 @@ def check_shifted_sum_lower(
     Requires: the window hypothesis (chi = 1 on (0, H] off u, enumerated
     directly, HypothesisError otherwise), u1 | a, gcd(a, b) = 1, and a
     starred interval kind.  Each window reads its |w|^2 from the window
-    kernel (_window_m2, or its result for (spec, h) passed as `window`):
-    exact for quadratic characters.  For higher orders a window passes
+    kernel's row for h (_window_m2, or that row and its error passed as
+    `window`): exact for quadratic characters.  For higher orders a window passes
     only if the kernel's enclosure clears the
     bound, m2 - E >= (h-2j)^2, or if its h values are one and the same
     nonzero root, so that |w| = h exactly; that covers the equality case
@@ -639,7 +660,7 @@ def check_shifted_sum_lower(
     p = spec.p
     zs = np.array(interval.integers(), dtype=np.int64)
     xs = zs % p
-    m2, err = window if window is not None else _window_m2(spec.values, h)
+    m2, err = window if window is not None else [a[h - 1] for a in _window_m2(spec.values, h)]
     # m2 >= need gives |w|^2 >= m2 - err >= bound^2; need is rounded up
     need = bound * bound if err == 0 else math.nextafter(bound * bound + err, math.inf)
     t_win = spec.t_table[(xs[:, None] + np.arange(h)) % p]
@@ -878,22 +899,21 @@ def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
 
 
 def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaReport:
-    """All odd primes p <= p_max, all orders d | p-1, h <= h_max, r <= r_max."""
+    """All odd primes p <= p_max, all orders d | p-1, h <= min(h_max, p-1)
+    and r <= min(r_max, 9h), the hypothesis r <= 9h of check_S_upper.  One
+    _sum_S_multi call per (p, d) gives every (h, r) moment."""
     rep = LemmaReport("s-upper")
-    for p in pr.primes_upto(p_max):
-        p = int(p)
-        if p == 2:
+    for p in map(int, pr.primes_upto(p_max)):
+        hs = range(1, min(h_max, p - 1) + 1)
+        if p == 2 or not hs or r_max < 1:
             continue
-        for d in pr.divisors(p - 1):
-            if d < 2:
-                continue
-            spec = CharacterSpec.of_order(p, d)
-            for h in range(1, min(h_max, p - 1) + 1):
-                rs = list(range(1, min(r_max, 9 * h) + 1))
-                stats = _sum_S_multi(spec, h, rs)
-                for r in rs:
-                    c = check_S_upper(spec, h, r, stats=stats[r])
-                    rep.record({"p": p, "d": d, "h": h, "r": r}, c.passed, c.slack)
+        rs = range(1, min(r_max, 9 * hs[-1]) + 1)
+        for d in pr.divisors(p - 1)[1:]:
+            stats = _sum_S_multi(CharacterSpec.of_order(p, d), hs, rs)
+            for h in hs:
+                for r in range(1, min(r_max, 9 * h) + 1):
+                    passed, slack, _ = _s_upper_verdict(p, h, r, stats[h, r])
+                    rep.record({"p": p, "d": d, "h": h, "r": r}, passed, slack)
     return rep
 
 
@@ -1043,7 +1063,7 @@ def sweep_shifted_sum(p_limit: int = 1500, max_instances: int = 300) -> LemmaRep
             except SearchCapExceededError:
                 continue
             spec = CharacterSpec.of_order(p, d)
-            windows = {}  # h -> the window kernel's result for (spec, h)
+            table = errs = None  # the window kernel's rows for spec, grown on demand
             for n in range(1, 4):
                 H = q[n - 1] - 1
                 if H < 2 or H >= p:
@@ -1073,9 +1093,10 @@ def sweep_shifted_sum(p_limit: int = 1500, max_instances: int = 300) -> LemmaRep
                                 itv = farey_interval(kind, a, b, p, H, h)
                                 if not itv.integers():
                                     continue
-                                if h not in windows:
-                                    windows[h] = _window_m2(spec.values, h)
-                                c = check_shifted_sum_lower(spec, nf, h, itv, windows[h])
+                                if table is None or h > len(table):
+                                    table, errs = _window_m2(spec.values, h)
+                                c = check_shifted_sum_lower(spec, nf, h, itv,
+                                                            (table[h - 1], errs[h - 1]))
                                 key = {"p": p, "d": d, "n": n, "h": h,
                                        "a": a, "b": b, "kind": kind}
                                 slack = None

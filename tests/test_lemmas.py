@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -65,12 +67,13 @@ def test_sum_S_brute_force_oracle():
         spec = CharacterSpec.of_order(p, 2)
         table = [0 if t < 0 else (1 if t == 0 else -1)
                  for t in spec.t_table.tolist()]
-        for h in range(1, min(8, p - 1) + 1):
+        hs = range(1, min(8, p - 1) + 1)
+        got = lm._sum_S_multi(spec, hs, range(1, 7))
+        for h in hs:
             sums = [sum(table[(x + m) % p] for m in range(h)) for x in range(p)]
-            got = lm._sum_S_multi(spec, h, range(1, 7))
             for r in range(1, 7):
                 brute = sum(w ** (2 * r) for w in sums)
-                assert got[r].value == brute and got[r].error_bound == 0.0
+                assert got[h, r].value == brute and got[h, r].error_bound == 0.0
                 assert lm.exact_sum_S(spec, h, r).value == brute
 
 
@@ -94,19 +97,20 @@ def test_sum_S_higher_orders_against_mpmath():
             if d <= 2:
                 continue
             spec = CharacterSpec.of_order(p, d)
-            for h in range(1, min(8, p - 1) + 1):
+            hs = range(1, min(8, p - 1) + 1)
+            # the multi-h table and moments, as sweep_s_upper takes them
+            table, errs = lm._window_m2(spec.values, hs[-1])
+            got = lm._sum_S_multi(spec, hs, range(1, 7))
+            for h in hs:
                 exact_m2 = _mpmath_window_m2(spec, h)
-                m2, err = lm._window_m2(spec.values, h)
-                got = lm._sum_S_multi(spec, h, range(1, 7))
                 with mpmath.workprec(200):
-                    for a, b in zip(m2.tolist(), exact_m2):
-                        assert abs(mpmath.mpf(a) - b) <= err, (p, d, h)
+                    for a, b in zip(table[h - 1].tolist(), exact_m2):
+                        assert abs(mpmath.mpf(a) - b) <= errs[h - 1], (p, d, h)
                     for r in range(1, 7):
+                        s = got[h, r]
                         exact = mpmath.fsum(v**r for v in exact_m2)
-                        miss = abs(mpmath.mpf(got[r].value) - exact)
-                        assert miss <= got[r].error_bound, (p, d, h, r)
-                        bound_ok = got[r].error_bound < 1e-6 * got[r].value + 1e-6
-                        assert bound_ok, (p, d, h, r)
+                        assert abs(mpmath.mpf(s.value) - exact) <= s.error_bound, (p, d, h, r)
+                        assert s.error_bound < 1e-6 * s.value + 1e-6, (p, d, h, r)
                         checked += 1
     assert checked > 1500
 
@@ -118,8 +122,9 @@ def test_sum_S_higher_order_evaluation_orders_agree(spec11_5):
     m2, err = lm._window_m2(v, 3)
     for k in range(1, 11):
         m2_k, err_k = lm._window_m2(np.roll(v, k), 3)
-        assert err_k == err
-        assert np.array_equal(m2_k, np.roll(m2, k))
+        assert np.array_equal(err_k, err)
+        assert np.array_equal(m2_k, np.roll(m2, k, axis=1))
+    m2, err = m2[-1], err[-1]
     # summed in another order, the moment stays inside both error bounds
     s = lm.exact_sum_S(spec11_5, 3, 2)
     assert abs(float((np.roll(m2, 4) ** 2).sum()) - s.value) <= 2 * s.error_bound
@@ -129,8 +134,8 @@ def test_sum_S_higher_order_evaluation_orders_agree(spec11_5):
 def test_sum_S_shift_invariance_exact(spec5):
     for off in (1, 2, 3):
         m2, err = lm._window_m2(np.roll(spec5.values, off), 2)
-        assert err == 0 and m2.tolist() == np.roll([1, 0, 4, 0, 1], off).tolist()
-        assert int(m2.sum()) == 6
+        assert not err.any() and m2[1].tolist() == np.roll([1, 0, 4, 0, 1], off).tolist()
+        assert int(m2[1].sum()) == 6 and int(m2[0].sum()) == 4
 
 
 def test_window_kernel_does_not_certify_a_near_miss():
@@ -138,7 +143,8 @@ def test_window_kernel_does_not_certify_a_near_miss():
     # |w|^2 = 5 + 4 cos(2 pi / 10^6) falls below h^2 = 9 by about 8e-11
     with mpmath.workprec(113):
         zeta = complex(mpmath.expjpi(mpmath.mpf(2) / 10**6))
-    m2, err = lm._window_m2(np.array([0, 1, 1, zeta]), 3)
+    table, errs = lm._window_m2(np.array([0, 1, 1, zeta]), 3)
+    m2, err = table[2], errs[2]
     with mpmath.workprec(200):
         exact = 5 + 4 * mpmath.cospi(mpmath.mpf(2) / 10**6)
         assert abs(mpmath.mpf(m2[1]) - exact) <= err
@@ -232,14 +238,14 @@ def test_s_upper_matches_fraction_formula():
     for p in map(int, pr.primes_upto(300)):
         if p == 2:
             continue
+        hs = range(1, min(8, p - 1) + 1)
         for d in pr.divisors(p - 1)[1:]:
             spec = CharacterSpec.of_order(p, d)
-            for h in range(1, min(8, p - 1) + 1):
-                stats = lm._sum_S_multi(spec, h, range(1, 7))
-                for r in range(1, 7):
-                    c = lm.check_S_upper(spec, h, r, stats=stats[r])
-                    assert (c.passed, c.rhs, c.slack) == _fraction_s_upper(
-                        stats[r], p, h, r), (p, d, h, r)
+            stats = lm._sum_S_multi(spec, hs, range(1, 7))  # as sweep_s_upper does
+            for (h, r), s in stats.items():
+                c = lm.check_S_upper(spec, h, r, stats=s)
+                assert (c.passed, c.rhs, c.slack) == _fraction_s_upper(
+                    s, p, h, r), (p, d, h, r)
     # a moment pushed just past the bound fails, with the same slack
     stats = lm.exact_sum_S(CharacterSpec.of_order(7, 3), 2, 1)
     lo = Fraction(*lm._s_upper_rhs_lo(7, 2, 1))
@@ -248,6 +254,50 @@ def test_s_upper_matches_fraction_formula():
         c = lm.check_S_upper(CharacterSpec.of_order(7, 3), 2, 1, stats=forged)
         assert (c.passed, c.rhs, c.slack) == _fraction_s_upper(forged, 7, 2, 1)
         assert c.passed == (err < float(lo - stats.value))
+
+
+def _s_upper_grid(p_max, h_max):
+    """(p, d, hs) of sweep_s_upper's grid: odd p <= p_max, d | p-1 with
+    d >= 2, and hs = 1..min(h_max, p-1)."""
+    for p in map(int, pr.primes_upto(p_max)):
+        if p > 2:
+            for d in pr.divisors(p - 1)[1:]:
+                yield p, d, range(1, min(h_max, p - 1) + 1)
+
+
+def test_s_upper_moments_and_report_match_golden():
+    # Pinned from the per-h window kernel that the multi-h table replaced:
+    # every moment of the default grid (p <= 300, d | p-1, h <= 8, r <= 6),
+    # hashed as repr of an int or hex of a float, value and error bound,
+    # and the default sweep's report without elapsed_s.
+    path = pathlib.Path(__file__).parent / "data" / "s_upper_default.json"
+    want = json.loads(path.read_text())
+    digest, count = hashlib.sha256(), 0
+    for p, d, hs in _s_upper_grid(300, 8):
+        got = lm._sum_S_multi(CharacterSpec.of_order(p, d), hs, range(1, 7))
+        for h in hs:
+            for r in range(1, 7):
+                s = got[h, r]
+                v = repr(s.value) if isinstance(s.value, int) else s.value.hex()
+                digest.update(f"{p} {d} {h} {r} {v} {s.error_bound.hex()}\n".encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (want["moments"], want["moment_sha256"])
+    rep = dataclasses.asdict(lm.sweep_s_upper(300, 8, 6))
+    del rep["elapsed_s"]
+    assert rep == want["report"]
+
+
+def test_s_upper_sweep_cuts_r_at_9h_and_matches_single_h_moments():
+    # r_max = 12 exceeds 9h at h = 1, so the sweep runs r <= min(12, 9h)
+    rep = lm.sweep_s_upper(13, 2, 12)
+    want = sum(min(12, 9 * h) for _, _, hs in _s_upper_grid(13, 2) for h in hs)
+    assert rep.instances_run == rep.passes == want == 294
+    for p, d, hs in _s_upper_grid(13, 2):
+        spec = CharacterSpec.of_order(p, d)
+        got = lm._sum_S_multi(spec, hs, range(1, 13))
+        assert len(got) == len(hs) * 12
+        for (h, r), s in got.items():  # the single-h path of the proposition
+            assert s == lm.exact_sum_S(spec, h, r), (p, d, h, r)
 
 
 def test_s_upper_endpoint_bound_within_interval_formula():
@@ -684,7 +734,8 @@ def test_shifted_sum_passes_only_certified_windows(monkeypatch):
     # with a kernel error too wide to clear any bound, only windows whose
     # values are all one nonzero root (|w| = h exactly) may still pass
     real = lm._window_m2
-    monkeypatch.setattr(lm, "_window_m2", lambda v, h: (real(v, h)[0], h * h))
+    monkeypatch.setattr(lm, "_window_m2",
+                        lambda v, h: (real(v, h)[0], [k * k for k in range(1, h + 1)]))
     c = lm.check_shifted_sum_lower(*_order3_instance(j=1))
     assert not c.passed and not c.vacuous
     assert "not certified" in c.detail
@@ -718,9 +769,26 @@ def test_shifted_sum_sweep():
     assert rep.instances_run - rep.vacuous_skips >= 50
 
 
+def test_shifted_sum_sweep_passes_each_h_its_own_row(monkeypatch):
+    # the sweep grows one window table per character; each check must get
+    # the row and error of its own h, whatever h the table has grown to
+    real, seen = lm.check_shifted_sum_lower, set()
+
+    def checked(spec, nf, h, itv, window):
+        table, errs = lm._window_m2(spec.values, h)
+        assert np.array_equal(window[0], table[h - 1]) and window[1] == errs[h - 1]
+        seen.add((spec.p, spec.d, h))
+        return real(spec, nf, h, itv, window)
+
+    monkeypatch.setattr(lm, "check_shifted_sum_lower", checked)
+    assert lm.sweep_shifted_sum(600, max_instances=100).failures == 0
+    assert {h for *_, h in seen} >= {1, 2, 3, 4, 5} and any(d > 2 for _, d, _ in seen)
+
+
 def test_shifted_sum_takes_the_window_kernel_result():
     spec, nf, h, itv = _order3_instance(j=0)
-    window = lm._window_m2(spec.values, h)
+    table, errs = lm._window_m2(spec.values, h + 3)  # rows past h change nothing
+    window = table[h - 1], errs[h - 1]
     assert lm.check_shifted_sum_lower(spec, nf, h, itv, window=window) == (
         lm.check_shifted_sum_lower(spec, nf, h, itv))
 
@@ -886,6 +954,16 @@ def test_run_verification_refuses_grids_without_instances():
                        ("disjointness", lm.VerifyConfig(disjoint_p_max=7))):
         with pytest.raises(ValueError):
             lm.run_verification([lemma], cfg)
+    for cfg in (lm.VerifyConfig(s_upper_h_max=0), lm.VerifyConfig(s_upper_r_max=0)):
+        with pytest.raises(ValueError, match="the s-upper grid holds no instances"):
+            lm.run_verification(["s-upper"], cfg)
+    assert lm.sweep_s_upper(37, 8, 0).instances_run == 0
+    # the moment function refuses an empty h or r list for every order
+    for d in (2, 3):
+        spec = CharacterSpec.of_order(7, d)
+        for hs, rs in (((2,), []), ([], (1,)), ([], [])):
+            with pytest.raises(ValueError, match="need some 1 <= h < p"):
+                lm._sum_S_multi(spec, hs, rs)
 
 
 def test_run_verification_selectors_and_shape():
