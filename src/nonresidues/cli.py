@@ -42,8 +42,9 @@ def schema_path(name: str) -> str:
     return str(resources.files("nonresidues.schemas").joinpath(f"{name}.schema.json"))
 
 
-class UsageError(Exception):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """Invalid input: exit 2.  As an ArgumentTypeError it is also refused by
+    argparse, with exit 2 and its message, when a `type=` parser raises it."""
 
 
 def _parse_int_spec(spec: str) -> list[int]:
@@ -62,7 +63,10 @@ def _parse_int_spec(spec: str) -> list[int]:
 
 
 def _parse_finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise UsageError(f"not a finite number: {text!r}")
     return value
@@ -123,11 +127,12 @@ def _positive_int(text: str) -> int:
 
 
 def _write_out(text: str, path: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +265,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{rep['failures']} failures, {rep['vacuous_skips']} vacuous, "
             f"{rep['elapsed_s']:.1f}s"
         )
-    if args.report:
-        _write_out(json.dumps(report, indent=2), args.report)
-    else:
-        _write_out(json.dumps(report, indent=2), None)
+    _write_out(json.dumps(report, indent=2), args.report or None)
     return EXIT_OK if report["all_passed"] else EXIT_FAIL
 
 
@@ -350,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="frozen constant and bound at (n, p)")
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--p", type=float, required=True)
+    b.add_argument("--p", type=_parse_finite, required=True)
     b.add_argument("--n0", type=int, default=None, help="reference n0 (default n)")
-    b.add_argument("--p0", type=float, default=None, help="reference p0 (default p)")
+    b.add_argument("--p0", type=_parse_finite, default=None, help="reference p0 (default p)")
     b.add_argument("--format", choices=("text", "json"), default="text")
     b.add_argument("--out", default=None)
     b.set_defaults(func=cmd_bound)
@@ -385,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quadratic | upto:D | set:d1,d2,...")
     s.add_argument("--n-max", type=int, default=1)
     s.add_argument("--n0", type=int, default=None, help="reference n0 (default n-max)")
-    s.add_argument("--p0", type=float, default=None, help="reference p0 (default p-lo)")
-    s.add_argument("--c", type=float, default=None,
+    s.add_argument("--p0", type=_parse_finite, default=None,
+                   help="reference p0 (default p-lo)")
+    s.add_argument("--c", type=_parse_finite, default=None,
                    help="frozen constant (default: g(n0,p0) rounded up)")
     s.add_argument("--cap", type=_positive_int, default=10**6)
     s.add_argument("--shard-width", type=int, default=sc.DEFAULT_SHARD_WIDTH)
@@ -415,10 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -60,7 +60,8 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -966,12 +967,26 @@ def build_instance(p: int, d: int, n: int, h: int) -> ConstructedInstance:
 
 
 def _window_split_candidates(u_primes: Sequence[int], H: int) -> list[int]:
-    """Window lengths that exercise every split of u into u1 * u2."""
-    cands = {1, 2, 3, 5}
-    for q in u_primes:
-        cands.add(q)  # q lands in u2 (split is "strictly below h" vs ">= h")
-        cands.add(q + 1)  # q lands in u1
-    return sorted(c for c in cands if c >= 1 and 2 * c < H)
+    """Window lengths h with 2h < H that exercise every split of u into u1 * u2:
+    1, 2, 3, 5, and each prime q of u, in u2 at h = q and in u1 at h = q + 1."""
+    cands = {1, 2, 3, 5, *u_primes, *(q + 1 for q in u_primes)}
+    return sorted(c for c in cands if 2 * c < H)
+
+
+def _constructed(p: int, d: int, n_max: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(n, h, q) for each constructed instance of the order-d character mod p:
+    q lists its first n_max prime nonresidues, u = q_1 ... q_{n-1} and H = q_n - 1
+    for every n <= n_max with q_n <= p (so u's factors are below p), and h runs
+    over _window_split_candidates(u, H).  Nothing if the search hits its cap."""
+    try:
+        q = prime_nonresidues(p, d, n_max)
+    except SearchCapExceededError:
+        return
+    for n in range(1, n_max + 1):
+        if q[n - 1] > p:
+            return
+        for h in _window_split_candidates(q[: n - 1], q[n - 1] - 1):
+            yield n, h, q
 
 
 def iter_proposition_instances(
@@ -980,44 +995,30 @@ def iter_proposition_instances(
     r_values: Sequence[int] = (1, 2),
     max_instances: int | None = None,
 ) -> Iterable[tuple[ConstructedInstance, int]]:
-    """Construction sweep for the moment lower bound, quadratic characters.
-
-    Yields (instance, r) pairs whose preconditions all hold; vacuous
-    (h <= 2j) combinations are not yielded.
-    """
-    count = 0
+    """Construction sweep for the moment lower bound, quadratic characters:
+    the instances of _constructed(p, 2, n_max), odd p <= p_limit, with H^2 < hp,
+    X/u1 > 1 for X = H/(2h) (2h < H by construction) and h > 2j, each paired
+    with every r of r_values; at most max_instances pairs in all."""
     if max_instances is not None and max_instances < 1:
         return
-    for p in map(int, pr.primes_upto(p_limit)):
-        if p == 2:
-            continue
+    count = 0
+    for p in map(int, pr.primes_upto(p_limit)[1:]):
         spec = None
-        try:
-            q = prime_nonresidues(p, 2, n_max)
-        except SearchCapExceededError:
-            continue
-        for n in range(1, n_max + 1):
+        for n, h, q in _constructed(p, 2, n_max):
             H = q[n - 1] - 1
-            if H < 3:
+            if H * H >= h * p:  # before the factorization's primality tests
                 continue
-            u_primes = q[: n - 1]
-            for h in _window_split_candidates(u_primes, H):
-                if H * H >= h * p:
-                    continue
-                nf = nonresidue_factorization(u_primes, h, H, p)
-                x = Fraction(H, 2 * h)
-                if not (x > 1 and x / nf.u1 > 1):
-                    continue
-                if h - 2 * nf.j <= 0:
-                    continue
-                if spec is None:
-                    spec = CharacterSpec.of_order(p, 2)
-                inst = ConstructedInstance(spec=spec, nf=nf, h=h, q=tuple(q))
-                for r in r_values:
-                    yield inst, r
-                    count += 1
-                    if max_instances is not None and count >= max_instances:
-                        return
+            nf = nonresidue_factorization(q[: n - 1], h, H, p)
+            if H <= 2 * h * nf.u1 or h <= 2 * nf.j:
+                continue
+            if spec is None:
+                spec = CharacterSpec.of_order(p, 2)
+            inst = ConstructedInstance(spec=spec, nf=nf, h=h, q=tuple(q))
+            for r in r_values:
+                yield inst, r
+                count += 1
+                if count == max_instances:
+                    return
 
 
 def sweep_proposition(min_instances: int = 50, p_limit: int = 10**5) -> LemmaReport:
@@ -1045,66 +1046,43 @@ def sweep_proposition(min_instances: int = 50, p_limit: int = 10**5) -> LemmaRep
 
 
 def sweep_shifted_sum(p_limit: int = 1500, max_instances: int = 300) -> LemmaReport:
-    """Shifted-window lower bound over constructed starred intervals, for
-    n <= 3 and two orders per prime: 2 and the least d | p-1 in [3, 7]."""
+    """Shifted-window lower bound on the instances of _constructed(p, d, 3) for
+    odd p <= p_limit, d = 2 and the least d | p-1 in [3, 7].  Intervals, in
+    order: a = u1, 2u1, 3u1 with H > a(h-1) (else I*, J* hold no point), the
+    first three b coprime to a, kinds I* then J*, and only those holding
+    integers.  A vacuous h (h <= 2j) runs its first interval only, and only
+    the first vacuous h of each n runs.  max_instances bounds the non-vacuous
+    checks, tested between characters: a character's instances all run."""
     rep = LemmaReport("sum-chi")
     done = 0
-    for p in map(int, pr.primes_upto(p_limit)):
-        if done >= max_instances:
-            break
-        if p == 2:
-            continue
-        orders = [2] + [d for d in pr.divisors(p - 1) if 3 <= d <= 7][:1]
-        for d in orders:
+    for p in map(int, pr.primes_upto(p_limit)[1:]):
+        for d in [2] + [d for d in pr.divisors(p - 1) if 3 <= d <= 7][:1]:
             if done >= max_instances:
-                break
-            try:
-                q = prime_nonresidues(p, d, 3)
-            except SearchCapExceededError:
-                continue
+                return rep
             spec = CharacterSpec.of_order(p, d)
             table = errs = None  # the window kernel's rows for spec, grown on demand
-            for n in range(1, 4):
+            vacuous_ns = set()
+            for n, h, q in _constructed(p, d, 3):
                 H = q[n - 1] - 1
-                if H < 2 or H >= p:
-                    continue
-                u_primes = q[: n - 1]
-                vacuous_kept = 0
-                for h in _window_split_candidates(u_primes, H):
-                    nf = nonresidue_factorization(u_primes, h, H, p)
-                    vacuous = h - 2 * nf.j <= 0
-                    if vacuous:
-                        # keep one degenerate instance per (p,d,n) so the
-                        # vacuous tagging stays exercised
-                        if vacuous_kept >= 1:
-                            continue
-                        vacuous_kept += 1
-                    u1 = nf.u1
-                    emitted = 0
-                    for mult in (1, 2, 3):
-                        a = u1 * mult
-                        if a < 1 or Fraction(H, a) - h + 1 <= 0:
-                            continue
-                        bs = [b for b in range(a) if math.gcd(a, b) == 1][:3]
-                        for b in bs:
-                            for kind in ("I*", "J*"):
-                                if vacuous and emitted:
-                                    break
-                                itv = farey_interval(kind, a, b, p, H, h)
-                                if not itv.integers():
-                                    continue
-                                if table is None or h > len(table):
-                                    table, errs = _window_m2(spec.values, h)
-                                c = check_shifted_sum_lower(spec, nf, h, itv,
-                                                            (table[h - 1], errs[h - 1]))
-                                key = {"p": p, "d": d, "n": n, "h": h,
-                                       "a": a, "b": b, "kind": kind}
-                                slack = None
-                                if not c.vacuous:
-                                    slack = c.min_abs - c.threshold
-                                    done += 1
-                                rep.record(key, c.passed, slack, vacuous=c.vacuous)
-                                emitted += 1
+                nf = nonresidue_factorization(q[: n - 1], h, H, p)
+                vacuous = h <= 2 * nf.j
+                if vacuous:
+                    if n in vacuous_ns:
+                        continue
+                    vacuous_ns.add(n)
+                itvs = (itv for a in (nf.u1, 2 * nf.u1, 3 * nf.u1) if H > a * (h - 1)
+                        for b in islice((b for b in range(a) if math.gcd(a, b) == 1), 3)
+                        for kind in ("I*", "J*")
+                        for itv in [farey_interval(kind, a, b, p, H, h)] if itv.integers())
+                for itv in islice(itvs, 1 if vacuous else None):
+                    if table is None or h > len(table):
+                        table, errs = _window_m2(spec.values, h)
+                    c = check_shifted_sum_lower(spec, nf, h, itv, (table[h - 1], errs[h - 1]))
+                    key = {"p": p, "d": d, "n": n, "h": h,
+                           "a": itv.a, "b": itv.b, "kind": itv.kind}
+                    slack = None if c.vacuous else c.min_abs - c.threshold
+                    done += not c.vacuous
+                    rep.record(key, c.passed, slack, vacuous=c.vacuous)
     return rep
 
 

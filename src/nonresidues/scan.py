@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -182,6 +183,8 @@ class ScanTask:
             raise ValueError(f"search_cap must be >= 1, got {self.search_cap}")
         if self.p_hi >= 3:  # 3 is the least prime with a record
             bound_shape(self.n_max, self.p_hi)  # the largest shape; refuses overflow
+        if self.c is not None and not math.isfinite(self.c):
+            raise ValueError(f"c must be a finite number, got {self.c!r}")
         if self.check_bound:
             if self.n_max > self.n0:
                 raise ValueError(
@@ -192,6 +195,9 @@ class ScanTask:
                     f"p_lo={self.p_lo} is below the reference p0={self.p0}; "
                     f"the frozen constant only covers p >= p0"
                 )
+            # certify_freeze below decides every condition of this check too,
+            # but in time linear in n0 (about 0.3 s at n0 = 1,000); this one
+            # refuses an invalid pair in microseconds, whatever n0 is
             ok, failed = reference_validity(self.n0, self.p0)
             if not ok:
                 raise ValueError(

@@ -179,6 +179,27 @@ def test_reversed_scan_range_exits_2(bounds, check_bound):
     assert_refused(argv if check_bound else argv + ["--no-bound-check"])
 
 
+NON_FINITE = ("inf", "-inf", "nan", "1e400")
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("argv", [
+    ["bound", "--n=1", "--p={}"],
+    ["bound", "--n=1", "--p=1e7", "--p0={}"],
+    ["scan", "--p-lo=1e7", "--p-hi=1.0001e7", "--n0=1", "--p0={}"],
+    ["scan", "--p-lo=1e7", "--p-hi=1.0001e7", "--n0=1", "--p0=1e7", "--c={}"],
+    ["scan", "--p-lo=1e7", "--p-hi=1.0001e7", "--c={}", "--no-bound-check"],
+    ["scan", "--p-lo=1e7", "--p-hi=1.0001e7", "--p0={}", "--no-bound-check"],
+], ids=" ".join)
+def test_non_finite_float_options_exit_2(argv, value):
+    # --c inf raised OverflowError in certify_freeze, and with
+    # --no-bound-check wrote "c": Infinity into the summary; bound --p inf
+    # exited 2 with a message that named no failed condition
+    argv = [a.format(value) for a in argv]
+    assert_refused(argv)
+    assert "not a finite number" in main_in_process(argv)[1]
+
+
 def test_bound_text_and_json(capsys):
     code, out, _ = run_cli(["bound", "--n", "1", "--p", "1e7"], capsys)
     assert code == 0 and "1.530" in out and "q_1" in out

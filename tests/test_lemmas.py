@@ -793,6 +793,52 @@ def test_shifted_sum_takes_the_window_kernel_result():
         lm.check_shifted_sum_lower(spec, nf, h, itv))
 
 
+def _recorded(sweep, *args):
+    """The report of sweep(*args) without elapsed_s, and every (key, passed,
+    repr(slack), vacuous) that LemmaReport.record received, in order."""
+    calls, record = [], lm.LemmaReport.record
+
+    def spy(self, key, passed, slack, vacuous=False):
+        calls.append((key, passed, repr(slack), vacuous))
+        record(self, key, passed, slack, vacuous)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lm.LemmaReport, "record", spy)
+        report = dataclasses.asdict(sweep(*args))
+    del report["elapsed_s"]
+    return report, calls
+
+
+def _sha256(items):
+    return hashlib.sha256("".join(f"{x!r}\n" for x in items).encode()).hexdigest()
+
+
+def _construction_pins():
+    """What the constructed-instance sweeps produce: the records and reports
+    of both sweeps at the `verify --all` defaults; which sum-chi instances
+    run, in order, for every p <= 1500 (the third b coprime to a is first
+    taken at p = 1447); and the (p, h, q, u1, u2, H, r) that
+    iter_proposition_instances yields for n <= 3 and r <= 3."""
+    pins = {}
+    for name, sweep, args in (("sum-chi", lm.sweep_shifted_sum, (1500, 300)),
+                              ("proposition", lm.sweep_proposition, (50, 10**5))):
+        report, calls = _recorded(sweep, *args)
+        pins[name] = {"records_sha256": _sha256(calls), "report": report}
+    _, calls = _recorded(lm.sweep_shifted_sum, 1500, 10**5)
+    pins["sum-chi, every p <= 1500"] = {
+        "records": len(calls), "keys_sha256": _sha256((c[0], c[3]) for c in calls)}
+    pairs = [(inst.spec.p, inst.h, inst.q, inst.nf.u1, inst.nf.u2, inst.nf.H, r)
+             for inst, r in lm.iter_proposition_instances(10**5, n_max=3, r_values=(1, 2, 3))]
+    pins["proposition_instances"] = {"count": len(pairs), "sha256": _sha256(pairs)}
+    return pins
+
+
+def test_constructed_instances_match_golden():
+    # Pinned from the two separate constructions that _constructed replaced
+    path = pathlib.Path(__file__).parent / "data" / "constructed_instances.json"
+    assert _construction_pins() == json.loads(path.read_text())
+
+
 # -- proposition lower bound and sandwich ------------------------------------
 
 

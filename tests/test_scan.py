@@ -336,6 +336,26 @@ def test_scan_task_refuses_a_constant_below_g(monkeypatch):
     assert small_task(c=None).c == bd.ceil_3dp(g) == 1.127
 
 
+def test_scan_task_refuses_an_invalid_reference_pair_before_certifying(monkeypatch):
+    # certify_freeze would refuse this pair too, but in time linear in n0
+    # (about 30 s at n0 = 10^5): reference_validity must refuse it first
+    def certify_freeze(n0, p0, c):
+        raise AssertionError("certify_freeze ran on an invalid reference pair")
+
+    monkeypatch.setattr(sc, "certify_freeze", certify_freeze)
+    with pytest.raises(ValueError, match=r"reference pair \(n0=100000, p0=10000000.0\)"):
+        sc.ScanTask.make(10**7, 10**7 + 10, n_max=1, n0=10**5, p0=1e7, c=2.0)
+
+
+@pytest.mark.parametrize("check_bound", [True, False])
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_scan_task_refuses_a_non_finite_constant(c, check_bound):
+    # c = inf overflowed in certify_freeze; unchecked, inf and nan were
+    # written into the summary, which is then not JSON
+    with pytest.raises(ValueError, match="finite"):
+        sc.ScanTask.make(10**7, 10**7 + 10, c=c, check_bound=check_bound)
+
+
 def test_scan_refuses_bad_counts():
     task = sc.ScanTask(p_lo=101, p_hi=140, policy=sc.OrderPolicy.quadratic(),
                        n_max=1, n0=1, p0=101.0, c=None, check_bound=False)
