@@ -19,8 +19,11 @@ computations cheap for large p; the tables are for the character-sum
 oracles, which need arbitrary values of chi.  Kernel tests and searches
 are batched over (p, d) rows (kernel_mask, nonresidue_table), in int64
 numpy for moduli below 2^50 (reducing each product by a float64 quotient
-from 2^31 on) and by Python pow above; prime_nonresidues is a one-row
-call of the batched search, and is_kernel is one Python pow.
+from 2^31 on; long exponents by 2^3-ary windowed exponentiation, short
+ones by square-and-multiply) and by Python pow above; a search runs its
+quadratic cells and its d > 2 cells as separate chains.
+prime_nonresidues is a one-row call of the batched search, and is_kernel
+is one Python pow.
 Candidate nonresidues are read from the package's one shared prime table
 (primes.primes_upto), so a search never sieves anything that an earlier
 search already sieved.
@@ -57,6 +60,8 @@ _FLOAT_QUOTIENT_LIMIT = 1 << 50  # below it, a float64 quotient reduces them exa
 _INT64_MIN_CELLS = 64  # below it, numpy's cost per call outweighs Python pow
 _STEP_CELLS = 1 << 11  # cells a search step aims at, to repay numpy's cost per call
 _KERNEL_BLOCK = 1 << 14  # cells of one search step at most, to bound its memory
+_WINDOW = 3  # bits of one digit of a windowed chain
+_WINDOW_MIN_BITS = 14  # shorter exponents run the binary chain: <= 3 more products
 
 
 class SearchCapExceededError(RuntimeError):
@@ -187,17 +192,67 @@ def _int64_moduli(p: np.ndarray) -> bool:
     return p.dtype != object and p.max(initial=0) < _FLOAT_QUOTIENT_LIMIT
 
 
+def _reciprocal(p: np.ndarray) -> np.ndarray | None:
+    """The float64 factor by which _mulmod reduces products mod p: None if
+    every p < 2^31, else fl(1/fl(p)) (see _kernel)."""
+    return None if p.max() < _INT64_MODULUS_LIMIT else 1.0 / p.astype(np.float64)
+
+
 def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray,
-            pf: np.ndarray | None) -> np.ndarray:
+            pinv: np.ndarray | None) -> np.ndarray:
     """A residue r = a*b (mod p) with -p < r < p, for int64 residues
-    -p < a, b < p of moduli p < 2^50: by % below 2^31 (pf None; then r is
-    in [0, p)), else by the float64 quotient pf = fl(p) (see _kernel)."""
-    if pf is None:
+    -p < a, b < p of moduli p < 2^50: by % below 2^31 (pinv None; then r is
+    in [0, p)), else by the quotient rint(fl(fl(ab) pinv)) for
+    pinv = _reciprocal(p), a multiply instead of a divide (see _kernel)."""
+    if pinv is None:
         return a * b % p
     x = np.multiply(a, b, dtype=np.float64)
-    x /= pf
+    x *= pinv
     r = a * b
     r -= np.rint(x, out=x).astype(np.int64) * p  # wraps mod 2^64, exact: |r| < p
+    return r
+
+
+def _binary_chain(p: np.ndarray, e: np.ndarray, base: np.ndarray,
+                  bits: int) -> np.ndarray:
+    """base^e (mod p) as a signed residue, by right-to-left square-and-multiply
+    over the low `bits` bits of e, broadcast over p, e and base.  A bit that
+    no exponent has costs no multiply, so a uniform e (kernel_mask at one
+    (p, d)) pays one per set bit."""
+    pinv = _reciprocal(p)
+    bit = (e[..., None] >> np.arange(bits)) & 1
+    r = np.ones(np.broadcast(p, e, base).shape, dtype=np.int64)
+    for k in range(bits):
+        if k:
+            base = _mulmod(base, base, p, pinv)
+        if bit[..., k].any():
+            r = np.where(bit[..., k], _mulmod(r, base, p, pinv), r)
+    return r
+
+
+def _windowed_chain(p: np.ndarray, e: np.ndarray, base: np.ndarray,
+                    bits: int) -> np.ndarray:
+    """base^e (mod p) as a signed residue, by left-to-right 2^w-ary
+    exponentiation (w = _WINDOW) over the low `bits` bits of e, for 1-d
+    arrays of one length n: a table of base^0 .. base^(2^w - 1) per cell,
+    then per w-bit digit of e, top first, w squarings and one multiply by
+    the entry that the digit picks.  The table holds 2^w n cells."""
+    pinv = _reciprocal(p)
+    n, size = len(base), 1 << _WINDOW
+    table = np.empty((size, n), dtype=np.int64)
+    table[0], table[1] = 1, base
+    for j in range(2, size):
+        table[j] = _mulmod(table[j - 1], base, p, pinv)
+    shifts = np.arange(_WINDOW * ((bits - 1) // _WINDOW), -1, -_WINDOW)
+    picks = (e >> shifts[:, None]) & (size - 1)  # one row per digit, top first
+    picks *= n
+    picks += np.arange(n)
+    table = table.reshape(-1)
+    r = table.take(picks[0])
+    for pick in picks[1:]:
+        for _ in range(_WINDOW):
+            r = _mulmod(r, r, p, pinv)
+        r = _mulmod(r, table.take(pick), p, pinv)
     return r
 
 
@@ -205,50 +260,56 @@ def _kernel(p: np.ndarray, e: np.ndarray, q: np.ndarray) -> np.ndarray:
     """q^e == 1 (mod p), broadcast over int64 or Python-int arrays.
 
     Python pow on each cell if there are fewer than _INT64_MIN_CELLS cells
-    or some p >= 2^50 or p holds Python ints; square-and-multiply in int64
-    otherwise.  Below 2^31 a product of two residues in [0, p) is below 2^62
-    and is reduced by %, into [0, p).  If some modulus of the call is 2^31
-    or more, every product is reduced by a float64 quotient instead, into
-    a signed residue.  For -p < a, b < p < 2^50, fl(a), fl(b) and fl(p) are
-    exact (all below 2^53 in magnitude), so x = fl(fl(a) fl(b) / fl(p)) =
-    (ab/p)(1+d1)(1+d2) with |di| <= u = 2^-53, and as |ab/p| < p,
-    |x - ab/p| < p (2u + u^2).  So k = rint(x) has
-    |k - ab/p| < 1/2 + p (2u + u^2) <= 3/4 + 2^-56 < 1, and r = ab - kp,
-    congruent to ab mod p, has |r| < p.  Both products wrap mod 2^64 in
-    int64, but their difference is r exactly, because |r| < 2^63.
-    The chain stays exact mod p: the base starts as q mod p, in [0, p),
-    the running product as 1, and every later value is such an r, so every
-    factor meets -p < a, b < p.  The verdict r == 1 is exact too.  The
-    final r is 1 or a product's r, and r = 1 (mod p) with |r| < p leaves
-    r = 1 or r = 1 - p.  A product's r = 1 - p would need
-    k - ab/p = 1 - 1/p, but 1 - 1/p > 1/2 + p (2u + u^2) for every modulus
-    3 <= p <= 2^50: 1/2 - 1/p - p (2u + u^2) is concave in p, and positive
-    at p = 3 (1/6 - 3(2u + u^2)) and at p = 2^50 (1/4 - 2^-50 - 2^-56).
-    That covers the prime moduli p of a call and the moduli that
-    nonresidue_table's quadratic cells put beside them in a mixed call:
-    the candidates q >= 3, and 8.
+    or some p >= 2^50 or p holds Python ints; an int64 chain otherwise.
+    A call whose largest exponent has fewer than _WINDOW_MIN_BITS bits runs
+    _binary_chain; any other runs _windowed_chain over blocks of at most
+    _KERNEL_BLOCK cells, so that its table holds at most 2^w _KERNEL_BLOCK
+    cells.
+
+    Below 2^31 a product of two residues in [0, p) is below 2^62 and is
+    reduced by %, into [0, p).  If some modulus of a chain is 2^31 or
+    more, every product is reduced by a float64 quotient instead, into a
+    signed residue.  For -p < a, b < p < 2^50, fl(a), fl(b) and fl(p) are
+    exact (all below 2^53 in magnitude), and x = fl(fl(ab) fl(1/p)) =
+    (ab/p)(1+d1)(1+d2)(1+d3) with |di| <= u = 2^-53, so as |ab/p| < p,
+    |x - ab/p| < pc with c = 3u + 3u^2 + u^3, and pc < 3/8 + 2^-50.  So
+    k = rint(x) has |k - ab/p| < 1/2 + pc < 7/8 + 2^-50 < 1, and
+    r = ab - kp, congruent to ab mod p, has |r| < p.  Both products wrap
+    mod 2^64 in int64, but their difference is r exactly, because
+    |r| < 2^63.  The chains stay exact mod p: every factor is 1, the base
+    q mod p in [0, p), or an earlier product's r (the windowed table's
+    entries are these three too), so every factor meets -p < a, b < p.
+    The verdict r == 1 is exact too.  The final r is one of those three,
+    and r = 1 (mod p) with |r| < p leaves r = 1 or r = 1 - p, which the
+    base cannot be.  A product's r = 1 - p would need k - ab/p = 1 - 1/p,
+    but 1 - 1/p > 1/2 + pc for every modulus 3 <= p <= 2^50:
+    1/2 - 1/p - pc is concave in p, and positive at p = 3 (1/6 - 3c) and
+    at p = 2^50 (1/8 - 2^-50 - 3 * 2^-56 - 2^-109).  That covers the prime
+    moduli p of a call and the moduli of nonresidue_table's quadratic
+    cells: the candidates q >= 3, and 8.
     """
     cells = np.broadcast(p, e, q)
     if cells.size < _INT64_MIN_CELLS or not _int64_moduli(p):
         return np.frompyfunc(pow, 3, 1)(q, e, p) == 1
-    pf = None if p.max() < _INT64_MODULUS_LIMIT else p.astype(np.float64)
-    bits = (e[..., None] >> np.arange(int(e.max(initial=0)).bit_length())) & 1
     base = (q % p).astype(np.int64, copy=False)  # q may hold Python ints
-    r = np.ones(cells.shape, dtype=np.int64)
-    for k in range(bits.shape[-1]):
-        if k:
-            base = _mulmod(base, base, p, pf)
-        r = np.where(bits[..., k], _mulmod(r, base, p, pf), r)
-    return r == 1
+    bits = int(e.max(initial=0)).bit_length()
+    if bits < _WINDOW_MIN_BITS:
+        return _binary_chain(p, e, base, bits) == 1
+    p, e, base = (np.broadcast_to(x, cells.shape).ravel() for x in (p, e, base))
+    out = np.empty(cells.size, dtype=bool)
+    for s in range(0, cells.size, _KERNEL_BLOCK):
+        block = slice(s, s + _KERNEL_BLOCK)
+        out[block] = _windowed_chain(p[block], e[block], base[block], bits) == 1
+    return out.reshape(cells.shape)
 
 
 def kernel_mask(p, d, q) -> np.ndarray:
     """Whether q^((p-1)/d) == 1 (mod p), i.e. q is a d-th power residue,
     broadcast over integer arrays p, d and q (d | p-1, p not dividing q).
-    Square-and-multiply in int64 when every p < 2^50, with a float64
-    quotient reducing each product from 2^31 on (see _kernel), and there
-    are at least _INT64_MIN_CELLS cells to repay numpy's fixed cost per
-    call; Python pow on each cell otherwise."""
+    An int64 chain when every p < 2^50, with a float64 quotient reducing
+    each product from 2^31 on (see _kernel), and there are at least
+    _INT64_MIN_CELLS cells to repay numpy's fixed cost per call; Python pow
+    on each cell otherwise."""
     p = _int_array(p)
     return _kernel(p, (p - 1) // _int_array(d), _int_array(q))
 
@@ -264,6 +325,13 @@ def is_kernel(p: int, d: int, q: int) -> bool:
     return pow(q, (p - 1) // d, p) == 1
 
 
+def _reciprocity_cells(p: np.ndarray, q: np.ndarray) -> tuple:
+    """(modulus, exponent, base) of the d = 2 kernel cells of rows p (a
+    column) and prime candidates q, by reciprocity (see nonresidue_table)."""
+    p_star = p * (1 - (p & 2))  # p & 2 is 2 iff p = 3 (mod 4)
+    return np.where(q == 2, 8, q), q >> 1, p_star
+
+
 def nonresidue_table(
     p, d, count: int, search_cap: int = DEFAULT_SEARCH_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -274,11 +342,17 @@ def nonresidue_table(
 
     Candidates come from the shared prime table in increasing order, in
     chunks of doubling length up to search_cap exactly, and a row retires
-    once it is full.  Each step is one kernel test over the active rows:
-    of a block of candidates, aiming at _STEP_CELLS cells, if every modulus
-    is below 2^50, where _kernel runs in int64; or else of one candidate per
-    row, so that no Python exponentiation of a modulus of 2^50 or more is
-    spent past a row's last nonresidue.
+    once it is full.  Each step tests the active rows against a block of
+    candidates if every d > 2 modulus is below 2^50, where _kernel runs in
+    int64: as long as all earlier blocks, as the most nonresidues that an
+    active row still needs (it cannot finish on fewer tests), and aiming at
+    _STEP_CELLS cells, whichever is longest, but of at most _KERNEL_BLOCK
+    cells.  Otherwise a step tests one candidate per row, so that no Python
+    exponentiation of a modulus of 2^50 or more is spent past a row's last
+    nonresidue.  A step whose rows are all d = 2, or all d > 2, is one
+    kernel call; a mixed step makes one call of its d = 2 cells and one of
+    the others, since their exponents differ widely in length (a few bits
+    against up to 50).
 
     A d > 2 cell is Euler's criterion mod p: q^((p-1)/d) == 1 (mod p).  A
     d = 2 cell is decided mod q instead, by quadratic reciprocity.  Let
@@ -290,14 +364,15 @@ def nonresidue_table(
     1 = 2 >> 1, the cell is (p* mod 8)^1 == 1 (mod 8).  So a d = 2 cell is
     the kernel test of modulus q (8 for q = 2), exponent q >> 1 and base
     p* (which _kernel reduces mod q), its modulus is a candidate below 2^31
-    at any p, and a search of d = 2 rows steps in blocks at any p.  kernel_mask and is_kernel stay
-    Euler's criterion mod p, because their q need not be prime.
+    at any p, and a search of d = 2 rows steps in blocks at any p.
+    kernel_mask and is_kernel stay Euler's criterion mod p, because their q
+    need not be prime.
     """
     p, d = _int_array(p), _int_array(d)
     e = (p - 1) // d
     quad = d == 2
     n_quad = np.count_nonzero(quad)
-    some_quad, all_quad = n_quad > 0, n_quad == len(p)
+    all_quad = n_quad == len(p)
     blocks = all_quad or _int64_moduli(p[~quad])
     q = np.zeros((len(p), count), dtype=np.int64)
     found = np.zeros(len(p), dtype=np.int64)
@@ -307,20 +382,26 @@ def nonresidue_table(
         primes = pr.primes_upto(min(limit, search_cap))
         while done < len(primes) and active.size:
             # one candidate per row, or for int64 moduli a block as long as all
-            # earlier ones, over >= _STEP_CELLS and <= _KERNEL_BLOCK cells
+            # earlier ones and as the most that a row still needs, over
+            # >= _STEP_CELLS and <= _KERNEL_BLOCK cells
             n = active.size
-            step = max(1, min(max(done, _STEP_CELLS // n), _KERNEL_BLOCK // n))
+            step = max(done, _STEP_CELLS // n, count - found[active].min())
+            step = max(1, min(step, _KERNEL_BLOCK // n))
             block = primes[done : done + (step if blocks else 1)]
             done += len(block)
             pa = p[active, None]
-            cells = pa, e[active, None], block  # modulus, exponent, base
-            if some_quad:
-                p_star = pa * (1 - (pa & 2))  # pa & 2 is 2 iff p = 3 (mod 4)
-                recip = np.where(block == 2, 8, block), block >> 1, p_star
-                qa = quad[active, None]
-                cells = recip if all_quad else [np.where(qa, *c)
-                                                for c in zip(recip, cells)]
-            hit = (block != pa) & ~_kernel(*cells)
+            if all_quad:
+                residue = _kernel(*_reciprocity_cells(pa, block))
+            elif not n_quad:
+                residue = _kernel(pa, e[active, None], block)
+            else:  # a mixed call: quadratic cells mod q, the others mod p
+                qa = quad[active]
+                residue = np.empty((n, len(block)), dtype=bool)
+                if qa.any():
+                    residue[qa] = _kernel(*_reciprocity_cells(pa[qa], block))
+                if not qa.all():
+                    residue[~qa] = _kernel(pa[~qa], e[active[~qa], None], block)
+            hit = (block != pa) & ~residue
             rank = found[active, None] + hit.cumsum(axis=1)  # 1-based
             r, c = np.nonzero(hit & (rank <= count))
             q[active[r], rank[r, c] - 1] = block[c]

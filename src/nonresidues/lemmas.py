@@ -763,10 +763,13 @@ class SandwichReport:
 
 
 def sandwich_report(
-    spec: CharacterSpec, nf: NonresidueFactorization, h: int, r: int
+    spec: CharacterSpec, nf: NonresidueFactorization, h: int, r: int,
+    stats: SumStats | None = None,
 ) -> SandwichReport:
-    """Squeeze the exact moment between its lower and upper bounds."""
-    stats = exact_sum_S(spec, h, r)
+    """Squeeze the exact moment between its lower and upper bounds; stats,
+    if given, is exact_sum_S(spec, h, r)."""
+    if stats is None:
+        stats = exact_sum_S(spec, h, r)
     low = check_proposition_lower(spec, nf, h, r, stats=stats)
     if low.vacuous:
         return SandwichReport(
@@ -1023,11 +1026,17 @@ def iter_proposition_instances(
 
 def sweep_proposition(min_instances: int = 50, p_limit: int = 10**5) -> LemmaReport:
     """Lower bound plus sandwich on constructed quadratic instances, with
-    iter_proposition_instances' n <= 3 and r in (1, 2)."""
+    iter_proposition_instances' n <= 3 and r in (1, 2).  The moments of all
+    r come from one window table per instance."""
     rep = LemmaReport("proposition")
     regimes = {"u1_only": 0, "u2_only": 0, "mixed": 0, "trivial": 0}
-    for inst, r in iter_proposition_instances(p_limit, max_instances=min_instances):
-        sw = sandwich_report(inst.spec, inst.nf, inst.h, r)
+    r_values, last = (1, 2), None
+    instances = iter_proposition_instances(p_limit, r_values=r_values,
+                                           max_instances=min_instances)
+    for inst, r in instances:
+        if inst is not last:  # the instance's pairs come one after another
+            moments, last = _sum_S_multi(inst.spec, [inst.h], r_values), inst
+        sw = sandwich_report(inst.spec, inst.nf, inst.h, r, stats=moments[inst.h, r])
         key = {"p": inst.spec.p, "n": inst.nf.n, "h": inst.h, "r": r,
                "j": inst.nf.j, "k": inst.nf.k}
         slack = None if sw.vacuous else min(sw.lower_slack, sw.upper_slack)

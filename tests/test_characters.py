@@ -309,6 +309,7 @@ def check_table(rows, count, cap=10_000):
         assert found[i] == len(expected), (pi, di)
         assert q[i, : found[i]].tolist() == expected, (pi, di)
         assert not q[i, found[i] :].any()
+    return q, found
 
 
 @pytest.mark.parametrize("count", [1, 3, 5])
@@ -510,17 +511,23 @@ def test_quadratic_search_steps_in_blocks_at_any_p(monkeypatch):
             assert sizes[0] == 18 and len(sizes) < 10 and min(sizes) > 1, (p, sizes)
         else:
             assert set(sizes) == {1} and len(sizes) == _SMALL_PRIMES.index(got[-1]) + 1
-    # a shard's rows near 10^12 test all 18 primes below 64 in the first step
+    # a shard's rows near 10^12 test all 18 primes below 64 in the first step:
+    # the d = 2 cells in one call mod q, then the others in one call mod p
     rows = all_rows(primes_near(10**12, 300), d_max=12)
+    n_quad = sum(d == 2 for _, d in rows)
     sizes.clear()
     check_table(rows, 3)
-    assert sizes[0] == 18 * len(rows) and len(rows) > 50
+    assert sizes[:2] == [18 * n_quad, 18 * (len(rows) - n_quad)]
+    assert len(rows) > 50 and 0 < n_quad < len(rows) / 2
+    # one candidate per row and step, the d = 2 row's cell in a call of its own
     rows = [(2**50 - 27, 3), (2**50 + 99, 3), (2**50 - 27, 2)]
     sizes.clear()
     check_table(rows, 30)
     tested = [_SMALL_PRIMES.index(pow_loop_nonresidues(p, d, 30, 10_000)[-1]) + 1
               for p, d in rows]
-    assert sizes == [sum(n > k for n in tested) for k in range(max(tested))]
+    steps = [[1] * (tested[2] > k) + [sum(n > k for n in tested[:2])] * (k < max(tested[:2]))
+             for k in range(max(tested))]
+    assert sizes == [n for step in steps for n in step]
 
 
 @pytest.mark.parametrize("center", [2**31, 10**12, 2**50])
@@ -532,7 +539,7 @@ def test_kernel_against_pow_across_the_int64_limits(center):
     # makes every cell 1.  _mulmod's products are residues r = ab (mod p)
     # with -p < r < p, for operands of either sign, which _kernel's test
     # "== 1" alone cannot show.
-    from nonresidues.characters import _kernel, _mulmod
+    from nonresidues.characters import _kernel, _mulmod, _reciprocal
 
     rng = random.Random(center)
     near = primes_near(center, 400)
@@ -546,8 +553,7 @@ def test_kernel_against_pow_across_the_int64_limits(center):
             a = xs * 4 + bases
             b = [s * y % p for s in (1, 2, p - 1, p - 2) for y in inv] + bases[::-1]
             a, b = a + [x - p for x in a] * 2 + a, b + b + [y - p for y in b] * 2
-            pf = None if p < 2**31 else np.float64(p)
-            got = _mulmod(np.array(a), np.array(b), p, pf).tolist()
+            got = _mulmod(np.array(a), np.array(b), p, _reciprocal(np.array(p))).tolist()
             assert [r % p for r in got] == [x * y % p for x, y in zip(a, b)]
             assert all(-p < r < p for r in got)
         top = 1 << (p.bit_length() - 1)
@@ -582,3 +588,123 @@ def test_kernel_runs_pow_only_at_2_50_and_above(monkeypatch):
     calls.clear()
     ch._kernel(np.array([2**50 - 27]), np.array([3]), q[1:])
     assert len(calls) == q.size - 1
+
+
+# -- the windowed chain and the search step -------------------------------------
+
+_CHAIN_MODULI = [
+    9973,  # reduced by %
+    2147483629, 2147483647,  # the last primes below 2^31, reduced by %
+    2147483659, 2147483693,  # the first above, reduced by a float quotient
+    10**12 + 39,
+    2**50 - 35, 2**50 - 27,  # the last primes below 2^50
+]
+
+
+def _digit_exponents(p):
+    """Exponents that put every window digit at the top, middle and bottom
+    digit positions of p - 1, then 0, 1, 2^k - 1 and 2^k for every k up to
+    p - 1's bit length, p - 2 and p - 1."""
+    from nonresidues.characters import _WINDOW
+
+    size, bits = 1 << _WINDOW, (p - 1).bit_length()
+    top = _WINDOW * ((bits - 1) // _WINDOW)
+    out = [0, 1, p - 2, p - 1]
+    for shift in (top, _WINDOW * (top // _WINDOW // 2), 0):
+        out += [(p - 1) & ~((size - 1) << shift) | v << shift for v in range(size)]
+    for k in range(1, bits + 1):
+        out += [(1 << k) - 1, 1 << k]
+    return out
+
+
+@pytest.mark.parametrize("p", _CHAIN_MODULI)
+def test_chains_against_pow_on_every_digit_and_signed_bases(p):
+    # both chains give a residue r = b^e (mod p) with -p < r < p, and r == 1
+    # exactly when b^e = 1, for bases of either sign: the operands that a
+    # chain multiplies are signed residues, which _kernel's verdicts alone
+    # cannot show
+    from nonresidues.characters import _binary_chain, _windowed_chain
+
+    rng = random.Random(p)
+    xs = [0, 1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(20)]
+    bases = xs + [x - p for x in xs if x]
+    es = _digit_exponents(p)
+    e, b = np.repeat(es, len(bases)), np.tile(bases, len(es))
+    want = [pow(x, k, p) for x, k in zip(b.tolist(), e.tolist())]
+    for chain in (_binary_chain, _windowed_chain):
+        r = chain(np.full(e.size, p), e, b, max(es).bit_length()).tolist()
+        assert all(-p < x < p for x in r), chain
+        assert [x % p for x in r] == want, chain
+        assert [x == 1 for x in r] == [x == 1 for x in want], chain
+
+
+def test_kernel_runs_windowed_chains_on_long_exponents_in_bounded_blocks(monkeypatch):
+    # a 2-d call with rows on both sides of 2^31 and of 10^12: exponents of
+    # _WINDOW_MIN_BITS bits or more run windowed, in blocks of at most
+    # _KERNEL_BLOCK cells, and shorter ones run the binary chain
+    from nonresidues import characters as ch
+
+    blocks = []
+
+    def windowed(p, e, base, bits):
+        blocks.append(base.size)
+        return chain(p, e, base, bits)
+
+    chain = ch._windowed_chain
+    monkeypatch.setattr(ch, "_windowed_chain", windowed)
+    monkeypatch.setattr(ch, "_KERNEL_BLOCK", 64)
+    p = np.array([[9973], [2147483647], [2147483659], [10**12 + 39], [2**50 - 27]])
+    q = np.arange(2, 42)
+    for d in (3, 6):
+        e = (p - 1) // d
+        want = [[pow(int(x), int(k), int(m)) == 1 for x in q] for m, k in zip(p[:, 0], e[:, 0])]
+        blocks.clear()
+        assert ch._kernel(p, e, q).tolist() == want
+        assert blocks == [64, 64, 64, 8]
+    assert ch._WINDOW_MIN_BITS == 14
+    for p, windowed_blocks in (([[8179], [8191]], []), ([[16369], [16381]], [64, 16])):
+        p = np.array(p)  # e = p - 1 of 13, then of 14 bits: every cell is 1 (Fermat)
+        blocks.clear()
+        assert ch._kernel(p, p - 1, q).all()
+        assert blocks == windowed_blocks
+
+
+def test_nonresidue_table_mixes_short_and_long_exponents_in_one_call():
+    # one search over rows whose d > 2 exponents run from 1 bit to 49, beside
+    # d = 2 rows: quadratic cells go on their own short chains, and the d > 2
+    # call mixes binary-length exponents into its windowed chain
+    primes = [int(p) for p in pr.sieve(200)[1:]] + primes_near(2**31, 60) + primes_near(10**12, 60)
+    below_2_50 = [p for p in primes_near(2**50, 200) if p < 2**50]  # too large to factorize
+    rows = all_rows(primes, d_max=12) + [(p, d) for p in below_2_50 for d in range(2, 13)
+                                         if (p - 1) % d == 0]
+    assert {d for _, d in rows} >= {2, 3, 4, 6, 12} and len(rows) > 100
+    for count in (3, 5, 30):
+        check_table(rows, count)
+
+
+def test_first_search_step_tests_what_every_row_still_needs(monkeypatch):
+    # scan-orders' rows (p in [10^12, 10^12 + 10^4), d | 12): 1,309 rows, so
+    # _STEP_CELLS // 1309 = 1, but every row needs 3 nonresidues, so the
+    # first step tests 3 candidates a row, and the search takes 3 steps, each
+    # one call of its d = 2 cells and one of the others
+    from nonresidues import characters as ch
+
+    sizes = []
+
+    def counting(p, e, q):
+        sizes.append(np.broadcast(p, e, q).size)
+        return kernel(p, e, q)
+
+    kernel = ch._kernel
+    monkeypatch.setattr(ch, "_kernel", counting)
+    rows = all_rows([int(p) for p in pr.primes_in_range(10**12, 10**12 + 10**4)], d_max=12)
+    n_quad = sum(d == 2 for _, d in rows)
+    assert (len(rows), n_quad) == (1309, 335)
+    check_table(rows, 3)
+    assert sizes[:2] == [3 * n_quad, 3 * (len(rows) - n_quad)]
+    assert len(sizes) == 6
+    # 30 nonresidues of 186 rows: the first step stops at the chunk's
+    # 18 primes below 64, after which the rows have found different counts
+    rows = all_rows(primes_near(10**12, 600), d_max=12)
+    q, found = check_table(rows, 30)
+    assert len(set((q < 64).sum(axis=1).tolist())) > 5 and found.min() == 30

@@ -758,6 +758,27 @@ def test_scan_outputs_match_golden(name, tmp_path):
         assert summary.to_json() == (data / f"{name}.summary.json").read_text()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_orders_scan_matches_golden_at_any_worker_count(workers, tmp_path, monkeypatch,
+                                                        pool_starts):
+    # the scan-orders benchmark's seed-0 range: 1,309 rows of orders d | 12 on
+    # 335 primes, whose searches mix d = 2 and d > 2 rows in each kernel call;
+    # written before the kernel's windowed chain and split quadratic cells
+    data = pathlib.Path(__file__).parent / "data"
+    name = "scan_upto12_1e12_10k"
+    monkeypatch.setattr(sc, "_BATCH_SPAN", 2000)  # 5 batches of 2 shards
+    task = sc.ScanTask.make(10**12, 10**12 + 9999, n_max=3, shard_width=1000,
+                            policy=sc.OrderPolicy.divisors_up_to(12))
+    assert task.shard_count == 10
+    for fmt in ("jsonl", "csv"):
+        out = tmp_path / f"{name}.{fmt}"
+        summary = sc.run_scan(task, out_path=str(out), fmt=fmt, workers=workers)
+        assert out.read_bytes() == (data / f"{name}.{fmt}").read_bytes(), fmt
+        assert summary.to_json() == (data / f"{name}.summary.json").read_text()
+    assert summary.aggregate.records == 1309
+    assert pool_starts == ([] if workers == 1 else [2, 2])  # a pool per format
+
+
 def _sparse_task():
     # 17-wide shards near 10^7, some of them without a prime
     return sc.ScanTask(p_lo=10**7, p_hi=10**7 + 400, policy=sc.OrderPolicy.divisors_up_to(4),
