@@ -5,8 +5,8 @@ For a nonprincipal Dirichlet character mod a prime p, the n-th smallest
 prime nonresidue satisfies q_n <= g(n,p) * p^(1/4) * (log p)^((n+1)/2).
 Because g decreases in p on its validity region, one may freeze
 C = g(n0, p0) once and use it for every p >= p0 and n <= n0.  This script
-evaluates the constant, regenerates the published table, and certifies
-each published ceiling in interval arithmetic.
+encloses the constant in interval arithmetic, regenerates the published
+table from those enclosures, and certifies each published ceiling.
 """
 
 from nonresidues import bounds as bd
@@ -15,20 +15,23 @@ print("=" * 72)
 print(" The explicit constant and its validity region")
 print("=" * 72)
 
-for n, p in [(1, 1e7), (2, 1e8), (5, 1e15), (3, 1e7)]:
-    res = bd.compute_g(n, p)
-    if res.valid:
-        print(f"  g({n}, {p:.0e}) = {res.g:.6f}   "
-              f"(X* = {res.xstar:.3f}, f(X*) = {res.f_at_xstar:.4f})")
+for n, e in [(1, 7), (2, 8), (5, 15), (3, 7)]:
+    xstar, f_at_xstar, g = bd.enclose_g(n, 10**e)  # intervals, p = 10^e exactly
+    g_hi, failed = bd.reference_g(n, 10**e)
+    if g_hi is not None:
+        print(f"  g({n}, 1e{e}) = {float(g.mid):.6f}   "
+              f"(X* = {float(xstar.mid):.3f}, f(X*) = {float(f_at_xstar.mid):.4f})")
     else:
-        print(f"  g({n}, {p:.0e}) : invalid, failed {res.failed_conditions} "
-              f"(X* = {res.xstar:.3f})")
+        print(f"  g({n}, 1e{e}) : invalid, failed {failed} "
+              f"(X* = {float(xstar.mid):.3f})")
 
 print()
 print("A frozen constant must round UP, else it would undercut the true")
 print("value; the published 3-decimal entries are ceilings:")
-res = bd.compute_g(1, 1e7)
-print(f"  computed g(1, 1e7) = {res.g:.6f}  ->  published {bd.ceil_3dp(res.g):.3f}")
+g = bd.enclose_g(1, 10**7)[2]
+g_hi = bd.reference_g(1, 10**7)[0]
+print(f"  g(1, 1e7) lies in {g}")
+print(f"  rounded up to a double: {g_hi!r}  ->  published {bd.ceil_3dp(g_hi):.3f}")
 
 print()
 print("=" * 72)

@@ -6,8 +6,8 @@ The package has seven modules:
               factorization and totients
   rounding    directed comparisons on exact integer ratios over mpmath
               interval endpoints (certify)
-  bounds      closed-form constants g(n, p), validity conditions, the
-              frozen-constant table and its interval certificate
+  bounds      the constants g(n, p) in interval arithmetic, validity
+              conditions, the frozen-constant table and its certificate
   characters  exact character arithmetic mod a prime: primitive roots,
               root-of-unity values, kernel tests, smallest prime
               nonresidues
@@ -24,16 +24,12 @@ for machine-readable output.
 
 from .bounds import (
     BurgessParameters,
-    ConstantsResult,
     burgess_params,
     certify_freeze,
     compute_bound,
-    compute_g,
-    compute_xstar,
     enclose_g,
-    reference_validity,
     make_table,
-    totient_factor_f,
+    reference_g,
 )
 from .characters import (
     CharacterSpec,
@@ -67,7 +63,6 @@ __all__ = [
     "Aggregate",
     "BurgessParameters",
     "CharacterSpec",
-    "ConstantsResult",
     "FareyInterval",
     "HypothesisError",
     "NonresidueFactorization",
@@ -85,10 +80,7 @@ __all__ = [
     "check_stirling_ratio",
     "check_totient_inequality",
     "compute_bound",
-    "compute_g",
-    "compute_xstar",
     "enclose_g",
-    "reference_validity",
     "exact_sum_S",
     "farey_interval",
     "find_primitive_root",
@@ -96,9 +88,9 @@ __all__ = [
     "make_table",
     "nonresidue_factorization",
     "prime_nonresidues",
+    "reference_g",
     "run_scan",
     "run_verification",
     "sandwich_report",
     "scan_records",
-    "totient_factor_f",
 ]

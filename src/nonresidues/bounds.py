@@ -20,11 +20,12 @@ reference pair (n0, p0) with X*(p0, n0) > 3.8 and
 p0 > max(2*10^6, exp(8(n0-1))) yields a single constant C = g(n0, p0) that
 works for all p >= p0 and n <= n0.
 
-This module evaluates those closed forms in double precision, reports
-validity condition by condition and regenerates the reference constant
-table; p is a real number there, so 10^35 may be a float and need not be
-prime.  enclose_g evaluates them once more in interval arithmetic with p
-exact, and certify_freeze certifies a frozen C from those enclosures.  All
+This module evaluates those closed forms once, in interval arithmetic
+with p exact (enclose_g), so every constant it reports is a certificate:
+reference_g decides a reference pair's conditions and reports g rounded up
+to a double, make_table builds the reference constant table from it, and
+certify_freeze certifies a frozen C for every p >= p0 and n <= n0.  p is a
+real number, so 10^35 may be a float or an int and need not be prime.  All
 logarithms are natural.
 """
 
@@ -34,11 +35,10 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .rounding import IV, certify, iv_from_fraction, lower, minus, upper
+from .rounding import IV, certify, iv_from_fraction, lower, minus, to_float, upper
 
 __all__ = [
     "BurgessParameters",
-    "ConstantsResult",
     "FreezeCertificate",
     "TableCell",
     "bound_shape",
@@ -46,12 +46,9 @@ __all__ = [
     "burgess_params",
     "certify_freeze",
     "compute_bound",
-    "compute_g",
-    "compute_xstar",
     "enclose_g",
-    "reference_validity",
     "make_table",
-    "totient_factor_f",
+    "reference_g",
 ]
 
 # Validity condition identifiers, reported verbatim in results and JSON.
@@ -62,7 +59,7 @@ COND_P0_MIN = "p0_gt_2e6"
 COND_P0_EXP8N = "p0_gt_exp(8(n-1))"
 COND_G_LE_C = "g_le_c"
 
-XSTAR_FLOOR = 3.8
+_XSTAR_FLOOR = (19, 5)  # 3.8
 
 
 def _check_np(n: int, p: float) -> None:
@@ -70,18 +67,6 @@ def _check_np(n: int, p: float) -> None:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not p >= 2:
         raise ValueError(f"p must be >= 2, got {p!r}")
-
-
-def totient_factor_f(x: float) -> float:
-    """f(x) = 1 - (pi^2/9)(log x + 9)/(3x), defined for x > 1.
-
-    This is the correction factor in the totient-sum lower bound
-    2x sum_{a<=x} phi(a)/a - sum_{a<=x} phi(a) >= (9/pi^2) x^2 f(x);
-    it is strictly increasing for x > 3.8 and tends to 1 as x -> infinity.
-    """
-    if not x > 1:
-        raise ValueError(f"totient_factor_f needs x > 1, got {x!r}")
-    return 1.0 - (math.pi**2 / 9.0) * (math.log(x) + 9.0) / (3.0 * x)
 
 
 def bound_shape(n: int, p: float, c: float = 1.0) -> float:
@@ -105,117 +90,12 @@ def bound_shapes(ps: list[int], n_max: int) -> list[list[float]]:
             for n in range(1, n_max + 1)]
 
 
-def compute_xstar(n: int, p: float) -> float:
-    """The threshold quantity X*(n, p); the bound is usable when X* > 3.8."""
-    _check_np(n, p)
-    logp = math.log(p)
-    ratio = (n + 1) / n
-    try:
-        damping = logp ** ((n - 1) / 2.0)
-    except OverflowError:  # beyond the double range (n > ~500): X* is ~0
-        return 0.0
-    return (
-        (math.pi / 3.0)
-        / math.sqrt(2.0 * math.e)
-        * ratio ** (n - 1)
-        * p**0.25
-        / damping
-        * (1.0 - ratio * math.exp(-1.0 / n) / logp)
-    )
-
-
-@dataclass(frozen=True)
-class ConstantsResult:
-    """Everything the constant evaluation produces for one (n, p) pair.
-
-    g and bound are None when a denominator is nonpositive (which only
-    happens outside the validity region).  failed_conditions lists the
-    validity conditions that do not hold, by identifier.
-    """
-
-    n: int
-    p: float
-    xstar: float
-    f_at_xstar: float | None
-    g: float | None
-    bound: float | None
-    valid: bool
-    failed_conditions: tuple[str, ...]
-
-
-def compute_g(n: int, p: float) -> ConstantsResult:
-    """Evaluate g(n, p) and the resulting nonresidue bound.
-
-    Validity requires X* > 3.8, log p > exp(8/3) and log p > 8(n-1); each
-    failure is recorded by name.  Outside the validity region g is still
-    reported whenever both denominators (f(X*) and 2B log p - 3) are
-    positive, since that is how the gaps in the reference table were found.
-    """
-    _check_np(n, p)
-    logp = math.log(p)
-    xstar = compute_xstar(n, p)
-    b = n / (2.0 * (n + 1))
-
-    failed = []
-    if not xstar > XSTAR_FLOOR:
-        failed.append(COND_XSTAR)
-    if not logp > math.exp(8.0 / 3.0):
-        failed.append(COND_LOGP_EXP)
-    if not logp > 8.0 * (n - 1):
-        failed.append(COND_LOGP_8N)
-
-    f_at_xstar = totient_factor_f(xstar) if xstar > 1 else None
-    sqrt_den = 2.0 * b * logp - 3.0
-
-    g = bound = None
-    if f_at_xstar is not None and f_at_xstar > 0 and sqrt_den > 0:
-        g = (
-            (math.pi / 3.0)
-            * math.sqrt(2.0 * math.e)
-            * (n / (n + 1.0))
-            * math.sqrt((1.0 + math.sqrt(2.0) / sqrt_den) / f_at_xstar)
-        )
-        bound = bound_shape(n, p, g)
-
-    return ConstantsResult(
-        n=n,
-        p=p,
-        xstar=xstar,
-        f_at_xstar=f_at_xstar,
-        g=g,
-        bound=bound,
-        valid=not failed,
-        failed_conditions=tuple(failed),
-    )
-
-
 def compute_bound(n: int, p: float, c: float) -> float:
     """c * p^(1/4) * (log p)^((n+1)/2) for a frozen constant c > 0."""
     _check_np(n, p)
     if not c > 0:
         raise ValueError(f"constant c must be positive, got {c!r}")
     return bound_shape(n, p, c)
-
-
-def reference_validity(n0: int, p0: float) -> tuple[bool, tuple[str, ...]]:
-    """Whether (n0, p0) can serve as a reference pair for a frozen constant.
-
-    Requires X*(p0, n0) > 3.8 and p0 > max(2*10^6, exp(8(n0-1))).  Returns
-    (ok, failed_condition_names).
-    """
-    _check_np(n0, p0)
-    failed = []
-    if not compute_xstar(n0, p0) > XSTAR_FLOOR:
-        failed.append(COND_XSTAR)
-    if not p0 > 2e6:
-        failed.append(COND_P0_MIN)
-    try:
-        p0_floor = math.exp(8.0 * (n0 - 1))
-    except OverflowError:  # n0 >= 90: no double p0 exceeds the floor
-        p0_floor = math.inf
-    if not p0 > p0_floor:
-        failed.append(COND_P0_EXP8N)
-    return (not failed, tuple(failed))
 
 
 def _above(x, r: tuple[int, int] = (0, 1)) -> bool:
@@ -246,6 +126,38 @@ def enclose_g(n: int, p) -> tuple:
     return xstar, f_at_xstar, g
 
 
+def _p0_failed(n0: int, p0, logp) -> list[str]:
+    """Names of the reference conditions on p0 that fail: p0 > 2*10^6, and
+    log p0 > 8(n0-1) on logp, an enclosure of log p0."""
+    return [name for name, holds in (
+        (COND_P0_MIN, Fraction(p0) > 2 * 10**6),
+        (COND_P0_EXP8N, _above(logp, (8 * (n0 - 1), 1)))) if not holds]
+
+
+def reference_g(n0: int, p0) -> tuple[float | None, tuple[str, ...]]:
+    """(g, failed) for a reference pair (n0, p0), p0 exact as in enclose_g.
+
+    failed names the conditions X*(n0, p0) > 3.8, p0 > 2*10^6 and
+    log p0 > 8(n0-1) that do not hold, each decided at the unfavorable
+    endpoint of its enclosure.  g is None if one fails, and otherwise
+    g(n0, p0) rounded up: the least double at or above its enclosure's
+    upper end.  The conditions leave g enclosed: X* > 3.8 gives
+    f(X*) > f(3.8) > 0.005, as f increases (see certify_freeze), and
+    log p0 > max(8(n0-1), log(2*10^6)) gives (n0/(n0+1)) log p0 > 3.  It
+    takes one enclose_g call, at n0, so an invalid pair is refused in
+    constant time whatever n0 is, unlike certify_freeze.
+    """
+    xstar, _, g = enclose_g(n0, p0)
+    failed = ([] if _above(xstar, _XSTAR_FLOOR) else [COND_XSTAR]) + _p0_failed(
+        n0, p0, IV.log(iv_from_fraction(Fraction(p0))))
+    if failed:
+        return None, tuple(failed)
+    top = upper(g)
+    g_hi = to_float(*top)
+    return (g_hi if certify(top, g_hi.as_integer_ratio())[0]
+            else math.nextafter(g_hi, math.inf)), ()
+
+
 @dataclass(frozen=True)
 class FreezeCertificate:
     """ok iff no (n, condition) failed; min_slack is the least certified
@@ -262,7 +174,7 @@ def certify_freeze(n0: int, p0, c: float) -> FreezeCertificate:
     n <= n0.  At p0 (exact, as in enclose_g) and each n <= n0, X* > 3.8,
     log p0 > exp(8/3), log p0 > 8(n-1) and g <= c (rounding.certify against
     c's exact ratio) are decided at the unfavorable endpoints of their
-    enclosures, and so are reference_validity's conditions on p0.
+    enclosures, and so are reference_g's conditions on p0.
 
     Checking p0 is enough.  Let L = log p and k = ((n+1)/n) e^(-1/n).
       - k < 1, because e^(1/n) > 1 + 1/n; so X* > 0 for L > 1.
@@ -275,15 +187,13 @@ def certify_freeze(n0: int, p0, c: float) -> FreezeCertificate:
     """
     _check_np(n0, p0)
     logp = IV.log(iv_from_fraction(Fraction(p0)))
-    failed = [(n0, name) for name, holds in (
-        (COND_P0_MIN, Fraction(p0) > 2 * 10**6),
-        (COND_P0_EXP8N, _above(logp, (8 * (n0 - 1), 1)))) if not holds]
+    failed = [(n0, name) for name in _p0_failed(n0, p0, logp)]
     slacks = []
     for n in range(1, n0 + 1):
         xstar, _, g = enclose_g(n, p0)
         ok, slack = (False, None) if g is None else certify(upper(g), c.as_integer_ratio())
         failed += [(n, name) for name, holds in (
-            (COND_XSTAR, _above(xstar, (19, 5))),  # 3.8
+            (COND_XSTAR, _above(xstar, _XSTAR_FLOOR)),
             (COND_LOGP_EXP, _above(logp - IV.exp(IV.mpf(8) / 3))),
             (COND_LOGP_8N, _above(logp, (8 * (n - 1), 1))),
             (COND_G_LE_C, ok)) if not holds]
@@ -303,18 +213,12 @@ class TableCell:
 def make_table(n0_list: list[int], p0_list: list[float]) -> list[list[TableCell]]:
     """Grid of frozen constants: one row per n0, one column per p0.
 
-    A cell carries g(n0, p0) when (n0, p0) is a usable reference pair and
-    None (a dash) otherwise; dashes still record which condition failed.
+    A cell carries reference_g's g(n0, p0), rounded up to a double, when
+    (n0, p0) is a usable reference pair and None (a dash) otherwise; dashes
+    still record which condition failed.
     """
-    rows = []
-    for n0 in n0_list:
-        row = []
-        for p0 in p0_list:
-            ok, failed = reference_validity(n0, p0)
-            g = compute_g(n0, p0).g if ok else None
-            row.append(TableCell(n0=n0, p0=p0, g=g, failed_conditions=failed))
-        rows.append(row)
-    return rows
+    return [[TableCell(n0, p0, *reference_g(n0, p0)) for p0 in p0_list]
+            for n0 in n0_list]
 
 
 def ceil_3dp(g: float) -> float:

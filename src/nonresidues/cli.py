@@ -157,9 +157,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     n, p = args.n, args.p
     n0 = args.n0 if args.n0 is not None else n
     p0 = args.p0 if args.p0 is not None else p
-    ok, failed = bd.reference_validity(n0, p0)
-    res = bd.compute_g(n0, p0)
-    if not ok or res.g is None:
+    c, failed = bd.reference_g(n0, p0)
+    if c is None:
         msg = f"reference pair (n0={n0}, p0={p0}) is invalid: {', '.join(failed)}"
         if args.format == "json":
             _write_out(json.dumps({
@@ -176,7 +175,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
         warnings.append(f"p={p} is below p0={p0}: the frozen bound does not cover it")
     if n > n0:
         warnings.append(f"n={n} exceeds n0={n0}: the frozen bound does not cover it")
-    c = res.g
     bound = bd.compute_bound(n, p, c)
     if args.format == "json":
         _write_out(json.dumps({

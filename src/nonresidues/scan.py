@@ -50,9 +50,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import primes as pr
-from .bounds import (
-    bound_shape, bound_shapes, ceil_3dp, certify_freeze, compute_g, reference_validity,
-)
+from .bounds import bound_shape, bound_shapes, ceil_3dp, certify_freeze, reference_g
 from .characters import nonresidue_table
 from .rounding import DEFAULT_PREC, certify, interval_context, lower, upper
 
@@ -197,20 +195,20 @@ class ScanTask:
                 )
             # certify_freeze below decides every condition of this check too,
             # but in time linear in n0 (about 0.3 s at n0 = 1,000); this one
-            # refuses an invalid pair in microseconds, whatever n0 is
-            ok, failed = reference_validity(self.n0, self.p0)
-            if not ok:
+            # refuses an invalid pair in one enclosure, whatever n0 is
+            g_ref, failed = reference_g(self.n0, self.p0)
+            if failed:
                 raise ValueError(
                     f"reference pair (n0={self.n0}, p0={self.p0}) is not "
                     f"valid: failed {failed}"
                 )
             # below: a certificate that g(n, p) <= c for all p >= p0, n <= n0.
-            # above: a ceiling that ceil_3dp(g) = k/1000 always meets in
-            # doubles: the double (k-1)/1000 is below g, so (k-1)/1000 < g
-            # exactly (rounding is monotone); the double 0.001 exceeds 1/1000,
-            # so g + 0.001 > k/1000 exactly and rounds to at least its double
+            # above: a ceiling that ceil_3dp(g_ref) = k/1000 always meets in
+            # doubles: the double (k-1)/1000 is below g_ref, so (k-1)/1000 <
+            # g_ref exactly (rounding is monotone); the double 0.001 exceeds
+            # 1/1000, so g_ref + 0.001 > k/1000 exactly and rounds to at least
+            # its double
             cert = certify_freeze(self.n0, self.p0, self.c)
-            g_ref = compute_g(self.n0, self.p0).g
             if not cert.ok or self.c > g_ref + 0.001:
                 raise ValueError(
                     f"c={self.c} is not a rounding-up of g(n0,p0)={g_ref:.6f}"
@@ -229,17 +227,20 @@ class ScanTask:
         c: float | None = None,
         **kw,
     ) -> "ScanTask":
-        """Task with defaults: quadratic policy, reference (n_max, p_lo).
+        """Task with defaults: quadratic policy, reference (n_max, p_lo),
+        with p0 the largest double <= p_lo, and c = ceil_3dp(reference_g).
 
         Without a bound check no constant is needed, so c stays as given.
         """
         n0 = n0 if n0 is not None else n_max
-        p0 = p0 if p0 is not None else float(p_lo)
+        if p0 is None:  # float(p_lo) may round up from 2^53 on
+            p0 = float(p_lo)
+            p0 = p0 if p0 <= p_lo else math.nextafter(p0, 0)
         if c is None and kw.get("check_bound", True):
-            g = compute_g(n0, p0).g
-            if g is None:
-                raise ValueError(f"g(n0={n0}, p0={p0}) is undefined")
-            c = ceil_3dp(g)  # freeze rounded up, as published
+            g, _ = reference_g(n0, p0)
+            # freeze rounded up, as published; an invalid pair has no g,
+            # and __post_init__ refuses it by the conditions it fails
+            c = None if g is None else ceil_3dp(g)
         return cls(
             p_lo=p_lo, p_hi=p_hi, policy=policy or OrderPolicy.quadratic(),
             n_max=n_max, n0=n0, p0=p0, c=c, **kw,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,71 +10,72 @@ from table1_data import P0_EXPONENTS, TABLE1
 
 
 # Expected values frozen from an independent 60-digit mpmath evaluation of
-# the closed forms (see enclose_g for the interval path).
-def test_totient_factor_f_values():
-    assert bd.totient_factor_f(3.8) == pytest.approx(0.0058248342, abs=5e-4)
-    assert bd.totient_factor_f(2.0) == pytest.approx(-0.77162089, abs=5e-4)
-    assert 0.999 < bd.totient_factor_f(1e12) < 1.0
+# the closed forms (closed_form below is such an evaluation, at 50 digits).
+def closed_form(n, p):
+    """(X*, f(X*), g) at (n, p) from the module docstring's formulas, in
+    mpmath at 50 digits; f(X*) is None unless X* > 1, and g is None unless
+    f(X*) > 0 and 2B log p > 3."""
+    with mpmath.workdps(50):
+        n, p = mpmath.mpf(n), mpmath.mpf(p)
+        logp, ratio = mpmath.log(p), (n + 1) / n
+        xstar = (mpmath.pi / 3 / mpmath.sqrt(2 * mpmath.e) * ratio ** (n - 1)
+                 * p ** mpmath.mpf(0.25) / logp ** ((n - 1) / 2)
+                 * (1 - ratio * mpmath.exp(-1 / n) / logp))
+        if xstar <= 1:
+            return xstar, None, None
+        f = 1 - mpmath.pi ** 2 / 9 * (mpmath.log(xstar) + 9) / (3 * xstar)
+        sqrt_den = 2 * n / (2 * (n + 1)) * logp - 3
+        if f <= 0 or sqrt_den <= 0:
+            return xstar, f, None
+        g = (mpmath.pi / 3 * mpmath.sqrt(2 * mpmath.e) * n / (n + 1)
+             * mpmath.sqrt((1 + mpmath.sqrt(2) / sqrt_den) / f))
+        return xstar, f, g
 
 
-def test_totient_factor_f_domain():
-    with pytest.raises(ValueError):
-        bd.totient_factor_f(1.0)
-    with pytest.raises(ValueError):
-        bd.totient_factor_f(0.5)
+def test_xstar_values():
+    assert float(bd.enclose_g(1, 10**7)[0].mid) == pytest.approx(24.103215, abs=0.01)
+    xstar = bd.enclose_g(3, 10**7)[0]
+    assert float(xstar.mid) == pytest.approx(2.6205565, abs=0.01)
+    assert xstar.b < 3.8  # the dash at that grid point
 
 
-def test_totient_factor_f_monotone_beyond_threshold():
-    xs = [3.8 + 0.1 * k for k in range(200)] + [1e3, 1e6, 1e9]
-    vals = [bd.totient_factor_f(x) for x in xs]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-
-def test_compute_xstar_values():
-    assert bd.compute_xstar(1, 1e7) == pytest.approx(24.103215, abs=0.01)
-    assert bd.compute_xstar(3, 1e7) == pytest.approx(2.6205565, abs=0.01)
-    assert bd.compute_xstar(3, 1e7) < 3.8  # the dash at that grid point
-
-
-def test_compute_xstar_diverges_like_p_quarter():
+def test_xstar_diverges_like_p_quarter():
     # ratio X*(1, p) / p^(1/4) tends to a positive constant
-    r1 = bd.compute_xstar(1, 1e12) / 1e3
-    r2 = bd.compute_xstar(1, 1e20) / 1e5
+    r1 = float(bd.enclose_g(1, 10**12)[0].mid) / 1e3
+    r2 = float(bd.enclose_g(1, 10**20)[0].mid) / 1e5
     assert r2 == pytest.approx(math.pi / 3 / math.sqrt(2 * math.e), rel=0.05)
     assert abs(r2 - r1) < 0.05
 
 
-def test_compute_g_table_anchors():
-    assert bd.compute_g(1, 1e7).g == pytest.approx(1.530, abs=1e-3)
-    assert bd.compute_g(2, 1e8).g == pytest.approx(2.070, abs=1e-3)
-    assert bd.compute_g(5, 1e15).g == pytest.approx(6.469, abs=1e-3)
-    assert bd.compute_g(8, 1e30).g == pytest.approx(2.745, abs=1e-3)
+def test_reference_g_table_anchors():
+    assert bd.reference_g(1, 1e7)[0] == pytest.approx(1.530, abs=1e-3)
+    assert bd.reference_g(2, 1e8)[0] == pytest.approx(2.070, abs=1e-3)
+    assert bd.reference_g(5, 1e15)[0] == pytest.approx(6.469, abs=1e-3)
+    assert bd.reference_g(8, 1e30)[0] == pytest.approx(2.745, abs=1e-3)
 
 
-def test_compute_g_invalid_point_reports_conditions():
-    res = bd.compute_g(3, 1e7)
-    assert not res.valid
-    assert res.failed_conditions == (bd.COND_XSTAR,)
-    assert res.xstar == pytest.approx(2.6205565, abs=1e-3)
-    # f(X*) < 0 there, so no g can be reported
-    assert res.g is None and res.bound is None
+def test_reference_g_invalid_point_reports_conditions():
+    assert bd.reference_g(3, 1e7) == (None, (bd.COND_XSTAR,))
+    xstar, f_at_xstar, g = bd.enclose_g(3, 10**7)
+    assert float(xstar.mid) == pytest.approx(2.6205565, abs=1e-3)
+    # f(X*) < 0 there, so no g can be enclosed
+    assert f_at_xstar.b < 0 and g is None
 
 
-def test_compute_g_small_p_fails_log_condition():
-    res = bd.compute_g(1, 100.0)
-    assert not res.valid
-    assert bd.COND_LOGP_EXP in res.failed_conditions
+def test_small_p_fails_log_condition():
+    g, failed = bd.reference_g(1, 100.0)
+    assert g is None and bd.COND_P0_MIN in failed
+    assert (1, bd.COND_LOGP_EXP) in bd.certify_freeze(1, 100, 2.0).failed
 
 
-def test_compute_g_trailing_factor_exceeds_one():
+def test_g_exceeds_its_leading_factor():
     # numerator > 1 and denominator < 1 force g above (pi/3)sqrt(2e) n/(n+1)
     for n in (1, 2, 3, 5, 8):
         for e in (10, 15, 20, 35):
-            res = bd.compute_g(n, 10.0**e)
-            if not res.valid:
+            if bd.reference_g(n, 10**e)[0] is None:
                 continue
             floor = math.pi / 3 * math.sqrt(2 * math.e) * n / (n + 1)
-            assert res.g > floor
+            assert bd.enclose_g(n, 10**e)[2].a > floor
 
 
 def test_compute_bound_values():
@@ -85,12 +87,13 @@ def test_compute_bound_values():
         bd.compute_bound(1, 1e7, -1.0)
 
 
-def test_reference_validity():
-    assert bd.reference_validity(1, 1e7) == (True, ())
-    ok, failed = bd.reference_validity(4, 1e10)
-    assert not ok and bd.COND_P0_EXP8N in failed
-    ok, failed = bd.reference_validity(1, 1e6)
-    assert not ok and bd.COND_P0_MIN in failed
+def test_reference_g_conditions():
+    g, failed = bd.reference_g(1, 1e7)
+    assert g is not None and failed == ()
+    g, failed = bd.reference_g(4, 1e10)
+    assert g is None and bd.COND_P0_EXP8N in failed
+    g, failed = bd.reference_g(1, 1e6)
+    assert g is None and bd.COND_P0_MIN in failed
 
 
 def test_make_table_matches_published_values():
@@ -164,44 +167,39 @@ def test_burgess_params_too_small_p():
         bd.burgess_params(1, 2.0)  # floor(B log p) = 0
 
 
-def test_double_g_lies_in_its_enclosure_on_table_grid():
-    # the published double path agrees with the interval path, whose p is
-    # exactly 10^e where the double 10.0**e is not
+def test_closed_form_at_50_digits_lies_in_its_enclosure_on_table_grid():
+    # p is exactly 10^e on both sides; 50 digits err by far less than the
+    # 96-bit enclosures' widths, hence the 1e-40 relative margin
     for n0 in range(1, 9):
         for e in P0_EXPONENTS:
-            res = bd.compute_g(n0, 10.0**e)
-            xstar, f_at_xstar, g = bd.enclose_g(n0, 10**e)
-            if res.g is None:
-                assert g is None
-                continue
-            for x, iv in ((res.xstar, xstar), (res.f_at_xstar, f_at_xstar), (res.g, g)):
-                assert float(iv.a) * (1 - 1e-12) <= x <= float(iv.b) * (1 + 1e-12)
-
-
-@given(
-    st.floats(min_value=3.8, max_value=1e9),
-    st.floats(min_value=0.0, max_value=1e6),
-)
-def test_totient_factor_f_monotone_property(x, delta):
-    assert bd.totient_factor_f(x) <= bd.totient_factor_f(x + delta) + 1e-15
+            exact = closed_form(n0, 10**e)
+            enclosed = bd.enclose_g(n0, 10**e)
+            assert [x is None for x in exact] == [iv is None for iv in enclosed]
+            for x, iv in zip(exact, enclosed):
+                if x is not None:
+                    margin = abs(x) * mpmath.mpf(10) ** -40
+                    assert iv.a - margin <= x <= iv.b + margin, (n0, e)
+            g, failed = bd.reference_g(n0, 10**e)
+            if g is not None:  # the least double at or above the enclosure
+                assert exact[2] <= g and math.nextafter(g, 0) < enclosed[2].b
+                assert exact[2] * (1 + 1e-15) > g, (n0, e)
 
 
 @given(st.integers(min_value=1, max_value=12), st.floats(min_value=10.0, max_value=80.0))
 def test_f_at_xstar_in_unit_interval_when_valid(n, logp):
     p = math.exp(logp)
-    res = bd.compute_g(n, p)
-    if res.valid:
-        assert res.f_at_xstar is not None
-        assert 0 < res.f_at_xstar < 1
+    if bd.reference_g(n, p)[0] is not None:
+        f_at_xstar = bd.enclose_g(n, p)[1]
+        assert 0 < f_at_xstar.a and f_at_xstar.b < 1
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        bd.compute_g(0, 1e7)
+        bd.reference_g(0, 1e7)
     with pytest.raises(ValueError):
-        bd.compute_g(1, 1.0)
+        bd.reference_g(1, 1.0)
     with pytest.raises(ValueError):
-        bd.compute_xstar(2, 0.5)
+        bd.enclose_g(2, 0.5)
 
 
 def test_ceil_3dp_never_rounds_below_its_argument():

@@ -10,8 +10,10 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nonresidues import bounds as bd
 from nonresidues import cli
 from nonresidues import primes as pr
+from nonresidues.rounding import certify, upper
 
 from table1_data import TABLE1
 
@@ -25,6 +27,15 @@ def run_cli(args, capsys):
 def load_schema(name):
     with open(cli.schema_path(name)) as fh:
         return json.load(fh)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def at_or_above_g(c, n0, p0):
+    """Whether the double c is at least the upper end of g(n0, p0)'s
+    enclosure, exactly."""
+    return certify(upper(bd.enclose_g(n0, p0)[2]), c.as_integer_ratio())[0]
 
 
 def test_table_single_cell(capsys):
@@ -46,6 +57,24 @@ def test_table_text_matches_published_grid(capsys):
                 assert cell == "-"
             else:
                 assert cell == f"{expected:.3f}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_default_table_matches_golden(fmt, capsys):
+    # written by `nonres table` while g was still evaluated in doubles
+    code, out, _ = run_cli(["table", "--format", fmt], capsys)
+    assert code == 0
+    assert out == (DATA / f"table_default.{'txt' if fmt == 'text' else 'csv'}").read_text()
+
+
+def test_table_json_constants_are_certified_upper_bounds(capsys):
+    # the double-precision g of each cell lay up to 7e-15 below the true g
+    code, out, _ = run_cli(["table", "--format", "json"], capsys)
+    assert code == 0
+    cells = [c for c in json.loads(out) if c["g"] is not None]
+    assert len(cells) == 45
+    for c in cells:
+        assert at_or_above_g(c["g"], c["n0"], c["p0"]), c
 
 
 def test_table_csv_and_json(capsys):
@@ -211,6 +240,8 @@ def test_bound_text_and_json(capsys):
     jsonschema.validate(obj, load_schema("bound"))
     assert obj["c"] == pytest.approx(1.5294789, abs=1e-6)
     assert obj["bound"] == pytest.approx(1386.3, abs=1.0)
+    # c was the double-precision g, 1.529478876435229, below the true g
+    assert at_or_above_g(obj["c"], 1, 1e7)
 
 
 def test_bound_invalid_reference_exits_2(capsys):
@@ -431,6 +462,17 @@ def test_scan_refuses_a_constant_below_the_certified_g(capsys, tmp_path):
     code, _, err = run_cli([*args, "--c", "1.530"], capsys)
     assert code == 0, err
     assert json.loads((tmp_path / "s.json").read_text())["c"] == 1.53
+
+
+def test_scan_default_p0_covers_p_lo_above_2_53(capsys, tmp_path):
+    # p0 defaulted to float(p_lo), which rounds up to 10^17 + 16 here, and
+    # the scan refused its own p_lo as below p0
+    summary_path = tmp_path / "s.json"
+    code, _, err = run_cli(["scan", "--p-lo", "100000000000000013", "--p-hi",
+                            "100000000000000200", "--summary", str(summary_path)], capsys)
+    assert code == 0, err
+    summary = json.loads(summary_path.read_text())
+    assert summary["records"] > 0 and summary["violations"] == 0
 
 
 def test_scan_no_bound_check_needs_no_constant(capsys, tmp_path):

@@ -246,6 +246,8 @@ def test_task_validation():
         small_task(c=2.0)  # not a rounding of g(n0, p0)
     with pytest.raises(ValueError):
         sc.ScanTask.make(10**7, 10**7 + 10, n_max=1, n0=3, p0=1e7, c=1.0)  # invalid ref
+    with pytest.raises(ValueError, match=r"not valid: failed \('xstar_gt_3.8',\)"):
+        sc.ScanTask.make(10**7, 10**7 + 10, n_max=1, n0=3, p0=1e7)  # no g to freeze
 
 
 def test_no_bound_check_allows_low_range():
@@ -313,16 +315,19 @@ def test_scan_records_refuses_workers_below_one(tmp_path):
 
 
 def test_scan_task_refuses_a_constant_below_g(monkeypatch):
-    g = bd.compute_g(1, 1e7).g
-    task = small_task(c=bd.ceil_3dp(g))
-    # the first two were once let through by a 1e-9 allowance; the double g
-    # itself lies 2.7e-16 below the true g(1, 10^7), and was once accepted
+    g_hi, _ = bd.reference_g(1, 1e7)
+    task = small_task(c=bd.ceil_3dp(g_hi))
+    # the first two were once let through by a 1e-9 allowance; g evaluated
+    # in doubles, 1.529478876435229, lies 2.7e-16 below the true g(1, 10^7),
+    # and was once accepted and published
+    g = 1.529478876435229
     for c in (g - 5e-10, math.nextafter(g, 0), g):
         with pytest.raises(ValueError, match=r"rounding-up.*g_le_c"):
             sc.ScanTask(**dict(task.__dict__, c=c))
     assert not bd.certify_freeze(1, 10**7, g).ok
-    # the ceiling g + 0.001 has no allowance: ceil_3dp(g) always meets it
-    top = g + 0.001
+    assert g < g_hi and sc.ScanTask(**dict(task.__dict__, c=g_hi)).c == g_hi
+    # the ceiling g_hi + 0.001 has no allowance: ceil_3dp(g_hi) always meets it
+    top = g_hi + 0.001
     assert sc.ScanTask(**dict(task.__dict__, c=top)).c == top
     with pytest.raises(ValueError, match="rounding-up"):
         sc.ScanTask(**dict(task.__dict__, c=math.nextafter(top, 2)))
@@ -330,15 +335,23 @@ def test_scan_task_refuses_a_constant_below_g(monkeypatch):
     # ulp above the double 1.126, g * 1000 rounds to 1126 exactly (the
     # certificate is stubbed to g's side, since this g is not g(1, 10^7))
     g = math.nextafter(1.126, 2)
-    monkeypatch.setattr(sc, "compute_g", lambda n0, p0: SimpleNamespace(g=g))
+    monkeypatch.setattr(sc, "reference_g", lambda n0, p0: (g, ()))
     monkeypatch.setattr(sc, "certify_freeze", lambda n0, p0, c: SimpleNamespace(
         ok=c >= g, failed=()))
     assert small_task(c=None).c == bd.ceil_3dp(g) == 1.127
 
 
+def test_default_p0_is_the_largest_double_at_or_below_p_lo():
+    # float(10**17 + 13) is 10^17 + 16: the default p0 refused its own p_lo
+    task = sc.ScanTask.make(10**17 + 13, 10**17 + 200)
+    assert task.p0 == 1e17 and math.nextafter(task.p0, math.inf) > task.p_lo
+    assert sc.ScanTask.make(2**53 + 1, 2**53 + 100).p0 == 2.0**53
+    assert sc.ScanTask.make(10**7 + 1, 10**7 + 10).p0 == 10**7 + 1  # exact below 2^53
+
+
 def test_scan_task_refuses_an_invalid_reference_pair_before_certifying(monkeypatch):
     # certify_freeze would refuse this pair too, but in time linear in n0
-    # (about 30 s at n0 = 10^5): reference_validity must refuse it first
+    # (about 30 s at n0 = 10^5): reference_g must refuse it first
     def certify_freeze(n0, p0, c):
         raise AssertionError("certify_freeze ran on an invalid reference pair")
 
