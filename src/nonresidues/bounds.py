@@ -24,7 +24,10 @@ This module evaluates those closed forms once, in interval arithmetic
 with p exact (enclose_g), so every constant it reports is a certificate:
 reference_g decides a reference pair's conditions and reports g rounded up
 to a double, make_table builds the reference constant table from it, and
-certify_freeze certifies a frozen C for every p >= p0 and n <= n0.  p is a
+certify_freeze certifies a frozen C for every p >= p0 and n <= n0.
+compute_bound rounds the bound C p^(1/4) (log p)^((n+1)/2) up from its
+enclosure too; bound_shape and bound_shapes are its double-precision
+shape, which scans filter with before certifying border cells.  p is a
 real number, so 10^35 may be a float or an int and need not be prime.  All
 logarithms are natural.
 """
@@ -35,7 +38,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .rounding import IV, certify, iv_from_fraction, lower, minus, to_float, upper
+from .rounding import IV, certify, iv_from_fraction, lower, minus, upper, upper_float
 
 __all__ = [
     "BurgessParameters",
@@ -91,11 +94,19 @@ def bound_shapes(ps: list[int], n_max: int) -> list[list[float]]:
 
 
 def compute_bound(n: int, p: float, c: float) -> float:
-    """c * p^(1/4) * (log p)^((n+1)/2) for a frozen constant c > 0."""
+    """c * p^(1/4) * (log p)^((n+1)/2) for a frozen constant c > 0, rounded
+    up: the least double at or above its enclosure on IV, with p and c
+    exact, so never below the real product.  ValueError if that is past
+    the doubles (n in the hundreds)."""
     _check_np(n, p)
-    if not c > 0:
-        raise ValueError(f"constant c must be positive, got {c!r}")
-    return bound_shape(n, p, c)
+    if not 0 < c < math.inf:
+        raise ValueError(f"constant c must be positive and finite, got {c!r}")
+    p_iv = iv_from_fraction(Fraction(p))
+    bound = upper_float(iv_from_fraction(Fraction(c)) * IV.sqrt(IV.sqrt(p_iv))
+                        * IV.sqrt(IV.log(p_iv)) ** (n + 1))
+    if bound == math.inf:
+        raise ValueError(f"the bound overflows a double at n={n}, p={p}")
+    return bound
 
 
 def _above(x, r: tuple[int, int] = (0, 1)) -> bool:
@@ -150,12 +161,7 @@ def reference_g(n0: int, p0) -> tuple[float | None, tuple[str, ...]]:
     xstar, _, g = enclose_g(n0, p0)
     failed = ([] if _above(xstar, _XSTAR_FLOOR) else [COND_XSTAR]) + _p0_failed(
         n0, p0, IV.log(iv_from_fraction(Fraction(p0))))
-    if failed:
-        return None, tuple(failed)
-    top = upper(g)
-    g_hi = to_float(*top)
-    return (g_hi if certify(top, g_hi.as_integer_ratio())[0]
-            else math.nextafter(g_hi, math.inf)), ()
+    return (None, tuple(failed)) if failed else (upper_float(g), ())
 
 
 @dataclass(frozen=True)
@@ -244,10 +250,7 @@ def render_table_text(table: list[list[TableCell]]) -> str:
     header = "n0\\p0".ljust(8) + "".join(f"{_p0_label(p):>10}" for p in p0s)
     lines = [header]
     for row in table:
-        cells = "".join(
-            f"{'-':>10}" if c.g is None else f"{ceil_3dp(c.g):>10.3f}" for c in row
-        )
-        lines.append(f"{row[0].n0:<8}" + cells)
+        lines.append(f"{row[0].n0:<8}" + "".join(f"{_cell(c):>10}" for c in row))
     return "\n".join(lines)
 
 
@@ -257,11 +260,13 @@ def render_table_csv(table: list[list[TableCell]]) -> str:
         return ""
     lines = ["n0," + ",".join(_p0_label(c.p0) for c in table[0])]
     for row in table:
-        vals = ",".join(
-            "-" if c.g is None else f"{ceil_3dp(c.g):.3f}" for c in row
-        )
-        lines.append(f"{row[0].n0},{vals}")
+        lines.append(f"{row[0].n0}," + ",".join(map(_cell, row)))
     return "\n".join(lines) + "\n"
+
+
+def _cell(c: TableCell) -> str:
+    """A table cell's text: its g rounded up to 3 decimals, or a dash."""
+    return "-" if c.g is None else f"{ceil_3dp(c.g):.3f}"
 
 
 def table_to_json_obj(table: list[list[TableCell]]) -> list[dict]:

@@ -1,13 +1,13 @@
 """Exact Dirichlet-character arithmetic to a prime modulus.
 
 A character of order d mod a prime p is realized concretely: pick a
-primitive root g, pick an exponent m with (p-1)/gcd(m, p-1) = d, and set
-chi(g^k) = e^(2 pi i m k / (p-1)).  A CharacterSpec is the one table of
-chi: t_table holds each value exactly as a residue class t mod d, standing
-for the root of unity e^(2 pi i t / d), and values holds the numbers
-themselves (exact int64 0/+-1 for d = 2, complex128 roots rounded once from
-mpmath for d > 2).  Both are built once per spec, on first use, and cost
-O(p) memory.
+primitive root g and set chi(g^k) = e^(2 pi i k / d).  Every character of
+order d is one of these, for some choice of g.  A CharacterSpec is the one
+table of chi: t_table holds each value exactly as a residue class t mod d,
+standing for the root of unity e^(2 pi i t / d), and values holds the
+numbers themselves (exact int64 0/+-1 for d = 2, complex128 roots rounded
+once from mpmath for d > 2).  Both are built once per spec, on first use,
+and cost O(p) memory.
 
 The kernel of an order-d character mod p is exactly the set of d-th power
 residues, so membership is a single modular exponentiation
@@ -31,7 +31,6 @@ search already sieved.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -98,53 +97,47 @@ def find_primitive_root(p: int) -> int:
 
 @dataclass(frozen=True)
 class CharacterSpec:
-    """A Dirichlet character mod prime p of order d, via primitive root g.
-
-    chi(g^k) = e^(2 pi i m k / (p-1)); the order condition is
-    (p-1)/gcd(m, p-1) = d.
+    """A Dirichlet character mod prime p of order d, via primitive root g:
+    chi(g^k) = e^(2 pi i m k / (p-1)) with m = (p-1)/d, i.e. e^(2 pi i k / d).
     """
 
     p: int
     d: int
     g: int
-    m: int
 
     def __post_init__(self) -> None:
         if not pr.is_prime(self.p) or self.p == 2:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.d < 2 or (self.p - 1) % self.d != 0:
             raise ValueError(f"order d={self.d} does not divide p-1={self.p - 1}")
-        if (self.p - 1) // math.gcd(self.m, self.p - 1) != self.d:
-            raise ValueError(
-                f"exponent m={self.m} gives order "
-                f"{(self.p - 1) // math.gcd(self.m, self.p - 1)}, expected {self.d}"
-            )
         if not _primitive_root_test(self.p)(self.g):
             raise ValueError(f"g={self.g} is not a primitive root mod {self.p}")
 
     @classmethod
     def of_order(cls, p: int, d: int, g: int | None = None) -> "CharacterSpec":
-        """The canonical character of order d mod p: m = (p-1)/d."""
-        if g is None:
-            g = find_primitive_root(p)
-        if d < 2 or (p - 1) % d != 0:
-            raise ValueError(f"order d={d} does not divide p-1={p - 1}")
-        return cls(p=p, d=d, g=g, m=(p - 1) // d)
+        """The character of order d mod p via g, by default the least
+        primitive root."""
+        return cls(p=p, d=d, g=find_primitive_root(p) if g is None else g)
+
+    @property
+    def m(self) -> int:
+        """The exponent (p-1)/d of chi(g^k) = e^(2 pi i m k / (p-1))."""
+        return (self.p - 1) // self.d
 
     @cached_property
     def t_table(self) -> np.ndarray:
         """t-values of all residues 0..p-1 (-1 at 0), built once per spec.
 
         A read-only int64 array: chi(a) = e^(2 pi i t[a] / d), and t = -1
-        marks chi(0) = 0.  One pass over the powers of g, exact.
+        marks chi(0) = 0.  One pass over the powers of g, exact: t = k mod d
+        at g^k.
         """
         p = self.p
-        step = self.m * self.d // (p - 1)  # t advances by this per g-step
         powers = [1] * (p - 1)  # g^k mod p
         for k in range(1, p - 1):
             powers[k] = powers[k - 1] * self.g % p
         table = np.full(p, -1, dtype=np.int64)
-        table[powers] = np.arange(p - 1, dtype=np.int64) * step % self.d
+        table[powers] = np.arange(p - 1, dtype=np.int64) % self.d
         table.flags.writeable = False
         return table
 

@@ -25,7 +25,7 @@ from importlib import resources
 from . import bounds as bd
 from . import lemmas as lm
 from . import scan as sc
-from .characters import SearchCapExceededError, prime_nonresidues
+from .characters import DEFAULT_SEARCH_CAP, SearchCapExceededError, prime_nonresidues
 from .primes import is_prime
 
 EXIT_OK = 0
@@ -158,30 +158,22 @@ def cmd_bound(args: argparse.Namespace) -> int:
     n0 = args.n0 if args.n0 is not None else n
     p0 = args.p0 if args.p0 is not None else p
     c, failed = bd.reference_g(n0, p0)
-    if c is None:
-        msg = f"reference pair (n0={n0}, p0={p0}) is invalid: {', '.join(failed)}"
-        if args.format == "json":
-            _write_out(json.dumps({
-                "n": n, "p": p, "n0": n0, "p0": p0, "c": None, "bound": None,
-                "reference_valid": False, "failed_conditions": list(failed),
-                "warnings": [],
-            }, indent=2), args.out)
-        else:
-            print(msg, file=sys.stderr)
-        return EXIT_USAGE
-
-    warnings = []
-    if p < p0:
-        warnings.append(f"p={p} is below p0={p0}: the frozen bound does not cover it")
-    if n > n0:
-        warnings.append(f"n={n} exceeds n0={n0}: the frozen bound does not cover it")
-    bound = bd.compute_bound(n, p, c)
+    bound, warnings = None, []
+    if c is not None:
+        bound = bd.compute_bound(n, p, c)
+        if p < p0:
+            warnings.append(f"p={p} is below p0={p0}: the frozen bound does not cover it")
+        if n > n0:
+            warnings.append(f"n={n} exceeds n0={n0}: the frozen bound does not cover it")
     if args.format == "json":
         _write_out(json.dumps({
             "n": n, "p": p, "n0": n0, "p0": p0, "c": c, "bound": bound,
-            "reference_valid": True, "failed_conditions": [],
+            "reference_valid": c is not None, "failed_conditions": list(failed),
             "warnings": warnings,
         }, indent=2), args.out)
+    elif c is None:
+        print(f"reference pair (n0={n0}, p0={p0}) is invalid: {', '.join(failed)}",
+              file=sys.stderr)
     else:
         lines = [
             f"C = g({n0}, {p0:g}) = {c:.6f} (publishable: {bd.ceil_3dp(c):.3f})",
@@ -189,7 +181,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         ]
         lines += [f"warning: {w}" for w in warnings]
         _write_out("\n".join(lines), args.out)
-    return EXIT_OK
+    return EXIT_USAGE if c is None else EXIT_OK
 
 
 def cmd_nonresidues(args: argparse.Namespace) -> int:
@@ -201,9 +193,6 @@ def cmd_nonresidues(args: argparse.Namespace) -> int:
     except SearchCapExceededError as e:
         q = e.found
         cap_hit = True
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     if args.format == "json":
         _write_out(json.dumps({
             "p": args.p, "d": args.d, "count": args.n, "q": q,
@@ -250,12 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.instances is not None:
         cfg.proposition_instances = args.instances
 
-    try:
-        report = lm.run_verification(selected, cfg)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-
+    report = lm.run_verification(selected, cfg)
     for name, rep in report["lemmas"].items():
         status = "PASS" if rep["failures"] == 0 else "FAIL"
         print(
@@ -361,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p", type=int, required=True, help="odd prime modulus")
     q.add_argument("--d", type=int, required=True, help="character order, d | p-1")
     q.add_argument("--n", type=_positive_int, required=True, help="how many")
-    q.add_argument("--cap", type=_positive_int, default=10**6, help="search cap on q")
+    q.add_argument("--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP, help="search cap on q")
     q.add_argument("--format", choices=("text", "json"), default="text")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_nonresidues)
@@ -389,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference p0 (default p-lo)")
     s.add_argument("--c", type=_parse_finite, default=None,
                    help="frozen constant (default: g(n0,p0) rounded up)")
-    s.add_argument("--cap", type=_positive_int, default=10**6)
+    s.add_argument("--cap", type=_positive_int, default=DEFAULT_SEARCH_CAP)
     s.add_argument("--shard-width", type=int, default=sc.DEFAULT_SHARD_WIDTH)
     s.add_argument("--workers", type=_positive_int, default=None,
                    help="worker processes, started only for a scan of more than one "

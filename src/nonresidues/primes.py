@@ -19,11 +19,9 @@ import math
 
 import numpy as np
 
+# Trial divisors, and the Miller-Rabin witnesses: with them the test is
+# deterministic for all n < 3.3 * 10^24, far above anything this package scans.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# Deterministic Miller-Rabin with the witness set below is correct for all
-# n < 3.3 * 10^24, far above anything this package scans.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 FACTORIZE_LIMIT = 1 << 40
 
@@ -50,7 +48,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -14,7 +14,8 @@ and upper() read an interval's endpoints, and minus() subtracts two ratios
 by cross-multiplication, with no Fraction and no gcd.  certify(small, big)
 is the one comparison: it returns small <= big and big - small as a float
 (to_float, int true division, which rounds correctly as float() of a
-Fraction does).  The oracles cache the endpoints of their constant factors
+Fraction does).  upper_float() rounds an interval's upper endpoint up to a
+double, for the constants and bounds the package reports.  The oracles cache the endpoints of their constant factors
 (sqrt(2)(2r/e)^r, sqrt(p), 9/pi^2) and combine them with exact integers,
 so an interval evaluation per instance is needed only where the instance
 itself enters a transcendental function.  There lower_log and
@@ -34,7 +35,8 @@ import math
 from fractions import Fraction
 
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_mul, round_ceiling, round_floor
+from mpmath.libmp import (
+    from_int, mpf_div, mpf_log, mpf_mul, round_ceiling, round_floor, to_float as raw_to_float)
 
 DEFAULT_PREC = 96
 
@@ -68,6 +70,13 @@ def lower(x) -> tuple[int, int]:
 def upper(x) -> tuple[int, int]:
     """Exact upper endpoint of an interval number, as a ratio."""
     return ratio(x._mpi_[1])
+
+
+def upper_float(x) -> float:
+    """The least double at or above the upper endpoint of an interval
+    number (inf past the largest double): its mantissa rounded up to 53
+    bits, which is exact for normal doubles."""
+    return raw_to_float(x._mpi_[1], rnd=round_ceiling)
 
 
 def minus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:

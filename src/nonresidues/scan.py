@@ -51,7 +51,7 @@ import numpy as np
 
 from . import primes as pr
 from .bounds import bound_shape, bound_shapes, ceil_3dp, certify_freeze, reference_g
-from .characters import nonresidue_table
+from .characters import DEFAULT_SEARCH_CAP, nonresidue_table
 from .rounding import DEFAULT_PREC, certify, interval_context, lower, upper
 
 __all__ = [
@@ -165,7 +165,7 @@ class ScanTask:
     n0: int
     p0: float
     c: float | None
-    search_cap: int = 10**6
+    search_cap: int = DEFAULT_SEARCH_CAP
     shard_width: int = DEFAULT_SHARD_WIDTH
     check_bound: bool = True
 
@@ -202,6 +202,8 @@ class ScanTask:
                     f"reference pair (n0={self.n0}, p0={self.p0}) is not "
                     f"valid: failed {failed}"
                 )
+            if self.c is None:
+                raise ValueError("a bound-checked scan needs the frozen constant c")
             # below: a certificate that g(n, p) <= c for all p >= p0, n <= n0.
             # above: a ceiling that ceil_3dp(g_ref) = k/1000 always meets in
             # doubles: the double (k-1)/1000 is below g_ref, so (k-1)/1000 <
@@ -335,8 +337,12 @@ class Shard:
     count: np.ndarray
     ratio: np.ndarray
     ok: np.ndarray
-    cap: np.ndarray
     text: str = ""
+
+    @property
+    def cap(self) -> np.ndarray:
+        """Whether each row's search reached the cap before n_max."""
+        return self.count < self.q.shape[1]
 
     @classmethod
     def from_records(cls, records: Sequence[ScanRecord], n_max: int) -> "Shard":
@@ -349,8 +355,7 @@ class Shard:
         return cls(p=np.array([rec.p for rec in records], dtype=np.int64),
                    d=np.array([rec.d for rec in records], dtype=np.int64), q=q,
                    count=np.array([len(rec.q) for rec in records], dtype=np.int64),
-                   ratio=ratio, ok=ok,
-                   cap=np.array([rec.cap_exhausted for rec in records], dtype=bool))
+                   ratio=ratio, ok=ok)
 
     def record(self, r: int) -> ScanRecord:
         k = int(self.count[r])
@@ -441,7 +446,7 @@ def _compute_shards(task: ScanTask, shards: range, fmt: str | None = None) -> li
         ok = (np.arange(task.n_max) >= count[:, None]) | (q <= b * (1.0 - 1e-9))
         for r, n in zip(*np.nonzero(~ok & (q <= b * (1.0 + 1e-9)))):
             ok[r, n] = _bound_ok(int(q[r, n]), int(n) + 1, int(p[r]), task.c)
-    cols = (p, d, q, count, q / shape, ok, count < task.n_max)
+    cols = (p, d, q, count, q / shape, ok)
     cuts = np.searchsorted(p, los[1:]).tolist()
     out = []
     for a, b in zip([0, *cuts], [*cuts, len(p)]):
@@ -544,7 +549,6 @@ class Aggregate:
     adding, so identical record streams give identical summaries.
     """
 
-    n_max: int
     records: int = 0
     cap_exhausted: int = 0
     violations: int = 0
@@ -553,7 +557,7 @@ class Aggregate:
 
     @classmethod
     def empty(cls, n_max: int) -> "Aggregate":
-        return cls(n_max=n_max, per_n=[PerNStats(n) for n in range(1, n_max + 1)])
+        return cls(per_n=[PerNStats(n) for n in range(1, n_max + 1)])
 
     def add(self, shard: Shard) -> None:
         self.records += len(shard.p)
@@ -577,14 +581,16 @@ class Aggregate:
         return dict(vars(self), per_n=[dict(vars(s)) for s in self.per_n])
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Aggregate":
-        """The inverse of to_json_obj after a JSON round trip.  A missing
-        or mistyped field refuses the checkpoint instead of taking its
-        default or failing in a later comparison, and witnesses come back
-        as tuples, since _beats compares them."""
-        def load(kind, o: dict):
+    def from_json_obj(cls, obj) -> "Aggregate":
+        """The inverse of to_json_obj after a JSON round trip.  Anything
+        but a JSON object, or a missing or mistyped field, refuses the
+        checkpoint instead of taking a default or failing in a later
+        comparison; keys that are not fields are ignored.  Witnesses come
+        back as tuples, since _beats compares them."""
+        def load(kind, o):
             types = {f.name: f.type for f in fields(kind)}
-            if bad := [k for k, t in types.items() if k not in o or not _JSON_TYPES[t](o[k])]:
+            if bad := [k for k, t in types.items() if not isinstance(o, dict)
+                       or k not in o or not _JSON_TYPES[t](o[k])]:
                 raise TaskMismatchError(
                     f"checkpoint aggregate lacks or mistypes {bad}; refusing to resume")
             return kind(**{k: o[k] for k in types})
@@ -641,10 +647,12 @@ def _write_checkpoint(path: str, payload: dict) -> None:
 
 
 def _load_checkpoint(path: str, task: ScanTask, task_hash: str,
-                     fmt: str) -> dict | None:
-    """The checkpoint at path (None if there is none), refused with
-    TaskMismatchError unless it belongs to this task and format and its
-    own keys have the types and ranges that run_scan reads."""
+                     fmt: str) -> tuple[int, int | None, Aggregate] | None:
+    """(next shard, byte offset, aggregate) of the checkpoint at path (None
+    if there is none), refused with TaskMismatchError unless it belongs to
+    this task and format, its own keys have the types and ranges that
+    run_scan reads, and its aggregate loads (Aggregate.from_json_obj) with
+    per-n stats for n = 1..n_max in order."""
     if not os.path.exists(path):
         return None
     with open(path) as fh:
@@ -675,14 +683,11 @@ def _load_checkpoint(path: str, task: ScanTask, task_hash: str,
         raise TaskMismatchError(
             f"checkpoint byte_offset {offset!r} is neither null nor an int >= 0; "
             f"refusing to resume")
-    # the summary takes n_max from the aggregate, so it must be the task's
-    if not (isinstance(agg, dict) and agg.get("n_max") == task.n_max
-            and isinstance(agg.get("per_n"), list) and len(agg["per_n"]) == task.n_max
-            and all(isinstance(s, dict) for s in agg["per_n"])):
-        raise TaskMismatchError(
-            f"checkpoint aggregate is not an object with n_max {task.n_max} and a "
-            f"per_n list of {task.n_max} objects; refusing to resume")
-    return obj
+    agg = Aggregate.from_json_obj(agg)
+    if (ns := [st.n for st in agg.per_n]) != list(range(1, task.n_max + 1)):
+        raise TaskMismatchError(f"checkpoint aggregate has per_n for n = {ns}, not "
+                                f"1..{task.n_max} in order; refusing to resume")
+    return next_shard, offset, agg
 
 
 def run_scan(
@@ -712,17 +717,10 @@ def run_scan(
     if stop_after_shards is not None and stop_after_shards < 1:
         raise ValueError(f"stop_after_shards must be >= 1, got {stop_after_shards}")
 
-    first_shard = 0
-    agg = Aggregate.empty(task.n_max)
-    byte_offset = None
     task_hash = task.task_hash()
-
     ckpt = (_load_checkpoint(checkpoint_path, task, task_hash, fmt)
             if checkpoint_path else None)
-    if ckpt is not None:
-        first_shard = ckpt["next_shard"]
-        agg = Aggregate.from_json_obj(ckpt["aggregate"])
-        byte_offset = ckpt["byte_offset"]
+    first_shard, byte_offset, agg = ckpt or (0, None, Aggregate.empty(task.n_max))
     last_shard = task.shard_count
     if stop_after_shards is not None:
         last_shard = min(last_shard, first_shard + stop_after_shards)

@@ -85,6 +85,27 @@ def test_compute_bound_values():
         bd.compute_bound(1, 1e7, 0.0)
     with pytest.raises(ValueError):
         bd.compute_bound(1, 1e7, -1.0)
+    with pytest.raises(ValueError):
+        bd.compute_bound(1, 1e7, math.inf)
+    with pytest.raises(ValueError, match="overflows"):
+        bd.compute_bound(1000, 1e7, 1.53)
+
+
+def _bound_50_digits(n, p, c):
+    with mpmath.workdps(50):
+        return mpmath.mpf(c) * mpmath.mpf(p) ** 0.25 * mpmath.log(p) ** ((n + 1) / 2)
+
+
+def test_compute_bound_is_the_least_double_at_or_above_the_product():
+    # the double product c p^(1/4) log p printed 10173.012119050003 at this
+    # witness, below the product 10173.01211905000326...
+    c = bd.reference_g(1, 1e10)[0]
+    points = [(1, 80e9 / 7)] + [(n, 1e10 * 1.07**k) for n in (1, 2, 3) for k in range(60)]
+    for n, p in points:
+        b = bd.compute_bound(n, p, c)
+        exact = _bound_50_digits(n, p, c)
+        assert math.nextafter(b, 0) < exact <= b, (n, p)
+    assert bd.compute_bound(1, 80e9 / 7, c) == 10173.012119050005
 
 
 def test_reference_g_conditions():

@@ -59,7 +59,7 @@ def test_find_primitive_root_refuses_p_minus_1_beyond_factorize_limit():
     with pytest.raises(ValueError):
         find_primitive_root(p)
     with pytest.raises(ValueError):
-        CharacterSpec(p=p, d=2, g=3, m=(p - 1) // 2)
+        CharacterSpec(p=p, d=2, g=3)
 
 
 def test_primitive_root_search_and_validation_agree():
@@ -69,10 +69,10 @@ def test_primitive_root_search_and_validation_agree():
         assert find_primitive_root(p) == roots[0]
         for g in range(1, p):
             if g in roots:
-                CharacterSpec(p=p, d=p - 1, g=g, m=1)
+                CharacterSpec(p=p, d=p - 1, g=g)
             else:
                 with pytest.raises(ValueError):
-                    CharacterSpec(p=p, d=p - 1, g=g, m=1)
+                    CharacterSpec(p=p, d=p - 1, g=g)
 
 
 @pytest.mark.parametrize("module", ["nonresidues"] + [
@@ -90,12 +90,30 @@ def test_character_spec_validation():
     with pytest.raises(ValueError):
         CharacterSpec.of_order(9, 2)  # 9 not prime
     with pytest.raises(ValueError):
-        CharacterSpec(p=7, d=2, g=2, m=3)  # 2 is not a primitive root mod 7
+        CharacterSpec(p=7, d=2, g=2)  # 2 is not a primitive root mod 7
     for g in (0, 7, -14):  # g^e = 0, never 1, but 0 generates nothing
         with pytest.raises(ValueError):
-            CharacterSpec(p=7, d=2, g=g, m=3)
+            CharacterSpec(p=7, d=2, g=g)
     with pytest.raises(ValueError):
-        CharacterSpec(p=7, d=3, g=3, m=3)  # m=3 gives order 2, not 3
+        CharacterSpec(p=7, d=4, g=3)  # 4 does not divide 6, with g given
+    assert CharacterSpec(p=7, d=3, g=3).m == 2  # m is (p-1)/d, not a field
+
+
+def test_every_character_of_order_d_comes_from_some_primitive_root():
+    # a spec has no exponent m: chi(g0^k) = e^(2 pi i m k/(p-1)) of order
+    # (p-1)/gcd(m, p-1) = d is chi(g^k) = e^(2 pi i k/d) for some root g
+    for p in map(int, pr.sieve(100)[1:]):
+        g0 = find_primitive_root(p)
+        roots = [g for g in range(2, p) if brute_force_order(g, p) == p - 1]
+        for d in (d for d in range(2, p) if (p - 1) % d == 0):
+            by_root = {tuple(CharacterSpec(p=p, d=d, g=g).t_table) for g in roots}
+            by_m = set()
+            for m in (m for m in range(p - 1) if (p - 1) // math.gcd(m, p - 1) == d):
+                t = [-1] * p
+                for k in range(p - 1):
+                    t[pow(g0, k, p)] = m * k * d // (p - 1) % d
+                by_m.add(tuple(t))
+            assert by_root == by_m, (p, d)
 
 
 def test_char_value_quadratic_mod_7():

@@ -535,14 +535,14 @@ def _set_per_n(key, value):
     _set("byte_offset", -1), _drop("aggregate"), _set("aggregate", []),
     _set("per_n", [1], inside="aggregate"),
     _set("per_n", [], inside="aggregate"),  # was a summary without per-n stats
-    _set("n_max", 2, inside="aggregate"),  # was a summary with n_max 2
+    _set_per_n("n", 2),  # was a summary whose n = 1 stats counted q_2
     _set_per_n("max_q", "x"),  # was a TypeError traceback in _beats, exit 1
     _set_per_n("count", "3"), _set_per_n("max_ratio_witness", [1]),
     _set("violations", True, inside="aggregate"),
 ], ids=["no-next_shard", "string-per_n", "next_shard-past-total", "negative-next_shard",
         "string-next_shard", "bool-next_shard", "no-byte_offset", "string-byte_offset",
         "negative-byte_offset", "no-aggregate", "list-aggregate", "per_n-of-ints",
-        "empty-per_n", "aggregate-n_max", "string-max_q", "string-count",
+        "empty-per_n", "per_n-for-n-2", "string-max_q", "string-count",
         "short-max_ratio_witness", "bool-violations"])
 def test_scan_resume_refuses_malformed_checkpoint_exit_2(capsys, tmp_path, edit):
     out, ck = tmp_path / "r.jsonl", tmp_path / "ck.json"
@@ -560,6 +560,26 @@ def test_scan_resume_refuses_malformed_checkpoint_exit_2(capsys, tmp_path, edit)
     code, _, err = run_cli(args, capsys)
     assert code == 2 and "refusing to resume" in err and "Traceback" not in err
     assert out.read_bytes() == records
+
+
+@pytest.mark.parametrize("n_max", [1, 2], ids=["as-written-before", "stray"])
+def test_scan_resume_ignores_an_aggregate_n_max(capsys, tmp_path, n_max):
+    # checkpoints once held the aggregate's own copy of n_max, which the
+    # summary took over the task's: the key is now ignored
+    out, ck, whole = tmp_path / "r.jsonl", tmp_path / "ck.json", tmp_path / "w.jsonl"
+    args = ["scan", "--p-lo", "1e7", "--p-hi", "1.0005e7", "--c", "1.530",
+            "--n0", "1", "--p0", "1e7", "--shard-width", "2000"]
+    resumed = [*args, "--out", str(out), "--summary", str(tmp_path / "s.json"),
+               "--checkpoint", str(ck)]
+    assert run_cli(resumed + ["--stop-after-shards", "1"], capsys)[0] == 0
+    saved = json.loads(ck.read_text())
+    saved["aggregate"]["n_max"] = n_max
+    ck.write_text(json.dumps(saved))
+    assert run_cli(resumed, capsys)[0] == 0
+    uninterrupted = [*args, "--out", str(whole), "--summary", str(tmp_path / "w.json")]
+    assert run_cli(uninterrupted, capsys)[0] == 0
+    assert out.read_bytes() == whole.read_bytes()
+    assert (tmp_path / "s.json").read_bytes() == (tmp_path / "w.json").read_bytes()
 
 
 def test_scan_resume_refuses_unreadable_checkpoint_exit_2(capsys, tmp_path):

@@ -79,13 +79,12 @@ def test_sum_S_brute_force_oracle():
 
 def _mpmath_window_m2(spec, h):
     """|sum_{m<h} chi(x+m)|^2 for every x at 200 bits, straight from the
-    definition chi(g^k) = e^(2 pi i m k / (p-1)); shares nothing with the
-    kernel."""
+    definition chi(g^k) = e^(2 pi i k / d); shares nothing with the kernel."""
     p = spec.p
     with mpmath.workprec(200):
         chi = [mpmath.mpc(0)] * p
         for k in range(p - 1):
-            chi[pow(spec.g, k, p)] = mpmath.expjpi(mpmath.mpf(2 * spec.m * k) / (p - 1))
+            chi[pow(spec.g, k, p)] = mpmath.expjpi(mpmath.mpf(2 * k) / spec.d)
         return [abs(mpmath.fsum(chi[(x + m) % p] for m in range(h))) ** 2
                 for x in range(p)]
 

@@ -13,6 +13,7 @@ from nonresidues import cli
 from nonresidues import primes as pr
 from nonresidues import scan as sc
 from nonresidues.bounds import bound_shape
+from nonresidues.characters import DEFAULT_SEARCH_CAP
 
 
 def small_task(**kw):
@@ -207,6 +208,22 @@ def test_resume_refuses_checkpoint_missing_an_aggregate_field(tmp_path, path):
     assert part.read_bytes() == written
 
 
+def test_resume_refuses_per_n_stats_out_of_order(tmp_path):
+    # per_n[0] for n = 2 and per_n[1] for n = 1 resumed, and the summary's
+    # n = 1 stats went on counting q_2
+    task = small_task(n_max=2, n0=2, c=None)
+    part, ck = tmp_path / "part.jsonl", tmp_path / "ck.json"
+    sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck), stop_after_shards=1)
+    saved = json.loads(ck.read_text())
+    per_n = saved["aggregate"]["per_n"]
+    per_n[0]["n"], per_n[1]["n"] = 2, 1
+    ck.write_text(json.dumps(saved))
+    written = part.read_bytes()
+    with pytest.raises(sc.TaskMismatchError, match=r"\[2, 1\].*refusing to resume"):
+        sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck))
+    assert part.read_bytes() == written
+
+
 def test_resume_refuses_modified_task(tmp_path):
     task = small_task()
     ck = tmp_path / "ck.json"
@@ -248,6 +265,9 @@ def test_task_validation():
         sc.ScanTask.make(10**7, 10**7 + 10, n_max=1, n0=3, p0=1e7, c=1.0)  # invalid ref
     with pytest.raises(ValueError, match=r"not valid: failed \('xstar_gt_3.8',\)"):
         sc.ScanTask.make(10**7, 10**7 + 10, n_max=1, n0=3, p0=1e7)  # no g to freeze
+    with pytest.raises(ValueError, match="needs the frozen constant c"):  # was an AttributeError
+        sc.ScanTask(p_lo=10**7, p_hi=10**7 + 100, policy=sc.OrderPolicy.quadratic(),
+                    n_max=1, n0=1, p0=1e7, c=None)
 
 
 def test_no_bound_check_allows_low_range():
@@ -339,6 +359,15 @@ def test_scan_task_refuses_a_constant_below_g(monkeypatch):
     monkeypatch.setattr(sc, "certify_freeze", lambda n0, p0, c: SimpleNamespace(
         ok=c >= g, failed=()))
     assert small_task(c=None).c == bd.ceil_3dp(g) == 1.127
+
+
+def test_search_cap_defaults_are_the_package_default():
+    task = sc.ScanTask(p_lo=10**7, p_hi=10**7 + 100, policy=sc.OrderPolicy.quadratic(),
+                       n_max=1, n0=1, p0=1e7, c=None, check_bound=False)
+    assert task.search_cap == DEFAULT_SEARCH_CAP
+    for argv in (["scan", "--p-lo", "1", "--p-hi", "2"],
+                 ["nonresidues", "--p", "7", "--d", "2", "--n", "1"]):
+        assert cli.build_parser().parse_args(argv).cap == DEFAULT_SEARCH_CAP
 
 
 def test_default_p0_is_the_largest_double_at_or_below_p_lo():
@@ -661,7 +690,7 @@ def _per_row_aggregate(records, n_max):
                 best, best_wit = st[key], st[key + "_witness"]
                 if best is None or value > best or (value == best and wit < best_wit):
                     st[key], st[key + "_witness"] = value, wit
-    return {"n_max": n_max, **agg}
+    return agg
 
 
 def test_shard_aggregate_equals_per_row_addition_on_ties():
