@@ -37,8 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
-from .rounding import IV, certify, iv_from_fraction, lower, minus, upper, upper_float
+from mpmath.libmp import from_int, mpf_cmp, mpf_mul
+
+from .rounding import IV, certify, iv_from_fraction, upper, upper_float
 
 __all__ = [
     "BurgessParameters",
@@ -85,11 +89,14 @@ def bound_shape(n: int, p: float, c: float = 1.0) -> float:
 
 def bound_shapes(ps: list[int], n_max: int) -> list[list[float]]:
     """For n = 1..n_max, the list of bound_shape(n, p) over p in ps, bit for
-    bit (c = 1.0 and 1.0 * a == a), one comprehension per n.  Like
+    bit (c = 1.0 and 1.0 * a == a): p^(1/4) and log p once per p, then one
+    power and one product per (p, n), each a map over the list.  Like
     bound_shape it uses libm's log and pow only: numpy's vectorised log
     and power need not round as libm does.  Overflow is the caller's to
     rule out."""
-    return [[x**0.25 * math.log(x) ** ((n + 1) / 2.0) for x in ps]
+    roots = list(map(pow, ps, repeat(0.25)))
+    logs = list(map(math.log, ps))
+    return [list(map(mul, roots, map(pow, logs, repeat((n + 1) / 2.0))))
             for n in range(1, n_max + 1)]
 
 
@@ -110,8 +117,12 @@ def compute_bound(n: int, p: float, c: float) -> float:
 
 
 def _above(x, r: tuple[int, int] = (0, 1)) -> bool:
-    """Whether the interval x lies entirely above the ratio r."""
-    return minus(lower(x), r)[0] > 0
+    """Whether the interval x lies entirely above the ratio r = (n, d),
+    d > 0: lo * d > n for its raw lower endpoint lo, in exact libmp
+    arithmetic, so a tiny lo (X* at a large n) costs no integer as wide as
+    its exponent."""
+    n, d = r
+    return mpf_cmp(mpf_mul(x._mpi_[0], from_int(d)), from_int(n)) > 0
 
 
 def enclose_g(n: int, p) -> tuple:

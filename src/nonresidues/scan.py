@@ -17,16 +17,19 @@ Only a scan of two batches or more starts a pool, of at most one process
 per batch.  A batch works on whole columns, with no Python call per cell:
 a segmented sieve over its joint range that strikes larger base primes one
 octave per numpy scatter, one batched nonresidue search, the bound's
-shapes in one comprehension per n (bit for bit those of bound_shape),
-vectorised ratios and bound filter; it is then split back into shards,
-each written by %-templates, one per cell count, applied once to all its
-cells.  No row depends on another, so a shard's bytes do not depend on the
-batch it was computed in.  ScanRecord is the row view, and its to_jsonl
-and to_csv_row define the bytes each line must equal.  The record stream
-and the summary are byte-identical for any worker count, and a
-checkpointed run resumed from interruption reproduces the uninterrupted
-output exactly (the checkpoint stores the output byte offset and the next
-shard, and resume truncates back to it).
+shapes (bit for bit those of bound_shape), vectorised ratios and bound
+filter, and one formatting pass: each row's %-template is chosen by one
+int64 key, and each ratio is written from its shortest round-trip digits,
+computed for the whole column in numpy (_shortest; repr writes the few
+values that it cannot certify).  The batch is then split back into
+shards, their text cut at the shards' first rows.  No row depends on
+another, so a shard's bytes do not depend on the batch it was computed
+in.  ScanRecord is the row view, and its to_jsonl and to_csv_row define
+the bytes each line must equal.  The record stream and the summary are
+byte-identical for any worker count, and a checkpointed run resumed from
+interruption reproduces the uninterrupted output exactly (the checkpoint
+stores the output byte offset and the next shard, and resume truncates
+back to it).
 
 Border arithmetic: ratios are stored as doubles, but the bound decision
 compares the exact integer q_n against a two-sided float enclosure of the
@@ -50,6 +53,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import primes as pr
+from ._shortest import NOTATIONS, notation, repr_cells
 from .bounds import bound_shape, bound_shapes, ceil_3dp, certify_freeze, reference_g
 from .characters import DEFAULT_SEARCH_CAP, nonresidue_table
 from .rounding import DEFAULT_PREC, certify, interval_context, lower, upper
@@ -318,7 +322,33 @@ def _bound_ok(q_n: int, n: int, p: int, c: float) -> bool:
         prec *= 2
 
 
-_BOOL = np.array(["false", "true"], dtype=object)
+def _template(fmt: str, n_max: int, d: int, ok: list[bool], ids: list[int]) -> str:
+    """The %-template of a row of order d with len(ok) cells, their bound
+    verdicts ok and their ratios' notation ids (see Shard.format)."""
+    k = len(ok)
+    ok_words = ["true" if v else "false" for v in ok]
+    cap = "true" if k < n_max else "false"
+    ratios = [notation(i) for i in ids]
+    if fmt == "csv":
+        blank = [""] * (n_max - k)
+        return ",".join(["%d", str(d), *["%d"] * k, *blank, *ratios, *blank,
+                         "true" if all(ok) else "false", cap]) + "\n"
+    return (f'{{"bound_ok": [{", ".join(ok_words)}], "cap_exhausted": {cap}, '
+            f'"d": {d}, "p": %d, "q": [{", ".join(["%d"] * k)}], '
+            f'"ratio": [{", ".join(ratios)}]}}\n')
+
+
+def _row_keys(parts: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
+    """One int64 per row, equal for two rows iff all their parts are: the
+    parts (columns of ints in [0, radix)) packed in mixed radix, renumbered
+    densely first wherever the next part would overflow."""
+    key, size = np.zeros(len(parts[0][0]), np.int64), 1
+    for col, radix in parts:
+        if size > (1 << 62) // radix:
+            uniq, key = np.unique(key, return_inverse=True)
+            size = len(uniq)
+        key, size = key * radix + col, size * radix
+    return key
 
 
 @dataclass
@@ -327,8 +357,8 @@ class Shard:
 
     q, ratio and ok are n_max wide; cells past a row's count (a search
     that reached the cap) hold 0, 0.0 and True.  text is the rows'
-    JSONL or CSV lines, each ending in a newline, or "" if no format was
-    asked for.
+    JSONL or CSV lines (see format), each ending in a newline, or "" if no
+    format was asked for.
     """
 
     p: np.ndarray
@@ -365,53 +395,60 @@ class Shard:
             bound_ok=tuple(self.ok[r, :k].tolist()), cap_exhausted=bool(self.cap[r]),
         )
 
-    def format(self, fmt: str) -> str:
-        """The rows' lines, each equal to ScanRecord.to_jsonl or to_csv_row
-        of its row, from one %-format over the whole shard.
+    def format(self, fmt: str, cuts: Sequence[int] = ()) -> list[str]:
+        """The text of the rows before cuts[0], between consecutive cuts
+        and from cuts[-1] on (all rows if no cuts): lines each equal to
+        ScanRecord.to_jsonl or to_csv_row of its row.  _compute_shards
+        formats a batch once and cuts it at its shards' first rows; a
+        piece is the text of its rows formatted alone, since no row's
+        text depends on another's.
 
-        The templates are built here from n_max, one per cell count k: a
-        row whose search reached the cap before n_max takes the template of
-        its count, every other row the n_max one.  In JSONL the three lists
-        of a k-template hold k items; in CSV the q and ratio cells past k
-        are empty but keep their commas.  The rows' templates, joined, are
-        applied once to a matrix of the columns' cells in template order,
-        without the cells past each row's count.  %d writes an int as str
-        does, %r a float as json does (its repr), and %s the words true
-        and false.
+        Each row takes a %-template chosen by one int64 key (_row_keys)
+        of its count, d, and per cell its bound verdict and its ratio's
+        notation (_shortest.repr_cells, from the shortest digits of the
+        whole column, or %r for a ratio whose digits it cannot certify).
+        The cap flag, the verdicts as the words true and false, and d are
+        literal text in the template, and so are the commas of the CSV
+        cells past the count.  Only p, the q values and the ratios' digit
+        integers (or a %r ratio itself) are %-cells, in that order in both
+        formats, so a piece is one %-format of its rows' templates,
+        joined, over its slice of one cell list.
         """
-        n_max = self.q.shape[1]
-        n = [*range(n_max)]  # the slots of a list column's cells
-        cap = _BOOL[self.cap.view(np.int8), None]
-        if fmt == "csv":
-            def template(k: int) -> str:
-                blank = [""] * (n_max - k)
-                return ",".join(["%d", "%d", *["%d"] * k, *blank,
-                                 *["%r"] * k, *blank, "%s", "%s"]) + "\n"
-            cols = (self.p[:, None], self.d[:, None], self.q, self.ratio,
-                    _BOOL[self.ok.all(axis=1).view(np.int8), None], cap)
-            slots = [-1, -1, *n, *n, -1, -1]
-        else:
-            def template(k: int) -> str:
-                return ('{"bound_ok": [' + ", ".join(["%s"] * k)
-                        + '], "cap_exhausted": %s, "d": %d, "p": %d, "q": ['
-                        + ", ".join(["%d"] * k) + '], "ratio": ['
-                        + ", ".join(["%r"] * k) + "]}\n")
-            cols = (_BOOL[self.ok.view(np.int8)], cap, self.d[:, None],
-                    self.p[:, None], self.q, self.ratio)
-            slots = [*n, -1, -1, -1, *n, *n]
-        # a cell in slot n is written while n < count; a scalar (-1) always
-        keep = np.array(slots) < self.count[:, None]
-        cells = np.concatenate([c.astype(object) for c in cols], axis=1)[keep]
-        lines = "".join(map([template(k) for k in range(n_max + 1)].__getitem__,
-                            self.count.tolist()))
-        return lines % tuple(cells.tolist())
+        n_max, rows = self.q.shape[1], len(self.p)
+        present = np.arange(n_max) < self.count[:, None]
+        ids, head, tail = repr_cells(self.ratio)
+        ds, d_at = np.unique(self.d, return_inverse=True)
+        key = _row_keys([(self.count, n_max + 1), (d_at, max(len(ds), 1)),
+                         *zip(np.where(present, 1 + self.ok + 2 * ids, 0).T,
+                              repeat(2 * NOTATIONS + 1))])
+        _, first, which = np.unique(key, return_index=True, return_inverse=True)
+        templates = [_template(fmt, n_max, int(self.d[r]), self.ok[r, :k].tolist(),
+                               ids[r, :k].tolist())
+                     for r, k in zip(first.tolist(), self.count[first].tolist())]
+        # cells in template order: p, the q values, each ratio's head and tail
+        ratio_cells = np.stack([head, tail], axis=2).reshape(rows, 2 * n_max)
+        cells = np.concatenate([self.p[:, None], self.q, ratio_cells], axis=1)
+        keep = np.concatenate([np.ones((rows, 1), bool), present,
+                               np.repeat(present, 2, axis=1)], axis=1)
+        keep[:, n_max + 2::2] &= tail >= 0
+        values = cells[keep].tolist()
+        at = np.flatnonzero(keep.ravel()).searchsorted
+        for r, n in zip(*np.nonzero(present & (ids == 0))):  # %r: the ratio itself
+            values[at(r * keep.shape[1] + n_max + 1 + 2 * n)] = self.ratio[r, n].item()
+        lines = list(map(templates.__getitem__, which.tolist()))
+        ends = [0, *keep.sum(axis=1).cumsum().tolist()]  # values before each row
+        bounds = [0, *cuts, rows]
+        return ["".join(lines[a:b]) % tuple(values[ends[a]:ends[b]])
+                for a, b in zip(bounds, bounds[1:])]
 
 
 def _compute_shards(task: ScanTask, shards: range, fmt: str | None = None) -> list[Shard]:
     """The shards in the nonempty range shards, each with its text in the
     format fmt (None: none), computed as one batch: one sieve over their
-    joint range, one rows call, one nonresidue search, one shapes pass and
-    one bound filter, then split into shards at each shard's lower end.
+    joint range, one rows call, one nonresidue search, one shapes pass,
+    one bound filter and one Shard.format of all the rows (ratio digits
+    from one numpy pass, repr for what that cannot certify), then split
+    into shards at each shard's lower end, with the text cut there.
     No row's result depends on another row, so each shard equals the one
     that a one-shard batch gives.
 
@@ -448,12 +485,9 @@ def _compute_shards(task: ScanTask, shards: range, fmt: str | None = None) -> li
             ok[r, n] = _bound_ok(int(q[r, n]), int(n) + 1, int(p[r]), task.c)
     cols = (p, d, q, count, q / shape, ok)
     cuts = np.searchsorted(p, los[1:]).tolist()
-    out = []
-    for a, b in zip([0, *cuts], [*cuts, len(p)]):
-        shard = Shard(*(col[a:b] for col in cols))
-        shard.text = shard.format(fmt) if fmt else ""
-        out.append(shard)
-    return out
+    texts = Shard(*cols).format(fmt, cuts) if fmt else repeat("")
+    return [Shard(*(col[a:b] for col in cols), text=text)
+            for a, b, text in zip([0, *cuts], [*cuts, len(p)], texts)]
 
 
 def _batches(task: ScanTask, shards: range) -> list[range]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -52,6 +53,26 @@ def test_reference_g_table_anchors():
     assert bd.reference_g(2, 1e8)[0] == pytest.approx(2.070, abs=1e-3)
     assert bd.reference_g(5, 1e15)[0] == pytest.approx(6.469, abs=1e-3)
     assert bd.reference_g(8, 1e30)[0] == pytest.approx(2.745, abs=1e-3)
+
+
+def test_reference_g_at_a_huge_n0_takes_no_memory_linear_in_n0():
+    # X* at n0 = 10^9 is about 2^-10^9: its lower end must be compared with
+    # 3.8 without building an integer of 10^9 bits (about 800 MB before)
+    tracemalloc.start()
+    try:
+        assert bd.reference_g(10**9, 1e7) == (None, (bd.COND_XSTAR, bd.COND_P0_EXP8N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_above_decides_on_the_exact_lower_endpoint():
+    third = bd.IV.mpf(1) / 3  # its lower end lies just below 1/3
+    assert not bd._above(third, (1, 3)) and bd._above(third, (1, 4))
+    assert bd._above(third, (333, 1000)) and not bd._above(third, (334, 1000))
+    assert bd._above(bd.IV.mpf(2)) and not bd._above(bd.IV.mpf([-1, 2]))
+    assert not bd._above(bd.IV.mpf(2), (2, 1)) and bd._above(bd.IV.mpf(2), (399, 200))
 
 
 def test_reference_g_invalid_point_reports_conditions():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -248,6 +249,18 @@ def test_bound_invalid_reference_exits_2(capsys):
     code, _, err = run_cli(["bound", "--n", "3", "--p", "1e7"], capsys)
     assert code == 2
     assert "invalid" in err
+
+
+def test_bound_at_a_huge_n_refuses_in_little_memory(capsys):
+    # reference_g at n0 = 10^9 once built an integer of 10^9 bits
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(["bound", "--n", "1000000000", "--p", "1e7"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "invalid" in err
+    assert peak < 4 * 2**20
 
 
 def test_bound_refuses_overflowing_power(capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import sys
 from types import SimpleNamespace
 
 import jsonschema
@@ -628,6 +629,62 @@ def test_shard_text_equals_row_serializers(make_task):
         assert {(1, False, True), (1, False, False)} <= seen
 
 
+def _ulps(v):
+    return [float(np.nextafter(v, 0)), v, float(np.nextafter(v, np.inf))]
+
+
+# ratios that no golden holds (they all lie in (4.7e-8, 0.02))
+ODD_RATIOS = [
+    1.0, 2.0, 3.5, 10.0, 123456.789, 2.0**52 + 0.5, 2.0**53, 9999999999999998.0,
+    1e16, 1.5e16, 1e22, 1e300, 1e-6, 4.7e-7, 1e-7, 3.3e-12, 1e-300,
+    5e-324, sys.float_info.max, 2.2250738585072014e-308,
+    1125899906842624.25, 2179511128021389.75,  # ties, left to repr
+    *[x for k in (-60, -40, -21, -20, -1, 0, 1, 30, 52, 53, 60) for x in _ulps(2.0**k)],
+    *[x for k in (-9, -6, -5, -4, -1, 0, 1, 15, 16, 17) for x in _ulps(10.0**k)],
+]
+
+
+def test_row_keys_are_equal_iff_rows_are_past_the_int64_range():
+    # three parts of radix 2^32 span 2^96 keys: packed without renumbering,
+    # (1, 0, 0) would wrap onto (0, 0, 0)
+    rows = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 1], [1, 0, 0],
+                     [0, 2**32 - 1, 2**32 - 1], [2**32 - 1, 0, 0]], np.int64)
+    key = sc._row_keys([(col, 2**32) for col in rows.T]).tolist()
+    assert [[a == b for b in key] for a in key] == [
+        [(x == y).all() for y in rows] for x in rows]
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 8])
+def test_shard_text_equals_row_serializers_on_ratios_no_scan_makes(n_max):
+    # rows of every count 0..n_max, mixed verdicts, several d and p up to
+    # 2^63, over ratios that a scan never writes; at n_max 8 the row keys
+    # outgrow an int64 and are renumbered on the way
+    rng = np.random.default_rng(n_max)
+    rows = -(-len(ODD_RATIOS) // n_max) + n_max + 1
+    count = np.concatenate([np.full(rows - n_max - 1, n_max), np.arange(n_max + 1)])
+    present = np.arange(n_max) < count[:, None]
+    ratio = np.zeros((rows, n_max))
+    ratio[present] = (ODD_RATIOS * 2)[: present.sum()]
+    shard = sc.Shard(p=np.sort(rng.integers(3, 2**63 - 1, rows)),
+                     d=rng.choice([2, 3, 12, 1000], rows),
+                     q=rng.integers(2, 10**6, (rows, n_max)), count=count, ratio=ratio,
+                     ok=(rng.random((rows, n_max)) < 0.7) | ~present)
+    assert set(ODD_RATIOS) <= set(shard.ratio[present].tolist())
+    recs = [shard.record(r) for r in range(rows)]
+    for fmt, line in (("jsonl", sc.ScanRecord.to_jsonl),
+                      ("csv", lambda rec: rec.to_csv_row(n_max))):
+        (text,) = shard.format(fmt)
+        assert text.splitlines() == list(map(line, recs))
+        # cut anywhere, each piece is the text of its rows alone
+        cuts = [0, 5, 5, 11, rows - 1]
+        pieces = shard.format(fmt, cuts)
+        assert "".join(pieces) == text and pieces[0] == pieces[2] == ""
+        for a, b, piece in zip([0, *cuts], [*cuts, rows], pieces):
+            rows_alone = sc.Shard(*(getattr(shard, c)[a:b] for c in
+                                    ("p", "d", "q", "count", "ratio", "ok")))
+            assert rows_alone.format(fmt) == [piece]
+
+
 @pytest.mark.parametrize("lo", [10**7, 2**31 - 500, 10**12, 2**63 - 1001])
 def test_shard_shapes_are_bound_shape_bit_for_bit(lo):
     # a shard's shapes come from one comprehension per n, which must round
@@ -851,6 +908,35 @@ def test_batched_shards_equal_one_shard_batches(make_task):
             assert len(shards) == len(batch)
             for i, shard in zip(batch, shards):
                 _assert_same_shard(shard, alone[i])
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("make_task", [_sparse_task, _forged_task], ids=["sparse", "forged"])
+def test_batch_text_is_cut_at_shards_as_each_shard_formats_alone(
+        tmp_path, monkeypatch, pool_starts, make_task, workers, fmt):
+    # a batch is formatted once and cut at its shards' first rows: each
+    # shard's text, and the file that run_scan writes up to a violation
+    # halt, must be what formatting each shard alone gives
+    task = make_task()
+    monkeypatch.setattr(sc, "_BATCH_SPAN", 2 * task.shard_width)  # batches of 2
+    everything = range(task.shard_count)
+    alone = [shard.format(fmt)[0] for shard in sc._compute_shards(task, everything)]
+    assert [shard.text for shard in sc._compute_shards(task, everything, fmt)] == alone
+    if make_task is _sparse_task:
+        assert "" in alone[1:-1]  # shards with no prime, inside a batch
+    recs = list(sc.scan_records(task))
+    bad = [i for i, rec in enumerate(recs) if not all(rec.bound_ok)]
+    assert bool(bad) == (make_task is _forged_task)
+    out = tmp_path / f"r.{fmt}"
+    try:
+        sc.run_scan(task, out_path=str(out), fmt=fmt, workers=workers)
+    except sc.ScanViolationError as exc:
+        assert exc.record == recs[bad[0]]
+    lines = "".join(alone).splitlines(keepends=True)
+    head = sc.csv_header(task.n_max) + "\n" if fmt == "csv" else ""
+    assert out.read_text() == head + "".join(lines[: bad[0] + 1] if bad else lines)
+    assert pool_starts == ([2] if workers == 2 else [])
 
 
 def test_batch_sizes():
