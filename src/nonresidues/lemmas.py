@@ -35,18 +35,22 @@ the lower endpoints of sqrt(2)(2r/e)^r and sqrt(p), and the upper endpoint
 of 9/pi^2, each an integer ratio (n, d).  Each instance multiplies them by
 positive exact integers, and every verdict and slack comes from one call
 of rounding.certify(small, big).  The only per-instance interval work is
-one raw endpoint: a logarithm (totient, proposition) or a product
-(convexity, compared with h^(2r) / (h-2j)^(2r)).  s-upper needs none, and
-disjointness compares integer numerators over one common denominator.
+one raw logarithm endpoint (totient, proposition).  Convexity takes one
+exponential endpoint per (h, j) and chains its powers in integers
+(rounding.lower_product, compared by rounding.certify_dyadic); s-upper
+needs none, and disjointness compares integer numerators over one common
+denominator.
 
 Every character sum comes from one window kernel (_window_m2) over the
 spec's one table of values (CharacterSpec.values).  One pass grows the
 windows to the largest h and returns |w_x|^2 for all p window starts, one
 row per h <= h_max: exact integers for quadratic characters, complex128
 with a per-row a-priori error bound (Higham, ch. 3-4) for higher orders.
-Every (h, r) moment of a character comes from one such table.  The
-moments propagate the row's bound, and the shifted-window check passes a
-window only when the enclosure clears the bound or |w| = h exactly.
+Every (h, r) moment of a character comes from one such table, and one
+pass over a stack of characters of one modulus gives each of them its
+table, bit for bit.  The moments propagate the row's bound, and the
+shifted-window check passes a window only when the enclosure clears the
+bound or |w| = h exactly.
 
 These statements are theorems, so every check on a valid instance must
 pass; a failure signals a bug in this package, never new mathematics.
@@ -71,8 +75,10 @@ from .rounding import (
     DEFAULT_PREC,
     IV,
     certify,
+    certify_dyadic,
     interval_context,
     lower,
+    lower_exp,
     lower_log,
     lower_product,
     minus,
@@ -158,21 +164,24 @@ def _window_m2(values: np.ndarray, h_max: int) -> tuple[np.ndarray, np.ndarray]:
     mod p = len(values) and are summed in the order m = 0, ..., h-1.  One
     pass grows the windows to h_max: the running sum after term m is the
     window of length m + 1, so row h-1 holds the same additions in the
-    same order whatever h_max is, bit for bit.  For int64 values (d = 2)
-    the sums are exact and the error is 0.  For complex128 values (d > 2)
-    errs[h-1] bounds |computed - exact| for every window of length h a
-    priori (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., ch. 3-4): each component of w sums h terms of modulus <= 1, each
-    within 2u of exact, so it is within e = h (2u + gamma_{h-1}); then
-    |a^2 - a'^2| <= e (2h + e) per component, and forming the squares and
-    their sum adds gamma_2 of a value below h^2 + 2e (2h + e).
+    same order whatever h_max is, bit for bit.  values may also be a
+    (k, p) stack of k characters mod p; then row h-1 is a (k, p) block
+    whose i-th row is, bit for bit, the table of values[i] alone, since
+    every sum and square is an elementwise operation.  For int64 values
+    (d = 2) the sums are exact and the error is 0.  For complex128 values
+    (d > 2) errs[h-1] bounds |computed - exact| for every window of length
+    h a priori (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 3-4): each component of w sums h terms of modulus <= 1,
+    each within 2u of exact, so it is within e = h (2u + gamma_{h-1});
+    then |a^2 - a'^2| <= e (2h + e) per component, and forming the squares
+    and their sum adds gamma_2 of a value below h^2 + 2e (2h + e).
     """
-    p = len(values)
-    vals = np.resize(values, p + h_max - 1)
-    w = np.empty((h_max, p), dtype=vals.dtype)
-    w[0] = vals[:p]
+    p = values.shape[-1]
+    vals = values[..., np.arange(p + h_max - 1) % p]
+    w = np.empty((h_max, *values.shape), dtype=vals.dtype)
+    w[0] = vals[..., :p]
     for m in range(1, h_max):
-        np.add(w[m - 1], vals[m : m + p], out=w[m])
+        np.add(w[m - 1], vals[..., m : m + p], out=w[m])
     if w.dtype.kind == "i":
         return w * w, np.zeros(h_max)
     h = np.arange(1.0, h_max + 1)
@@ -184,10 +193,16 @@ def _window_m2(values: np.ndarray, h_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sum_S_multi(
-    spec: CharacterSpec, h_values: Sequence[int], r_values: Sequence[int]
-) -> dict[tuple[int, int], SumStats]:
+    specs: CharacterSpec | Sequence[CharacterSpec],
+    h_values: Sequence[int],
+    r_values: Sequence[int],
+) -> dict[tuple[int, int], SumStats] | list[dict[tuple[int, int], SumStats]]:
     """S(chi, h, r) for every h in h_values and r in r_values, keyed (h, r),
-    from one window-kernel pass grown to the largest h.
+    from one window-kernel pass grown to the largest h.  Given a sequence
+    of characters of one modulus, all quadratic or all of order d > 2, it
+    returns one such dict per character, in order, from one pass over
+    their stacked values; each is the dict a call on that character alone
+    returns.
 
     d = 2: exact Python integers from one bincount per row of |w_x|^2.
     d > 2: float64 sums of |w_x|^(2r) with a propagated bound, per row.
@@ -195,45 +210,52 @@ def _sum_S_multi(
     and the exact |w_x|^2, the power misses by at most
     r Y^(r-1) E + gamma_{r-1} Y^r per window, and the sum over the p
     windows adds gamma_{p-1} times a sum below 2 sum Y^r.  The products run
-    elementwise on the table of the requested rows; its rows are
-    C-contiguous, and NumPy reduces each contiguous row along axis 1 with
-    the same pairwise summation as the 1-D .sum() of that row, so every
-    moment is the one a single-h, single-r call computes.
+    elementwise on the (h, character, x) table of the requested rows; each
+    row of p windows is C-contiguous, and NumPy reduces each contiguous
+    row along the last axis with the same pairwise summation as the 1-D
+    .sum() of that row, so every moment and bound is the one a single-h,
+    single-r, single-character call computes.
     """
-    p = spec.p
+    single = isinstance(specs, CharacterSpec)
+    stack = [specs] if single else list(specs)
+    p = stack[0].p if stack else 0
     h_set, r_set = sorted(set(h_values)), sorted(set(r_values))
     if not (h_set and r_set and 1 <= h_set[0] and h_set[-1] < p and r_set[0] >= 1):
         raise ValueError(f"need some 1 <= h < p={p} and r >= 1, got {h_values!r}, {r_values!r}")
-    table, errs = _window_m2(spec.values, h_set[-1])
-    moments = {}
-    if spec.d == 2:
+    if any(s.p != p or (s.d == 2) != (stack[0].d == 2) for s in stack):
+        raise ValueError("a stack needs one modulus, and orders all 2 or all above 2")
+    table, errs = _window_m2(np.stack([s.values for s in stack]), h_set[-1])
+    moments = [{} for _ in stack]
+    if stack[0].d == 2:
         for h in h_set:
-            counts = np.bincount(table[h - 1])
-            squares = np.flatnonzero(counts)
-            pairs = list(zip(squares.tolist(), counts[squares].tolist()))
-            for r in r_set:
-                moments[h, r] = sum(c * v**r for v, c in pairs), 0.0
+            for i, row in enumerate(table[h - 1]):
+                counts = np.bincount(row)
+                squares = np.flatnonzero(counts)
+                pairs = list(zip(squares.tolist(), counts[squares].tolist()))
+                for r in r_set:
+                    moments[i][h, r] = sum(c * v**r for v, c in pairs), 0.0
     else:
         rows = [h - 1 for h in h_set]
-        m2, err = table[rows], errs[rows]
-        y = m2 + err[:, None]
+        m2, err = table[rows], errs[rows][:, None]
+        y = m2 + err[..., None]
         pw = np.ones(m2.shape)
         y_pw = np.ones(m2.shape)
         for r in range(1, r_set[-1] + 1):
-            y_prev = y_pw.sum(axis=1)
+            y_prev = y_pw.sum(axis=2)
             pw *= m2
             y_pw *= y
             if r in r_set:
                 gamma = _gamma(r - 1) + 2 * _gamma(p - 1)
                 # doubled as in _window_m2
-                bound = 2 * (r * err * y_prev + gamma * y_pw.sum(axis=1))
-                for h, value, b in zip(h_set, pw.sum(axis=1).tolist(), bound.tolist()):
-                    moments[h, r] = value, b
-    out = {}
-    for (h, r), (value, bound) in moments.items():
-        _sanity_moment(p, h, r, value, bound)
-        out[h, r] = SumStats(p=p, h=h, r=r, value=value, error_bound=bound)
-    return out
+                bound = 2 * (r * err * y_prev + gamma * y_pw.sum(axis=2))
+                for h, values, bounds in zip(h_set, pw.sum(axis=2).tolist(), bound.tolist()):
+                    for got, value, b in zip(moments, values, bounds):
+                        got[h, r] = value, b
+    for got in moments:
+        for (h, r), (value, bound) in got.items():
+            _sanity_moment(p, h, r, value, bound)
+            got[h, r] = SumStats(p=p, h=h, r=r, value=value, error_bound=bound)
+    return moments[0] if single else moments
 
 
 def _sanity_moment(p: int, h: int, r: int, value, err: float) -> None:
@@ -806,7 +828,7 @@ def check_convexity_bound(h: int, r: int, j: int) -> InequalityCheck:
     if 8 * j > h:
         raise ValueError(f"need j <= h/8, got j={j}, h={h}")
     num, den = h ** (2 * r), (h - 2 * j) ** (2 * r)
-    rhs_lo = lower(IV.exp(IV.mpf(16 * r * j) / (3 * h)))
+    rhs_lo = ratio(lower_exp(Fraction(16 * r * j, 3 * h)))
     passed, slack = certify((num, den), rhs_lo)
     return InequalityCheck(
         passed=passed, lhs=to_float(num, den), rhs=to_float(*rhs_lo), slack=slack
@@ -888,36 +910,54 @@ def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
     """All (h <= h_max, r <= r_max, j <= h/8), incremental powers per (h, j):
     the right side is the interval product 1 * base * ... * base of
     base = exp(16j/(3h)), whose lower endpoint lower_product chains (1 * base
-    is exact, so the chain starts at base's own endpoint)."""
+    is exact, so the chain starts at base's own endpoint).
+
+    One libmp exponential per (h, j) gives base's lower endpoint
+    (rounding.lower_exp); after that the chain is integer arithmetic.  Each
+    step truncates the exact product of two positive mantissas to 96 bits:
+    rounding a positive value down is truncation, so this is the value of
+    mpmath's round_floor product.  certify_dyadic compares h^(2r) /
+    (h-2j)^(2r) with the endpoint by shifts, forming the integers certify
+    forms.  So every verdict and slack is that of certify against the
+    interval product's lower endpoint, with no libmp call per instance."""
     rep = LemmaReport("convexity")
     for h in range(1, h_max + 1):
+        nums = [h ** (2 * r) for r in range(1, r_max + 1)]
         for j in range(0, h // 8 + 1):
-            base_lo = lo = IV.exp(IV.mpf(16 * j) / (3 * h))._mpi_[0]
-            num = den = 1
-            for r in range(1, r_max + 1):
-                num *= h * h
-                den *= (h - 2 * j) ** 2
-                rep.record({"h": h, "r": r, "j": j}, *certify((num, den), ratio(lo)))
-                lo = lower_product(lo, base_lo)
+            _, man, exp, _ = lower_exp(Fraction(16 * j, 3 * h))
+            base = lo = int(man), exp
+            den, step = 1, (h - 2 * j) ** 2
+            for r, num in enumerate(nums, 1):
+                den *= step
+                rep.record({"h": h, "r": r, "j": j}, *certify_dyadic((num, den), lo))
+                lo = lower_product(lo, base)
     return rep
 
 
 def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaReport:
     """All odd primes p <= p_max, all orders d | p-1, h <= min(h_max, p-1)
-    and r <= min(r_max, 9h), the hypothesis r <= 9h of check_S_upper.  One
-    _sum_S_multi call per (p, d) gives every (h, r) moment."""
+    and r <= min(r_max, 9h), the hypothesis r <= 9h of check_S_upper.
+
+    Two _sum_S_multi calls per p give every (d, h, r) moment: one for the
+    quadratic character, whose moments are exact integers, and one window
+    pass over the stacked values of all orders d > 2.  Each character's row
+    of that stack is C-contiguous and reduced on its own, so its moments
+    and error bounds are bit for bit those of a call on it alone."""
     rep = LemmaReport("s-upper")
     for p in map(int, pr.primes_upto(p_max)):
         hs = range(1, min(h_max, p - 1) + 1)
         if p == 2 or not hs or r_max < 1:
             continue
         rs = range(1, min(r_max, 9 * hs[-1]) + 1)
-        for d in pr.divisors(p - 1)[1:]:
-            stats = _sum_S_multi(CharacterSpec.of_order(p, d), hs, rs)
+        specs = [CharacterSpec.of_order(p, d) for d in pr.divisors(p - 1)[1:]]
+        stats = [_sum_S_multi(specs[0], hs, rs)]
+        if len(specs) > 1:
+            stats += _sum_S_multi(specs[1:], hs, rs)
+        for spec, moments in zip(specs, stats):
             for h in hs:
                 for r in range(1, min(r_max, 9 * h) + 1):
-                    passed, slack, _ = _s_upper_verdict(p, h, r, stats[h, r])
-                    rep.record({"p": p, "d": d, "h": h, "r": r}, passed, slack)
+                    passed, slack, _ = _s_upper_verdict(p, h, r, moments[h, r])
+                    rep.record({"p": p, "d": spec.d, "h": h, "r": r}, passed, slack)
     return rep
 
 

@@ -190,6 +190,8 @@ def euler_phi(n: int) -> int:
 
 def totient_sieve(limit: int) -> np.ndarray:
     """phi(a) for a = 0..limit as an int64 array (phi(0) set to 0)."""
+    if limit < 0:
+        raise ValueError(f"totient_sieve needs limit >= 0, got {limit}")
     phi = np.arange(limit + 1, dtype=np.int64)
     phi[0] = 0
     for p in range(2, limit + 1):

@@ -15,13 +15,28 @@ by cross-multiplication, with no Fraction and no gcd.  certify(small, big)
 is the one comparison: it returns small <= big and big - small as a float
 (to_float, int true division, which rounds correctly as float() of a
 Fraction does).  upper_float() rounds an interval's upper endpoint up to a
-double, for the constants and bounds the package reports.  The oracles cache the endpoints of their constant factors
-(sqrt(2)(2r/e)^r, sqrt(p), 9/pi^2) and combine them with exact integers,
-so an interval evaluation per instance is needed only where the instance
-itself enters a transcendental function.  There lower_log and
-lower_product return the one endpoint needed as a raw (sign, man, exp, bc)
-tuple, from the libmp call and rounding mode that mpmath's interval
-function makes for it, so no interval object is built per instance.
+double, for the constants and bounds the package reports.  The oracles
+cache the endpoints of their constant factors (sqrt(2)(2r/e)^r, sqrt(p),
+9/pi^2) and combine them with exact integers, so an interval evaluation
+per instance is needed only where the instance itself enters a
+transcendental function.  There lower_log and lower_exp return the one
+endpoint needed as a raw (sign, man, exp, bc) tuple, from the libmp calls
+and rounding modes that mpmath's interval functions make for it, so no
+interval object is built.
+
+A chain of interval products of positive numbers needs no libmp call at
+all.  lower_product keeps the lower endpoint as a dyadic (man, exp), the
+value man * 2^exp with man > 0, and truncates the exact product of two
+mantissas to prec significant bits.  For a positive product, rounding
+toward -inf is truncation, and the truncation of a value to prec
+significant bits depends on the value alone, not on trailing zeros of its
+mantissa, so each step has the value of mpf_mul(lo, base_lo, prec,
+round_floor), the lower endpoint of mpmath's interval product.
+certify_dyadic is certify against such an endpoint: it forms the integers
+that certify forms with ratio((0, man, exp, bc)), but applies 2^exp by
+shifts instead of building 1 << -exp and multiplying by it.  The two give
+the same verdict, and the same slack, since int true division rounds the
+exact quotient.
 
 Interval contexts are package-private and cached per precision, so
 precision here never affects the global mpmath.iv singleton.  Callers must
@@ -36,7 +51,7 @@ from fractions import Fraction
 
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import (
-    from_int, mpf_div, mpf_log, mpf_mul, round_ceiling, round_floor, to_float as raw_to_float)
+    from_int, mpf_div, mpf_exp, mpf_log, round_ceiling, round_floor, to_float as raw_to_float)
 
 DEFAULT_PREC = 96
 
@@ -104,16 +119,44 @@ def iv_from_fraction(q: Fraction, ctx: MPIntervalContext = IV):
     return ctx.mpf(q.numerator) / q.denominator
 
 
-def lower_log(q: Fraction, prec: int = DEFAULT_PREC):
-    """Raw lower endpoint of log(iv_from_fraction(q)) for a rational q > 0:
-    the numerator rounded down over the denominator rounded up, their
-    quotient rounded down, and its log rounded down."""
+def _lower_quotient(q: Fraction, prec: int):
+    """Raw lower endpoint of iv_from_fraction(q) for a rational q >= 0: the
+    numerator rounded down over the denominator rounded up, their quotient
+    rounded down."""
     num = from_int(q.numerator, prec, round_floor)
     den = from_int(q.denominator, prec, round_ceiling)
-    return mpf_log(mpf_div(num, den, prec, round_floor), prec, round_floor)
+    return mpf_div(num, den, prec, round_floor)
 
 
-def lower_product(lo, base_lo, prec: int = DEFAULT_PREC):
-    """Raw lower endpoint of x * y for positive intervals x, y with raw
-    lower endpoints lo and base_lo: their product rounded down."""
-    return mpf_mul(lo, base_lo, prec, round_floor)
+def lower_log(q: Fraction, prec: int = DEFAULT_PREC):
+    """Raw lower endpoint of log(iv_from_fraction(q)) for a rational q > 0:
+    the lower endpoint of q, its log rounded down."""
+    return mpf_log(_lower_quotient(q, prec), prec, round_floor)
+
+
+def lower_exp(q: Fraction, prec: int = DEFAULT_PREC):
+    """Raw lower endpoint of exp(iv_from_fraction(q)) for a rational q >= 0:
+    the lower endpoint of q, its exp rounded down."""
+    return mpf_exp(_lower_quotient(q, prec), prec, round_floor)
+
+
+def lower_product(x: tuple[int, int], y: tuple[int, int],
+                  prec: int = DEFAULT_PREC) -> tuple[int, int]:
+    """Lower endpoint of x * y for positive dyadics x = (man, exp) and y,
+    each the value man * 2^exp with man > 0: the exact product truncated to
+    prec significant bits, which is the value of mpf_mul at prec with
+    round_floor.  Mantissas keep their trailing zeros."""
+    man, exp = x[0] * y[0], x[1] + y[1]
+    excess = man.bit_length() - prec
+    return (man >> excess, exp + excess) if excess > 0 else (man, exp)
+
+
+def certify_dyadic(small: tuple[int, int], big: tuple[int, int]) -> tuple[bool, float]:
+    """certify(small, big) for a ratio small = (n, d), d > 0, and a dyadic
+    big = (man, exp) worth man * 2^exp, with 2^exp applied by shifts."""
+    (n, d), (man, exp) = small, big
+    if exp >= 0:
+        diff, den = (man << exp) * d - n, d
+    else:
+        diff, den = man * d - (n << -exp), d << -exp
+    return diff >= 0, to_float(diff, den)

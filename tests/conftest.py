@@ -1,5 +1,6 @@
 import pytest
 
+from nonresidues import lemmas as lm
 from nonresidues import scan as sc
 
 
@@ -15,3 +16,18 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr(sc, "ProcessPoolExecutor", counted)
     return starts
+
+
+@pytest.fixture
+def lemma_records(monkeypatch):
+    """Every (instance, passed, slack, vacuous) that a sweep passes to
+    LemmaReport.record, in order."""
+    records = []
+    record = lm.LemmaReport.record
+
+    def captured(self, instance, passed, slack, vacuous=False):
+        records.append((instance, passed, slack, vacuous))
+        record(self, instance, passed, slack, vacuous)
+
+    monkeypatch.setattr(lm.LemmaReport, "record", captured)
+    return records

@@ -286,6 +286,61 @@ def test_s_upper_moments_and_report_match_golden():
     assert rep == want["report"]
 
 
+def _moment_line(p, d, h, r, s):
+    v = repr(s.value) if isinstance(s.value, int) else s.value.hex()
+    return f"{p} {d} {h} {r} {v} {s.error_bound.hex()}\n"
+
+
+def test_stacked_moments_match_single_character_calls():
+    # sweep_s_upper takes the orders d > 2 of each p from one stacked call:
+    # each character's moments and error bounds are, bit for bit, those of
+    # a call on it alone, and hash to the golden of the per-character grid
+    path = pathlib.Path(__file__).parent / "data" / "s_upper_default.json"
+    want = json.loads(path.read_text())
+    digest, count, stacks = hashlib.sha256(), 0, 0
+    for p in map(int, pr.primes_upto(300)[1:]):
+        hs = range(1, min(8, p - 1) + 1)
+        specs = [CharacterSpec.of_order(p, d) for d in pr.divisors(p - 1)[1:]]
+        stacked = [lm._sum_S_multi(specs[0], hs, range(1, 7))]
+        if len(specs) > 1:
+            stacked += lm._sum_S_multi(specs[1:], hs, range(1, 7))
+            stacks += 1
+        for spec, got in zip(specs, stacked):
+            alone = lm._sum_S_multi(spec, hs, range(1, 7))
+            assert list(got) == list(alone)
+            for (h, r), s in got.items():
+                line = _moment_line(p, spec.d, h, r, s)
+                assert line == _moment_line(p, spec.d, h, r, alone[h, r])
+            for h in hs:
+                for r in range(1, 7):
+                    digest.update(_moment_line(p, spec.d, h, r, got[h, r]).encode())
+                    count += 1
+    assert stacks == 60
+    assert (count, digest.hexdigest()) == (want["moments"], want["moment_sha256"])
+
+
+def test_stacked_window_table_wraps_like_single_rows():
+    # p = 7 with d = 3 and d = 6 and h_max - 1 = p - 2: the longest windows
+    # wrap past x = p - 1, in every row of the stack
+    specs = [CharacterSpec.of_order(7, d) for d in (3, 6)]
+    table, errs = lm._window_m2(np.stack([s.values for s in specs]), 6)
+    assert table.shape == (6, 2, 7)
+    for i, spec in enumerate(specs):
+        alone, alone_errs = lm._window_m2(spec.values, 6)
+        assert table[:, i].tobytes() == alone.tobytes()
+        assert errs.tobytes() == alone_errs.tobytes()
+    got = lm._sum_S_multi(specs, range(1, 7), range(1, 10))
+    for spec, moments in zip(specs, got):
+        assert moments == lm._sum_S_multi(spec, range(1, 7), range(1, 10))
+        assert all(s.value.hex() == lm.exact_sum_S(spec, h, r).value.hex()
+                   for (h, r), s in moments.items())
+    # a stack needs one modulus and orders all 2 or all above 2
+    for bad in ([CharacterSpec.of_order(7, 2), specs[0]],
+                [specs[0], CharacterSpec.of_order(13, 3)]):
+        with pytest.raises(ValueError, match="a stack needs one modulus"):
+            lm._sum_S_multi(bad, (1,), (1,))
+
+
 def test_s_upper_sweep_cuts_r_at_9h_and_matches_single_h_moments():
     # r_max = 12 exceeds 9h at h = 1, so the sweep runs r <= min(12, 9h)
     rep = lm.sweep_s_upper(13, 2, 12)
@@ -959,11 +1014,9 @@ def test_convexity_integer_comparison_matches_fractions():
     assert lm.certify((2 * num - 1, 2 * den), rhs_lo)[0]
 
 
-def test_convexity_sweep_compares_the_chained_interval_product(monkeypatch):
-    seen = []
-    real = lm.certify
-    monkeypatch.setattr(lm, "certify",
-                        lambda small, big: seen.append((small, big)) or real(small, big))
+def test_convexity_sweep_compares_the_chained_interval_product(lemma_records):
+    # every verdict and slack is certify's against the lower endpoint of
+    # the interval product 1 * base * ... * base, base = exp(16j/(3h))
     lm.sweep_convexity(40, 40)
     want = []
     for h in range(1, 41):
@@ -971,8 +1024,34 @@ def test_convexity_sweep_compares_the_chained_interval_product(monkeypatch):
             base, rhs = IV.exp(IV.mpf(16 * j) / (3 * h)), IV.mpf(1)
             for r in range(1, 41):
                 rhs = rhs * base
-                want.append(((h ** (2 * r), (h - 2 * j) ** (2 * r)), lower(rhs)))
-    assert seen == want
+                verdict = lm.certify((h ** (2 * r), (h - 2 * j) ** (2 * r)), lower(rhs))
+                want.append(({"h": h, "r": r, "j": j}, *verdict, False))
+    assert lemma_records == want
+
+
+def _records_digest(records):
+    """sha256 of one "<instance values> <passed> <slack.hex()>" line per
+    recorded instance, and the number of lines."""
+    digest = hashlib.sha256()
+    for instance, passed, slack, vacuous in records:
+        assert not vacuous
+        fields = " ".join(map(str, instance.values()))
+        digest.update(f"{fields} {passed} {slack.hex()}\n".encode())
+    return len(records), digest.hexdigest()
+
+
+@pytest.mark.parametrize("lemma", ["convexity", "s-upper"])
+def test_sweep_instances_match_golden(lemma, lemma_records):
+    # Pinned from the sweeps that called mpmath once per convexity instance
+    # and took one window pass per s-upper character: every verdict and
+    # slack bit.  The convexity grid reaches 2,400-bit powers and endpoints
+    # with exp >= 0; its report alone pins no slack, since the j = 0 rows
+    # fix min_slack at 0.0.
+    path = pathlib.Path(__file__).parent / "data" / "sweep_instances.json"
+    want = json.loads(path.read_text())[lemma]
+    sweep = {"convexity": lm.sweep_convexity, "s-upper": lm.sweep_s_upper}[lemma]
+    sweep(*want["grid"])
+    assert _records_digest(lemma_records) == (want["instances"], want["sha256"])
 
 
 def test_convexity_preconditions():
@@ -996,6 +1075,7 @@ def test_run_verification_refuses_grids_without_instances():
     for lemma, cfg in (("proposition", lm.VerifyConfig(proposition_instances=0)),
                        ("proposition", lm.VerifyConfig(proposition_p_limit=19)),
                        ("totient", lm.VerifyConfig(totient_x_max=1)),
+                       ("totient", lm.VerifyConfig(totient_x_max=-1)),
                        ("disjointness", lm.VerifyConfig(disjoint_p_max=7))):
         with pytest.raises(ValueError):
             lm.run_verification([lemma], cfg)

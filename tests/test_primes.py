@@ -231,6 +231,13 @@ def test_totient_sieve_matches_euler_phi():
         assert int(phi[n]) == pr.euler_phi(n)
 
 
+def test_totient_sieve_refuses_a_negative_limit():
+    assert pr.totient_sieve(0).tolist() == [0]
+    for limit in (-1, -5):
+        with pytest.raises(ValueError, match="limit >= 0"):
+            pr.totient_sieve(limit)
+
+
 def test_errors():
     with pytest.raises(ValueError):
         pr.factorize(0)
