@@ -89,4 +89,5 @@ for h, r, j in ((8, 3, 1), (8, 3, 0), (200, 200, 25)):
           f"-> {'PASS' if ck.passed else 'FAIL'}")
 
 print()
-print("Full sweeps (the acceptance grids) run via:  nonres verify --all --small")
+print("Full sweeps on the default grid (the acceptance grids) run via:  nonres verify --all")
+print("(--small is accepted for compatibility and selects the same default grid)")

@@ -18,9 +18,15 @@ The package has seven modules:
   cli         the `nonres` command: table, bound, nonresidues, verify and
               scan, with JSON outputs that the schemas/ files describe
 
+Importing the package loads bounds, characters and scan (with primes,
+rounding and _shortest); lemmas loads on first use of one of its names,
+and cli only when the command runs.
+
 See the demos/ directory for narrative walkthroughs and the `nonres` CLI
 for machine-readable output.
 """
+
+from importlib import import_module
 
 from .bounds import (
     BurgessParameters,
@@ -37,27 +43,20 @@ from .characters import (
     is_kernel,
     prime_nonresidues,
 )
-from .lemmas import (
-    FareyInterval,
-    HypothesisError,
-    NonresidueFactorization,
-    SumStats,
-    check_S_upper,
-    check_convexity_bound,
-    check_interval_disjointness,
-    check_proposition_lower,
-    check_shifted_sum_lower,
-    check_stirling_ratio,
-    check_totient_inequality,
-    exact_sum_S,
-    farey_interval,
-    nonresidue_factorization,
-    run_verification,
-    sandwich_report,
-)
 from .scan import Aggregate, OrderPolicy, ScanRecord, ScanTask, run_scan, scan_records
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """lemmas and its exported names, imported on first access (PEP 562):
+    lemmas takes about 19 ms to import and a scan never calls it.  They are
+    the names of __all__ that the imports above do not define."""
+    if name != "lemmas" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    lemmas = import_module(".lemmas", __name__)
+    return lemmas if name == "lemmas" else getattr(lemmas, name)
+
 
 __all__ = [
     "Aggregate",

@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--lemma", action="append", default=None,
                    help=f"one of {', '.join(lm.LEMMA_NAMES)} (repeatable)")
     v.add_argument("--small", action="store_true",
-                   help="desk-scale grids (the defaults; kept for explicitness)")
+                   help="no effect: the default grid runs with or without it "
+                        "(kept for compatibility)")
     for opt in ("--r-max", "--x-max", "--h-max", "--p-max", "--trials", "--instances"):
         v.add_argument(opt, type=_positive_int, default=None)
     v.add_argument("--seed", type=int, default=0)

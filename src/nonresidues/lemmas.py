@@ -35,11 +35,15 @@ the lower endpoints of sqrt(2)(2r/e)^r and sqrt(p), and the upper endpoint
 of 9/pi^2, each an integer ratio (n, d).  Each instance multiplies them by
 positive exact integers, and every verdict and slack comes from one call
 of rounding.certify(small, big).  The only per-instance interval work is
-one raw logarithm endpoint (totient, proposition).  Convexity takes one
-exponential endpoint per (h, j) and chains its powers in integers
-(rounding.lower_product, compared by rounding.certify_dyadic); s-upper
-needs none, and disjointness compares integer numerators over one common
-denominator.
+one raw logarithm endpoint in a single call of check_totient_inequality or
+check_proposition_lower.  The totient sweep takes no libmp call per
+instance: one fixed-point table of lower bounds on log(k/10), from one
+libmp log per prime up to 10 x_max and one for 10 (_log_tenths_lo), feeds
+the same right side.  Convexity takes one exponential endpoint per (h, j)
+and chains its powers in integers (rounding.lower_product, compared by
+rounding.certify_dyadic); s-upper needs none, and its sweep computes the
+right side once per (p, h, r) for every order d; disjointness compares
+integer numerators over one common denominator.
 
 Every character sum comes from one window kernel (_window_m2) over the
 spec's one table of values (CharacterSpec.values).  One pass grows the
@@ -76,6 +80,7 @@ from .rounding import (
     IV,
     certify,
     certify_dyadic,
+    fixed_log,
     interval_context,
     lower,
     lower_exp,
@@ -139,10 +144,14 @@ class SumStats:
 
     def lower(self) -> tuple[int, int]:
         """value - error_bound exactly, as an unreduced ratio (n, d), d > 0."""
+        if not self.error_bound:  # an exact moment
+            return self.value.as_integer_ratio()
         return minus(self.value.as_integer_ratio(), self.error_bound.as_integer_ratio())
 
     def upper(self) -> tuple[int, int]:
         """value + error_bound exactly, as an unreduced ratio (n, d), d > 0."""
+        if not self.error_bound:
+            return self.value.as_integer_ratio()
         return minus(self.value.as_integer_ratio(), (-self.error_bound).as_integer_ratio())
 
 
@@ -301,17 +310,12 @@ def _sqrt_lo(p: int) -> tuple[int, int]:
 def _s_upper_rhs_lo(p: int, h: int, r: int) -> tuple[int, int]:
     """Lower bound on sqrt(2)(2r/e)^r p h^r + (2r-1) sqrt(p) h^(2r), as an
     unreduced ratio (n, d): the cached lower endpoints of sqrt(2)(2r/e)^r
-    and sqrt(p) times positive integers, summed exactly."""
+    and sqrt(p) times positive integers, summed exactly.  check_S_upper and
+    sweep_s_upper both decide certify(stats.upper(), this), S taken at
+    value + error_bound."""
     hr = h**r
     (a, a_d), (b, b_d) = _stirling_rhs_lo(r), _sqrt_lo(p)
     return a * (p * hr) * b_d + b * ((2 * r - 1) * hr * hr) * a_d, a_d * b_d
-
-
-def _s_upper_verdict(p: int, h: int, r: int, stats: SumStats) -> tuple[bool, float, tuple]:
-    """(passed, slack, rhs_lo) of S <= the bound at (p, h, r), with S taken at
-    value + error_bound: the one decision of check_S_upper and sweep_s_upper."""
-    rhs_lo = _s_upper_rhs_lo(p, h, r)
-    return *certify(stats.upper(), rhs_lo), rhs_lo
 
 
 def check_S_upper(
@@ -332,7 +336,8 @@ def check_S_upper(
         raise ValueError(f"need r <= 9h, got r={r}, h={h}")
     if stats is None:
         stats = exact_sum_S(spec, h, r)
-    passed, slack, rhs_lo = _s_upper_verdict(p, h, r, stats)
+    rhs_lo = _s_upper_rhs_lo(p, h, r)
+    passed, slack = certify(stats.upper(), rhs_lo)
     return InequalityCheck(
         passed=passed, lhs=float(stats.value), rhs=to_float(*rhs_lo), slack=slack
     )
@@ -371,26 +376,32 @@ def _nine_over_pi2_up() -> tuple[int, int]:
     return upper(9 / IV.pi**2)
 
 
-def _totient_rhs_upper(x: Fraction) -> tuple[int, int]:
+def _totient_rhs_upper(x: tuple[int, int],
+                       log_lo: tuple[int, int] | None = None) -> tuple[int, int]:
     """Upper bound on (9/pi^2) x^2 f(x), f(x) = 1 - (pi^2/9)(log x + 9)/(3x),
-    as an unreduced ratio (n, d) of integers, d > 0.
+    for x = a/b > 0 given as a ratio (a, b) of positive integers, as an
+    unreduced ratio (n, d) of integers, d > 0.
 
     Through the identity (9/pi^2) x^2 f(x) = 9x^2/pi^2 - x (log x + 9)/3,
-    the bound is up(9/pi^2) x^2 - x (lo(log x) + 9)/3 for x > 0: 9/pi^2 is
-    rounded up once and cached, and lo(log x) is the one raw endpoint
-    evaluated (rounding.lower_log).  With x = a/b, up(9/pi^2) = P/Q and
+    the bound is up(9/pi^2) x^2 - x (lo(log x) + 9)/3: 9/pi^2 is rounded up
+    once and cached, and lo(log x) is a ratio at most log x.  A single call
+    evaluates it as one raw endpoint (rounding.lower_log); sweep_totient
+    passes its table's (_log_tenths_lo).  With up(9/pi^2) = P/Q and
     lo(log x) + 9 = m/e, the bound is (3 P a^2 e - a b Q m) / (3 b^2 Q e).
     """
-    a, b = x.numerator, x.denominator
+    a, b = x
+    if log_lo is None:
+        log_lo = ratio(lower_log(Fraction(a, b)))
     P, Q = _nine_over_pi2_up()
-    m, e = minus(ratio(lower_log(x)), (-9, 1))
+    m, e = minus(log_lo, (-9, 1))
     return 3 * P * a * a * e - a * b * Q * m, 3 * b * b * Q * e
 
 
-def _totient_lhs(x: Fraction, s0: int, s1: Fraction) -> tuple[int, int]:
-    """The exact left side 2x s1 - s0 as an unreduced ratio (n, d), d > 0,
-    so no gcd of the large s1 is taken."""
-    a, b, n1, d1 = x.numerator, x.denominator, s1.numerator, s1.denominator
+def _totient_lhs(x: tuple[int, int], s0: int, s1: tuple[int, int]) -> tuple[int, int]:
+    """The exact left side 2x s1 - s0 for ratios x = (a, b) and s1 = (n1, d1)
+    with positive denominators, as an unreduced ratio (n, d), d > 0, so no
+    gcd of the large s1 is taken."""
+    (a, b), (n1, d1) = x, s1
     return 2 * a * n1 - s0 * b * d1, b * d1
 
 
@@ -408,7 +419,8 @@ def check_totient_inequality(x) -> InequalityCheck:
     phi = pr.totient_sieve(n)
     s0 = int(phi[1:].sum())
     s1 = sum(Fraction(int(phi[a]), a) for a in range(1, n + 1))
-    rhs_up, lhs = _totient_rhs_upper(x), _totient_lhs(x, s0, s1)
+    xr = x.as_integer_ratio()
+    rhs_up, lhs = _totient_rhs_upper(xr), _totient_lhs(xr, s0, s1.as_integer_ratio())
     passed, slack = certify(rhs_up, lhs)
     return InequalityCheck(
         passed=passed, lhs=to_float(*lhs), rhs=to_float(*rhs_up), slack=slack
@@ -727,7 +739,7 @@ def _proposition_rhs_upper(nf: NonresidueFactorization, h: int, r: int) -> tuple
     the totient right side (9/pi^2) x^2 f(x), bounded by _totient_rhs_upper.
     """
     phi_u1 = math.prod(q - 1 for q in nf.u1_primes)
-    n, d = _totient_rhs_upper(Fraction(nf.H, 2 * h * nf.u1))
+    n, d = _totient_rhs_upper((nf.H, 2 * h * nf.u1))
     return 2 * h * (h - 2 * nf.j) ** (2 * r) * phi_u1 * n, d
 
 
@@ -887,21 +899,63 @@ def sweep_stirling(r_max: int = 500) -> LemmaReport:
     return rep
 
 
+LOG_TABLE_BITS = 128  # fractional bits of the totient sweep's logarithms
+
+
+def _log_tenths_lo(k_max: int) -> list[int]:
+    """Integers L[k] with L[k] / 2^F <= log(k/10), F = LOG_TABLE_BITS, for
+    1 <= k <= k_max (L[0] is not a bound): one libmp log per prime up to
+    k_max and one for 10, then integer additions.
+
+    With spf = primes.smallest_prime_factors(k_max), the table holds
+    lo_1 = 0, lo_l = rounding.fixed_log(l, F) for a prime l, and
+    lo_k = lo_{k/l} + lo_l for a composite k with l = spf[k] (k/l < k, so
+    it is set before k), and L[k] = lo_k - c with c = fixed_log(10, F,
+    up=True).
+
+    Lower bound: lo_l <= 2^F log l for every prime l, so by induction on k,
+    lo_k, a sum of lo_l over the prime factors of k with multiplicity, is at
+    most 2^F log k; and c >= 2^F log 10.  So L[k] <= 2^F (log k - log 10) =
+    2^F log(k/10).  Only the directions of the roundings enter.
+
+    Error: while log k < 16, each lo_l and c is within 1 + 2^-28 of its
+    exact value (fixed_log), so 2^F log(k/10) - L[k] < (Omega(k) + 1)(1 +
+    2^-28) <= Omega(k) + 2, where Omega(k) counts the prime factors of k
+    with multiplicity (at most 23 below 8.8 * 10^6).  That is at most
+    25 * 2^-128 in log(k/10), tighter than the 96-bit endpoint of lower_log.
+    """
+    spf = pr.smallest_prime_factors(k_max).tolist()
+    lo = [0] * (k_max + 1)
+    for k in range(2, k_max + 1):
+        ell = spf[k]
+        lo[k] = fixed_log(k, LOG_TABLE_BITS) if ell == k else lo[k // ell] + lo[ell]
+    c = fixed_log(10, LOG_TABLE_BITS, up=True)
+    return [v - c for v in lo]
+
+
 def sweep_totient(x_max: int = 5000) -> LemmaReport:
-    """Sweep x over the tenths {1.1, 1.2, ..., x_max} keeping exact running
-    sums."""
+    """Sweep x = k/10 over the tenths {1.1, 1.2, ..., x_max} keeping exact
+    running sums.  Each instance stays in integers: x is the unreduced
+    ratio (k, 10), lo(log x) is L[k] / 2^F from one _log_tenths_lo table,
+    and the sums enter as the numerator and denominator of s1, read once
+    per integer step.  The right side is _totient_rhs_upper's, with the
+    table's endpoint for lower_log's."""
     rep = LemmaReport("totient")
-    phi = pr.totient_sieve(x_max)
-    s0 = 1  # phi(1)
-    s1 = Fraction(1)
-    floor_x = 1
-    for k in range(11, x_max * 10 + 1):
-        x = Fraction(k, 10)
-        while (floor_x + 1) * 10 <= k:
+    phi = pr.totient_sieve(x_max).tolist()
+    ks = range(11, x_max * 10 + 1)
+    if not ks:
+        return rep
+    log_lo, e = _log_tenths_lo(ks[-1]), 1 << LOG_TABLE_BITS
+    s0, s1, floor_x = 1, Fraction(1), 1  # sums of phi(a) and phi(a)/a, a <= floor_x
+    s1_ratio = 1, 1
+    for k in ks:
+        if (floor_x + 1) * 10 <= k:
             floor_x += 1
-            s0 += int(phi[floor_x])
-            s1 += Fraction(int(phi[floor_x]), floor_x)
-        verdict = certify(_totient_rhs_upper(x), _totient_lhs(x, s0, s1))
+            s0 += phi[floor_x]
+            s1 += Fraction(phi[floor_x], floor_x)
+            s1_ratio = s1.as_integer_ratio()
+        x = k, 10
+        verdict = certify(_totient_rhs_upper(x, (log_lo[k], e)), _totient_lhs(x, s0, s1_ratio))
         rep.record({"x": f"{k}/10"}, *verdict)
     return rep
 
@@ -942,7 +996,9 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
     quadratic character, whose moments are exact integers, and one window
     pass over the stacked values of all orders d > 2.  Each character's row
     of that stack is C-contiguous and reduced on its own, so its moments
-    and error bounds are bit for bit those of a call on it alone."""
+    and error bounds are bit for bit those of a call on it alone.  The
+    right side depends on (p, h, r) only, so _s_upper_rhs_lo runs once per
+    (p, h, r) for all orders d."""
     rep = LemmaReport("s-upper")
     for p in map(int, pr.primes_upto(p_max)):
         hs = range(1, min(h_max, p - 1) + 1)
@@ -953,11 +1009,12 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
         stats = [_sum_S_multi(specs[0], hs, rs)]
         if len(specs) > 1:
             stats += _sum_S_multi(specs[1:], hs, rs)
+        grid = [(h, r) for h in hs for r in range(1, min(r_max, 9 * h) + 1)]
+        rhs_lo = [_s_upper_rhs_lo(p, h, r) for h, r in grid]
         for spec, moments in zip(specs, stats):
-            for h in hs:
-                for r in range(1, min(r_max, 9 * h) + 1):
-                    passed, slack, _ = _s_upper_verdict(p, h, r, moments[h, r])
-                    rep.record({"p": p, "d": spec.d, "h": h, "r": r}, passed, slack)
+            for (h, r), rhs in zip(grid, rhs_lo):
+                passed, slack = certify(moments[h, r].upper(), rhs)
+                rep.record({"p": p, "d": spec.d, "h": h, "r": r}, passed, slack)
     return rep
 
 

@@ -5,6 +5,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from nonresidues import lemmas as lm
 from nonresidues import primes as pr
+from nonresidues import rounding as rd
 from nonresidues.characters import (
     CharacterSpec,
     SearchCapExceededError,
@@ -354,6 +356,26 @@ def test_s_upper_sweep_cuts_r_at_9h_and_matches_single_h_moments():
             assert s == lm.exact_sum_S(spec, h, r), (p, d, h, r)
 
 
+def test_s_upper_sweep_computes_each_right_side_once(monkeypatch):
+    # one _s_upper_rhs_lo per (p, h, r), shared by every order d
+    calls, rhs_lo = [], lm._s_upper_rhs_lo
+    monkeypatch.setattr(lm, "_s_upper_rhs_lo", lambda *a: calls.append(a) or rhs_lo(*a))
+    rep = lm.sweep_s_upper(37, 8, 12)
+    want = {(p, h, r) for p, _, hs in _s_upper_grid(37, 8) for h in hs
+            for r in range(1, min(12, 9 * h) + 1)}
+    assert len(calls) == len(set(calls)) == len(want) and set(calls) == want
+    assert rep.instances_run > 3 * len(calls)
+
+
+def test_sum_stats_ends_of_exact_and_bounded_moments():
+    exact = lm.SumStats(p=7, h=2, r=1, value=10**30 + 1, error_bound=0.0)
+    assert exact.upper() == exact.lower() == (10**30 + 1, 1)
+    bounded = lm.SumStats(p=7, h=2, r=1, value=12.5, error_bound=0.25)
+    assert Fraction(*bounded.upper()) == Fraction(51, 4)
+    assert Fraction(*bounded.lower()) == Fraction(49, 4)
+    assert Fraction(*lm.SumStats(7, 2, 1, 12.5, 0.0).upper()) == Fraction(25, 2)
+
+
 def test_s_upper_endpoint_bound_within_interval_formula():
     for p in map(int, pr.primes_upto(300)):
         if p == 2:
@@ -370,7 +392,7 @@ def test_s_upper_endpoint_bound_within_interval_formula():
 def test_totient_endpoint_bound_within_interval_formula():
     for k in range(11, 2001):
         x = Fraction(k, 10)
-        got = Fraction(*lm._totient_rhs_upper(x))
+        got = Fraction(*lm._totient_rhs_upper(x.as_integer_ratio()))
         ref = _interval_totient_rhs(x, IV)
         assert _lo(ref) <= got <= _hi(ref), x
         # an upper bound: above the 256-bit enclosure of the true value
@@ -386,7 +408,8 @@ def _fraction_totient_rhs(x):
 def test_totient_and_proposition_bounds_match_fraction_formula():
     for k in range(1, 2001):
         x = Fraction(k, 10)
-        assert Fraction(*lm._totient_rhs_upper(x)) == _fraction_totient_rhs(x), x
+        got = Fraction(*lm._totient_rhs_upper(x.as_integer_ratio()))
+        assert got == _fraction_totient_rhs(x), x
         c = lm.check_totient_inequality(x) if x > 1 else None
         if c is not None:
             assert c.rhs == float(_fraction_totient_rhs(x))
@@ -420,8 +443,38 @@ def test_totient_bound_rounds_the_logarithm_down(monkeypatch):
     monkeypatch.setattr(lm, "_nine_over_pi2_up", lambda: nine_over_pi2)
     for k in range(11, 2001, 7):
         x = Fraction(k, 10)
-        got = Fraction(*lm._totient_rhs_upper(x))
+        got = Fraction(*lm._totient_rhs_upper(x.as_integer_ratio()))
         assert got >= _hi(_interval_totient_rhs(x, HP)), x
+
+
+def test_log_tenths_table_is_a_tight_lower_bound():
+    # below the 256-bit enclosure of log(k/10), and within (Omega(k) + 2)
+    # units of 2^-128 of it, Omega(k) the prime factors with multiplicity
+    table, unit = lm._log_tenths_lo(2000), Fraction(1, 1 << lm.LOG_TABLE_BITS)
+    for k in range(1, 2001):
+        got = table[k] * unit
+        hp_lo = _lo(HP.log(iv_from_fraction(Fraction(k, 10), HP)))
+        omega = sum(pr.factorize(k).values())
+        assert got <= hp_lo, k
+        assert hp_lo - got <= (omega + 2) * unit, k
+
+
+@pytest.mark.parametrize("x_max", [2, 300])
+def test_totient_sweep_matches_the_single_call_path(x_max, lemma_records):
+    # every instance's verdict and slack is the one the single-call path
+    # certifies with the raw lower_log endpoint
+    lm.sweep_totient(x_max)
+    phi = pr.totient_sieve(x_max).tolist()
+    s0 = list(accumulate(phi))  # s0[n] = sum of phi(a), a <= n
+    s1 = list(accumulate((Fraction(phi[a], a) for a in range(1, x_max + 1)),
+                         initial=Fraction(0)))
+    want = []
+    for k in range(11, 10 * x_max + 1):
+        x, n = Fraction(k, 10).as_integer_ratio(), k // 10
+        lhs = lm._totient_lhs(x, s0[n], s1[n].as_integer_ratio())
+        want.append(({"x": f"{k}/10"}, *lm.certify(lm._totient_rhs_upper(x), lhs), False))
+    assert len(want) == 10 * x_max - 10
+    assert lemma_records == want
 
 
 def test_proposition_endpoint_bound_within_interval_formula():
@@ -500,6 +553,26 @@ def test_totient_sweep_segment_matches_single_calls():
     assert rep.instances_run == 290  # x = 1.1 .. 30.0
     single = lm.check_totient_inequality(Fraction(123, 10))
     assert single.passed
+
+
+def test_totient_sweep_takes_no_log_per_instance(monkeypatch):
+    # one libmp log per prime up to 10 x_max and one for 10, none per instance
+    calls, log = [], rd.mpf_log
+    monkeypatch.setattr(rd, "mpf_log", lambda *a: calls.append(a) or log(*a))
+    for x_max in (2, 120):
+        calls.clear()
+        assert lm.sweep_totient(x_max).instances_run == 10 * x_max - 10
+        assert 0 < len(calls) <= len(pr.primes_upto(10 * x_max)) + 1
+
+
+def test_totient_sweep_without_instances_builds_no_table(monkeypatch):
+    monkeypatch.setattr(lm, "_log_tenths_lo", lambda k_max: pytest.fail("built a table"))
+    for x_max in (0, 1):
+        assert lm.sweep_totient(x_max).instances_run == 0
+        with pytest.raises(ValueError, match="the totient grid holds no instances"):
+            lm.run_verification(["totient"], lm.VerifyConfig(totient_x_max=x_max))
+    with pytest.raises(ValueError, match="totient_sieve needs limit >= 0"):
+        lm.sweep_totient(-1)
 
 
 # -- Farey intervals ---------------------------------------------------------

@@ -1,0 +1,67 @@
+"""The package's import surface: exported names, and what a scan job loads."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import nonresidues
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter on the source tree; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_scan_job_leaves_lemmas_and_cli_unimported(tmp_path):
+    out = run_fresh(f"""
+        import json
+        import sys
+        from nonresidues import OrderPolicy, ScanTask, run_scan
+
+        task = ScanTask.make(10**7, 10**7 + 2000, policy=OrderPolicy.divisors_up_to(6),
+                             n_max=2, shard_width=500)
+        summary = run_scan(task, out_path={str(tmp_path / "records.jsonl")!r},
+                           checkpoint_path={str(tmp_path / "ckpt.json")!r})
+        assert summary.aggregate.records > 0 and not summary.aggregate.violations
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("nonresidues."))))
+    """)
+    loaded = json.loads(out)
+    assert "nonresidues.scan" in loaded
+    assert "nonresidues.lemmas" not in loaded and "nonresidues.cli" not in loaded
+
+
+def test_every_exported_name_resolves():
+    from nonresidues import lemmas as lm
+
+    namespace = {}
+    exec("from nonresidues import *", namespace)
+    for name in nonresidues.__all__:
+        value = getattr(nonresidues, name)
+        assert namespace[name] is value, name
+        if name in lm.__all__:
+            assert value is getattr(lm, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        nonresidues.no_such_name
+
+
+def test_lemmas_load_on_first_use():
+    out = run_fresh("""
+        import sys
+        import nonresidues
+        print("nonresidues.lemmas" in sys.modules)
+        from nonresidues import check_totient_inequality
+        print(check_totient_inequality(2).passed,
+              nonresidues.lemmas.SumStats is nonresidues.SumStats)
+    """)
+    assert out.split() == ["False", "True", "True"]
