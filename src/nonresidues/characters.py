@@ -21,7 +21,7 @@ are batched over (p, d) rows (kernel_mask, nonresidue_table), in int64
 numpy for moduli below 2^50 (reducing each product by a float64 quotient
 from 2^31 on; long exponents by 2^3-ary windowed exponentiation, short
 ones by square-and-multiply) and by Python pow above; a search runs its
-quadratic cells and its d > 2 cells as separate chains.
+quadratic rows and its d > 2 rows as two groups.
 prime_nonresidues is a one-row call of the batched search, and is_kernel
 is one Python pow.
 Candidate nonresidues are read from the package's one shared prime table
@@ -333,19 +333,20 @@ def nonresidue_table(
     count means the search reached search_cap.  p must be prime and d | p-1;
     a prime q != p is a nonresidue iff it is not a d-th power residue.
 
-    Candidates come from the shared prime table in increasing order, in
-    chunks of doubling length up to search_cap exactly, and a row retires
-    once it is full.  Each step tests the active rows against a block of
-    candidates if every d > 2 modulus is below 2^50, where _kernel runs in
-    int64: as long as all earlier blocks, as the most nonresidues that an
-    active row still needs (it cannot finish on fewer tests), and aiming at
-    _STEP_CELLS cells, whichever is longest, but of at most _KERNEL_BLOCK
-    cells.  Otherwise a step tests one candidate per row, so that no Python
-    exponentiation of a modulus of 2^50 or more is spent past a row's last
-    nonresidue.  A step whose rows are all d = 2, or all d > 2, is one
-    kernel call; a mixed step makes one call of its d = 2 cells and one of
-    the others, since their exponents differ widely in length (a few bits
-    against up to 50).
+    The d = 2 rows and the d > 2 rows are searched as two groups, first
+    the d = 2 group, and scattered back: their cells differ widely in
+    exponent length (a few bits against up to 50), and so each step of a
+    group is one _kernel call.  Candidates come from the shared prime table
+    in increasing order, in chunks of doubling length up to search_cap
+    exactly, and a row retires once it is full.  Each step tests the
+    group's active rows against a block of candidates if the moduli of
+    its cells are below 2^50, where _kernel runs in int64 (a d = 2 cell's
+    modulus is a candidate, see below): as long as all earlier blocks, as
+    the most nonresidues that an active row still needs (it cannot finish
+    on fewer tests), and aiming at _STEP_CELLS cells, whichever is
+    longest, but of at most _KERNEL_BLOCK cells.  Otherwise a step tests
+    one candidate per row, so that no Python exponentiation of a modulus
+    of 2^50 or more is spent past a row's last nonresidue.
 
     A d > 2 cell is Euler's criterion mod p: q^((p-1)/d) == 1 (mod p).  A
     d = 2 cell is decided mod q instead, by quadratic reciprocity.  Let
@@ -362,13 +363,16 @@ def nonresidue_table(
     need not be prime.
     """
     p, d = _int_array(p), _int_array(d)
-    e = (p - 1) // d
-    quad = d == 2
-    n_quad = np.count_nonzero(quad)
-    all_quad = n_quad == len(p)
-    blocks = all_quad or _int64_moduli(p[~quad])
     q = np.zeros((len(p), count), dtype=np.int64)
     found = np.zeros(len(p), dtype=np.int64)
+    quad = d == 2
+    if quad.any() and not quad.all():  # two groups, each searched on its own
+        for rows in (quad, ~quad):
+            q[rows], found[rows] = nonresidue_table(p[rows], d[rows], count, search_cap)
+        return q, found
+    quadratic = quad.all()  # also for no rows, which take no step
+    blocks = quadratic or _int64_moduli(p)
+    e = (p - 1) // d
     active = np.arange(len(p) if count else 0)
     done, limit = 0, 64  # table entries tested, and the chunk's end
     while active.size:
@@ -383,18 +387,9 @@ def nonresidue_table(
             block = primes[done : done + (step if blocks else 1)]
             done += len(block)
             pa = p[active, None]
-            if all_quad:
-                residue = _kernel(*_reciprocity_cells(pa, block))
-            elif not n_quad:
-                residue = _kernel(pa, e[active, None], block)
-            else:  # a mixed call: quadratic cells mod q, the others mod p
-                qa = quad[active]
-                residue = np.empty((n, len(block)), dtype=bool)
-                if qa.any():
-                    residue[qa] = _kernel(*_reciprocity_cells(pa[qa], block))
-                if not qa.all():
-                    residue[~qa] = _kernel(pa[~qa], e[active[~qa], None], block)
-            hit = (block != pa) & ~residue
+            cells = (_reciprocity_cells(pa, block) if quadratic
+                     else (pa, e[active, None], block))
+            hit = (block != pa) & ~_kernel(*cells)
             rank = found[active, None] + hit.cumsum(axis=1)  # 1-based
             r, c = np.nonzero(hit & (rank <= count))
             q[active[r], rank[r, c] - 1] = block[c]

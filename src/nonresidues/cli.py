@@ -23,7 +23,6 @@ import sys
 from importlib import resources
 
 from . import bounds as bd
-from . import lemmas as lm
 from . import scan as sc
 from .characters import DEFAULT_SEARCH_CAP, SearchCapExceededError, prime_nonresidues
 from .primes import is_prime
@@ -209,6 +208,8 @@ def cmd_nonresidues(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import lemmas as lm  # only verify loads the lemma sweeps
+
     if args.all:
         selected = list(lm.LEMMA_NAMES)
     elif args.lemma:
@@ -353,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run lemma oracles")
     v.add_argument("--all", action="store_true", help="run every lemma sweep")
     v.add_argument("--lemma", action="append", default=None,
-                   help=f"one of {', '.join(lm.LEMMA_NAMES)} (repeatable)")
+                   help="a lemma to run (repeatable, comma-separated); --all runs "
+                        "every one, and an unknown name is refused with the valid list")
     v.add_argument("--small", action="store_true",
                    help="no effect: the default grid runs with or without it "
                         "(kept for compatibility)")

@@ -5,10 +5,11 @@ Everything here is exact integer arithmetic.  Sieves are numpy bool arrays.
 Small primes have one source: primes_upto, a view of a single cached int64
 table that grows by doubling on demand.  The nonresidue search walks it,
 the segmented range sieve and the least-prime-factor sieve take their base
-primes from it, and factorize trial-divides by it.  The package factorizes
-only p-1 for small p (primitive roots and divisor lists in the lemma
-sweeps), so factorize refuses n >= 2^40: below that, isqrt(n) < 2^20 and
-the table never grows past the size a scan near 10^12 already builds.
+primes from it, the totient sieve its primes, and factorize trial-divides
+by it.  The package factorizes only p-1 for small p (primitive roots and
+divisor lists in the lemma sweeps), so factorize refuses n >= 2^40: below
+that, isqrt(n) < 2^20 and the table never grows past the size a scan near
+10^12 already builds.
 The range sieve takes its base primes up to 2^20 as well, and above 2^40
 it tests each survivor with is_prime, so that a scan near 2^63 does not
 sieve up to 2^32 first.
@@ -207,12 +208,12 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
 
 
 def totient_sieve(limit: int) -> np.ndarray:
-    """phi(a) for a = 0..limit as an int64 array (phi(0) set to 0)."""
+    """phi(a) for a = 0..limit as an int64 array (phi(0) set to 0), each
+    prime p <= limit from primes_upto scaling its multiples by 1 - 1/p."""
     if limit < 0:
         raise ValueError(f"totient_sieve needs limit >= 0, got {limit}")
     phi = np.arange(limit + 1, dtype=np.int64)
     phi[0] = 0
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p is prime
-            phi[p::p] -= phi[p::p] // p
+    for p in primes_upto(limit).tolist():
+        phi[p::p] -= phi[p::p] // p
     return phi

@@ -506,20 +506,41 @@ def test_kernel_mask_keeps_euler_for_composite_q():
     assert is_kernel(7, 2, 15) and pow(7, 7, 15) not in (1, 14)
 
 
-def test_quadratic_search_steps_in_blocks_at_any_p(monkeypatch):
-    # d = 2 searches step in blocks at any p, and d > 2 searches below 2^50;
-    # one d > 2 row at or above 2^50 makes its whole call step one candidate
-    # per row, none tested past a row's last nonresidue
+def count_kernel_cells(monkeypatch):
+    """The list to which every later _kernel call appends its cell count."""
     from nonresidues import characters as ch
 
     sizes = []
+    kernel = ch._kernel
 
     def counting(p, e, q):
         sizes.append(np.broadcast(p, e, q).size)
         return kernel(p, e, q)
 
-    kernel = ch._kernel
     monkeypatch.setattr(ch, "_kernel", counting)
+    return sizes
+
+
+def group_sizes(sizes, rows, count):
+    """The kernel call sizes of the d = 2 rows' search and of the others',
+    each searched alone, after checking that one search of all rows makes
+    exactly those calls, the d = 2 group's first."""
+    groups = [[r for r in rows if r[1] == 2], [r for r in rows if r[1] > 2]]
+    calls = []
+    for group in groups + [rows]:
+        sizes.clear()
+        if group:
+            check_table(group, count)
+        calls.append(list(sizes))
+    assert calls[2] == calls[0] + calls[1]
+    return calls[0], calls[1]
+
+
+def test_quadratic_search_steps_in_blocks_at_any_p(monkeypatch):
+    # d = 2 searches step in blocks at any p, and d > 2 searches below 2^50;
+    # one d > 2 row at or above 2^50 makes its group step one candidate per
+    # row, none tested past a row's last nonresidue
+    sizes = count_kernel_cells(monkeypatch)
     m89 = 2**89 - 1
     for p, d in ((10**12 + 39, 2), (m89, 2), (10**12 + 39, 3), (m89, 3)):
         sizes.clear()
@@ -529,23 +550,22 @@ def test_quadratic_search_steps_in_blocks_at_any_p(monkeypatch):
             assert sizes[0] == 18 and len(sizes) < 10 and min(sizes) > 1, (p, sizes)
         else:
             assert set(sizes) == {1} and len(sizes) == _SMALL_PRIMES.index(got[-1]) + 1
-    # a shard's rows near 10^12 test all 18 primes below 64 in the first step:
-    # the d = 2 cells in one call mod q, then the others in one call mod p
+    # a shard's rows near 10^12: the d = 2 group's calls mod q, then the
+    # others' mod p, each group testing all 18 primes below 64 in its first
+    # step
     rows = all_rows(primes_near(10**12, 300), d_max=12)
     n_quad = sum(d == 2 for _, d in rows)
-    sizes.clear()
-    check_table(rows, 3)
-    assert sizes[:2] == [18 * n_quad, 18 * (len(rows) - n_quad)]
+    quad, other = group_sizes(sizes, rows, 3)
+    assert quad[0] == 18 * n_quad and other[0] == 18 * (len(rows) - n_quad)
     assert len(rows) > 50 and 0 < n_quad < len(rows) / 2
-    # one candidate per row and step, the d = 2 row's cell in a call of its own
+    # beside two d > 2 rows at or above 2^50, the d = 2 row steps in blocks;
+    # the d > 2 rows step one candidate per row
     rows = [(2**50 - 27, 3), (2**50 + 99, 3), (2**50 - 27, 2)]
-    sizes.clear()
-    check_table(rows, 30)
+    quad, other = group_sizes(sizes, rows, 30)
+    assert quad[0] == 18 and len(quad) < 10 and min(quad) > 1, quad
     tested = [_SMALL_PRIMES.index(pow_loop_nonresidues(p, d, 30, 10_000)[-1]) + 1
-              for p, d in rows]
-    steps = [[1] * (tested[2] > k) + [sum(n > k for n in tested[:2])] * (k < max(tested[:2]))
-             for k in range(max(tested))]
-    assert sizes == [n for step in steps for n in step]
+              for p, d in rows[:2]]
+    assert other == [sum(n > k for n in tested) for k in range(max(tested))]
 
 
 @pytest.mark.parametrize("center", [2**31, 10**12, 2**50])
@@ -701,28 +721,71 @@ def test_nonresidue_table_mixes_short_and_long_exponents_in_one_call():
 
 
 def test_first_search_step_tests_what_every_row_still_needs(monkeypatch):
-    # scan-orders' rows (p in [10^12, 10^12 + 10^4), d | 12): 1,309 rows, so
-    # _STEP_CELLS // 1309 = 1, but every row needs 3 nonresidues, so the
-    # first step tests 3 candidates a row, and the search takes 3 steps, each
-    # one call of its d = 2 cells and one of the others
-    from nonresidues import characters as ch
+    # scan-orders' rows (p in [10^12, 10^12 + 10^4), d | 12): 1,309 rows, of
+    # which 335 are d = 2.  That group's first step aims at _STEP_CELLS,
+    # 2048 // 335 = 6 candidates a row.  The other 974 rows would get
+    # 2048 // 974 = 2, but every row needs 3 nonresidues, so their first
+    # step tests 3 candidates a row.  The groups take 2 and 3 steps.
+    from nonresidues.characters import _STEP_CELLS
 
-    sizes = []
-
-    def counting(p, e, q):
-        sizes.append(np.broadcast(p, e, q).size)
-        return kernel(p, e, q)
-
-    kernel = ch._kernel
-    monkeypatch.setattr(ch, "_kernel", counting)
+    sizes = count_kernel_cells(monkeypatch)
     rows = all_rows([int(p) for p in pr.primes_in_range(10**12, 10**12 + 10**4)], d_max=12)
     n_quad = sum(d == 2 for _, d in rows)
     assert (len(rows), n_quad) == (1309, 335)
-    check_table(rows, 3)
-    assert sizes[:2] == [3 * n_quad, 3 * (len(rows) - n_quad)]
-    assert len(sizes) == 6
+    quad, other = group_sizes(sizes, rows, 3)
+    assert _STEP_CELLS // n_quad == 6 and quad[0] == 6 * n_quad
+    assert _STEP_CELLS // (len(rows) - n_quad) == 2 and other[0] == 3 * (len(rows) - n_quad)
+    assert (len(quad), len(other)) == (2, 3)
     # 30 nonresidues of 186 rows: the first step stops at the chunk's
     # 18 primes below 64, after which the rows have found different counts
     rows = all_rows(primes_near(10**12, 600), d_max=12)
     q, found = check_table(rows, 30)
     assert len(set((q < 64).sum(axis=1).tolist())) > 5 and found.min() == 30
+
+
+def check_two_groups(rows, count, cap=10_000):
+    """check_table on rows, whose whole (q, found) must also equal the d = 2
+    rows' search and the others' search scattered back."""
+    q, found = check_table(rows, count, cap=cap) if rows else nonresidue_table([], [], count)
+    quad = np.array([d == 2 for _, d in rows], dtype=bool)
+    for mask in (quad, ~quad):
+        group = [r for r, m in zip(rows, mask) if m]
+        gq, gf = nonresidue_table([p for p, _ in group], [d for _, d in group], count,
+                                  search_cap=cap)
+        assert np.array_equal(q[mask], gq) and np.array_equal(found[mask], gf)
+    return q, found
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_two_group_search_scatters_back_each_group(order):
+    # d = 2 rows interleaved with d > 2 rows, in (p, d) order: every p's
+    # d = 2 row sits between other orders' rows, or shuffled
+    def arrange(rows):
+        rows = list(rows)
+        if order == "shuffled":
+            random.Random(7).shuffle(rows)
+        return rows
+
+    rows = arrange(all_rows(primes_near(10**7, 300), d_max=12))
+    quad_at = [i for i, (_, d) in enumerate(rows) if d == 2]
+    assert quad_at != list(range(quad_at[0], quad_at[0] + len(quad_at)))  # not contiguous
+    for count in (0, 1, 3, 30):
+        check_two_groups(rows, count)
+    # the d = 2 group reaches the cap while every d > 2 row finishes
+    rows = arrange(r for r in all_rows(primes_near(10**7, 600), d_max=12)
+                   if r[1] == 2 or r[1] >= 8)
+    q, found = check_two_groups(rows, 10, cap=50)
+    d = np.array([d for _, d in rows])
+    assert (found[d == 2] < 10).any() and (found[d > 2] == 10).all()
+    # an empty group: all rows d = 2, or none, and no rows at all
+    small = all_rows([int(p) for p in pr.sieve(400)[1:]], d_max=12)
+    for rows in ([r for r in small if r[1] == 2], [r for r in small if r[1] > 2], []):
+        for count in (0, 5):
+            check_two_groups(arrange(rows), count)
+    # d > 2 rows at or above 2^50 beside d = 2 rows: the d > 2 group steps
+    # one candidate per row, and the d = 2 group in blocks
+    big = [(p, d) for p in primes_near(2**50, 120) + [2**89 - 1] for d in range(2, 13)
+           if (p - 1) % d == 0]
+    assert max(p for p, d in big if d > 2) >= 2**50 and any(d == 2 for _, d in big)
+    for count in (0, 3, 30):
+        check_two_groups(arrange(big + small[:40]), count)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from nonresidues import bounds as bd
 from nonresidues import cli
+from nonresidues import lemmas as lm
 from nonresidues import primes as pr
 from nonresidues.rounding import certify, upper
 
@@ -346,8 +347,10 @@ def test_verify_single_lemma_report(capsys, tmp_path):
 
 
 def test_verify_unknown_lemma_exit_2(capsys):
+    # the refusal, not the --lemma help, lists the valid names
     code, _, err = run_cli(["verify", "--lemma", "zorn"], capsys)
     assert code == 2
+    assert "'zorn'" in err and all(repr(name) in err for name in lm.LEMMA_NAMES)
 
 
 def test_verify_multiple_lemmas(capsys):
@@ -378,7 +381,7 @@ def test_verify_empty_grid_exits_2(argv):
 @pytest.mark.parametrize("opt", ["--r-max", "--x-max", "--h-max", "--p-max", "--trials",
                                  "--instances"])
 def test_verify_grid_bound_below_one_refused_before_any_sweep(opt, monkeypatch):
-    monkeypatch.setattr(cli.lm, "run_verification", lambda *a: pytest.fail("ran a sweep"))
+    monkeypatch.setattr(lm, "run_verification", lambda *a: pytest.fail("ran a sweep"))
     assert_refused(["verify", "--all", f"{opt}=0"])
 
 

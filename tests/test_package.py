@@ -41,6 +41,20 @@ def test_scan_job_leaves_lemmas_and_cli_unimported(tmp_path):
     assert "nonresidues.lemmas" not in loaded and "nonresidues.cli" not in loaded
 
 
+def test_cli_scan_leaves_lemmas_unimported(tmp_path):
+    out = run_fresh(f"""
+        import sys
+        from nonresidues import cli
+
+        code = cli.main(["scan", "--p-lo", "1e7", "--p-hi", "1.0002e7", "--orders", "upto:6",
+                         "--n-max", "2", "--out", {str(tmp_path / "records.jsonl")!r},
+                         "--summary", {str(tmp_path / "summary.json")!r}])
+        print(code, "nonresidues.lemmas" in sys.modules)
+    """)
+    assert out.split() == ["0", "False"]
+    assert json.loads((tmp_path / "summary.json").read_text())["records"] > 0
+
+
 def test_every_exported_name_resolves():
     from nonresidues import lemmas as lm
 

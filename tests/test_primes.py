@@ -231,6 +231,13 @@ def test_totient_sieve_matches_euler_phi():
         assert int(phi[n]) == pr.euler_phi(n)
 
 
+def test_totient_sieve_agrees_at_every_limit():
+    # a prime limit must sieve its own multiples too: phi(p) = p - 1
+    phi = pr.totient_sieve(500).tolist()
+    for limit in range(200):
+        assert pr.totient_sieve(limit).tolist() == phi[: limit + 1], limit
+
+
 def test_totient_sieve_refuses_a_negative_limit():
     assert pr.totient_sieve(0).tolist() == [0]
     for limit in (-1, -5):
