@@ -367,8 +367,9 @@ def nonresidue_table(
     found = np.zeros(len(p), dtype=np.int64)
     quad = d == 2
     if quad.any() and not quad.all():  # two groups, each searched on its own
-        for rows in (quad, ~quad):
-            q[rows], found[rows] = nonresidue_table(p[rows], d[rows], count, search_cap)
+        for rows in (quad, ~quad):  # with its own dtype: int64 unless its p need more
+            q[rows], found[rows] = nonresidue_table(p[rows].tolist(), d[rows], count,
+                                                    search_cap)
         return q, found
     quadratic = quad.all()  # also for no rows, which take no step
     blocks = quadratic or _int64_moduli(p)

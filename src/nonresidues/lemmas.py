@@ -1236,10 +1236,13 @@ def run_verification(
     lemmas: Sequence[str] | None = None, config: VerifyConfig | None = None
 ) -> dict:
     """Run the selected lemma sweeps, timing each into its elapsed_s, and
-    assemble a JSON-ready report.  A sweep whose grid holds no instance is
-    refused (ValueError): its pass would certify nothing."""
+    assemble a JSON-ready report: all of them if lemmas is None, each named
+    one once otherwise.  An empty selection, and a sweep whose grid holds
+    no instance, are refused (ValueError): their pass would certify nothing."""
     cfg = config or VerifyConfig()
-    names = list(lemmas) if lemmas else list(LEMMA_NAMES)
+    names = list(LEMMA_NAMES) if lemmas is None else list(dict.fromkeys(lemmas))
+    if not names:
+        raise ValueError(f"no lemma selected; valid: {LEMMA_NAMES}")
     unknown = [x for x in names if x not in LEMMA_NAMES]
     if unknown:
         raise ValueError(f"unknown lemma selectors {unknown}; valid: {LEMMA_NAMES}")

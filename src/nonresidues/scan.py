@@ -9,27 +9,28 @@ means an implementation bug; the scanner halts on one by default, with a
 reproducer.
 
 Determinism is a hard requirement: the prime range is split into
-fixed-width shards, the unit of output and of resume, and shard outputs
-are written and aggregated in shard order.  Shards are computed in
-batches of consecutive shards, at most 2^17 integers each whatever the
-worker count: the unit of work, of pool traffic and of checkpoint commits.
-Only a scan of two batches or more starts a pool, of at most one process
-per batch.  A batch works on whole columns, with no Python call per cell:
-a segmented sieve over its joint range that strikes larger base primes one
-octave per numpy scatter, one batched nonresidue search, the bound's
-shapes (bit for bit those of bound_shape), vectorised ratios and bound
-filter, and one formatting pass: each row's %-template is chosen by one
-int64 key, and each ratio is written from its shortest round-trip digits,
-computed for the whole column in numpy (_shortest; repr writes the few
-values that it cannot certify).  The batch is then split back into
-shards, their text cut at the shards' first rows.  No row depends on
-another, so a shard's bytes do not depend on the batch it was computed
-in.  ScanRecord is the row view, and its to_jsonl and to_csv_row define
-the bytes each line must equal.  The record stream and the summary are
-byte-identical for any worker count, and a checkpointed run resumed from
-interruption reproduces the uninterrupted output exactly (the checkpoint
-stores the output byte offset and the next shard, and resume truncates
-back to it).
+fixed-width shards, the unit in which a task and its checkpoint address
+the range.  Shards are computed in batches of consecutive shards, at most
+2^17 integers each whatever the worker count: the unit of work, of pool
+traffic, of output and of checkpoint commits, written and aggregated in
+shard order.  Only a scan of two batches or more starts a pool, of at
+most one process per batch.  A batch works on whole columns, with no
+Python call per cell: a segmented sieve over its joint range that strikes
+larger base primes one octave per numpy scatter, one batched nonresidue
+search, the bound's shapes (bit for bit those of bound_shape), vectorised
+ratios and bound filter, and one formatting pass: each row's %-template
+is chosen by one int64 key, and each ratio is written from its shortest
+round-trip digits, computed for the whole column in numpy (_shortest;
+repr writes the few values that it cannot certify).  No row depends on
+another, so a row's bytes do not depend on the batch it was computed in.
+ScanRecord is the row view, and its to_jsonl and to_csv_row define the
+bytes each line must equal.  The record stream and the summary are
+byte-identical for any worker count.  Progress is committed only at a
+batch's end (or at a stop), and a violation halt commits nothing, so a
+halt, like a kill, leaves the last commit: a checkpointed run resumed
+from any interruption reproduces the uninterrupted output exactly (the
+checkpoint stores the output byte offset and the next shard, and resume
+truncates back to it).
 
 Border arithmetic: ratios are stored as doubles, but the bound decision
 compares the exact integer q_n against a two-sided float enclosure of the
@@ -99,7 +100,7 @@ class TaskMismatchError(RuntimeError):
 @dataclass(frozen=True)
 class OrderPolicy:
     """Which character orders to scan for each prime p (rows: for all the
-    primes of a shard; orders_for: for one).
+    primes of a batch; orders_for: for one).
 
     quadratic       -> d = 2 only (the classical least-nonresidue case)
     divisors-up-to  -> every d | p-1 with 2 <= d <= limit (tested directly,
@@ -353,7 +354,8 @@ def _row_keys(parts: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
 
 @dataclass
 class Shard:
-    """One shard's results as columns, one row per (p, d) in (p, d) order.
+    """The rows of a range of shards as columns, one row per (p, d) in
+    (p, d) order: a batch's, computed at once (see _compute_batch).
 
     q, ratio and ok are n_max wide; cells past a row's count (a search
     that reached the cap) hold 0, 0.0 and True.  text is the rows'
@@ -395,13 +397,10 @@ class Shard:
             bound_ok=tuple(self.ok[r, :k].tolist()), cap_exhausted=bool(self.cap[r]),
         )
 
-    def format(self, fmt: str, cuts: Sequence[int] = ()) -> list[str]:
-        """The text of the rows before cuts[0], between consecutive cuts
-        and from cuts[-1] on (all rows if no cuts): lines each equal to
-        ScanRecord.to_jsonl or to_csv_row of its row.  _compute_shards
-        formats a batch once and cuts it at its shards' first rows; a
-        piece is the text of its rows formatted alone, since no row's
-        text depends on another's.
+    def format(self, fmt: str) -> str:
+        """The rows' text: lines each equal to ScanRecord.to_jsonl or
+        to_csv_row of its row.  No row's text depends on another's, so the
+        text of any rows is the text of their parts, joined.
 
         Each row takes a %-template chosen by one int64 key (_row_keys)
         of its count, d, and per cell its bound verdict and its ratio's
@@ -411,8 +410,8 @@ class Shard:
         literal text in the template, and so are the commas of the CSV
         cells past the count.  Only p, the q values and the ratios' digit
         integers (or a %r ratio itself) are %-cells, in that order in both
-        formats, so a piece is one %-format of its rows' templates,
-        joined, over its slice of one cell list.
+        formats, so the text is one %-format of the rows' templates,
+        joined, over one cell list.
         """
         n_max, rows = self.q.shape[1], len(self.p)
         present = np.arange(n_max) < self.count[:, None]
@@ -435,22 +434,17 @@ class Shard:
         at = np.flatnonzero(keep.ravel()).searchsorted
         for r, n in zip(*np.nonzero(present & (ids == 0))):  # %r: the ratio itself
             values[at(r * keep.shape[1] + n_max + 1 + 2 * n)] = self.ratio[r, n].item()
-        lines = list(map(templates.__getitem__, which.tolist()))
-        ends = [0, *keep.sum(axis=1).cumsum().tolist()]  # values before each row
-        bounds = [0, *cuts, rows]
-        return ["".join(lines[a:b]) % tuple(values[ends[a]:ends[b]])
-                for a, b in zip(bounds, bounds[1:])]
+        return "".join(map(templates.__getitem__, which.tolist())) % tuple(values)
 
 
-def _compute_shards(task: ScanTask, shards: range, fmt: str | None = None) -> list[Shard]:
-    """The shards in the nonempty range shards, each with its text in the
+def _compute_batch(task: ScanTask, shards: range, fmt: str | None = None) -> Shard:
+    """The rows of the nonempty range shards, with their text in the
     format fmt (None: none), computed as one batch: one sieve over their
     joint range, one rows call, one nonresidue search, one shapes pass,
     one bound filter and one Shard.format of all the rows (ratio digits
-    from one numpy pass, repr for what that cannot certify), then split
-    into shards at each shard's lower end, with the text cut there.
-    No row's result depends on another row, so each shard equals the one
-    that a one-shard batch gives.
+    from one numpy pass, repr for what that cannot certify).  No row's
+    result depends on another row, so a batch equals its one-shard
+    batches joined.
 
     The bound is checked by a float filter: b = c * S, with S the shape
     bound_shape(n, p) (from bound_shapes, which equals it bit for bit),
@@ -471,8 +465,8 @@ def _compute_shards(task: ScanTask, shards: range, fmt: str | None = None) -> li
     (a bound-checked scan, with log p > 8(n0 - 1), has k <= 3.8 below
     2^63).  The error is then below 2.3*10^4 u < 2.6*10^-12 << 10^-9.
     """
-    los = [task.shard_range(i)[0] for i in shards]
-    p, d = task.policy.rows(pr.primes_in_range(los[0], task.shard_range(shards[-1])[1]))
+    lo, hi = task.shard_range(shards[0])[0], task.shard_range(shards[-1])[1]
+    p, d = task.policy.rows(pr.primes_in_range(lo, hi))
     q, count = nonresidue_table(p, d, task.n_max, task.search_cap)
     primes, at = np.unique(p, return_inverse=True)
     shape = np.array(bound_shapes(primes.tolist(), task.n_max))
@@ -483,11 +477,9 @@ def _compute_shards(task: ScanTask, shards: range, fmt: str | None = None) -> li
         ok = (np.arange(task.n_max) >= count[:, None]) | (q <= b * (1.0 - 1e-9))
         for r, n in zip(*np.nonzero(~ok & (q <= b * (1.0 + 1e-9)))):
             ok[r, n] = _bound_ok(int(q[r, n]), int(n) + 1, int(p[r]), task.c)
-    cols = (p, d, q, count, q / shape, ok)
-    cuts = np.searchsorted(p, los[1:]).tolist()
-    texts = Shard(*cols).format(fmt, cuts) if fmt else repeat("")
-    return [Shard(*(col[a:b] for col in cols), text=text)
-            for a, b, text in zip([0, *cuts], [*cuts, len(p)], texts)]
+    batch = Shard(p, d, q, count, q / shape, ok)
+    batch.text = batch.format(fmt) if fmt else ""
+    return batch
 
 
 def _batches(task: ScanTask, shards: range) -> list[range]:
@@ -498,12 +490,12 @@ def _batches(task: ScanTask, shards: range) -> list[range]:
 
 
 def _iter_batches(task: ScanTask, workers: int, shards: range,
-                  fmt: str | None = None) -> Iterator[tuple[range, list[Shard]]]:
-    """(batch, its shards) for the batches of shards in shard order, with
-    each shard's text in the format fmt (None: no text), as a generator that
-    the caller may close.  A pool of min(workers, batches) processes computes
-    them if that is 2 or more, else this process does.  Refuses workers
-    below 1 at the call, before any shard is computed."""
+                  fmt: str | None = None) -> Iterator[tuple[range, Shard]]:
+    """(shards of a batch, its rows) for the batches of shards in shard
+    order, with the rows' text in the format fmt (None: no text), as a
+    generator that the caller may close.  A pool of min(workers, batches)
+    processes computes them if that is 2 or more, else this process does.
+    Refuses workers below 1 at the call, before any shard is computed."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     batches = _batches(task, shards)
@@ -511,14 +503,14 @@ def _iter_batches(task: ScanTask, workers: int, shards: range,
 
 
 def _batch_stream(task: ScanTask, workers: int, batches: list[range],
-                  fmt: str | None) -> Iterator[tuple[range, list[Shard]]]:
+                  fmt: str | None) -> Iterator[tuple[range, Shard]]:
     args = (repeat(task), batches, repeat(fmt))
     if workers < 2:
-        yield from zip(batches, map(_compute_shards, *args))
+        yield from zip(batches, map(_compute_batch, *args))
         return
     # the task pickles as it is: a worker does not validate it again
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        yield from zip(batches, ex.map(_compute_shards, *args))
+        yield from zip(batches, ex.map(_compute_batch, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +548,10 @@ class PerNStats:
     max_ratio_witness: tuple[int, int] | None = None
 
     def add(self, shard: Shard) -> None:
-        """Count the shard's rows with an n-th q and update both running
-        maxima: a larger value wins, and equal values go to the smaller
-        witness (p, d), so the result does not depend on how rows are
-        split into shards."""
+        """Count the rows with an n-th q and update both running maxima: a
+        larger value wins, and equal values go to the smaller witness
+        (p, d), so the result does not depend on how rows are split into
+        batches."""
         rows = np.flatnonzero(shard.count >= self.n)
         self.count += rows.size
         if not rows.size:
@@ -576,11 +568,12 @@ class PerNStats:
 
 @dataclass
 class Aggregate:
-    """Extremal statistics over scan records, built by adding shards.
+    """Extremal statistics over scan records, built by adding rows.
 
-    run_scan adds shards in shard order whatever the worker count, and a
-    resumed scan reloads the aggregate from its checkpoint and goes on
-    adding, so identical record streams give identical summaries.
+    run_scan adds each batch's rows in shard order whatever the worker
+    count, and a resumed scan reloads the aggregate from its checkpoint
+    and goes on adding, so identical record streams give identical
+    summaries.
     """
 
     records: int = 0
@@ -666,9 +659,8 @@ class ScanSummary:
 
 def scan_records(task: ScanTask, workers: int = 1) -> Iterator[ScanRecord]:
     """All records of the task in deterministic (p, d) order."""
-    for _, shards in _iter_batches(task, workers, range(task.shard_count)):
-        for shard in shards:
-            yield from map(shard.record, range(len(shard.p)))
+    for _, batch in _iter_batches(task, workers, range(task.shard_count)):
+        yield from map(batch.record, range(len(batch.p)))
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
@@ -733,18 +725,21 @@ def run_scan(
     stop_after_shards: int | None = None,
     raise_on_violation: bool = True,
 ) -> ScanSummary:
-    """Run (or resume) a scan, streaming records to out_path a shard at a
+    """Run (or resume) a scan, streaming records to out_path a batch at a
     time; a violation halts it after writing the records up to and
     including the violating one.
 
     Shards are computed in batches (see _batches), in this process unless
-    there are two or more (see _iter_batches).  The record file is flushed
-    and, with a checkpoint path, progress committed at the end of every
-    batch, and before a violation halt, so that the checkpoint then names
-    the violating shard.  An interrupted run resumed with identical
-    arguments produces output files byte-identical to an uninterrupted run.
-    stop_after_shards exists to exercise exactly that (it simulates an
-    interruption): no shard past the stop is computed.
+    there are two or more (see _iter_batches).  Each batch's text is
+    written and its rows added to the aggregate at once, and then the
+    record file is flushed and, with a checkpoint path, progress committed
+    at the batch's end.  That is the one recovery rule: a violation halt
+    commits nothing, so that, like a kill, it leaves the last batch's
+    commit (or no checkpoint, if it halts the first batch).  A run
+    interrupted either way and resumed with identical arguments produces
+    output files byte-identical to an uninterrupted run.  stop_after_shards
+    exists to exercise exactly that (it simulates an interruption): no
+    shard past the stop is computed.
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be jsonl or csv, got {fmt!r}")
@@ -785,37 +780,27 @@ def run_scan(
             out.truncate(byte_offset)
             out.seek(byte_offset)
 
-    def commit(next_shard: int) -> None:
-        """Flush the records and checkpoint all shards before next_shard."""
-        if out is not None:
-            out.flush()
-        if checkpoint_path is not None:
-            _write_checkpoint(
-                checkpoint_path,
-                {
+    try:
+        for shards, batch in batches:
+            bad = np.flatnonzero(~batch.ok.all(axis=1)) if raise_on_violation else ()
+            if len(bad):  # records up to and including the first violation, uncommitted
+                if out is not None:
+                    out.write("".join(batch.text.splitlines(True)[: bad[0] + 1]))
+                raise ScanViolationError(batch.record(bad[0]), task.c)
+            agg.add(batch)
+            if out is not None:
+                out.write(batch.text)
+                out.flush()
+            if checkpoint_path is not None:  # commit every shard before shards.stop
+                _write_checkpoint(checkpoint_path, {
                     "version": CHECKPOINT_VERSION,
                     "task_hash": task_hash,
                     "format": fmt,
                     "shards_total": task.shard_count,
-                    "next_shard": next_shard,
+                    "next_shard": shards.stop,
                     "byte_offset": out.tell() if out is not None else None,
                     "aggregate": agg.to_json_obj(),
-                },
-            )
-
-    try:
-        for batch, shards in batches:
-            for i, shard in zip(batch, shards):
-                bad = np.flatnonzero(~shard.ok.all(axis=1)) if raise_on_violation else ()
-                if len(bad):  # records up to and including the first violation
-                    commit(i)
-                    if out is not None:
-                        out.write("".join(shard.text.splitlines(True)[: bad[0] + 1]))
-                    raise ScanViolationError(shard.record(bad[0]), task.c)
-                if out is not None:
-                    out.write(shard.text)
-                agg.add(shard)
-            commit(batch.stop)
+                })
     finally:
         batches.close()  # a pool stops with the scan, not when the frame is freed
         if out is not None:

@@ -789,3 +789,28 @@ def test_two_group_search_scatters_back_each_group(order):
     assert max(p for p, d in big if d > 2) >= 2**50 and any(d == 2 for _, d in big)
     for count in (0, 3, 30):
         check_two_groups(arrange(big + small[:40]), count)
+
+
+def test_each_group_is_searched_in_its_own_dtype(monkeypatch):
+    # one d = 2 row at 2^89 - 1 holds its p in Python ints; the d > 2 rows
+    # near 10^6 beside it must still be searched in int64 blocks, in the
+    # very kernel calls that they make without that row
+    from nonresidues import characters as ch
+
+    calls = []
+    kernel = ch._kernel
+
+    def recording(*cells):
+        calls.append((np.broadcast(*cells).size, {np.asarray(c).dtype for c in cells}))
+        return kernel(*cells)
+
+    monkeypatch.setattr(ch, "_kernel", recording)
+    small = [(p, d) for p in primes_near(10**6, 3000) for d in (3, 6) if (p - 1) % d == 0]
+    small = small[:240]
+    alone_q, alone_found = check_table(small, 3)
+    alone = list(calls)
+    assert len(small) == 240 and all(dtypes == {np.dtype(np.int64)} for _, dtypes in alone)
+    calls.clear()
+    q, found = check_table([(2**89 - 1, 2), *small], 3)
+    assert calls[-len(alone):] == alone  # the d > 2 group's calls, last
+    assert np.array_equal(q[1:], alone_q) and np.array_equal(found[1:], alone_found)

@@ -353,6 +353,14 @@ def test_verify_unknown_lemma_exit_2(capsys):
     assert "'zorn'" in err and all(repr(name) in err for name in lm.LEMMA_NAMES)
 
 
+@pytest.mark.parametrize("spec", [",", " , ,"])
+def test_verify_empty_lemma_selection_exit_2(capsys, spec):
+    # a --lemma that names no lemma is refused, not taken for --all
+    code, out, err = run_cli(["verify", "--lemma", spec], capsys)
+    assert code == 2 and out == ""
+    assert "no lemma selected" in err
+
+
 def test_verify_multiple_lemmas(capsys):
     code, out, _ = run_cli(
         ["verify", "--lemma", "stirling,convexity", "--r-max", "10",

@@ -1177,6 +1177,17 @@ def test_run_verification_selectors_and_shape():
         lm.run_verification(["no-such-lemma"])
 
 
+def test_run_verification_refuses_an_empty_selection_and_runs_a_name_once(monkeypatch):
+    # an empty list is a selection of nothing, not of everything
+    with pytest.raises(ValueError, match="no lemma selected"):
+        lm.run_verification([])
+    runs = []
+    sweep = lm._SWEEPS["stirling"]
+    monkeypatch.setitem(lm._SWEEPS, "stirling", lambda cfg: runs.append(cfg) or sweep(cfg))
+    rep = lm.run_verification(["stirling", "stirling"], lm.VerifyConfig(stirling_r_max=5))
+    assert len(runs) == 1 and list(rep["lemmas"]) == ["stirling"]
+
+
 # Reports of the reduced benchmark grid at two seeds, elapsed_s stripped, as
 # the rational-arithmetic certificates wrote them before they moved to plain
 # integers: every verdict, slack, count and message must stay byte for byte

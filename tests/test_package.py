@@ -67,6 +67,13 @@ def test_every_exported_name_resolves():
             assert value is getattr(lm, name), name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nonresidues.no_such_name
+    # each module's own exports too, so that a rename cannot leave a stale one
+    for module in ("bounds", "characters", "lemmas", "scan"):
+        namespace = {}
+        exec(f"from nonresidues.{module} import *", namespace)
+        mod = getattr(nonresidues, module)
+        assert mod.__all__ and all(namespace[name] is getattr(mod, name)
+                                   for name in mod.__all__), module
 
 
 def test_lemmas_load_on_first_use():

@@ -585,6 +585,9 @@ def test_policy_rows_match_orders_for(policy):
             (x, y) for x in map(int, primes) for y in policy.orders_for(x)]
 
 
+COLUMNS = ("p", "d", "q", "count", "ratio", "ok")
+
+
 def _capped_task(n_max=3, cap=7):
     # caps at 7 and divisor orders: full rows, short rows and empty rows
     return sc.ScanTask(p_lo=10**7, p_hi=10**7 + 3000,
@@ -613,8 +616,8 @@ def test_shard_text_equals_row_serializers(make_task):
     task = make_task()
     seen = set()
     for i in range(task.shard_count):
-        jsonl = sc._compute_shards(task, range(i, i + 1), "jsonl")[0]
-        csv = sc._compute_shards(task, range(i, i + 1), "csv")[0]
+        jsonl = sc._compute_batch(task, range(i, i + 1), "jsonl")
+        csv = sc._compute_batch(task, range(i, i + 1), "csv")
         recs = [jsonl.record(r) for r in range(len(jsonl.p))]
         assert jsonl.text.splitlines() == [
             json.dumps(rec.to_json_obj(), sort_keys=True) for rec in recs]
@@ -673,16 +676,13 @@ def test_shard_text_equals_row_serializers_on_ratios_no_scan_makes(n_max):
     recs = [shard.record(r) for r in range(rows)]
     for fmt, line in (("jsonl", sc.ScanRecord.to_jsonl),
                       ("csv", lambda rec: rec.to_csv_row(n_max))):
-        (text,) = shard.format(fmt)
+        text = shard.format(fmt)
         assert text.splitlines() == list(map(line, recs))
-        # cut anywhere, each piece is the text of its rows alone
-        cuts = [0, 5, 5, 11, rows - 1]
-        pieces = shard.format(fmt, cuts)
+        # cut anywhere, the text is its pieces' texts, each formatted alone
+        cuts = [0, 0, 5, 5, 11, rows - 1, rows]
+        pieces = [sc.Shard(*(getattr(shard, c)[a:b] for c in COLUMNS)).format(fmt)
+                  for a, b in zip(cuts, cuts[1:])]
         assert "".join(pieces) == text and pieces[0] == pieces[2] == ""
-        for a, b, piece in zip([0, *cuts], [*cuts, rows], pieces):
-            rows_alone = sc.Shard(*(getattr(shard, c)[a:b] for c in
-                                    ("p", "d", "q", "count", "ratio", "ok")))
-            assert rows_alone.format(fmt) == [piece]
 
 
 @pytest.mark.parametrize("lo", [10**7, 2**31 - 500, 10**12, 2**63 - 1001])
@@ -695,7 +695,7 @@ def test_shard_shapes_are_bound_shape_bit_for_bit(lo):
     primes = pr.primes_in_range(lo, lo + 1000).tolist()
     assert bd.bound_shapes(primes, 8) == [
         [bound_shape(n, p) for p in primes] for n in range(1, 9)]
-    shard = sc._compute_shards(task, range(1))[0]
+    shard = sc._compute_batch(task, range(1))
     assert shard.p.tolist() == primes and (shard.count == 8).all()
     assert shard.ratio.tolist() == [
         [q / bound_shape(n, p) for n, q in enumerate(qs, 1)]
@@ -718,7 +718,7 @@ def test_shard_bound_filter_sends_only_border_cells_to_bound_ok(monkeypatch):
     for forged, verdict in ((c_tight * (1 + 1e-12), True), (c_tight * (1 - 1e-12), False)):
         object.__setattr__(task, "c", forged)
         calls.clear()
-        shard = sc._compute_shards(task, range(1))[0]
+        shard = sc._compute_batch(task, range(1))
         assert calls == [(q, n, p, forged)]
         assert shard.p[0] == p and shard.ok[0, 0] == verdict
         for r in range(len(shard.p)):  # the filter agrees with _bound_ok everywhere
@@ -795,9 +795,9 @@ def test_resume_carries_caps_violations_and_tied_maxima(tmp_path, make_task, fmt
         jsonschema.validate(saved, json.load(fh))
     agg = saved["aggregate"]
     assert agg["cap_exhausted"] if make_task is _capped_task else agg["violation_examples"]
-    tail = sc._compute_shards(task, range(2, task.shard_count))
-    assert any(st["max_q"] in sh.q[sh.count >= st["n"], st["n"] - 1]
-               for st in agg["per_n"] for sh in tail)
+    tail = sc._compute_batch(task, range(2, task.shard_count))
+    assert any(st["max_q"] in tail.q[tail.count >= st["n"], st["n"] - 1]
+               for st in agg["per_n"])
     s_res = sc.run_scan(task, out_path=str(part), fmt=fmt, checkpoint_path=str(ck),
                         raise_on_violation=False)
     assert part.read_bytes() == full.read_bytes()
@@ -885,10 +885,16 @@ def _sparse_task():
 
 
 def _assert_same_shard(a, b):
-    for name in ("p", "d", "q", "count", "ratio", "ok", "cap"):
+    for name in (*COLUMNS, "cap"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all(), name
     assert a.text == b.text
+
+
+def _joined(batches):
+    """The rows of batches, one after another, and their texts joined."""
+    return sc.Shard(*(np.concatenate([getattr(b, c) for b in batches]) for c in COLUMNS),
+                    text="".join(b.text for b in batches))
 
 
 @pytest.mark.parametrize("make_task", [
@@ -900,29 +906,25 @@ def test_batched_shards_equal_one_shard_batches(make_task):
     task = make_task()
     n = task.shard_count
     for fmt in ("jsonl", "csv", None):
-        alone = [sc._compute_shards(task, range(i, i + 1), fmt)[0] for i in range(n)]
+        alone = [sc._compute_batch(task, range(i, i + 1), fmt) for i in range(n)]
         if make_task is _sparse_task:
             assert 0 in [len(s.p) for s in alone[1:-1]]  # empty shards inside a batch
         for batch in (range(n), range(1, n - 1), range(n - 2, n)):
-            shards = sc._compute_shards(task, batch, fmt)
-            assert len(shards) == len(batch)
-            for i, shard in zip(batch, shards):
-                _assert_same_shard(shard, alone[i])
+            _assert_same_shard(sc._compute_batch(task, batch, fmt),
+                               _joined(alone[batch.start:batch.stop]))
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("make_task", [_sparse_task, _forged_task], ids=["sparse", "forged"])
-def test_batch_text_is_cut_at_shards_as_each_shard_formats_alone(
+def test_scan_file_is_the_one_shard_texts_joined(
         tmp_path, monkeypatch, pool_starts, make_task, workers, fmt):
-    # a batch is formatted once and cut at its shards' first rows: each
-    # shard's text, and the file that run_scan writes up to a violation
+    # the file that run_scan writes a batch at a time, up to a violation
     # halt, must be what formatting each shard alone gives
     task = make_task()
     monkeypatch.setattr(sc, "_BATCH_SPAN", 2 * task.shard_width)  # batches of 2
-    everything = range(task.shard_count)
-    alone = [shard.format(fmt)[0] for shard in sc._compute_shards(task, everything)]
-    assert [shard.text for shard in sc._compute_shards(task, everything, fmt)] == alone
+    alone = [sc._compute_batch(task, range(i, i + 1), fmt).text
+             for i in range(task.shard_count)]
     if make_task is _sparse_task:
         assert "" in alone[1:-1]  # shards with no prime, inside a batch
     recs = list(sc.scan_records(task))
@@ -984,13 +986,13 @@ def test_stop_inside_a_batch_commits_that_shard_and_resumes_exactly(
     full, part, ck = tmp_path / f"full.{fmt}", tmp_path / f"part.{fmt}", tmp_path / "ck.json"
     s_full = sc.run_scan(task, out_path=str(full), fmt=fmt)
     computed = []
-    compute = sc._compute_shards
-    monkeypatch.setattr(sc, "_compute_shards",
+    compute = sc._compute_batch
+    monkeypatch.setattr(sc, "_compute_batch",
                         lambda t, shards, f=None: computed.append(shards) or compute(t, shards, f))
     sc.run_scan(task, out_path=str(part), fmt=fmt, checkpoint_path=str(ck), stop_after_shards=2)
     assert computed == [range(2)]
     assert [c["next_shard"] for c in commits] == [2]
-    head = sum(len(s.text) for s in compute(task, range(2), fmt))
+    head = len(compute(task, range(2), fmt).text)
     assert commits[0]["byte_offset"] == part.stat().st_size == head + (
         len(sc.csv_header(task.n_max)) + 1 if fmt == "csv" else 0)
     s_res = sc.run_scan(task, out_path=str(part), fmt=fmt, checkpoint_path=str(ck))
@@ -1003,29 +1005,44 @@ def test_stop_inside_a_batch_commits_that_shard_and_resumes_exactly(
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_violation_inside_a_batch_commits_the_violating_shard(
-        tmp_path, monkeypatch, commits, pool_starts, workers):
+@pytest.mark.parametrize("span", [2**17, 1000], ids=["one-batch", "batch-a-shard"])
+def test_violation_halt_leaves_the_last_batch_commit(
+        tmp_path, monkeypatch, commits, pool_starts, span, workers):
+    # a halt commits nothing, as a kill does: the checkpoint is the last
+    # batch's commit, or absent if the halt is in the first batch
+    monkeypatch.setattr(sc, "_BATCH_SPAN", span)
     task = _forged_task()
     recs = list(sc.scan_records(task))
     first = next(i for i, r in enumerate(recs) if not all(r.bound_ok))
     bad_shard = (recs[first].p - task.p_lo) // task.shard_width
-    assert bad_shard >= 1
-    if workers == 1:  # the violation is not at a batch's first shard
-        assert sc._batches(task, range(task.shard_count)) == [range(4)]
-    else:  # 2 batches of 2 shards, in a pool of 2
-        monkeypatch.setattr(sc, "_BATCH_SPAN", 2 * task.shard_width)
+    batches = sc._batches(task, range(task.shard_count))
+    done = [b.stop for b in batches if b.stop <= bad_shard]  # the batches before the halt
+    assert bad_shard >= 1 and bool(done) == (span == task.shard_width)
     part, ck = tmp_path / "part.jsonl", tmp_path / "ck.json"
-    with pytest.raises(sc.ScanViolationError):
-        sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck), workers=workers)
-    assert pool_starts == ([2] if workers == 2 else [])
-    saved = json.loads(ck.read_text())
-    before = [r for r in recs if r.p < task.shard_range(bad_shard)[0]]
-    assert commits[-1] == saved and saved["next_shard"] == bad_shard
-    assert saved["byte_offset"] == sum(len(r.to_jsonl()) + 1 for r in before)
-    assert saved["aggregate"]["records"] == len(before)
-    # resuming past the halt writes what an uninterrupted run writes
     full = tmp_path / "full.jsonl"
     s_full = sc.run_scan(task, out_path=str(full), raise_on_violation=False)
+    written = "".join(full.read_text().splitlines(keepends=True)[: first + 1])
+
+    def halt():
+        with pytest.raises(sc.ScanViolationError) as exc:
+            sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck), workers=workers)
+        assert exc.value.record == recs[first] and part.read_text() == written
+        return json.loads(ck.read_text()) if ck.exists() else None
+
+    saved = halt()
+    assert [c["next_shard"] for c in commits] == done
+    if done:
+        before = [r for r in recs if r.p < task.shard_range(done[-1])[0]]
+        assert saved == commits[-1]
+        assert saved["byte_offset"] == sum(len(r.to_jsonl()) + 1 for r in before)
+        assert saved["aggregate"]["records"] == len(before)
+    else:
+        assert saved is None
+    # resuming without the override halts at the same record, and commits nothing
+    assert halt() == saved and len(commits) == len(done)
+    pool = min(workers, len(batches))
+    assert pool_starts == ([pool] * 2 if pool > 1 else [])
+    # resuming past the halt writes what an uninterrupted run writes
     s_res = sc.run_scan(task, out_path=str(part), checkpoint_path=str(ck),
                         raise_on_violation=False)
     assert part.read_bytes() == full.read_bytes()
@@ -1044,9 +1061,14 @@ def test_violation_inside_a_batch_commits_the_violating_shard(
 ])
 def test_one_commit_per_batch(tmp_path, monkeypatch, commits, pool_starts,
                               span, workers, stop, want):
-    # a commit ends every batch; a stop ends the last one
+    # a commit and one aggregate add of all its rows end every batch; a
+    # stop ends the last one
     monkeypatch.setattr(sc, "_BATCH_SPAN", span)
     task = _capped_task()
+    added = []
+    add = sc.Aggregate.add
+    monkeypatch.setattr(sc.Aggregate, "add",
+                        lambda agg, rows: added.append(rows.p.tolist()) or add(agg, rows))
     ck = tmp_path / "ck.json"
     sc.run_scan(task, out_path=str(tmp_path / "r.jsonl"), workers=workers,
                 checkpoint_path=str(ck), stop_after_shards=stop)
@@ -1054,6 +1076,8 @@ def test_one_commit_per_batch(tmp_path, monkeypatch, commits, pool_starts,
     assert pool_starts == ([pool] if pool > 1 else [])
     assert [c["next_shard"] for c in commits] == want
     assert json.loads(ck.read_text()) == commits[-1]
+    assert added == [sc._compute_batch(task, range(a, b)).p.tolist()
+                     for a, b in zip([0, *want], want)]
 
 
 def test_one_batch_scan_starts_no_pool(tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ def ratio_texts(xs):
                      q=np.full((n, 1), 5, np.int64), count=np.ones(n, np.int64),
                      ratio=np.array(xs, dtype=np.float64).reshape(n, 1),
                      ok=np.ones((n, 1), bool))
-    return [line.split(",")[3] for line in shard.format("csv")[0].splitlines()]
+    return [line.split(",")[3] for line in shard.format("csv").splitlines()]
 
 
 def _around(v):
@@ -114,8 +114,7 @@ def test_benchmark_ratios_take_no_repr(make_task, cells):
     # the benchmark scans' seed-0 ranges: every ratio is written from its
     # certified digits, none by repr
     task = make_task()
-    shards = sc._compute_shards(task, range(task.shard_count))
-    ratios = np.concatenate([s.ratio[np.arange(task.n_max) < s.count[:, None]]
-                             for s in shards])
+    batch = sc._compute_batch(task, range(task.shard_count))
+    ratios = batch.ratio[np.arange(task.n_max) < batch.count[:, None]]
     assert len(ratios) == cells
     assert shortest_digits(ratios)[2].all()
