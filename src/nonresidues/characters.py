@@ -7,7 +7,11 @@ table of chi: t_table holds each value exactly as a residue class t mod d,
 standing for the root of unity e^(2 pi i t / d), and values holds the
 numbers themselves (exact int64 0/+-1 for d = 2, complex128 roots rounded
 once from mpmath for d > 2).  Both are built once per spec, on first use,
-and cost O(p) memory.
+and cost O(p) memory.  t_table is the discrete logarithm mod d, read from
+one table of discrete logs to the base g, built from sqrt(p) baby and giant
+steps and one int64 outer product mod p (_discrete_logs).
+CharacterSpec.family gives the characters of several orders mod one p
+from one primitive root and one such table, shared by every order.
 
 The kernel of an order-d character mod p is exactly the set of d-th power
 residues, so membership is a single modular exponentiation
@@ -31,8 +35,9 @@ search already sieved.
 
 from __future__ import annotations
 
+import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -77,10 +82,13 @@ class SearchCapExceededError(RuntimeError):
         self.found = found
 
 
+@lru_cache(maxsize=1)
 def _primitive_root_test(p: int) -> Callable[[int], bool]:
     """The test "g generates the units mod the prime p": p does not divide
     g, and g^((p-1)/q) != 1 (mod p) for every prime q | p-1.  p-1 is
-    factorized once, so it must be below primes.FACTORIZE_LIMIT."""
+    factorized once, so it must be below primes.FACTORIZE_LIMIT; the test
+    of the last p is kept, so that finding a root and validating every
+    spec of a family mod p factorize p-1 once."""
     exponents = [(p - 1) // q for q in pr.factorize(p - 1)]
     return lambda g: g % p != 0 and all(pow(g, e, p) != 1 for e in exponents)
 
@@ -119,6 +127,20 @@ class CharacterSpec:
         primitive root."""
         return cls(p=p, d=d, g=find_primitive_root(p) if g is None else g)
 
+    @classmethod
+    def family(cls, p: int, orders: Iterable[int]) -> list["CharacterSpec"]:
+        """The character of each order d in orders mod p, via the least
+        primitive root: one find_primitive_root call and one table of
+        discrete logs for all of them, from which each spec's t_table is
+        set at once.  The table itself is dropped on return."""
+        g = find_primitive_root(p)
+        specs = [cls(p=p, d=d, g=g) for d in orders]
+        if specs:
+            logs = _discrete_logs(p, g)
+            for spec in specs:  # t_table is a cached_property: fill its slot
+                object.__setattr__(spec, "t_table", _t_values(logs, spec.d))
+        return specs
+
     @property
     def m(self) -> int:
         """The exponent (p-1)/d of chi(g^k) = e^(2 pi i m k / (p-1))."""
@@ -129,23 +151,50 @@ class CharacterSpec:
         """t-values of all residues 0..p-1 (-1 at 0), built once per spec.
 
         A read-only int64 array: chi(a) = e^(2 pi i t[a] / d), and t = -1
-        marks chi(0) = 0.  One pass over the powers of g, exact: t = k mod d
-        at g^k.
+        marks chi(0) = 0.  Exact: t = k mod d at g^k, from _discrete_logs.
         """
-        p = self.p
-        powers = [1] * (p - 1)  # g^k mod p
-        for k in range(1, p - 1):
-            powers[k] = powers[k - 1] * self.g % p
-        table = np.full(p, -1, dtype=np.int64)
-        table[powers] = np.arange(p - 1, dtype=np.int64) % self.d
-        table.flags.writeable = False
-        return table
+        return _t_values(_discrete_logs(self.p, self.g), self.d)
 
     @cached_property
     def values(self) -> np.ndarray:
         """chi(a) for all residues 0..p-1, built once per spec:
         root_values(t_table, d), read-only."""
         return root_values(self.t_table, self.d)
+
+
+def _discrete_logs(p: int, g: int) -> np.ndarray:
+    """logs[a] = k with g^k = a (mod p), 0 <= k < p-1, for a = 1..p-1 and a
+    primitive root g of a prime p < 2^31 (logs[0] is 0), as int64.
+
+    Baby and giant steps (Shanks, 1971): with m = isqrt(p) + 1, g^(m i + j)
+    = (g^m)^i g^j is cell (i, j) of the outer product mod p of the m giant
+    steps g^(m i) and the m baby steps g^j.  Row-major, cell (i, j) is
+    number m i + j, and m^2 > p - 1, so the first p - 1 cells are g^k for
+    k = 0..p-2.  A product of two residues is below p^2 < 2^62, exact in
+    int64."""
+    if p >= _INT64_MODULUS_LIMIT:
+        raise ValueError(f"discrete-log tables need p < 2^31, got {p}")
+    m = math.isqrt(p) + 1  # p is prime, so not a square
+    baby = [1]
+    for _ in range(m - 1):
+        baby.append(baby[-1] * g % p)
+    giant, step = [1], baby[-1] * g % p  # step = g^m
+    for _ in range(m - 1):
+        giant.append(giant[-1] * step % p)
+    powers = np.outer(giant, baby)
+    powers %= p
+    logs = np.zeros(p, dtype=np.int64)
+    logs[powers.ravel()[: p - 1]] = np.arange(p - 1)
+    return logs
+
+
+def _t_values(logs: np.ndarray, d: int) -> np.ndarray:
+    """The read-only t_table of the order-d character to the base of a
+    _discrete_logs table: log mod d, and -1 at 0."""
+    table = logs % d
+    table[0] = -1
+    table.flags.writeable = False
+    return table
 
 
 def root_values(t_table: np.ndarray, d: int) -> np.ndarray:

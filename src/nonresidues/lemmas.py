@@ -150,9 +150,23 @@ class SumStats:
 
     def upper(self) -> tuple[int, int]:
         """value + error_bound exactly, as an unreduced ratio (n, d), d > 0."""
-        if not self.error_bound:
-            return self.value.as_integer_ratio()
-        return minus(self.value.as_integer_ratio(), (-self.error_bound).as_integer_ratio())
+        return _upper_end(self.value, self.error_bound)
+
+
+def _upper_end(value: int | float, error_bound: float) -> tuple[int, int]:
+    """value + error_bound exactly, as an unreduced ratio (n, d), d > 0."""
+    if not error_bound:  # an exact moment
+        return value.as_integer_ratio()
+    return minus(value.as_integer_ratio(), (-error_bound).as_integer_ratio())
+
+
+def _check_stats(p: int, h: int, r: int, stats: SumStats | None) -> None:
+    """Refuse a moment passed in for another instance than (p, h, r)."""
+    if stats is not None and (stats.p, stats.h, stats.r) != (p, h, r):
+        raise ValueError(
+            f"stats is the moment at (p, h, r) = {(stats.p, stats.h, stats.r)}, "
+            f"not at {(p, h, r)}"
+        )
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -201,79 +215,111 @@ def _window_m2(values: np.ndarray, h_max: int) -> tuple[np.ndarray, np.ndarray]:
     return w.real * w.real + w.imag * w.imag, 2 * (shift + _gamma(2) * (h * h + shift))
 
 
-def _sum_S_multi(
-    specs: CharacterSpec | Sequence[CharacterSpec],
-    h_values: Sequence[int],
-    r_values: Sequence[int],
-) -> dict[tuple[int, int], SumStats] | list[dict[tuple[int, int], SumStats]]:
-    """S(chi, h, r) for every h in h_values and r in r_values, keyed (h, r),
-    from one window-kernel pass grown to the largest h.  Given a sequence
-    of characters of one modulus, all quadratic or all of order d > 2, it
-    returns one such dict per character, in order, from one pass over
-    their stacked values; each is the dict a call on that character alone
-    returns.
+def _moment_columns(
+    stack: Sequence[CharacterSpec], grid: Sequence[tuple[int, int]]
+) -> list[tuple[list, list[float]]]:
+    """The moment columns of a stack of characters: for each character, in
+    order, (values, errors), the moments S(chi, h, r) and their error
+    bounds for every (h, r) in grid, in grid order, from one window-kernel
+    pass over the stacked values grown to the largest h.
+    The stack holds characters of one modulus, all quadratic or all of
+    order d > 2; every pair needs 1 <= h < p and r >= 1.  One sanity pass
+    (_sanity_moments) checks every moment before they are returned.
 
-    d = 2: exact Python integers from one bincount per row of |w_x|^2.
-    d > 2: float64 sums of |w_x|^(2r) with a propagated bound, per row.
-    With E the row's kernel error and Y = m2_x + E, above both the computed
-    and the exact |w_x|^2, the power misses by at most
+    d = 2: exact Python integers from one bincount per row of |w_x|^2,
+    with error 0.0.  d > 2: float64 sums of |w_x|^(2r) with a propagated
+    bound.  With E the row's kernel error and Y = m2_x + E, above both the
+    computed and the exact |w_x|^2, the power misses by at most
     r Y^(r-1) E + gamma_{r-1} Y^r per window, and the sum over the p
-    windows adds gamma_{p-1} times a sum below 2 sum Y^r.  The products run
-    elementwise on the (h, character, x) table of the requested rows; each
-    row of p windows is C-contiguous, and NumPy reduces each contiguous
-    row along the last axis with the same pairwise summation as the 1-D
-    .sum() of that row, so every moment and bound is the one a single-h,
-    single-r, single-character call computes.
+    windows adds gamma_{p-1} times a sum below 2 sum Y^r.  The products
+    run elementwise on the (h, character, x) table of the rows that grid
+    asks for; each row of p windows is C-contiguous, and NumPy reduces
+    each contiguous row along the last axis with the same pairwise
+    summation as the 1-D .sum() of that row, so every moment and bound is
+    the one a single-h, single-r, single-character call computes.
     """
-    single = isinstance(specs, CharacterSpec)
-    stack = [specs] if single else list(specs)
-    p = stack[0].p if stack else 0
-    h_set, r_set = sorted(set(h_values)), sorted(set(r_values))
-    if not (h_set and r_set and 1 <= h_set[0] and h_set[-1] < p and r_set[0] >= 1):
-        raise ValueError(f"need some 1 <= h < p={p} and r >= 1, got {h_values!r}, {r_values!r}")
+    p = stack[0].p
     if any(s.p != p or (s.d == 2) != (stack[0].d == 2) for s in stack):
         raise ValueError("a stack needs one modulus, and orders all 2 or all above 2")
+    h_set = sorted({h for h, _ in grid})
     table, errs = _window_m2(np.stack([s.values for s in stack]), h_set[-1])
-    moments = [{} for _ in stack]
     if stack[0].d == 2:
-        for h in h_set:
-            for i, row in enumerate(table[h - 1]):
-                counts = np.bincount(row)
+        values = []
+        for i in range(len(stack)):
+            pairs = {}
+            for h in h_set:
+                counts = np.bincount(table[h - 1, i])
                 squares = np.flatnonzero(counts)
-                pairs = list(zip(squares.tolist(), counts[squares].tolist()))
-                for r in r_set:
-                    moments[i][h, r] = sum(c * v**r for v, c in pairs), 0.0
+                pairs[h] = list(zip(squares.tolist(), counts[squares].tolist()))
+            values.append([sum(c * v**r for v, c in pairs[h]) for h, r in grid])
+        errors = np.zeros((len(stack), len(grid)))
     else:
         rows = [h - 1 for h in h_set]
         m2, err = table[rows], errs[rows][:, None]
         y = m2 + err[..., None]
         pw = np.ones(m2.shape)
         y_pw = np.ones(m2.shape)
-        for r in range(1, r_set[-1] + 1):
-            y_prev = y_pw.sum(axis=2)
+        y_prev = y_pw.sum(axis=2)
+        r_max = max(r for _, r in grid)
+        sums, bounds = np.empty((2, r_max, *m2.shape[:2]))  # (r, h, character)
+        for r in range(1, r_max + 1):
             pw *= m2
             y_pw *= y
-            if r in r_set:
-                gamma = _gamma(r - 1) + 2 * _gamma(p - 1)
-                # doubled as in _window_m2
-                bound = 2 * (r * err * y_prev + gamma * y_pw.sum(axis=2))
-                for h, values, bounds in zip(h_set, pw.sum(axis=2).tolist(), bound.tolist()):
-                    for got, value, b in zip(moments, values, bounds):
-                        got[h, r] = value, b
-    for got in moments:
-        for (h, r), (value, bound) in got.items():
-            _sanity_moment(p, h, r, value, bound)
-            got[h, r] = SumStats(p=p, h=h, r=r, value=value, error_bound=bound)
-    return moments[0] if single else moments
+            y_sum = y_pw.sum(axis=2)
+            gamma = _gamma(r - 1) + 2 * _gamma(p - 1)
+            sums[r - 1] = pw.sum(axis=2)
+            bounds[r - 1] = 2 * (r * err * y_prev + gamma * y_sum)  # doubled as in _window_m2
+            y_prev = y_sum
+        at = {h: k for k, h in enumerate(h_set)}
+        cells = [r - 1 for _, r in grid], [at[h] for h, _ in grid]
+        values, errors = sums[cells].T, bounds[cells].T
+    _sanity_moments(p, grid, values, errors)
+    return list(zip(values if isinstance(values, list) else values.tolist(), errors.tolist()))
 
 
-def _sanity_moment(p: int, h: int, r: int, value, err: float) -> None:
-    # |inner sum| <= h termwise, so S <= p h^(2r); cheap cross-check, exact
-    # for integer moments (err = 0: an int compares exactly with a float)
-    if value < -err or value - p * h ** (2 * r) > err:
+def _sanity_moments(p: int, grid: Sequence[tuple[int, int]], values, errors: np.ndarray) -> None:
+    """AssertionError at the first moment of a _moment_columns call, in
+    character then grid order, that lies outside [0, p h^(2r)] by more
+    than its error bound: |inner sum| <= h termwise, so S <= p h^(2r).
+    A cheap cross-check over every moment at once: float columns in one
+    vectorized test (each cap rounded to float as float - int rounds it),
+    exact integer columns (error 0) compared exactly."""
+    caps = [p * h ** (2 * r) for h, r in grid]
+    if isinstance(values, list):
+        bad = [(i, k) for i, row in enumerate(values)
+               for k, (v, cap) in enumerate(zip(row, caps)) if not 0 <= v <= cap]
+    else:
+        bad = np.argwhere((values < -errors) | (values - np.array(caps, dtype=float) > errors))
+    if len(bad):
+        i, k = bad[0]
+        value, (h, r) = values[i][k], grid[k]
         raise AssertionError(
             f"moment {value} outside [0, p*h^(2r)] at (p={p}, h={h}, r={r})"
         )
+
+
+def _sum_S_multi(
+    specs: CharacterSpec | Sequence[CharacterSpec],
+    h_values: Sequence[int],
+    r_values: Sequence[int],
+) -> dict[tuple[int, int], SumStats] | list[dict[tuple[int, int], SumStats]]:
+    """S(chi, h, r) for every h in h_values and r in r_values, keyed (h, r)
+    in h-major order, as SumStats read from the moment columns of one
+    _moment_columns call (so one window-kernel pass and one sanity pass).
+    Given a sequence of characters of one modulus, all quadratic or all of
+    order d > 2, it returns one such dict per character, in order; each is
+    the dict a call on that character alone returns."""
+    single = isinstance(specs, CharacterSpec)
+    stack = [specs] if single else list(specs)
+    p = stack[0].p if stack else 0
+    h_set, r_set = sorted(set(h_values)), sorted(set(r_values))
+    if not (h_set and r_set and 1 <= h_set[0] and h_set[-1] < p and r_set[0] >= 1):
+        raise ValueError(f"need some 1 <= h < p={p} and r >= 1, got {h_values!r}, {r_values!r}")
+    grid = [(h, r) for h in h_set for r in r_set]
+    moments = [{(h, r): SumStats(p=p, h=h, r=r, value=v, error_bound=e)
+                for (h, r), v, e in zip(grid, values, errors)}
+               for values, errors in _moment_columns(stack, grid)]
+    return moments[0] if single else moments
 
 
 def exact_sum_S(spec: CharacterSpec, h: int, r: int) -> SumStats:
@@ -334,6 +380,7 @@ def check_S_upper(
         raise ValueError(f"need h < p, got h={h}, p={p}")
     if not r <= 9 * h:
         raise ValueError(f"need r <= 9h, got r={r}, h={h}")
+    _check_stats(p, h, r, stats)
     if stats is None:
         stats = exact_sum_S(spec, h, r)
     rhs_lo = _s_upper_rhs_lo(p, h, r)
@@ -757,6 +804,7 @@ def check_proposition_lower(
     h <= 2j are vacuous: the shifted-window bound degenerates there.
     """
     p = spec.p
+    _check_stats(p, h, r, stats)
     _validate_split(spec, nf, h)
     if not (2 * h < nf.H and nf.H * nf.H < h * p):
         raise ValueError(f"need 2h < H < sqrt(hp): h={h}, H={nf.H}, p={p}")
@@ -801,7 +849,9 @@ def sandwich_report(
     stats: SumStats | None = None,
 ) -> SandwichReport:
     """Squeeze the exact moment between its lower and upper bounds; stats,
-    if given, is exact_sum_S(spec, h, r)."""
+    if given, is exact_sum_S(spec, h, r) (ValueError if its (p, h, r) is
+    another)."""
+    _check_stats(spec.p, h, r, stats)
     if stats is None:
         stats = exact_sum_S(spec, h, r)
     low = check_proposition_lower(spec, nf, h, r, stats=stats)
@@ -992,28 +1042,31 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
     """All odd primes p <= p_max, all orders d | p-1, h <= min(h_max, p-1)
     and r <= min(r_max, 9h), the hypothesis r <= 9h of check_S_upper.
 
-    Two _sum_S_multi calls per p give every (d, h, r) moment: one for the
-    quadratic character, whose moments are exact integers, and one window
-    pass over the stacked values of all orders d > 2.  Each character's row
-    of that stack is C-contiguous and reduced on its own, so its moments
-    and error bounds are bit for bit those of a call on it alone.  The
-    right side depends on (p, h, r) only, so _s_upper_rhs_lo runs once per
-    (p, h, r) for all orders d."""
+    The characters of one p are one CharacterSpec.family: one primitive
+    root and one discrete-log table for every order.  Two _moment_columns
+    calls per p give every (d, h, r) moment as plain columns, each call
+    with one sanity pass: one for the quadratic character, whose moments
+    are exact integers, and one window pass over the stacked values of
+    all orders d > 2.  Each character's row of that stack is C-contiguous
+    and reduced on its own, so its moments and error bounds are bit for
+    bit those of a call on it alone.  Each instance is decided on
+    value + error_bound, read from the columns.  The right side depends
+    on (p, h, r) only, so _s_upper_rhs_lo runs once per (p, h, r) for all
+    orders d."""
     rep = LemmaReport("s-upper")
     for p in map(int, pr.primes_upto(p_max)):
         hs = range(1, min(h_max, p - 1) + 1)
         if p == 2 or not hs or r_max < 1:
             continue
-        rs = range(1, min(r_max, 9 * hs[-1]) + 1)
-        specs = [CharacterSpec.of_order(p, d) for d in pr.divisors(p - 1)[1:]]
-        stats = [_sum_S_multi(specs[0], hs, rs)]
-        if len(specs) > 1:
-            stats += _sum_S_multi(specs[1:], hs, rs)
+        specs = CharacterSpec.family(p, pr.divisors(p - 1)[1:])
         grid = [(h, r) for h in hs for r in range(1, min(r_max, 9 * h) + 1)]
+        columns = _moment_columns(specs[:1], grid)
+        if len(specs) > 1:
+            columns += _moment_columns(specs[1:], grid)
         rhs_lo = [_s_upper_rhs_lo(p, h, r) for h, r in grid]
-        for spec, moments in zip(specs, stats):
-            for (h, r), rhs in zip(grid, rhs_lo):
-                passed, slack = certify(moments[h, r].upper(), rhs)
+        for spec, (values, errors) in zip(specs, columns):
+            for (h, r), rhs, v, e in zip(grid, rhs_lo, values, errors):
+                passed, slack = certify(_upper_end(v, e), rhs)
                 rep.record({"p": p, "d": spec.d, "h": h, "r": r}, passed, slack)
     return rep
 

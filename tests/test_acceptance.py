@@ -6,7 +6,6 @@ asserted.
 """
 
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -18,6 +17,7 @@ from nonresidues import primes as pr
 from nonresidues import scan as sc
 from nonresidues.characters import (
     CharacterSpec,
+    _discrete_logs,
     find_primitive_root,
     kernel_mask,
     prime_nonresidues,
@@ -130,25 +130,6 @@ def test_lemma_proposition_and_sandwich():
         assert rep.failures == 0
 
 
-def discrete_logs(p: int, g: int) -> np.ndarray:
-    """ind[a] = k with g^k = a (mod p), 0 <= k < p-1, for a = 1..p-1 (ind[0]
-    is 0), by its own construction: g^(m i + j) = (g^m)^i g^j for
-    m = ceil(sqrt(p)), as one outer product mod p of m baby steps g^j and m
-    giant steps g^(m i).  Products stay below p^2, so int64 holds them."""
-    m = math.isqrt(p) + 1  # p is prime, so not a square
-    baby = [1]
-    for _ in range(m):
-        baby.append(baby[-1] * g % p)
-    giant = [1]
-    for _ in range(m - 1):
-        giant.append(giant[-1] * baby[m] % p)
-    powers = (np.outer(giant, baby[:m]) % p).ravel()[: p - 1]  # g^k at k
-    assert (np.bincount(powers, minlength=p)[1:] == 1).all()  # g generates
-    ind = np.zeros(p, dtype=np.int64)
-    ind[powers] = np.arange(p - 1)
-    return ind
-
-
 def test_character_oracle_equivalence():
     """Kernel membership by modular exponentiation == discrete-log table,
     and nonresidue counts equal (p-1)(1-1/d), for all p <= 10^4, d | p-1.
@@ -159,7 +140,7 @@ def test_character_oracle_equivalence():
             if p == 2:
                 continue
             g = find_primitive_root(p)
-            ind = discrete_logs(p, g)
+            ind = _discrete_logs(p, g)  # baby and giant steps, no kernel test
             a = np.arange(1, p)
             ind_a = ind[1:]
             for d in pr.divisors(p - 1):

@@ -116,6 +116,61 @@ def test_every_character_of_order_d_comes_from_some_primitive_root():
             assert by_root == by_m, (p, d)
 
 
+def _power_loop_t_tables(p, g, orders):
+    """The t-table of each order d by one pass over the powers of g, as
+    CharacterSpec built it before its discrete-log table: t = k mod d at
+    g^k, -1 at 0."""
+    powers = [1] * (p - 1)  # g^k mod p
+    for k in range(1, p - 1):
+        powers[k] = powers[k - 1] * g % p
+    tables = []
+    for d in orders:
+        table = np.full(p, -1, dtype=np.int64)
+        table[powers] = np.arange(p - 1, dtype=np.int64) % d
+        tables.append(table)
+    return tables
+
+
+def test_t_table_matches_the_power_loop():
+    # every odd p <= 3000 and d | p-1: alone and as one family per p, whose
+    # tables come from one discrete-log table and are set at once
+    pairs = 0
+    for p in map(int, pr.primes_upto(3000)[1:]):
+        orders = pr.divisors(p - 1)[1:]
+        family = CharacterSpec.family(p, orders)
+        g = find_primitive_root(p)
+        for d, member, want in zip(orders, family, _power_loop_t_tables(p, g, orders)):
+            for spec in (member, CharacterSpec.of_order(p, d)):
+                assert (spec.p, spec.d, spec.g) == (p, d, g)
+                t = spec.t_table
+                assert t.dtype == np.int64 and not t.flags.writeable, (p, d)
+                assert t[0] == -1 and np.array_equal(t, want), (p, d)
+            assert "t_table" in vars(member)  # set by family, not built on use
+            pairs += 1
+        with pytest.raises(ValueError, match="not a primitive root"):
+            CharacterSpec(p=p, d=2, g=g * g % p)  # a square never generates
+    assert pairs > 4000
+    assert CharacterSpec.family(7, []) == []
+
+
+def test_root_validation_follows_the_modulus():
+    # 2 is a primitive root mod 5 and 11 but not mod 7: the root test kept
+    # for the last modulus never answers for another
+    for p, ok in ((5, True), (7, False), (11, True), (7, False), (5, True)):
+        if ok:
+            assert CharacterSpec(p=p, d=2, g=2).g == 2
+        else:
+            with pytest.raises(ValueError, match="not a primitive root"):
+                CharacterSpec(p=p, d=2, g=2)
+
+
+def test_discrete_log_table_refuses_moduli_past_int64_products():
+    # 2^31 + 11 is prime; the refusal comes before any table is allocated
+    spec = CharacterSpec.of_order(2**31 + 11, 2)
+    with pytest.raises(ValueError, match="p < 2\\^31"):
+        spec.t_table
+
+
 def test_char_value_quadratic_mod_7():
     spec = CharacterSpec.of_order(7, 2)
     squares = {a * a % 7 for a in range(1, 7)}

@@ -5,6 +5,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
+from collections import Counter
 from itertools import accumulate
 
 import mpmath
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nonresidues import characters as ch
 from nonresidues import lemmas as lm
 from nonresidues import primes as pr
 from nonresidues import rounding as rd
@@ -365,6 +367,68 @@ def test_s_upper_sweep_computes_each_right_side_once(monkeypatch):
             for r in range(1, min(12, 9 * h) + 1)}
     assert len(calls) == len(set(calls)) == len(want) and set(calls) == want
     assert rep.instances_run > 3 * len(calls)
+
+
+def test_s_upper_sweep_builds_each_prime_once(monkeypatch):
+    # one primitive root, one factorization of p-1 for the root test, one
+    # discrete-log table per p, and one window pass per stack (the quadratic
+    # character, then every order d > 2)
+    calls = {"root": [], "logs": [], "window": []}
+    root, logs, window = ch.find_primitive_root, ch._discrete_logs, lm._window_m2
+    monkeypatch.setattr(ch, "find_primitive_root", lambda p: calls["root"].append(p) or root(p))
+    monkeypatch.setattr(ch, "_discrete_logs",
+                        lambda p, g: calls["logs"].append(p) or logs(p, g))
+    monkeypatch.setattr(lm, "_window_m2",
+                        lambda v, h: calls["window"].append(v.shape[-1]) or window(v, h))
+    ch._primitive_root_test.cache_clear()
+    lm.sweep_s_upper(37, 8, 6)
+    primes = pr.primes_upto(37)[1:].tolist()
+    assert calls["root"] == calls["logs"] == primes
+    assert ch._primitive_root_test.cache_info().misses == len(primes)
+    passes = Counter(calls["window"])
+    assert list(passes) == primes and max(passes.values()) == 2 and passes[3] == 1
+
+
+def test_moment_of_another_instance_is_refused():
+    # a moment passed in for another (p, h, r) decided the instance: here
+    # p = 13's moment 12.0 passed for p = 11, whose moment is 10.0
+    spec = CharacterSpec.of_order(11, 5)
+    with pytest.raises(ValueError, match="stats is the moment at"):
+        lm.check_S_upper(spec, 10, 5, stats=lm.exact_sum_S(CharacterSpec.of_order(13, 3), 1, 1))
+    assert lm.check_S_upper(spec, 10, 5).lhs == pytest.approx(10.0)
+    inst, h, r = lm.build_instance(23, 2, 1, 1), 1, 2
+    own = lm.exact_sum_S(inst.spec, h, r)
+    for check in (lambda s: lm.check_S_upper(inst.spec, h, r, stats=s),
+                  lambda s: lm.check_proposition_lower(inst.spec, inst.nf, h, r, stats=s),
+                  lambda s: lm.sandwich_report(inst.spec, inst.nf, h, r, stats=s)):
+        assert check(own).passed
+        for field, value in (("p", 13), ("h", 2), ("r", 1)):
+            with pytest.raises(ValueError, match="stats is the moment at"):
+                check(dataclasses.replace(own, **{field: value}))
+
+
+@pytest.mark.parametrize("order", ["quadratic", "higher", "higher-negative"])
+def test_moment_sanity_check_refuses_out_of_range_tables(monkeypatch, order):
+    # a forged window table puts every moment of one kind of stack outside
+    # [0, p h^(2r)]; the sanity pass names the first, (h, r) = (1, 1), from
+    # a direct call and from the sweep alike
+    window, quadratic = lm._window_m2, order == "quadratic"
+    shift = -1 if order == "higher-negative" else 1
+
+    def forged(values, h_max):
+        table, errs = window(values, h_max)
+        if (values.dtype.kind == "i") == quadratic:
+            table = table + shift * values.shape[-1] * h_max**2
+        return table, errs
+
+    monkeypatch.setattr(lm, "_window_m2", forged)
+    specs = [CharacterSpec.of_order(13, d) for d in ((2,) if quadratic else (3, 4))]
+    first = r"moment {}[0-9.e+]* outside \[0, p\*h\^\(2r\)\] at \(p={}, h=1, r=1\)"
+    sign = "-" if shift < 0 else ""
+    with pytest.raises(AssertionError, match=first.format(sign, 13)):
+        lm._sum_S_multi(specs, range(1, 4), range(1, 3))
+    with pytest.raises(AssertionError, match=first.format(sign, 3 if quadratic else 5)):
+        lm.sweep_s_upper(37, 8, 6)
 
 
 def test_sum_stats_ends_of_exact_and_bounded_moments():
