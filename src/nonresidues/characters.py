@@ -83,13 +83,21 @@ class SearchCapExceededError(RuntimeError):
 
 
 @lru_cache(maxsize=1)
+def _unit_order_factors(p: int) -> dict[int, int]:
+    """The factorization of p-1, the order of the units mod the prime p,
+    which must be below primes.FACTORIZE_LIMIT.  The last p's is kept, so
+    that finding a root, validating every spec of a family mod p and
+    listing the family's orders factorize p-1 once.  Callers must not
+    modify it."""
+    return pr.factorize(p - 1)
+
+
+@lru_cache(maxsize=1)
 def _primitive_root_test(p: int) -> Callable[[int], bool]:
     """The test "g generates the units mod the prime p": p does not divide
-    g, and g^((p-1)/q) != 1 (mod p) for every prime q | p-1.  p-1 is
-    factorized once, so it must be below primes.FACTORIZE_LIMIT; the test
-    of the last p is kept, so that finding a root and validating every
-    spec of a family mod p factorize p-1 once."""
-    exponents = [(p - 1) // q for q in pr.factorize(p - 1)]
+    g, and g^((p-1)/q) != 1 (mod p) for every prime q | p-1.  The test of
+    the last p is kept."""
+    exponents = [(p - 1) // q for q in _unit_order_factors(p)]
     return lambda g: g % p != 0 and all(pow(g, e, p) != 1 for e in exponents)
 
 
@@ -128,12 +136,16 @@ class CharacterSpec:
         return cls(p=p, d=d, g=find_primitive_root(p) if g is None else g)
 
     @classmethod
-    def family(cls, p: int, orders: Iterable[int]) -> list["CharacterSpec"]:
+    def family(cls, p: int, orders: Iterable[int] | None = None) -> list["CharacterSpec"]:
         """The character of each order d in orders mod p, via the least
         primitive root: one find_primitive_root call and one table of
         discrete logs for all of them, from which each spec's t_table is
-        set at once.  The table itself is dropped on return."""
+        set at once.  The table itself is dropped on return.  By default
+        the orders are every d >= 2 dividing p-1, increasing, taken from
+        the root test's factorization of p-1."""
         g = find_primitive_root(p)
+        if orders is None:
+            orders = pr.divisors(p - 1, _unit_order_factors(p))[1:]
         specs = [cls(p=p, d=d, g=g) for d in orders]
         if specs:
             logs = _discrete_logs(p, g)

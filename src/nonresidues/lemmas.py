@@ -42,8 +42,9 @@ libmp log per prime up to 10 x_max and one for 10 (_log_tenths_lo), feeds
 the same right side.  Convexity takes one exponential endpoint per (h, j)
 and chains its powers in integers (rounding.lower_product, compared by
 rounding.certify_dyadic); s-upper needs none, and its sweep computes the
-right side once per (p, h, r) for every order d; disjointness compares
-integer numerators over one common denominator.
+right side once per (p, h, r) for every order d; disjointness sorts
+exact int64 endpoint keys, a floor and a fraction over lcm(1..floor X),
+with one lexsort.
 
 Every character sum comes from one window kernel (_window_m2) over the
 spec's one table of values (CharacterSpec.values).  One pass grows the
@@ -536,16 +537,22 @@ def farey_interval(kind: str, a: int, b: int, p: int, H: int, h: int = 1) -> Far
     return FareyInterval(a, b, kind, left, right, True, False)
 
 
-def _starred_count(c: int, H: int, a: int, h: int) -> int:
-    """Integers in I*(a,b) and J*(a,b) together, for c = bp (see
-    check_interval_disjointness)."""
-    return max(0, (c + H) // a - c // a - h + 1) + max(0, (H - c) // a - (-c) // a - h + 1)
+def _starred_count(c, H: int, a, h: int):
+    """Integers in I*(a,b) and J*(a,b) together, for c = bp; elementwise
+    over columns c and a.  I*(a,b) = (c/a, (c+H)/a - h + 1] holds
+    max(0, floor((c+H)/a) - floor(c/a) - h + 1) integers and
+    J*(a,b) = [(c-H)/a, c/a - h + 1) holds
+    max(0, ceil(c/a) - ceil((c-H)/a) - h + 1)."""
+    return np.maximum(0, (c + H) // a - c // a - h + 1) + np.maximum(
+        0, (H - c) // a - (-c) // a - h + 1)
 
 
-def _meets(right: int, right_closed: bool, left: int, left_closed: bool) -> bool:
+def _meets(right, right_closed, left, left_closed):
     """Whether an interval ending at right shares a point with one starting
-    at left that starts no earlier."""
-    return left < right or (left == right and right_closed and left_closed)
+    at left that starts no earlier; elementwise over columns.  An endpoint
+    is its sort key, a (floor, fraction) pair compared in that order."""
+    (rf, rq), (lf, lq) = right, left
+    return (lf < rf) | (lf == rf) & ((lq < rq) | (lq == rq) & right_closed & left_closed)
 
 
 @dataclass(frozen=True)
@@ -566,61 +573,94 @@ def check_interval_disjointness(p: int, H: int, X, h: int | None = None) -> Disj
     left-endpoint order; containment in (0, p-H) for every interval except
     J(1,0), which must equal [-H, 0); and, when h is given, that the
     starred pair I*(a,b), J*(a,b) contains at least 2(H/a - h) integers (the
-    element count the lower-bound proof relies on).  Requires 2XH < p.
+    element count the lower-bound proof relies on).  Requires 2XH < p and
+    H >= 1; _disjointness does the enumeration.
 
-    Every endpoint is (bp +- H)/a, so the comparisons run on the integer
-    numerators over L = lcm(1..floor X).  I*(a,b) = (bp/a, (bp+H)/a - h + 1]
-    holds max(0, floor((bp+H)/a) - floor(bp/a) - h + 1) integers and
-    J*(a,b) = [(bp-H)/a, bp/a - h + 1) holds max(0, ceil(bp/a) -
-    ceil((bp-H)/a) - h + 1), and the count test is n_star a < 2(H - a h).
+    Under 2XH < p every check passes, by this proof:
+      * Overlap.  Distinct b/a != b'/a' with a, a' <= X differ by at least
+        1/(aa'), so the centres bp/a and b'p/a' are at least p/(aa') apart,
+        while the intervals around them reach H/a and H/a', which sum to
+        H(a + a')/(aa') <= 2XH/(aa') < p/(aa').  I(a,b) and J(a,b) share
+        their centre and both are open there.
+      * Containment.  For b >= 1, (bp - H)/a > 0 as p > H, and on the right
+        ((a-1)p + H)/a < p - H iff H(a + 1) < p, which holds as a + 1 <= 2X.
+        For b = 0 the gcd leaves a = 1, and I(1,0) = (0, H] lies below p - H
+        as 2H < p.
+      * Starred counts.  I*(a,b) is half-open of length l = H/a - h + 1: if
+        l > 0 it holds at least floor(l) > H/a - h integers, and if l <= 0
+        it holds none while H/a - h < 0.  J*(a,b) is alike, so
+        n_star a >= 2(H - a h) always.
+    The enumeration still runs, as a check of this proof on each instance.
     """
     X = Fraction(X)
     if not 2 * X * H < p:
         raise ValueError(f"need 2XH < p, got 2*{X}*{H} >= {p}")
     if H < 1:
         raise ValueError(f"need H >= 1, got {H}")
+    return _disjointness(p, H, math.floor(X), h)
 
-    n = math.floor(X)
+
+def _disjointness(p: int, H: int, n: int, h: int | None = None) -> DisjointnessCheck:
+    """The checks of check_interval_disjointness for a <= n, without its
+    hypothesis 2nH < p (H >= 1 is still assumed), on columns.
+
+    The coprime pairs (a, b) are columns in (a, b) order, and the
+    intervals interleave them: I(a,b), then J(a,b).  Every endpoint is x/a
+    with x in {bp - H, bp, bp + H}, and its exact sort key is
+    (x // a, (x % a) (L // a)) with L = lcm(1..n): the second part is the
+    fraction x/a - floor(x/a) over the common denominator L, so it is below
+    L.  One stable lexsort by (left key, is I) gives the left-endpoint
+    order, with J before I at a tie; I(a,b) is open on the left and closed
+    on the right, J(a,b) the reverse.  Containment compares x with
+    a (p - H), and the count test is n_star a < 2(H - a h), with n_star
+    from _starred_count over the pairs.
+
+    The columns are int64 when L < 2^63 (n <= 42) and n (p + H + |h|) <
+    2^62, and hold Python ints otherwise; the code is the same.  Messages are
+    formatted only for the flagged rows.
+    """
+    wide = n > 42 or max(n, 1) * (p + H + abs(h or 0)) >= 1 << 62
     L = math.lcm(*range(1, n + 1))
-    # (left, is I, right, a, b), endpoints times L: I(a,b) is open on the
-    # left and closed on the right, J(a,b) the reverse
-    intervals: list[tuple[int, bool, int, int, int]] = []
-    count_viol: list[str] = []
-    for a in range(1, n + 1):
-        s = L // a
-        for b in range(a):
-            if math.gcd(a, b) != 1:
-                continue
-            c = b * p
-            intervals += [(c * s, True, (c + H) * s, a, b), ((c - H) * s, False, c * s, a, b)]
-            if h is not None:
-                n_star = _starred_count(c, H, a, h)
-                if n_star * a < 2 * (H - a * h):
-                    count_viol.append(
-                        f"starred count {n_star} < 2(H/a - h) at (a={a}, b={b})"
-                    )
-    exception_ok = n < 1 or (intervals[1][0], intervals[1][2]) == (-H * L, 0)
+    a = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
+    b = np.arange(len(a)) - a * (a - 1) // 2  # 0 <= b < a <= n, in (a, b) order
+    keep = np.gcd(a, b) == 1
+    a, b = (col[keep].astype(object if wide else np.int64) for col in (a, b))
+    c = b * p
+    # interval columns, I(a,b) then J(a,b) for each pair
+    lo, hi = ((c[:, None] + ends).ravel() for ends in ((0, -H), (H, 0)))
+    ia, ib = np.repeat(a, 2), np.repeat(b, 2)
+    is_i = np.arange(len(lo)) % 2 == 0
+    scale = L // ia
+    left, right = ((x // ia, x % ia * scale) for x in (lo, hi))
 
-    ordered = sorted(intervals, key=lambda t: (t[0], t[1]))
+    o = np.lexsort((is_i, left[1], left[0]))
+    u, v = o[:-1], o[1:]
+    meets = _meets((right[0][u], right[1][u]), is_i[u], (left[0][v], left[1][v]), ~is_i[v])
     overlap_viol = [
-        f"{'IJ'[not u[1]]}({u[3]},{u[4]}) overlaps {'IJ'[not v[1]]}({v[3]},{v[4]})"
-        for u, v in zip(ordered, ordered[1:])
-        if _meets(u[2], u[1], v[0], not v[1])
+        f"{'IJ'[not is_i[s]]}({ia[s]},{ib[s]}) overlaps {'IJ'[not is_i[t]]}({ia[t]},{ib[t]})"
+        for s, t in zip(u[meets].tolist(), v[meets].tolist())
     ]
-    top = (p - H) * L
-    contain_viol = [  # J(1,0), the only J with a = 1, is the stated exception
-        f"{'IJ'[not i]}({a},{b}) escapes (0, p-H)"
-        for left, i, right, a, b in intervals
-        if (i or a > 1)
-        and not ((left > 0 or left == 0 and i) and (right < top or right == top and not i))
+    top = ia * (p - H)
+    inside = ((lo > 0) | (lo == 0) & is_i) & ((hi < top) | (hi == top) & ~is_i)
+    escapes = (is_i | (ia > 1)) & ~inside  # J(1,0), the only J with a = 1, is the exception
+    contain_viol = [
+        f"{'IJ'[not is_i[s]]}({ia[s]},{ib[s]}) escapes (0, p-H)"
+        for s in escapes.nonzero()[0].tolist()
     ]
+    count_viol = []
+    if h is not None:
+        n_star = _starred_count(c, H, a, h)
+        short = (n_star * a < 2 * (H - a * h)).nonzero()[0].tolist()
+        count_viol = [f"starred count {n_star[k]} < 2(H/a - h) at (a={a[k]}, b={b[k]})"
+                      for k in short]
+    exception_ok = n < 1 or (lo[1], hi[1]) == (-H, 0)
 
     return DisjointnessCheck(
         passed=not overlap_viol
         and not contain_viol
         and not count_viol
         and exception_ok,
-        intervals=len(intervals),
+        intervals=len(lo),
         overlap_violations=tuple(overlap_viol),
         containment_violations=tuple(contain_viol),
         count_violations=tuple(count_viol),
@@ -1042,7 +1082,8 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
     """All odd primes p <= p_max, all orders d | p-1, h <= min(h_max, p-1)
     and r <= min(r_max, 9h), the hypothesis r <= 9h of check_S_upper.
 
-    The characters of one p are one CharacterSpec.family: one primitive
+    The characters of one p are one CharacterSpec.family: one
+    factorization of p-1 for the root test and the orders, one primitive
     root and one discrete-log table for every order.  Two _moment_columns
     calls per p give every (d, h, r) moment as plain columns, each call
     with one sanity pass: one for the quadratic character, whose moments
@@ -1058,7 +1099,7 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
         hs = range(1, min(h_max, p - 1) + 1)
         if p == 2 or not hs or r_max < 1:
             continue
-        specs = CharacterSpec.family(p, pr.divisors(p - 1)[1:])
+        specs = CharacterSpec.family(p)
         grid = [(h, r) for h in hs for r in range(1, min(r_max, 9 * h) + 1)]
         columns = _moment_columns(specs[:1], grid)
         if len(specs) > 1:

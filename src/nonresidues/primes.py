@@ -173,10 +173,11 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted."""
+def divisors(n: int, factors: dict[int, int] | None = None) -> list[int]:
+    """All positive divisors of n, sorted; from factors, n's factorization
+    as factorize returns it, when given."""
     out = [1]
-    for p, e in factorize(n).items():
+    for p, e in (factorize(n) if factors is None else factors).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 

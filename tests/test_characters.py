@@ -138,6 +138,7 @@ def test_t_table_matches_the_power_loop():
     for p in map(int, pr.primes_upto(3000)[1:]):
         orders = pr.divisors(p - 1)[1:]
         family = CharacterSpec.family(p, orders)
+        assert CharacterSpec.family(p) == family  # every order d >= 2 by default
         g = find_primitive_root(p)
         for d, member, want in zip(orders, family, _power_loop_t_tables(p, g, orders)):
             for spec in (member, CharacterSpec.of_order(p, d)):

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 from collections import Counter
 from itertools import accumulate
@@ -370,20 +371,23 @@ def test_s_upper_sweep_computes_each_right_side_once(monkeypatch):
 
 
 def test_s_upper_sweep_builds_each_prime_once(monkeypatch):
-    # one primitive root, one factorization of p-1 for the root test, one
-    # discrete-log table per p, and one window pass per stack (the quadratic
-    # character, then every order d > 2)
-    calls = {"root": [], "logs": [], "window": []}
-    root, logs, window = ch.find_primitive_root, ch._discrete_logs, lm._window_m2
+    # one primitive root, one factorization of p-1 for the root test and the
+    # orders, one discrete-log table per p, and one window pass per stack
+    # (the quadratic character, then every order d > 2)
+    calls = {"root": [], "factorize": [], "logs": [], "window": []}
+    root, factorize = ch.find_primitive_root, pr.factorize
+    logs, window = ch._discrete_logs, lm._window_m2
     monkeypatch.setattr(ch, "find_primitive_root", lambda p: calls["root"].append(p) or root(p))
+    monkeypatch.setattr(pr, "factorize", lambda n: calls["factorize"].append(n + 1) or factorize(n))
     monkeypatch.setattr(ch, "_discrete_logs",
                         lambda p, g: calls["logs"].append(p) or logs(p, g))
     monkeypatch.setattr(lm, "_window_m2",
                         lambda v, h: calls["window"].append(v.shape[-1]) or window(v, h))
     ch._primitive_root_test.cache_clear()
+    ch._unit_order_factors.cache_clear()
     lm.sweep_s_upper(37, 8, 6)
     primes = pr.primes_upto(37)[1:].tolist()
-    assert calls["root"] == calls["logs"] == primes
+    assert calls["root"] == calls["logs"] == calls["factorize"] == primes
     assert ch._primitive_root_test.cache_info().misses == len(primes)
     passes = Counter(calls["window"])
     assert list(passes) == primes and max(passes.values()) == 2 and passes[3] == 1
@@ -792,14 +796,83 @@ def test_disjointness_matches_fraction_reference():
         assert lm.check_interval_disjointness(p, H, X, h=h) == _fraction_disjointness(
             p, H, X, h), (p, H, X, h)
 
+def test_disjointness_core_matches_fraction_reference_past_the_hypothesis():
+    # families with 2nH >= p: the unchecked core still reproduces the
+    # reference message for message, and the draws do overlap and escape
+    rng = random.Random(20261021)
+    overlapping = escaping = 0
+    for _ in range(300):
+        p, n = rng.choice(PRIMES_BELOW_5000), rng.randint(1, 16)
+        H = rng.randint(-(-p // (2 * n)), 2 * p)
+        h = rng.choice((None, rng.randint(1, H + 3)))
+        got = lm._disjointness(p, H, n, h)
+        assert got == _fraction_disjointness(p, H, n, h), (p, H, n, h)
+        overlapping += bool(got.overlap_violations)
+        escaping += bool(got.containment_violations)
+    assert overlapping > 100 and escaping > 100
+
+
+def test_disjointness_on_python_int_columns():
+    # past n = 42 (lcm(1..43) > 2^63) or n (p + H + h) >= 2^62 the columns
+    # hold Python ints; near p = 2^61 int64 would wrap
+    m61 = 2**61 - 1  # prime
+    cases = [(m61, 43, m61 // 86 - 5, 7), (m61, 43, m61 // 40, 3), (m61, 3, m61 // 6, 2),
+             (m61, 2, m61 // 3, None),
+             (99991, 42, 1000, 5)]  # int64, with the largest n whose lcm fits
+    for p, n, H, h in cases:
+        assert lm._disjointness(p, H, n, h) == _fraction_disjointness(p, H, n, h), (p, n, H, h)
+    assert lm.check_interval_disjointness(m61, m61 // 86 - 5, 43, h=7).passed
+    assert not lm._disjointness(m61, m61 // 40, 43, 3).passed
+
+
+def test_disjointness_sorts_once_without_per_interval_calls(monkeypatch):
+    # X = 40 has 980 intervals: one lexsort, and a few dozen Python calls
+    # in all (numpy wrappers, Fraction arithmetic), none per interval
+    sorts, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        c = lm.check_interval_disjointness(99991, 1000, 40, h=5)
+    finally:
+        sys.setprofile(None)
+    assert c.passed and c.intervals == 980
+    assert sorts == [3]
+    assert len(calls) < c.intervals // 10, calls
 
 
 def test_overlap_detector_sees_planted_overlap():
-    # (0,5] against (4,9], (5,9] and [5,9): right end, then left end
-    assert lm._meets(5, True, 4, False)
-    assert not lm._meets(5, True, 5, False)  # (0,5] vs (5,9] touch but do not meet
-    assert lm._meets(5, True, 5, True)  # 5 belongs to both
-    assert not lm._meets(5, False, 5, True)  # [0,5) vs [5,9): J then I of one b/a
+    # (0,5] against (4,9], (5,9] and [5,9): right end, then left end, each
+    # as a (floor, fraction) sort key
+    assert lm._meets((5, 0), True, (4, 0), False)
+    assert not lm._meets((5, 0), True, (5, 0), False)  # (0,5] vs (5,9] touch but do not meet
+    assert lm._meets((5, 0), True, (5, 0), True)  # 5 belongs to both
+    assert not lm._meets((5, 0), False, (5, 0), True)  # [0,5) vs [5,9): J then I of one b/a
+    # the fraction part decides when the floors tie, elementwise over columns
+    assert lm._meets((5, 3), True, (5, 2), True) and not lm._meets((5, 2), True, (5, 3), True)
+    got = lm._meets((np.array([5, 5, 6]), np.array([0, 0, 0])), np.array([True, False, True]),
+                    (np.array([5, 5, 5]), np.array([0, 0, 1])), np.array([True, True, False]))
+    assert got.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("p, H, want", [
+    (14, 5, ("I(1,0) overlaps J(2,1)",)),  # J(2,1) = [4.5, 7) starts inside (0,5]
+    (15, 5, ("I(1,0) overlaps J(2,1)",)),  # [5, 7.5) starts on the closed end 5
+    (16, 5, ()),  # [5.5, 8) starts past it
+    # J(1,0) = [-5,0) and J(2,1) = [0,2.5) touch at the open 0 and do not meet
+    (5, 5, ("J(2,1) overlaps I(1,0)", "I(1,0) overlaps I(2,1)")),
+])
+def test_disjointness_core_sees_planted_overlap(p, H, want):
+    # n = 2: J(1,0), I(1,0), J(2,1), I(2,1); J(2,1) and I(2,1) touch at the
+    # open p/2 and never meet
+    got = lm._disjointness(p, H, 2)
+    assert got.overlap_violations == want
+    assert got == _fraction_disjointness(p, H, 2)
 
 
 # -- nonresidue factorizations and the window hypothesis ---------------------

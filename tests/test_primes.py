@@ -217,6 +217,8 @@ def test_divisors():
     assert pr.divisors(12) == [1, 2, 3, 4, 6, 12]
     assert pr.divisors(1) == [1]
     assert pr.divisors(97) == [1, 97]
+    for n in (1, 12, 97, 360, 2**40 - 1):  # from a given factorization, the same list
+        assert pr.divisors(n, pr.factorize(n)) == pr.divisors(n)
 
 
 @given(st.integers(min_value=1, max_value=3000))
