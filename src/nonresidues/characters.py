@@ -26,8 +26,8 @@ numpy for moduli below 2^50 (reducing each product by a float64 quotient
 from 2^31 on; long exponents by 2^3-ary windowed exponentiation, short
 ones by square-and-multiply) and by Python pow above; a search runs its
 quadratic rows and its d > 2 rows as two groups.
-prime_nonresidues is a one-row call of the batched search, and is_kernel
-is one Python pow.
+prime_nonresidues walks one row in Python, and is_kernel is one Python
+pow: for one row, numpy's cost per call outweighs the work.
 Candidate nonresidues are read from the package's one shared prime table
 (primes.primes_upto), so a search never sieves anything that an earlier
 search already sieved.
@@ -467,19 +467,32 @@ def prime_nonresidues(
     p: int, d: int, count: int, search_cap: int = DEFAULT_SEARCH_CAP
 ) -> list[int]:
     """The `count` smallest prime nonresidues of an order-d character mod p:
-    nonresidue_table on one row.
+    the row nonresidue_table finds, walked in Python with one pow per
+    candidate, as is_kernel tests it, since numpy's cost per call outweighs
+    a one-row step.
 
     p must be prime; that is not checked here, because a primality test per
     call would cost as much as the search itself (scans take p from the
-    sieve, and the CLI checks its input).  If search_cap is reached first,
-    SearchCapExceededError reports the partial list.
+    sieve, and the CLI checks its input).  Candidates come from the shared
+    prime table in chunks of doubling length up to search_cap, so a search
+    sieves no further than its last candidate needs.  If search_cap is
+    reached first, SearchCapExceededError reports the partial list.
     """
     if d < 2 or (p - 1) % d != 0:
         raise ValueError(f"order d={d} invalid for p={p}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    q, found = nonresidue_table([p], [d], count, search_cap)
-    out = q[0, : found[0]].tolist()
-    if len(out) < count:
-        raise SearchCapExceededError(p, d, search_cap, out)
+    e, out = (p - 1) // d, []
+    done, limit = 0, 64  # table entries tested, and the chunk's end
+    while len(out) < count:
+        primes = pr.primes_upto(min(limit, search_cap))
+        for q in primes[done:].tolist():
+            if q != p and pow(q, e, p) != 1:
+                out.append(q)
+                if len(out) == count:
+                    return out
+        done = len(primes)
+        if limit >= search_cap:
+            raise SearchCapExceededError(p, d, search_cap, out)
+        limit *= 2
     return out

@@ -33,18 +33,26 @@ compared at its unfavorable endpoint (see rounding.py).  Constant factors
 are certified once per constant, in bounded caches that fill on first use:
 the lower endpoints of sqrt(2)(2r/e)^r and sqrt(p), and the upper endpoint
 of 9/pi^2, each an integer ratio (n, d).  Each instance multiplies them by
-positive exact integers, and every verdict and slack comes from one call
-of rounding.certify(small, big).  The only per-instance interval work is
-one raw logarithm endpoint in a single call of check_totient_inequality or
-check_proposition_lower.  The totient sweep takes no libmp call per
-instance: one fixed-point table of lower bounds on log(k/10), from one
-libmp log per prime up to 10 x_max and one for 10 (_log_tenths_lo), feeds
-the same right side.  Convexity takes one exponential endpoint per (h, j)
-and chains its powers in integers (rounding.lower_product, compared by
-rounding.certify_dyadic); s-upper needs none, and its sweep computes the
-right side once per (p, h, r) for every order d; disjointness sorts
-exact int64 endpoint keys, a floor and a fraction over lcm(1..floor X),
-with one lexsort.
+positive exact integers, and every exact verdict and slack comes from one
+call of rounding.certify(small, big).  The only per-instance interval work
+is one raw logarithm endpoint in a single call of check_totient_inequality
+or check_proposition_lower.
+
+The closed-form sweeps (totient, convexity, s-upper) decide their grids
+in float64 columns, one LemmaReport.fold per chunk: per x_max, per h and
+per p.  Each cell gets an estimate est of its exact slack and a bound err,
+proved in the sweep's docstring (through _float_slack), on both |est - s|
+and |est - fl(s)|.  A cell with est - err > 0 passes and one with
+est + err < 0 fails; only the cells whose interval holds 0, and those that
+could set the report's first minimum slack, take the exact path above.  So
+every pass is still a certificate, and every report field is the one a
+per-instance loop gives.  The exact paths take no libmp call per cell:
+totient reads one fixed-point table of lower bounds on log(k/10), from one
+libmp log per prime up to 10 x_max and one for 10 (_log_tenths_lo);
+convexity takes one exponential endpoint per (h, j) and chains its powers
+in integers (rounding.lower_product, compared by rounding.certify_dyadic);
+s-upper needs none.  Disjointness sorts exact int64 endpoint keys, a floor
+and a fraction over lcm(1..floor X), with one lexsort.
 
 Every character sum comes from one window kernel (_window_m2) over the
 spec's one table of values (CharacterSpec.values).  One pass grows the
@@ -70,7 +78,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -218,18 +226,18 @@ def _window_m2(values: np.ndarray, h_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _moment_columns(
     stack: Sequence[CharacterSpec], grid: Sequence[tuple[int, int]]
-) -> list[tuple[list, list[float]]]:
-    """The moment columns of a stack of characters: for each character, in
-    order, (values, errors), the moments S(chi, h, r) and their error
+) -> tuple[list[list[int]] | np.ndarray, np.ndarray]:
+    """The moment columns of a stack of characters, (values, errors): row i
+    holds the moments S(chi, h, r) of the i-th character and their error
     bounds for every (h, r) in grid, in grid order, from one window-kernel
     pass over the stacked values grown to the largest h.
     The stack holds characters of one modulus, all quadratic or all of
     order d > 2; every pair needs 1 <= h < p and r >= 1.  One sanity pass
     (_sanity_moments) checks every moment before they are returned.
 
-    d = 2: exact Python integers from one bincount per row of |w_x|^2,
-    with error 0.0.  d > 2: float64 sums of |w_x|^(2r) with a propagated
-    bound.  With E the row's kernel error and Y = m2_x + E, above both the
+    d = 2: lists of exact Python integers from one bincount per row of
+    |w_x|^2, with error 0.0.  d > 2: a float64 array of sums of |w_x|^(2r)
+    with a propagated bound.  With E the row's kernel error and Y = m2_x + E, above both the
     computed and the exact |w_x|^2, the power misses by at most
     r Y^(r-1) E + gamma_{r-1} Y^r per window, and the sum over the p
     windows adds gamma_{p-1} times a sum below 2 sum Y^r.  The products
@@ -275,7 +283,7 @@ def _moment_columns(
         cells = [r - 1 for _, r in grid], [at[h] for h, _ in grid]
         values, errors = sums[cells].T, bounds[cells].T
     _sanity_moments(p, grid, values, errors)
-    return list(zip(values if isinstance(values, list) else values.tolist(), errors.tolist()))
+    return values, errors
 
 
 def _sanity_moments(p: int, grid: Sequence[tuple[int, int]], values, errors: np.ndarray) -> None:
@@ -317,9 +325,11 @@ def _sum_S_multi(
     if not (h_set and r_set and 1 <= h_set[0] and h_set[-1] < p and r_set[0] >= 1):
         raise ValueError(f"need some 1 <= h < p={p} and r >= 1, got {h_values!r}, {r_values!r}")
     grid = [(h, r) for h in h_set for r in r_set]
+    values, errors = _moment_columns(stack, grid)
+    rows = values if isinstance(values, list) else values.tolist()
     moments = [{(h, r): SumStats(p=p, h=h, r=r, value=v, error_bound=e)
-                for (h, r), v, e in zip(grid, values, errors)}
-               for values, errors in _moment_columns(stack, grid)]
+                for (h, r), v, e in zip(grid, vals, errs)}
+               for vals, errs in zip(rows, errors.tolist())]
     return moments[0] if single else moments
 
 
@@ -972,6 +982,51 @@ class LemmaReport:
                 self.min_slack = slack
                 self.worst_instance = instance
 
+    def fold(self, est: np.ndarray, err: np.ndarray,
+             exact: Callable[[int], tuple[bool, float]],
+             instance: Callable[[int], dict]) -> np.ndarray:
+        """Record a chunk of cells in instance order, as record(instance(i),
+        *exact(i)) would for each cell i in turn, and return its verdict
+        column; exact(i) is called only where the float columns cannot
+        settle cell i.
+
+        exact(i) returns (s >= 0, fl(s)) for the exact slack s of cell i,
+        and est[i] is an estimate with |est - s| <= err and
+        |est - fl(s)| <= err, or est + err is not finite.  The columns
+        lo and hi are est -+ err rounded to nearest, which is monotone and
+        keeps doubles: lo > 0 gives est - err > 0, hi < 0 gives
+        est + err < 0, and the double fl(s) lies in [lo, hi].  A cell
+        passes without further work if lo > 0 and fails if hi < 0.
+        Any other cell, and every cell that could set the report's first
+        minimum, is decided by exact(i): those whose lo is at or below both
+        the running minimum and the least finite hi of the chunk.  Skipping
+        the rest changes nothing.  If lo_i > m, the running minimum, then
+        fl(s_i) > m and record would not replace m.  If lo_i > hi_k, then
+        fl(s_i) > fl(s_k) for the chunk's cell k of least finite hi, which
+        is itself exact, so cell i is not the chunk's first minimum.  So
+        min_slack and worst_instance are the first minimum as record sets
+        them, ties included; the counts and the first failure_examples
+        follow from the verdicts.
+        """
+        lo, hi = est - err, est + err
+        finite = np.isfinite(hi)
+        passed = finite & (lo > 0)
+        least = np.min(hi[finite], initial=math.inf)
+        if self.min_slack is not None:
+            least = min(least, self.min_slack)
+        for i in np.flatnonzero(~(passed | finite & (hi < 0)) | (lo <= least)).tolist():
+            passed[i], slack = exact(i)
+            if slack is not None and not math.isnan(slack) and (
+                    self.min_slack is None or slack < self.min_slack):
+                self.min_slack, self.worst_instance = slack, instance(i)
+        failed = np.flatnonzero(~passed).tolist()
+        self.instances_run += len(passed)
+        self.passes += len(passed) - len(failed)
+        self.failures += len(failed)
+        room = max(0, 10 - len(self.failure_examples))
+        self.failure_examples.extend(instance(i) for i in failed[:room])
+        return passed
+
     @property
     def all_passed(self) -> bool:
         return self.failures == 0
@@ -1023,64 +1078,137 @@ def _log_tenths_lo(k_max: int) -> list[int]:
     return [v - c for v in lo]
 
 
+def _float_slack(x: np.ndarray, y: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
+    """(est, err) for the slacks s = X - Y of a fold: est = fl(x - y), and
+    err bounds both |est - s| and |est - fl(s)| (LemmaReport.fold).  X and
+    Y are exact reals >= 0, x and y float columns within a factor
+    1 +- gamma_k of them, and x + y >= 1; k is a scalar or a column.
+
+    Proof.  |x - X| <= gamma_k X <= gamma_k x / (1 - gamma_k), and so for
+    y, and est is within u |x - y| <= u |est| / (1 - u) of x - y.  So
+    |est - s| <= E = gamma_k (x + y) / (1 - gamma_k) + u |est| / (1 - u).
+    fl(s) is within u |s| <= u (|est| + E) of s, or within 2^-1075 if it is
+    subnormal, so |est - fl(s)| <= (1 + u) E + u |est| + 2^-1075.  With
+    k u <= 2^-20 that is below (1 + 2^-19)(gamma_k (x + y) + 2u |est|), as
+    gamma_k (x + y) >= u.  The float value of that sum of positive terms is
+    within a factor 1 - 2^-45 of it, so doubling it (exact) makes it a bound
+    on both.  A cell with k u > 2^-20 gets err = inf, which sends it to the
+    exact path; so does any overflow, since err is then inf or nan.
+    """
+    est = x - y
+    err = 2 * (_gamma(k) * (x + y) + 2 * _U * np.abs(est))
+    return est, np.where(k * _U <= 2.0**-20, err, np.inf)
+
+
 def sweep_totient(x_max: int = 5000) -> LemmaReport:
-    """Sweep x = k/10 over the tenths {1.1, 1.2, ..., x_max} keeping exact
-    running sums.  Each instance stays in integers: x is the unreduced
-    ratio (k, 10), lo(log x) is L[k] / 2^F from one _log_tenths_lo table,
-    and the sums enter as the numerator and denominator of s1, read once
-    per integer step.  The right side is _totient_rhs_upper's, with the
-    table's endpoint for lower_log's."""
+    """Sweep x = k/10 over the tenths {1.1, 1.2, ..., x_max}: certify
+    2x s1 - s0 >= (9/pi^2) x^2 f(x), s0 and s1 the sums of phi(a) and
+    phi(a)/a over a <= x, in one fold of float columns.
+
+    Exact path: x is the unreduced ratio (k, 10), lo(log x) is L[k] / 2^F
+    from one _log_tenths_lo table, and the right side is
+    _totient_rhs_upper's with the table's endpoint for lower_log's.  The
+    slack s = lhs - rhs_up splits into X - Y with X = 2x s1 + x (lo + 9)/3
+    and Y = s0 + (P/Q) x^2, P/Q = up(9/pi^2), all terms positive (lo > 0
+    for k >= 11).  The exact s0 and s1, a Fraction, are built only as far
+    as an exact cell needs them.
+
+    Float columns, with n = floor(x) and every step rounded once: x_f =
+    fl(k/10); s1 is the cumsum of fl(phi(a)/a), which is within gamma_n of
+    s1 (n positive terms, each rounded, n - 1 additions); 2x s1 is then
+    within gamma_(n+2).  lo_f rounds L[k] once, to nearest as float() rounds
+    an int (the scaling by 2^-F is exact), and fl(fl(fl(lo_f + 9) x_f) / 3)
+    is within gamma_5 of x (lo + 9)/3, so their sum is within gamma_(n+6)
+    of X.  The column of Y rounds s0 once, P/Q once, x_f^2 thrice counting
+    x_f, their product once more and the sum once: gamma_6.  _float_slack
+    then bounds est with k = n + 6; every Y > 1.
+    """
     rep = LemmaReport("totient")
-    phi = pr.totient_sieve(x_max).tolist()
-    ks = range(11, x_max * 10 + 1)
-    if not ks:
+    phi = pr.totient_sieve(x_max)
+    ks = np.arange(11, x_max * 10 + 1)
+    if not ks.size:
         return rep
-    log_lo, e = _log_tenths_lo(ks[-1]), 1 << LOG_TABLE_BITS
-    s0, s1, floor_x = 1, Fraction(1), 1  # sums of phi(a) and phi(a)/a, a <= floor_x
-    s1_ratio = 1, 1
-    for k in ks:
-        if (floor_x + 1) * 10 <= k:
-            floor_x += 1
-            s0 += phi[floor_x]
-            s1 += Fraction(phi[floor_x], floor_x)
-            s1_ratio = s1.as_integer_ratio()
+    log_lo, e = _log_tenths_lo(int(ks[-1])), 1 << LOG_TABLE_BITS
+    n, x_f = ks // 10, ks / 10
+    s1 = np.cumsum(phi[1:] / np.arange(1, x_max + 1))[n - 1]
+    s0 = np.cumsum(phi[1:])[n - 1].astype(float)
+    lo_f = np.ldexp(np.array(log_lo[11:], dtype=float), -LOG_TABLE_BITS)
+    est, err = _float_slack(2 * x_f * s1 + (lo_f + 9) * x_f / 3,
+                            s0 + to_float(*_nine_over_pi2_up()) * (x_f * x_f), n + 6)
+    phi = phi.tolist()
+    sums = [1, 1, Fraction(1)]  # floor_x and the exact s0, s1 at it
+
+    def exact(i: int) -> tuple[bool, float]:
+        k = 11 + i
+        while sums[0] < k // 10:
+            a = sums[0] = sums[0] + 1
+            sums[1] += phi[a]
+            sums[2] += Fraction(phi[a], a)
         x = k, 10
-        verdict = certify(_totient_rhs_upper(x, (log_lo[k], e)), _totient_lhs(x, s0, s1_ratio))
-        rep.record({"x": f"{k}/10"}, *verdict)
+        return certify(_totient_rhs_upper(x, (log_lo[k], e)),
+                       _totient_lhs(x, sums[1], sums[2].as_integer_ratio()))
+
+    rep.fold(est, err, exact, lambda i: {"x": f"{11 + i}/10"})
     return rep
 
 
 def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
-    """All (h <= h_max, r <= r_max, j <= h/8), incremental powers per (h, j):
-    the right side is the interval product 1 * base * ... * base of
-    base = exp(16j/(3h)), whose lower endpoint lower_product chains (1 * base
-    is exact, so the chain starts at base's own endpoint).
+    """All (h <= h_max, r <= r_max, j <= h/8), one fold per h of its cells
+    in (j, r) order: certify (h/(h-2j))^(2r) <= the lower endpoint of the
+    interval product 1 * base * ... * base, base = exp(16j/(3h)).
 
-    One libmp exponential per (h, j) gives base's lower endpoint
-    (rounding.lower_exp); after that the chain is integer arithmetic.  Each
-    step truncates the exact product of two positive mantissas to 96 bits:
+    One libmp exponential per (h, j) gives base's lower endpoint B
+    (rounding.lower_exp).  Exact path: lower_product chains the endpoint in
+    integers (1 * base is exact, so the chain starts at B), truncating the
+    exact product of two positive mantissas to 96 bits at each step:
     rounding a positive value down is truncation, so this is the value of
-    mpmath's round_floor product.  certify_dyadic compares h^(2r) /
-    (h-2j)^(2r) with the endpoint by shifts, forming the integers certify
-    forms.  So every verdict and slack is that of certify against the
-    interval product's lower endpoint, with no libmp call per instance."""
+    mpmath's round_floor product.  The chain runs per j only as far as an
+    exact cell needs it.  h/(h-2j) is reduced by its gcd (the j = 0 rows
+    become (1, 1)), and certify_dyadic compares its 2r-th power with the
+    endpoint by shifts.  The slack's float is the correctly rounded
+    quotient of the same exact value, so every verdict and slack is that of
+    certify against the interval product's lower endpoint.
+
+    Float columns: x = the cumprod over r of b = fl(B), y = the cumprod of
+    t = fl(h^2 / (h-2j)^2), a correctly rounded int quotient.  b^r carries
+    2r - 1 roundings, and the chain's value lo_r lies in
+    [(1 - 2^-95)^(r-1) B^r, B^r], so x is within gamma_(2r-1) + 2u of lo_r,
+    below gamma_(2r+1) (r 2^-95 <= 2u while r <= 2^43); y is within
+    gamma_(2r-1) of the exact power.  _float_slack then bounds est with
+    k = 2r + 1; both columns are at least 1.
+    """
     rep = LemmaReport("convexity")
+    k = 2 * np.arange(1, r_max + 1) + 1
     for h in range(1, h_max + 1):
-        nums = [h ** (2 * r) for r in range(1, r_max + 1)]
+        bases, b, t = [], [], []
         for j in range(0, h // 8 + 1):
             _, man, exp, _ = lower_exp(Fraction(16 * j, 3 * h))
-            base = lo = int(man), exp
-            den, step = 1, (h - 2 * j) ** 2
-            for r, num in enumerate(nums, 1):
-                den *= step
-                rep.record({"h": h, "r": r, "j": j}, *certify_dyadic((num, den), lo))
-                lo = lower_product(lo, base)
+            bases.append((int(man), exp))
+            b.append(math.ldexp(int(man), exp))  # float(int) rounds to nearest
+            t.append(h * h / (h - 2 * j) ** 2)
+        shape = len(bases), r_max
+        est, err = _float_slack(np.cumprod(np.broadcast_to(np.array(b)[:, None], shape), axis=1),
+                                np.cumprod(np.broadcast_to(np.array(t)[:, None], shape), axis=1),
+                                k)
+        chains = [[1, base] for base in bases]  # per j: r and the chain's endpoint at r
+
+        def exact(i: int) -> tuple[bool, float]:
+            j, r = divmod(i, r_max)
+            chain, r = chains[j], r + 1
+            while chain[0] < r:
+                chain[0], chain[1] = chain[0] + 1, lower_product(chain[1], bases[j])
+            g = math.gcd(h, 2 * j)
+            return certify_dyadic(((h // g) ** (2 * r), ((h - 2 * j) // g) ** (2 * r)), chain[1])
+
+        rep.fold(est.ravel(), err.ravel(), exact,
+                 lambda i: {"h": h, "r": i % r_max + 1, "j": i // r_max})
     return rep
 
 
 def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaReport:
     """All odd primes p <= p_max, all orders d | p-1, h <= min(h_max, p-1)
-    and r <= min(r_max, 9h), the hypothesis r <= 9h of check_S_upper.
+    and r <= min(r_max, 9h), the hypothesis r <= 9h of check_S_upper; one
+    fold per p of its cells in (d, h, r) order.
 
     The characters of one p are one CharacterSpec.family: one
     factorization of p-1 for the root test and the orders, one primitive
@@ -1090,25 +1218,50 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
     are exact integers, and one window pass over the stacked values of
     all orders d > 2.  Each character's row of that stack is C-contiguous
     and reduced on its own, so its moments and error bounds are bit for
-    bit those of a call on it alone.  Each instance is decided on
-    value + error_bound, read from the columns.  The right side depends
-    on (p, h, r) only, so _s_upper_rhs_lo runs once per (p, h, r) for all
-    orders d."""
+    bit those of a call on it alone.  Exact path: check_S_upper's
+    certify(value + error_bound, _s_upper_rhs_lo), with the right side
+    computed at most once per (p, h, r).
+
+    Float columns: x = fl(A_f p h^r + B_f (2r-1) h^(2r)) with A_f, B_f the
+    rounded endpoints of sqrt(2)(2r/e)^r and sqrt(p), and h^r, h^(2r)
+    rounded from integers; each product of four rounded factors is within
+    gamma_4 and the sum of positive terms within gamma_5 of the exact right
+    side.  y = fl(fl(v) + e) for the moment v (a float, or an integer that
+    may exceed 2^53) and its error bound e >= 0, within gamma_2 of v + e.
+    _float_slack then bounds est with k = 5; every x > 1."""
     rep = LemmaReport("s-upper")
+    a_f = np.array([to_float(*_stirling_rhs_lo(r))
+                    for r in range(1, min(r_max, 9 * h_max) + 1)])
     for p in map(int, pr.primes_upto(p_max)):
         hs = range(1, min(h_max, p - 1) + 1)
         if p == 2 or not hs or r_max < 1:
             continue
         specs = CharacterSpec.family(p)
         grid = [(h, r) for h in hs for r in range(1, min(r_max, 9 * h) + 1)]
-        columns = _moment_columns(specs[:1], grid)
+        quad, errors = _moment_columns(specs[:1], grid)
+        values = np.array(quad, dtype=float)
         if len(specs) > 1:
-            columns += _moment_columns(specs[1:], grid)
-        rhs_lo = [_s_upper_rhs_lo(p, h, r) for h, r in grid]
-        for spec, (values, errors) in zip(specs, columns):
-            for (h, r), rhs, v, e in zip(grid, rhs_lo, values, errors):
-                passed, slack = certify(_upper_end(v, e), rhs)
-                rep.record({"p": p, "d": spec.d, "h": h, "r": r}, passed, slack)
+            rest, rest_errors = _moment_columns(specs[1:], grid)
+            values, errors = np.vstack([values, rest]), np.vstack([errors, rest_errors])
+        r = np.array([r for _, r in grid])
+        hr = np.array([h**r for h, r in grid], dtype=float)
+        h2r = np.array([h ** (2 * r) for h, r in grid], dtype=float)
+        rhs = a_f[r - 1] * p * hr + to_float(*_sqrt_lo(p)) * (2 * r - 1) * h2r
+        est, err = _float_slack(rhs, values + errors, 5)
+        rhs_lo = {}
+
+        def exact(i: int) -> tuple[bool, float]:
+            s, g = divmod(i, len(grid))
+            if grid[g] not in rhs_lo:
+                rhs_lo[grid[g]] = _s_upper_rhs_lo(p, *grid[g])
+            v = quad[0][g] if s == 0 else float(values[s, g])
+            return certify(_upper_end(v, float(errors[s, g])), rhs_lo[grid[g]])
+
+        def instance(i: int) -> dict:
+            s, g = divmod(i, len(grid))
+            return {"p": p, "d": specs[s].d, "h": grid[g][0], "r": grid[g][1]}
+
+        rep.fold(est.ravel(), err.ravel(), exact, instance)
     return rep
 
 
@@ -1117,7 +1270,8 @@ def sweep_disjointness(trials: int = 200, p_max: int = 10**5, seed: int = 0) -> 
     rational interval checks."""
     rep = LemmaReport("disjointness")
     rng = random.Random(seed)
-    plist = [int(q) for q in pr.primes_upto(p_max) if q >= 11]
+    table = pr.primes_upto(p_max)
+    plist = table[table >= 11].tolist()
     if not plist:
         raise ValueError(f"disjointness draws primes p >= 11, got p_max={p_max}")
     done = 0

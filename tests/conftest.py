@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import pytest
 
 from nonresidues import lemmas as lm
@@ -31,3 +33,29 @@ def lemma_records(monkeypatch):
 
     monkeypatch.setattr(lm.LemmaReport, "record", captured)
     return records
+
+
+FoldCall = namedtuple("FoldCall", "est err verdicts exact")
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """A FoldCall for every LemmaReport.fold call, in order: its est and
+    err columns, the verdict column it returns, and the indices of the
+    cells it decided by the exact path, in call order."""
+    calls = []
+    fold = lm.LemmaReport.fold
+
+    def captured(self, est, err, exact, instance):
+        cells = []
+
+        def counted(i):
+            cells.append(i)
+            return exact(i)
+
+        verdicts = fold(self, est, err, counted, instance)
+        calls.append(FoldCall(est, err, verdicts, cells))
+        return verdicts
+
+    monkeypatch.setattr(lm.LemmaReport, "fold", captured)
+    return calls

@@ -339,6 +339,26 @@ def test_prime_nonresidues_cap():
     assert exc.value.found == prime_nonresidues(1000003, 2, len(exc.value.found))
 
 
+def test_prime_nonresidues_matches_the_table_row():
+    # the scalar walk finds the row nonresidue_table finds, for every order
+    # d | p-1 of every odd prime p < 2000 and count <= 4, and at a reached
+    # cap reports the partial row in SearchCapExceededError
+    rows = all_rows([int(p) for p in pr.sieve(2000)[1:]])
+    for count in range(5):
+        q, found = nonresidue_table(*map(list, zip(*rows)), count)
+        assert (found == count).all()
+        for (p, d), row in zip(rows, q.tolist()):
+            assert prime_nonresidues(p, d, count) == row, (p, d, count)
+    for (p, d), cap in (((1999, 2), 50), ((1999, 3), 2), ((1033, 2), 0), ((7, 6), 3)):
+        q, found = nonresidue_table([p], [d], 40, search_cap=cap)
+        assert found[0] < 40
+        with pytest.raises(SearchCapExceededError) as exc:
+            prime_nonresidues(p, d, 40, search_cap=cap)
+        assert (exc.value.p, exc.value.d, exc.value.cap) == (p, d, cap)
+        assert exc.value.found == q[0, : found[0]].tolist()
+        assert prime_nonresidues(p, d, int(found[0]), search_cap=cap) == exc.value.found
+
+
 def test_prime_nonresidues_validation():
     with pytest.raises(ValueError):
         prime_nonresidues(7, 4, 1)
@@ -600,12 +620,12 @@ def test_quadratic_search_steps_in_blocks_at_any_p(monkeypatch):
     m89 = 2**89 - 1
     for p, d in ((10**12 + 39, 2), (m89, 2), (10**12 + 39, 3), (m89, 3)):
         sizes.clear()
-        got = prime_nonresidues(p, d, 30, search_cap=10_000)
-        assert got == pow_loop_nonresidues(p, d, 30, 10_000)
+        check_table([(p, d)], 30)
         if d == 2 or p < 2**50:  # a block per step, the first all 18 primes below 64
             assert sizes[0] == 18 and len(sizes) < 10 and min(sizes) > 1, (p, sizes)
         else:
-            assert set(sizes) == {1} and len(sizes) == _SMALL_PRIMES.index(got[-1]) + 1
+            last = pow_loop_nonresidues(p, d, 30, 10_000)[-1]
+            assert set(sizes) == {1} and len(sizes) == _SMALL_PRIMES.index(last) + 1
     # a shard's rows near 10^12: the d = 2 group's calls mod q, then the
     # others' mod p, each group testing all 18 primes below 64 in its first
     # step

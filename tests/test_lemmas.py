@@ -25,6 +25,8 @@ from nonresidues.characters import (
 )
 from nonresidues.rounding import IV, interval_context, iv_from_fraction, lower, upper
 
+from lemma_references import reference_convexity, reference_s_upper, reference_totient
+
 
 def _lo(x):
     """Exact lower endpoint of an interval as a Fraction."""
@@ -34,6 +36,21 @@ def _lo(x):
 def _hi(x):
     """Exact upper endpoint of an interval as a Fraction."""
     return Fraction(*upper(x))
+
+
+def report_fields(rep):
+    """A LemmaReport's fields, without elapsed_s."""
+    fields = dataclasses.asdict(rep)
+    del fields["elapsed_s"]
+    return fields
+
+
+def assert_sweep_is_the_reference(rep, fold_calls, reference, records):
+    """A column sweep's verdict column and report, rep, are the reference's
+    records folded by LemmaReport.record (reference is that fold)."""
+    verdicts = [v for call in fold_calls for v in call.verdicts.tolist()]
+    assert verdicts == [passed for _, passed, _, _ in records]
+    assert report_fields(rep) == report_fields(reference)
 
 
 @pytest.fixture(scope="module")
@@ -359,15 +376,19 @@ def test_s_upper_sweep_cuts_r_at_9h_and_matches_single_h_moments():
             assert s == lm.exact_sum_S(spec, h, r), (p, d, h, r)
 
 
-def test_s_upper_sweep_computes_each_right_side_once(monkeypatch):
-    # one _s_upper_rhs_lo per (p, h, r), shared by every order d
+def test_s_upper_sweep_computes_each_exact_right_side_once(monkeypatch, fold_calls):
+    # _s_upper_rhs_lo runs only for the cells of the exact path, at most once
+    # per (p, h, r), shared by every order d
     calls, rhs_lo = [], lm._s_upper_rhs_lo
     monkeypatch.setattr(lm, "_s_upper_rhs_lo", lambda *a: calls.append(a) or rhs_lo(*a))
+    fold = lm.LemmaReport.fold
+    monkeypatch.setattr(lm.LemmaReport, "fold", lambda self, est, err, exact, instance:
+                        fold(self, est, np.where(est < 20, np.inf, err), exact, instance))
     rep = lm.sweep_s_upper(37, 8, 12)
     want = {(p, h, r) for p, _, hs in _s_upper_grid(37, 8) for h in hs
             for r in range(1, min(12, 9 * h) + 1)}
-    assert len(calls) == len(set(calls)) == len(want) and set(calls) == want
-    assert rep.instances_run > 3 * len(calls)
+    assert len(calls) == len(set(calls)) and set(calls) < want
+    assert 1 < len(calls) < rep.instances_run
 
 
 def test_s_upper_sweep_builds_each_prime_once(monkeypatch):
@@ -528,10 +549,11 @@ def test_log_tenths_table_is_a_tight_lower_bound():
 
 
 @pytest.mark.parametrize("x_max", [2, 300])
-def test_totient_sweep_matches_the_single_call_path(x_max, lemma_records):
-    # every instance's verdict and slack is the one the single-call path
-    # certifies with the raw lower_log endpoint
-    lm.sweep_totient(x_max)
+def test_totient_sweep_matches_the_single_call_path(x_max, lemma_records, fold_calls):
+    # every reference instance's verdict and slack is the one the
+    # single-call path certifies with the raw lower_log endpoint, and the
+    # column sweep gives the reference's verdicts and report
+    reference = reference_totient(x_max)
     phi = pr.totient_sieve(x_max).tolist()
     s0 = list(accumulate(phi))  # s0[n] = sum of phi(a), a <= n
     s1 = list(accumulate((Fraction(phi[a], a) for a in range(1, x_max + 1)),
@@ -543,6 +565,7 @@ def test_totient_sweep_matches_the_single_call_path(x_max, lemma_records):
         want.append(({"x": f"{k}/10"}, *lm.certify(lm._totient_rhs_upper(x), lhs), False))
     assert len(want) == 10 * x_max - 10
     assert lemma_records == want
+    assert_sweep_is_the_reference(lm.sweep_totient(x_max), fold_calls, reference, lemma_records)
 
 
 def test_proposition_endpoint_bound_within_interval_formula():
@@ -1224,10 +1247,12 @@ def test_convexity_integer_comparison_matches_fractions():
     assert lm.certify((2 * num - 1, 2 * den), rhs_lo)[0]
 
 
-def test_convexity_sweep_compares_the_chained_interval_product(lemma_records):
-    # every verdict and slack is certify's against the lower endpoint of
-    # the interval product 1 * base * ... * base, base = exp(16j/(3h))
-    lm.sweep_convexity(40, 40)
+def test_convexity_sweep_compares_the_chained_interval_product(lemma_records, fold_calls):
+    # every reference verdict and slack is certify's against the lower
+    # endpoint of the interval product 1 * base * ... * base, base =
+    # exp(16j/(3h)), and the column sweep gives the reference's verdicts and
+    # report
+    reference = reference_convexity(40, 40)
     want = []
     for h in range(1, 41):
         for j in range(h // 8 + 1):
@@ -1237,6 +1262,8 @@ def test_convexity_sweep_compares_the_chained_interval_product(lemma_records):
                 verdict = lm.certify((h ** (2 * r), (h - 2 * j) ** (2 * r)), lower(rhs))
                 want.append(({"h": h, "r": r, "j": j}, *verdict, False))
     assert lemma_records == want
+    assert_sweep_is_the_reference(lm.sweep_convexity(40, 40), fold_calls, reference,
+                                  lemma_records)
 
 
 def _records_digest(records):
@@ -1250,18 +1277,71 @@ def _records_digest(records):
     return len(records), digest.hexdigest()
 
 
+COLUMN_SWEEPS = {  # lemma -> (column sweep, its reference)
+    "totient": (lm.sweep_totient, reference_totient),
+    "convexity": (lm.sweep_convexity, reference_convexity),
+    "s-upper": (lm.sweep_s_upper, reference_s_upper),
+}
+
+
 @pytest.mark.parametrize("lemma", ["convexity", "s-upper"])
-def test_sweep_instances_match_golden(lemma, lemma_records):
+def test_sweep_instances_match_golden(lemma, lemma_records, fold_calls):
     # Pinned from the sweeps that called mpmath once per convexity instance
     # and took one window pass per s-upper character: every verdict and
-    # slack bit.  The convexity grid reaches 2,400-bit powers and endpoints
+    # slack bit of the reference, and the column sweep gives its verdicts
+    # and report.  The convexity grid reaches 2,400-bit powers and endpoints
     # with exp >= 0; its report alone pins no slack, since the j = 0 rows
     # fix min_slack at 0.0.
     path = pathlib.Path(__file__).parent / "data" / "sweep_instances.json"
     want = json.loads(path.read_text())[lemma]
-    sweep = {"convexity": lm.sweep_convexity, "s-upper": lm.sweep_s_upper}[lemma]
-    sweep(*want["grid"])
+    sweep, reference = COLUMN_SWEEPS[lemma]
+    ref = reference(*want["grid"])
     assert _records_digest(lemma_records) == (want["instances"], want["sha256"])
+    assert_sweep_is_the_reference(sweep(*want["grid"]), fold_calls, ref, lemma_records)
+
+
+@pytest.mark.parametrize("lemma, grid", [("totient", (300,)), ("convexity", (64, 200)),
+                                         ("s-upper", (300, 8, 6))])
+def test_float_slacks_stay_within_their_proved_bounds(lemma, grid, lemma_records, fold_calls):
+    # |est - fl(s)| <= err for every cell of the golden grids, s the exact
+    # slack the reference records; and err stays far below the slacks, so
+    # the filter decides all but the border and minimum cells
+    sweep, reference = COLUMN_SWEEPS[lemma]
+    reference(*grid)
+    sweep(*grid)
+    est, err = (np.concatenate(col) for col in zip(*[(c.est, c.err) for c in fold_calls]))
+    slack = np.array([s for _, _, s, _ in lemma_records])
+    assert est.shape == slack.shape == err.shape
+    assert np.isfinite(err).all() and (np.abs(est - slack) <= err).all()
+    assert (err <= 1e-9 * np.maximum(1, np.abs(slack))).all()
+
+
+def test_verify_small_grid_takes_the_exact_path_only_where_needed(fold_calls):
+    # verify-small's grid: s-upper and totient decide one cell each exactly,
+    # their first (the minimum slack); convexity exactly its 1,600 j = 0
+    # cells, whose slack is 0, and nothing else
+    for sweep, grid, n_exact in ((lm.sweep_s_upper, (37, 8, 6), 1),
+                                 (lm.sweep_totient, (120,), 1)):
+        fold_calls.clear()
+        rep = sweep(*grid)
+        assert sum(len(c.exact) for c in fold_calls) == n_exact
+        assert fold_calls[0].exact == [0] and rep.worst_instance is not None
+    fold_calls.clear()
+    lm.sweep_convexity(40, 40)
+    for h, call in enumerate(fold_calls, 1):
+        assert call.exact == list(range(40)), h  # j = 0 is the chunk's first row
+    assert sum(len(c.exact) for c in fold_calls) == 1600
+
+
+def test_sweeps_on_the_exact_path_alone_are_the_reference(monkeypatch, lemma_records):
+    # with every err infinite, every cell takes the exact path: each sweep's
+    # exact closure, with its lazy integer chain and sums, gives the reference
+    fold = lm.LemmaReport.fold
+    monkeypatch.setattr(lm.LemmaReport, "fold", lambda self, est, err, exact, instance:
+                        fold(self, est, np.full(len(est), np.inf), exact, instance))
+    for lemma, grid in (("totient", (40,)), ("convexity", (33, 17)), ("s-upper", (41, 6, 9))):
+        sweep, reference = COLUMN_SWEEPS[lemma]
+        assert report_fields(sweep(*grid)) == report_fields(reference(*grid)), lemma
 
 
 def test_convexity_preconditions():
@@ -1278,6 +1358,90 @@ def test_convexity_sweep_small():
 
 
 # -- report plumbing ---------------------------------------------------------
+
+
+def _fold_against_record(chunks):
+    """Fold each chunk of (est, err, passed, slack) cells, instance {"i":
+    its index in all chunks}, and record the same cells one by one: the
+    two reports must be equal, and the verdicts the cells' passed.  Returns
+    the folded report and each chunk's exact-path indices."""
+    folded, recorded = lm.LemmaReport("fold"), lm.LemmaReport("fold")
+    exact_cells, start = [], 0
+    for chunk in chunks:
+        est, err, passed, slack = (list(col) for col in zip(*chunk)) if chunk else [[]] * 4
+        cells = []
+
+        def exact(i, passed=passed, slack=slack, cells=cells):
+            cells.append(i)
+            return passed[i], slack[i]
+
+        verdicts = folded.fold(np.array(est, dtype=float), np.array(err, dtype=float), exact,
+                               lambda i, start=start: {"i": start + i})
+        assert verdicts.tolist() == passed
+        for i in range(len(chunk)):
+            recorded.record({"i": start + i}, passed[i], slack[i])
+        exact_cells.append(cells)
+        start += len(chunk)
+    assert folded == recorded
+    return folded, exact_cells
+
+
+def _cell(slack, err=0.1, est=None):
+    """A cell of exact slack `slack`, estimated as est (default: slack)."""
+    return (slack if est is None else est), err, slack >= 0, slack
+
+
+def test_fold_finds_a_minimum_in_the_middle():
+    rep, exact = _fold_against_record([[], [_cell(s) for s in (5, 3, 1, 4, 2)]])
+    assert exact == [[], [2]]
+    assert (rep.min_slack, rep.worst_instance, rep.instances_run) == (1, {"i": 2}, 5)
+
+
+def test_fold_keeps_the_first_of_tied_minima():
+    # within a chunk every tied cell is exact and the first wins; in a later
+    # chunk a tie is exact too (at or below the running minimum) but does
+    # not replace it
+    rep, exact = _fold_against_record([[_cell(s) for s in (3, 1, 2, 1)],
+                                       [_cell(1), _cell(2), _cell(1.05)]])
+    assert exact == [[1, 3], [0, 2]]
+    assert (rep.min_slack, rep.worst_instance) == (1, {"i": 1})
+
+
+def test_fold_sends_border_cells_to_the_exact_path():
+    # a cell whose interval holds 0 takes its verdict from the exact path,
+    # whatever side of 0 its estimate is on; a sure failure is exact only as
+    # a minimum candidate
+    cells = [_cell(0.05), _cell(-0.01, est=0.05), _cell(0.0), _cell(-3), _cell(-2.5),
+             _cell(2), _cell(1e-3, err=0.0)]
+    rep, exact = _fold_against_record([cells])
+    assert exact == [[0, 1, 2, 3]]
+    assert (rep.passes, rep.failures, rep.min_slack) == (4, 3, -3)
+    assert rep.failure_examples == [{"i": 1}, {"i": 3}, {"i": 4}]
+
+
+def test_fold_keeps_the_first_ten_of_twelve_failures():
+    chunks = [[_cell(-k) if k % 2 else _cell(k) for k in range(1, 13)],
+              [_cell(k) if k % 2 else _cell(-k) for k in range(13, 25)]]
+    rep, exact = _fold_against_record(chunks)
+    assert rep.failures == 12 and len(rep.failure_examples) == 10
+    assert rep.failure_examples[-1] == {"i": 19}  # the fourth failure of chunk 2
+    assert exact == [[10], [11]]  # the least slack of each chunk: -11, then -24
+    assert (rep.min_slack, rep.worst_instance) == (-24, {"i": 23})
+
+
+def test_fold_skips_none_and_nan_slacks_and_unbounded_cells():
+    # est or err nan or inf sends a cell to the exact path; an exact slack of
+    # None or nan counts for the verdict but not for the minimum
+    cells = [(math.nan, 0.1, True, None), (math.inf, 0.1, True, math.nan),
+             (1.0, math.inf, False, None), (-math.inf, 1.0, False, math.nan),
+             _cell(1.0), (2.0, math.inf, True, 2.0), (3.0, math.nan, True, 3.0)]
+    rep, exact = _fold_against_record([cells])
+    assert exact == [[0, 1, 2, 3, 4, 5, 6]]
+    assert (rep.min_slack, rep.worst_instance, rep.failures) == (1.0, {"i": 4}, 2)
+    rep, exact = _fold_against_record([[(math.nan, 0.0, True, None)]])
+    assert rep.min_slack is None and rep.worst_instance is None
+
+
 
 
 def test_run_verification_refuses_grids_without_instances():
