@@ -46,12 +46,12 @@ and |est - fl(s)|.  A cell with est - err > 0 passes and one with
 est + err < 0 fails; only the cells whose interval holds 0, and those that
 could set the report's first minimum slack, take the exact path above.  So
 every pass is still a certificate, and every report field is the one a
-per-instance loop gives.  The exact paths take no libmp call per cell:
-totient reads one fixed-point table of lower bounds on log(k/10), from one
-libmp log per prime up to 10 x_max and one for 10 (_log_tenths_lo);
-convexity takes one exponential endpoint per (h, j) and chains its powers
-in integers (rounding.lower_product, compared by rounding.certify_dyadic);
-s-upper needs none.  Disjointness sorts exact int64 endpoint keys, a floor
+per-instance loop gives.  A totient cell's exact path is one call of
+check_totient_inequality, so one libmp log; convexity takes one
+exponential endpoint per (h, j) and chains its powers in integers
+(rounding.lower_product, compared by rounding.certify_dyadic), and its
+j = 0 rows, exact equalities, are decided in the columns; s-upper needs
+no libmp call.  Disjointness sorts exact int64 endpoint keys, a floor
 and a fraction over lcm(1..floor X), with one lexsort.
 
 Every character sum comes from one window kernel (_window_m2) over the
@@ -89,7 +89,6 @@ from .rounding import (
     IV,
     certify,
     certify_dyadic,
-    fixed_log,
     interval_context,
     lower,
     lower_exp,
@@ -434,24 +433,20 @@ def _nine_over_pi2_up() -> tuple[int, int]:
     return upper(9 / IV.pi**2)
 
 
-def _totient_rhs_upper(x: tuple[int, int],
-                       log_lo: tuple[int, int] | None = None) -> tuple[int, int]:
+def _totient_rhs_upper(x: tuple[int, int]) -> tuple[int, int]:
     """Upper bound on (9/pi^2) x^2 f(x), f(x) = 1 - (pi^2/9)(log x + 9)/(3x),
     for x = a/b > 0 given as a ratio (a, b) of positive integers, as an
     unreduced ratio (n, d) of integers, d > 0.
 
     Through the identity (9/pi^2) x^2 f(x) = 9x^2/pi^2 - x (log x + 9)/3,
     the bound is up(9/pi^2) x^2 - x (lo(log x) + 9)/3: 9/pi^2 is rounded up
-    once and cached, and lo(log x) is a ratio at most log x.  A single call
-    evaluates it as one raw endpoint (rounding.lower_log); sweep_totient
-    passes its table's (_log_tenths_lo).  With up(9/pi^2) = P/Q and
-    lo(log x) + 9 = m/e, the bound is (3 P a^2 e - a b Q m) / (3 b^2 Q e).
+    once and cached, and lo(log x) is one raw endpoint at most log x
+    (rounding.lower_log).  With up(9/pi^2) = P/Q and lo(log x) + 9 = m/e,
+    the bound is (3 P a^2 e - a b Q m) / (3 b^2 Q e).
     """
     a, b = x
-    if log_lo is None:
-        log_lo = ratio(lower_log(Fraction(a, b)))
     P, Q = _nine_over_pi2_up()
-    m, e = minus(log_lo, (-9, 1))
+    m, e = minus(ratio(lower_log(Fraction(a, b))), (-9, 1))
     return 3 * P * a * a * e - a * b * Q * m, 3 * b * b * Q * e
 
 
@@ -774,6 +769,7 @@ def check_shifted_sum_lower(
     bound, m2 - E >= (h-2j)^2, or if its h values are one and the same
     nonzero root, so that |w| = h exactly; that covers the equality case
     j = 0.  Any other window fails, and `detail` names the first one.
+    min_abs reads such a uniform window as exactly h, not as its float m2.
     Instances with h <= 2j are vacuous and reported as such.
     """
     if interval.kind not in ("I*", "J*"):
@@ -811,7 +807,7 @@ def check_shifted_sum_lower(
         vacuous=False,
         points_checked=len(zs),
         threshold=bound,
-        min_abs=math.sqrt(m2[xs].min()) if len(zs) else math.inf,
+        min_abs=math.sqrt(np.where(uniform, h * h, m2[xs]).min()) if len(zs) else math.inf,
         detail=detail,
     )
 
@@ -999,11 +995,13 @@ class LemmaReport:
         passes without further work if lo > 0 and fails if hi < 0.
         Any other cell, and every cell that could set the report's first
         minimum, is decided by exact(i): those whose lo is at or below both
-        the running minimum and the least finite hi of the chunk.  Skipping
-        the rest changes nothing.  If lo_i > m, the running minimum, then
-        fl(s_i) > m and record would not replace m.  If lo_i > hi_k, then
-        fl(s_i) > fl(s_k) for the chunk's cell k of least finite hi, which
-        is itself exact, so cell i is not the chunk's first minimum.  So
+        the running minimum and the least finite hi of the chunk; a cell
+        with err = 0 and est finite needs no call, since est = s = fl(s).
+        Skipping the rest changes nothing.  If lo_i > m, the running
+        minimum, then fl(s_i) > m and record would not replace m.  If
+        lo_i > hi_k, then fl(s_i) > fl(s_k) for the chunk's cell k of least
+        finite hi, which is itself decided, so cell i is not the chunk's
+        first minimum.  So
         min_slack and worst_instance are the first minimum as record sets
         them, ties included; the counts and the first failure_examples
         follow from the verdicts.
@@ -1015,7 +1013,10 @@ class LemmaReport:
         if self.min_slack is not None:
             least = min(least, self.min_slack)
         for i in np.flatnonzero(~(passed | finite & (hi < 0)) | (lo <= least)).tolist():
-            passed[i], slack = exact(i)
+            if err[i] == 0 and finite[i]:
+                passed[i], slack = est[i] >= 0, est[i].item()
+            else:
+                passed[i], slack = exact(i)
             if slack is not None and not math.isnan(slack) and (
                     self.min_slack is None or slack < self.min_slack):
                 self.min_slack, self.worst_instance = slack, instance(i)
@@ -1042,40 +1043,6 @@ def sweep_stirling(r_max: int = 500) -> LemmaReport:
         c = check_stirling_ratio(r)
         rep.record({"r": r}, c.passed, c.slack)
     return rep
-
-
-LOG_TABLE_BITS = 128  # fractional bits of the totient sweep's logarithms
-
-
-def _log_tenths_lo(k_max: int) -> list[int]:
-    """Integers L[k] with L[k] / 2^F <= log(k/10), F = LOG_TABLE_BITS, for
-    1 <= k <= k_max (L[0] is not a bound): one libmp log per prime up to
-    k_max and one for 10, then integer additions.
-
-    With spf = primes.smallest_prime_factors(k_max), the table holds
-    lo_1 = 0, lo_l = rounding.fixed_log(l, F) for a prime l, and
-    lo_k = lo_{k/l} + lo_l for a composite k with l = spf[k] (k/l < k, so
-    it is set before k), and L[k] = lo_k - c with c = fixed_log(10, F,
-    up=True).
-
-    Lower bound: lo_l <= 2^F log l for every prime l, so by induction on k,
-    lo_k, a sum of lo_l over the prime factors of k with multiplicity, is at
-    most 2^F log k; and c >= 2^F log 10.  So L[k] <= 2^F (log k - log 10) =
-    2^F log(k/10).  Only the directions of the roundings enter.
-
-    Error: while log k < 16, each lo_l and c is within 1 + 2^-28 of its
-    exact value (fixed_log), so 2^F log(k/10) - L[k] < (Omega(k) + 1)(1 +
-    2^-28) <= Omega(k) + 2, where Omega(k) counts the prime factors of k
-    with multiplicity (at most 23 below 8.8 * 10^6).  That is at most
-    25 * 2^-128 in log(k/10), tighter than the 96-bit endpoint of lower_log.
-    """
-    spf = pr.smallest_prime_factors(k_max).tolist()
-    lo = [0] * (k_max + 1)
-    for k in range(2, k_max + 1):
-        ell = spf[k]
-        lo[k] = fixed_log(k, LOG_TABLE_BITS) if ell == k else lo[k // ell] + lo[ell]
-    c = fixed_log(10, LOG_TABLE_BITS, up=True)
-    return [v - c for v in lo]
 
 
 def _float_slack(x: np.ndarray, y: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
@@ -1105,48 +1072,40 @@ def sweep_totient(x_max: int = 5000) -> LemmaReport:
     2x s1 - s0 >= (9/pi^2) x^2 f(x), s0 and s1 the sums of phi(a) and
     phi(a)/a over a <= x, in one fold of float columns.
 
-    Exact path: x is the unreduced ratio (k, 10), lo(log x) is L[k] / 2^F
-    from one _log_tenths_lo table, and the right side is
-    _totient_rhs_upper's with the table's endpoint for lower_log's.  The
-    slack s = lhs - rhs_up splits into X - Y with X = 2x s1 + x (lo + 9)/3
-    and Y = s0 + (P/Q) x^2, P/Q = up(9/pi^2), all terms positive (lo > 0
-    for k >= 11).  The exact s0 and s1, a Fraction, are built only as far
-    as an exact cell needs them.
+    Exact path: check_totient_inequality(k/10).  Its slack s = lhs - rhs_up
+    splits into X - Y with X = 2x s1 + x (lo + 9)/3 and Y = s0 + (P/Q) x^2,
+    lo = lower_log's endpoint of log x and P/Q = up(9/pi^2), all terms
+    positive (lo > 0 for k >= 11).
 
     Float columns, with n = floor(x) and every step rounded once: x_f =
-    fl(k/10); s1 is the cumsum of fl(phi(a)/a), which is within gamma_n of
-    s1 (n positive terms, each rounded, n - 1 additions); 2x s1 is then
-    within gamma_(n+2).  lo_f rounds L[k] once, to nearest as float() rounds
-    an int (the scaling by 2^-F is exact), and fl(fl(fl(lo_f + 9) x_f) / 3)
-    is within gamma_5 of x (lo + 9)/3, so their sum is within gamma_(n+6)
-    of X.  The column of Y rounds s0 once, P/Q once, x_f^2 thrice counting
-    x_f, their product once more and the sum once: gamma_6.  _float_slack
-    then bounds est with k = n + 6; every Y > 1.
+    fl(k/10) = x (1 + d), |d| <= u; s1 is the cumsum of fl(phi(a)/a), which
+    is within gamma_n of s1 (n positive terms, each rounded, n - 1
+    additions); 2x s1 is then within gamma_(n+2).  lo_f = log(x_f) from
+    libm (math.log, as bounds.bound_shapes takes it), which glibc documents
+    within 1 ulp, so |lo_f - log x_f| <= 2u log x_f.  With |log x_f -
+    log x| <= u / (1 - u) and |lo - log x| < 2^-90 (log x + 1) (the 96-bit
+    lower endpoint of x, and a log rounded at 96 bits), |lo_f - lo| is
+    below 2u log x + 1.1u, less than 2u (lo + 9) by about 16u: lo_f + 9 is
+    (lo + 9)(1 + t) with |t| < 2u <= gamma_2.  So fl(fl(fl(lo_f + 9) x_f)
+    / 3) is within gamma_6 of x (lo + 9)/3, and the sum of the two terms
+    within gamma_(max(n+2, 6) + 1), at most gamma_(n+6) as n >= 1, of X.
+    The column of Y rounds s0 once, P/Q once, x_f^2 thrice counting x_f,
+    their product once more and the sum once: gamma_6.  _float_slack then
+    bounds est with k = n + 6; every Y > 1.
     """
     rep = LemmaReport("totient")
     phi = pr.totient_sieve(x_max)
     ks = np.arange(11, x_max * 10 + 1)
-    if not ks.size:
-        return rep
-    log_lo, e = _log_tenths_lo(int(ks[-1])), 1 << LOG_TABLE_BITS
     n, x_f = ks // 10, ks / 10
     s1 = np.cumsum(phi[1:] / np.arange(1, x_max + 1))[n - 1]
     s0 = np.cumsum(phi[1:])[n - 1].astype(float)
-    lo_f = np.ldexp(np.array(log_lo[11:], dtype=float), -LOG_TABLE_BITS)
+    lo_f = np.array(list(map(math.log, x_f.tolist())))
     est, err = _float_slack(2 * x_f * s1 + (lo_f + 9) * x_f / 3,
                             s0 + to_float(*_nine_over_pi2_up()) * (x_f * x_f), n + 6)
-    phi = phi.tolist()
-    sums = [1, 1, Fraction(1)]  # floor_x and the exact s0, s1 at it
 
     def exact(i: int) -> tuple[bool, float]:
-        k = 11 + i
-        while sums[0] < k // 10:
-            a = sums[0] = sums[0] + 1
-            sums[1] += phi[a]
-            sums[2] += Fraction(phi[a], a)
-        x = k, 10
-        return certify(_totient_rhs_upper(x, (log_lo[k], e)),
-                       _totient_lhs(x, sums[1], sums[2].as_integer_ratio()))
+        c = check_totient_inequality(Fraction(11 + i, 10))
+        return c.passed, c.slack
 
     rep.fold(est, err, exact, lambda i: {"x": f"{11 + i}/10"})
     return rep
@@ -1190,6 +1149,7 @@ def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
         est, err = _float_slack(np.cumprod(np.broadcast_to(np.array(b)[:, None], shape), axis=1),
                                 np.cumprod(np.broadcast_to(np.array(t)[:, None], shape), axis=1),
                                 k)
+        err[0] = 0  # j = 0: B = exp(0) = 1 and t = h^2/h^2 = 1 exactly, so est = s = 0
         chains = [[1, base] for base in bases]  # per j: r and the chain's endpoint at r
 
         def exact(i: int) -> tuple[bool, float]:

@@ -4,12 +4,12 @@ Everything here is exact integer arithmetic.  Sieves are numpy bool arrays.
 
 Small primes have one source: primes_upto, a view of a single cached int64
 table that grows by doubling on demand.  The nonresidue search walks it,
-the segmented range sieve and the least-prime-factor sieve take their base
-primes from it, the totient sieve its primes, and factorize trial-divides
-by it.  The package factorizes only p-1 for small p (primitive roots and
-divisor lists in the lemma sweeps), so factorize refuses n >= 2^40: below
-that, isqrt(n) < 2^20 and the table never grows past the size a scan near
-10^12 already builds.
+the segmented range sieve takes its base primes from it, the totient
+sieve its primes, and factorize trial-divides by it.  The package
+factorizes only p-1 for small p (primitive roots and divisor lists in the
+lemma sweeps), so factorize refuses n >= 2^40: below that, isqrt(n) <
+2^20 and the table never grows past the size a scan near 10^12 already
+builds.
 The range sieve takes its base primes up to 2^20 as well, and above 2^40
 it tests each survivor with is_prime, so that a scan near 2^63 does not
 sieve up to 2^32 first.
@@ -189,23 +189,6 @@ def euler_phi(n: int) -> int:
     for p in factorize(n):
         r = r // p * (p - 1)
     return r
-
-
-def smallest_prime_factors(limit: int) -> np.ndarray:
-    """The least prime factor of k for k = 0..limit as an int64 array, with
-    0 and 1 mapped to themselves, so that k is prime iff k >= 2 and
-    spf[k] == k.
-
-    Each prime p <= isqrt(limit) from the shared table marks its multiples
-    from p*p on, the largest prime first, so that the least one marks last.
-    A composite k has its least prime factor p <= isqrt(k), and p*p <= k,
-    so p marks it; a prime keeps itself."""
-    if limit < 0:
-        raise ValueError(f"smallest_prime_factors needs limit >= 0, got {limit}")
-    spf = np.arange(limit + 1, dtype=np.int64)
-    for p in primes_upto(math.isqrt(limit))[::-1].tolist():
-        spf[p * p :: p] = p
-    return spf
 
 
 def totient_sieve(limit: int) -> np.ndarray:

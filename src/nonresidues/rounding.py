@@ -22,9 +22,7 @@ per instance is needed only where the instance itself enters a
 transcendental function.  There lower_log and lower_exp return the one
 endpoint needed as a raw (sign, man, exp, bc) tuple, from the libmp calls
 and rounding modes that mpmath's interval functions make for it, so no
-interval object is built.  fixed_log serves a sweep over many arguments of
-one logarithm: it rounds log(n) of an integer n to a multiple of
-2^-bits in a chosen direction, so that such endpoints add as integers.
+interval object is built.
 
 A chain of interval products of positive numbers needs no libmp call at
 all.  lower_product keeps the lower endpoint as a dyadic (man, exp), the
@@ -134,23 +132,6 @@ def lower_log(q: Fraction, prec: int = DEFAULT_PREC):
     """Raw lower endpoint of log(iv_from_fraction(q)) for a rational q > 0:
     the lower endpoint of q, its log rounded down."""
     return mpf_log(_lower_quotient(q, prec), prec, round_floor)
-
-
-def fixed_log(n: int, bits: int, up: bool = False) -> int:
-    """log(n) * 2^bits for an integer n >= 1, rounded to an integer: down,
-    or up if up is set.
-
-    One libmp log at bits + 32 bits rounds in that direction, and the shift
-    to bits fractional bits rounds the same way, so the result is at most
-    log(n) 2^bits, or at least it if up is set.  The log is off by less than
-    one unit in its last place, which is below 2^-(bits + 28) while
-    log n < 16 (n < 8.8 * 10^6), so there the result is within 1 + 2^-28
-    of log(n) 2^bits."""
-    _, man, exp, _ = mpf_log(from_int(n), bits + 32, round_ceiling if up else round_floor)
-    shift = exp + bits
-    if shift >= 0:
-        return man << shift
-    return -(-man >> -shift) if up else man >> -shift
 
 
 def lower_exp(q: Fraction, prec: int = DEFAULT_PREC):

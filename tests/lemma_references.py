@@ -18,23 +18,19 @@ from nonresidues.rounding import certify, certify_dyadic, lower_exp, lower_produ
 
 def reference_totient(x_max):
     """sweep_totient's grid, x = k/10 for 11 <= k <= 10 x_max, with exact
-    running sums: certify(_totient_rhs_upper with the table's logarithm,
-    _totient_lhs) per instance."""
+    running sums: certify(_totient_rhs_upper, _totient_lhs) per instance,
+    the comparison of check_totient_inequality."""
     rep = lm.LemmaReport("totient")
     phi = pr.totient_sieve(x_max).tolist()
-    ks = range(11, x_max * 10 + 1)
-    if not ks:
-        return rep
-    log_lo, e = lm._log_tenths_lo(ks[-1]), 1 << lm.LOG_TABLE_BITS
     s0, s1, floor_x = 1, Fraction(1), 1  # sums of phi(a) and phi(a)/a, a <= floor_x
-    for k in ks:
+    for k in range(11, x_max * 10 + 1):
         if (floor_x + 1) * 10 <= k:
             floor_x += 1
             s0 += phi[floor_x]
             s1 += Fraction(phi[floor_x], floor_x)
         x = k, 10
         lhs = lm._totient_lhs(x, s0, s1.as_integer_ratio())
-        rep.record({"x": f"{k}/10"}, *certify(lm._totient_rhs_upper(x, (log_lo[k], e)), lhs))
+        rep.record({"x": f"{k}/10"}, *certify(lm._totient_rhs_upper(x), lhs))
     return rep
 
 

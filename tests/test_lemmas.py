@@ -536,18 +536,6 @@ def test_totient_bound_rounds_the_logarithm_down(monkeypatch):
         assert got >= _hi(_interval_totient_rhs(x, HP)), x
 
 
-def test_log_tenths_table_is_a_tight_lower_bound():
-    # below the 256-bit enclosure of log(k/10), and within (Omega(k) + 2)
-    # units of 2^-128 of it, Omega(k) the prime factors with multiplicity
-    table, unit = lm._log_tenths_lo(2000), Fraction(1, 1 << lm.LOG_TABLE_BITS)
-    for k in range(1, 2001):
-        got = table[k] * unit
-        hp_lo = _lo(HP.log(iv_from_fraction(Fraction(k, 10), HP)))
-        omega = sum(pr.factorize(k).values())
-        assert got <= hp_lo, k
-        assert hp_lo - got <= (omega + 2) * unit, k
-
-
 @pytest.mark.parametrize("x_max", [2, 300])
 def test_totient_sweep_matches_the_single_call_path(x_max, lemma_records, fold_calls):
     # every reference instance's verdict and slack is the one the
@@ -646,18 +634,21 @@ def test_totient_sweep_segment_matches_single_calls():
     assert single.passed
 
 
-def test_totient_sweep_takes_no_log_per_instance(monkeypatch):
-    # one libmp log per prime up to 10 x_max and one for 10, none per instance
+def test_totient_sweep_takes_no_log_per_instance(monkeypatch, fold_calls):
+    # one libmp log per exact cell, the one of check_totient_inequality, and
+    # the grids' one exact cell is x = 1.1
     calls, log = [], rd.mpf_log
     monkeypatch.setattr(rd, "mpf_log", lambda *a: calls.append(a) or log(*a))
     for x_max in (2, 120):
         calls.clear()
+        fold_calls.clear()
         assert lm.sweep_totient(x_max).instances_run == 10 * x_max - 10
-        assert 0 < len(calls) <= len(pr.primes_upto(10 * x_max)) + 1
+        assert [c.exact for c in fold_calls] == [[0]]
+        assert len(calls) == 1
 
 
-def test_totient_sweep_without_instances_builds_no_table(monkeypatch):
-    monkeypatch.setattr(lm, "_log_tenths_lo", lambda k_max: pytest.fail("built a table"))
+def test_totient_sweep_without_instances_takes_no_log(monkeypatch):
+    monkeypatch.setattr(rd, "mpf_log", lambda *a: pytest.fail("took a log"))
     for x_max in (0, 1):
         assert lm.sweep_totient(x_max).instances_run == 0
         with pytest.raises(ValueError, match="the totient grid holds no instances"):
@@ -1017,6 +1008,16 @@ def test_shifted_sum_higher_order_character():
     assert c.min_abs == pytest.approx(h, abs=1e-6)  # j = 0: equality
 
 
+def test_shifted_sum_reads_a_uniform_window_as_exactly_h():
+    # p = 1423, d = 3: the one window of J*(3, 1) holds four equal roots, and
+    # the float kernel gives its |w|^2 just below h^2 = 16
+    inst = lm.build_instance(1423, 3, 2, 4)
+    itv = lm.farey_interval("J*", 3, 1, 1423, inst.nf.H, 4)
+    c = lm.check_shifted_sum_lower(inst.spec, inst.nf, 4, itv)
+    assert (inst.nf.j, c.points_checked) == (0, 1)
+    assert c.passed and c.min_abs == c.threshold == 4
+
+
 def test_shifted_sum_passes_only_certified_windows(monkeypatch):
     # with a kernel error too wide to clear any bound, only windows whose
     # values are all one nonzero root (|w| = h exactly) may still pass
@@ -1318,8 +1319,8 @@ def test_float_slacks_stay_within_their_proved_bounds(lemma, grid, lemma_records
 
 def test_verify_small_grid_takes_the_exact_path_only_where_needed(fold_calls):
     # verify-small's grid: s-upper and totient decide one cell each exactly,
-    # their first (the minimum slack); convexity exactly its 1,600 j = 0
-    # cells, whose slack is 0, and nothing else
+    # their first (the minimum slack); convexity none, since its j = 0
+    # cells, whose slack is 0, are exact in the columns (err = 0)
     for sweep, grid, n_exact in ((lm.sweep_s_upper, (37, 8, 6), 1),
                                  (lm.sweep_totient, (120,), 1)):
         fold_calls.clear()
@@ -1327,10 +1328,10 @@ def test_verify_small_grid_takes_the_exact_path_only_where_needed(fold_calls):
         assert sum(len(c.exact) for c in fold_calls) == n_exact
         assert fold_calls[0].exact == [0] and rep.worst_instance is not None
     fold_calls.clear()
-    lm.sweep_convexity(40, 40)
-    for h, call in enumerate(fold_calls, 1):
-        assert call.exact == list(range(40)), h  # j = 0 is the chunk's first row
-    assert sum(len(c.exact) for c in fold_calls) == 1600
+    rep = lm.sweep_convexity(40, 40)
+    assert len(fold_calls) == 40 and sum(len(c.exact) for c in fold_calls) == 0
+    assert all((c.err[:40] == 0).all() and (c.est[:40] == 0).all() for c in fold_calls)
+    assert (rep.min_slack, rep.worst_instance) == (0.0, {"h": 1, "r": 1, "j": 0})
 
 
 def test_sweeps_on_the_exact_path_alone_are_the_reference(monkeypatch, lemma_records):
@@ -1410,13 +1411,14 @@ def test_fold_keeps_the_first_of_tied_minima():
 def test_fold_sends_border_cells_to_the_exact_path():
     # a cell whose interval holds 0 takes its verdict from the exact path,
     # whatever side of 0 its estimate is on; a sure failure is exact only as
-    # a minimum candidate
+    # a minimum candidate; a finite est with err = 0 is the exact slack, so
+    # such a cell needs no call on the border or as a (tied) minimum
     cells = [_cell(0.05), _cell(-0.01, est=0.05), _cell(0.0), _cell(-3), _cell(-2.5),
-             _cell(2), _cell(1e-3, err=0.0)]
+             _cell(2), _cell(1e-3, err=0.0), _cell(0.0, err=0.0), _cell(-3.0, err=0.0)]
     rep, exact = _fold_against_record([cells])
     assert exact == [[0, 1, 2, 3]]
-    assert (rep.passes, rep.failures, rep.min_slack) == (4, 3, -3)
-    assert rep.failure_examples == [{"i": 1}, {"i": 3}, {"i": 4}]
+    assert (rep.passes, rep.failures, rep.min_slack, rep.worst_instance) == (5, 4, -3, {"i": 3})
+    assert rep.failure_examples == [{"i": 1}, {"i": 3}, {"i": 4}, {"i": 8}]
 
 
 def test_fold_keeps_the_first_ten_of_twelve_failures():
@@ -1439,7 +1441,7 @@ def test_fold_skips_none_and_nan_slacks_and_unbounded_cells():
     assert exact == [[0, 1, 2, 3, 4, 5, 6]]
     assert (rep.min_slack, rep.worst_instance, rep.failures) == (1.0, {"i": 4}, 2)
     rep, exact = _fold_against_record([[(math.nan, 0.0, True, None)]])
-    assert rep.min_slack is None and rep.worst_instance is None
+    assert exact == [[0]] and rep.min_slack is None and rep.worst_instance is None
 
 
 
@@ -1489,11 +1491,12 @@ def test_run_verification_refuses_an_empty_selection_and_runs_a_name_once(monkey
     assert len(runs) == 1 and list(rep["lemmas"]) == ["stirling"]
 
 
-# Reports of the reduced benchmark grid at two seeds, elapsed_s stripped, as
-# the rational-arithmetic certificates wrote them before they moved to plain
-# integers: every verdict, slack, count and message must stay byte for byte
-# the same.
-@pytest.mark.parametrize("seed", [5, 11])
+# Reports of the reduced benchmark grid at seeds 5 and 11, as the
+# rational-arithmetic certificates wrote them before they moved to plain
+# integers, and of the default `verify --all` grid (seed 0), as the float
+# column sweeps wrote it, elapsed_s stripped: every verdict, slack, count
+# and message must stay byte for byte the same.
+@pytest.mark.parametrize("seed", [0, 5, 11])
 def test_verify_report_matches_golden(seed):
     path = pathlib.Path(__file__).parent / "data" / f"verify_report_seed{seed}.json"
     want = path.read_text()

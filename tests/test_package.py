@@ -1,10 +1,12 @@
 """The package's import surface: exported names, and what a scan job loads."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,3 +88,36 @@ def test_lemmas_load_on_first_use():
               nonresidues.lemmas.SumStats is nonresidues.SumStats)
     """)
     assert out.split() == ["False", "True", "True"]
+
+
+# Module-level functions of rounding and primes that nothing in the package
+# calls, each with the reason it stays.
+UNCALLED_HELPERS = {
+    "euler_phi": "the tests' reference for totient_sieve",
+}
+
+
+def _named(node):
+    """Every identifier that node names: variables, attributes, imported
+    names, and string constants such as the entries of __all__."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_rounding_and_primes_helpers_have_a_caller():
+    # a helper that only its own def names is dead code; the allowlist must
+    # name uncalled helpers only, so that it cannot go stale
+    trees = {path.name: ast.parse(path.read_text())
+             for path in (SRC / "nonresidues").glob("*.py")}
+    named = Counter(name for tree in trees.values() for name in _named(tree))
+    uncalled = {node.name for module in ("rounding.py", "primes.py")
+                for node in trees[module].body if isinstance(node, ast.FunctionDef)
+                and named[node.name] == Counter(_named(node))[node.name]}
+    assert uncalled == set(UNCALLED_HELPERS)

@@ -247,17 +247,6 @@ def test_totient_sieve_refuses_a_negative_limit():
             pr.totient_sieve(limit)
 
 
-def test_smallest_prime_factors_match_factorize():
-    spf = pr.smallest_prime_factors(5000)
-    assert spf[:2].tolist() == [0, 1]
-    for k in range(2, 5001):
-        assert int(spf[k]) == min(pr.factorize(k)), k
-    assert pr.smallest_prime_factors(0).tolist() == [0]
-    assert pr.smallest_prime_factors(1).tolist() == [0, 1]
-    with pytest.raises(ValueError, match="limit >= 0"):
-        pr.smallest_prime_factors(-1)
-
-
 def test_errors():
     with pytest.raises(ValueError):
         pr.factorize(0)

@@ -108,20 +108,6 @@ def test_lower_log_is_the_interval_log_endpoint():
         assert rd.lower_log(x) == rd.IV.log(rd.iv_from_fraction(x))._mpi_[0], x
 
 
-def test_fixed_log_rounds_each_way_within_one_unit():
-    ctx = rd.interval_context(256)
-    for n in [*range(1, 300), 10**6 + 3, 8_800_000]:
-        exact = ctx.log(ctx.mpf(n))
-        lo, hi = Fraction(*rd.lower(exact)), Fraction(*rd.upper(exact))
-        for bits in (0, 1, 64, 128):
-            down, up = rd.fixed_log(n, bits), rd.fixed_log(n, bits, up=True)
-            scale = 2**bits
-            assert down <= lo * scale and up >= hi * scale, (n, bits)
-            assert hi * scale - down < 1 + Fraction(1, 2**28), (n, bits)
-            assert up - lo * scale < 1 + Fraction(1, 2**28), (n, bits)
-    assert rd.fixed_log(1, 128) == rd.fixed_log(1, 128, up=True) == 0
-
-
 def test_lower_log_rounds_wide_operands_like_the_interval():
     # numerators and denominators wider than the 96-bit precision are
     # rounded outward before the quotient
