@@ -35,8 +35,8 @@ the lower endpoints of sqrt(2)(2r/e)^r and sqrt(p), and the upper endpoint
 of 9/pi^2, each an integer ratio (n, d).  Each instance multiplies them by
 positive exact integers, and every exact verdict and slack comes from one
 call of rounding.certify(small, big).  The only per-instance interval work
-is one raw logarithm endpoint in a single call of check_totient_inequality
-or check_proposition_lower.
+is one raw logarithm or exponential endpoint in a single call of
+check_totient_inequality, check_proposition_lower or check_convexity_bound.
 
 The closed-form sweeps (totient, convexity, s-upper) decide their grids
 in float64 columns, one LemmaReport.fold per chunk: per x_max, per h and
@@ -46,13 +46,12 @@ and |est - fl(s)|.  A cell with est - err > 0 passes and one with
 est + err < 0 fails; only the cells whose interval holds 0, and those that
 could set the report's first minimum slack, take the exact path above.  So
 every pass is still a certificate, and every report field is the one a
-per-instance loop gives.  A totient cell's exact path is one call of
-check_totient_inequality, so one libmp log; convexity takes one
-exponential endpoint per (h, j) and chains its powers in integers
-(rounding.lower_product, compared by rounding.certify_dyadic), and its
-j = 0 rows, exact equalities, are decided in the columns; s-upper needs
-no libmp call.  Disjointness sorts exact int64 endpoint keys, a floor
-and a fraction over lcm(1..floor X), with one lexsort.
+per-instance loop gives.  A cell's exact path is its lemma's
+single-instance check: check_totient_inequality (one libmp log),
+check_convexity_bound (one libmp exp) and check_S_upper on the column's
+moment (no libmp call).  Convexity's j = 0 rows, exact equalities, are
+decided in the columns.  Disjointness sorts exact int64 endpoint keys, a
+floor and a fraction over lcm(1..floor X), with one lexsort.
 
 Every character sum comes from one window kernel (_window_m2) over the
 spec's one table of values (CharacterSpec.values).  One pass grows the
@@ -88,12 +87,10 @@ from .rounding import (
     DEFAULT_PREC,
     IV,
     certify,
-    certify_dyadic,
     interval_context,
     lower,
     lower_exp,
     lower_log,
-    lower_product,
     minus,
     ratio,
     to_float,
@@ -158,14 +155,9 @@ class SumStats:
 
     def upper(self) -> tuple[int, int]:
         """value + error_bound exactly, as an unreduced ratio (n, d), d > 0."""
-        return _upper_end(self.value, self.error_bound)
-
-
-def _upper_end(value: int | float, error_bound: float) -> tuple[int, int]:
-    """value + error_bound exactly, as an unreduced ratio (n, d), d > 0."""
-    if not error_bound:  # an exact moment
-        return value.as_integer_ratio()
-    return minus(value.as_integer_ratio(), (-error_bound).as_integer_ratio())
+        if not self.error_bound:  # an exact moment
+            return self.value.as_integer_ratio()
+        return minus(self.value.as_integer_ratio(), (-self.error_bound).as_integer_ratio())
 
 
 def _check_stats(p: int, h: int, r: int, stats: SumStats | None) -> None:
@@ -366,9 +358,8 @@ def _sqrt_lo(p: int) -> tuple[int, int]:
 def _s_upper_rhs_lo(p: int, h: int, r: int) -> tuple[int, int]:
     """Lower bound on sqrt(2)(2r/e)^r p h^r + (2r-1) sqrt(p) h^(2r), as an
     unreduced ratio (n, d): the cached lower endpoints of sqrt(2)(2r/e)^r
-    and sqrt(p) times positive integers, summed exactly.  check_S_upper and
-    sweep_s_upper both decide certify(stats.upper(), this), S taken at
-    value + error_bound."""
+    and sqrt(p) times positive integers, summed exactly.  check_S_upper
+    decides certify(stats.upper(), this), S taken at value + error_bound."""
     hr = h**r
     (a, a_d), (b, b_d) = _stirling_rhs_lo(r), _sqrt_lo(p)
     return a * (p * hr) * b_d + b * ((2 * r - 1) * hr * hr) * a_d, a_d * b_d
@@ -1113,55 +1104,45 @@ def sweep_totient(x_max: int = 5000) -> LemmaReport:
 
 def sweep_convexity(h_max: int = 200, r_max: int = 200) -> LemmaReport:
     """All (h <= h_max, r <= r_max, j <= h/8), one fold per h of its cells
-    in (j, r) order: certify (h/(h-2j))^(2r) <= the lower endpoint of the
-    interval product 1 * base * ... * base, base = exp(16j/(3h)).
+    in (j, r) order: certify (h/(h-2j))^(2r) <= exp(16rj/(3h)).
 
-    One libmp exponential per (h, j) gives base's lower endpoint B
-    (rounding.lower_exp).  Exact path: lower_product chains the endpoint in
-    integers (1 * base is exact, so the chain starts at B), truncating the
-    exact product of two positive mantissas to 96 bits at each step:
-    rounding a positive value down is truncation, so this is the value of
-    mpmath's round_floor product.  The chain runs per j only as far as an
-    exact cell needs it.  h/(h-2j) is reduced by its gcd (the j = 0 rows
-    become (1, 1)), and certify_dyadic compares its 2r-th power with the
-    endpoint by shifts.  The slack's float is the correctly rounded
-    quotient of the same exact value, so every verdict and slack is that of
-    certify against the interval product's lower endpoint.
+    Exact path: check_convexity_bound(h, r, j), whose slack is s = X - Y,
+    X = lower_exp's endpoint of exp(ra), a = 16j/(3h) <= 2/3, and
+    Y = (h/(h-2j))^(2r).
 
-    Float columns: x = the cumprod over r of b = fl(B), y = the cumprod of
-    t = fl(h^2 / (h-2j)^2), a correctly rounded int quotient.  b^r carries
-    2r - 1 roundings, and the chain's value lo_r lies in
-    [(1 - 2^-95)^(r-1) B^r, B^r], so x is within gamma_(2r-1) + 2u of lo_r,
-    below gamma_(2r+1) (r 2^-95 <= 2u while r <= 2^43); y is within
-    gamma_(2r-1) of the exact power.  _float_slack then bounds est with
-    k = 2r + 1; both columns are at least 1.
+    Float columns: x = the cumprod over r of b = exp(fl(a)) from libm
+    (math.exp, as sweep_totient takes math.log), y = the cumprod of
+    t = fl(h^2 / (h-2j)^2); fl(a) and t are correctly rounded int
+    quotients.  |fl(a) - a| <= 2u/3, and glibc documents exp within 1 ulp,
+    at most 2u b as b < 2, so b = exp(a)(1 + theta) with |theta| < 3u:
+    b^r is within gamma_(3r) of exp(ra), and x, after r - 1 roundings,
+    within gamma_(4r-1).  lower_exp rounds ra down at 96 bits (16rj and 3h
+    are exact below 2^96) and its exp down again, so
+    exp(ra) - X < (ra + 2) 2^-95 exp(ra) <= u X while ra <= 2^40: x is
+    within gamma_(4r) of X, and y within gamma_(2r-1) of Y.  _float_slack
+    then bounds est with k = 4r (err is inf from 4r u > 2^-20 on, long
+    before ra reaches 2^40); both columns are at least 1.
     """
     rep = LemmaReport("convexity")
-    k = 2 * np.arange(1, r_max + 1) + 1
+    k = 4 * np.arange(1, r_max + 1)
     for h in range(1, h_max + 1):
-        bases, b, t = [], [], []
-        for j in range(0, h // 8 + 1):
-            _, man, exp, _ = lower_exp(Fraction(16 * j, 3 * h))
-            bases.append((int(man), exp))
-            b.append(math.ldexp(int(man), exp))  # float(int) rounds to nearest
-            t.append(h * h / (h - 2 * j) ** 2)
-        shape = len(bases), r_max
+        js = range(h // 8 + 1)
+        b = [math.exp(16 * j / (3 * h)) for j in js]
+        t = [h * h / (h - 2 * j) ** 2 for j in js]
+        shape = len(js), len(k)
         est, err = _float_slack(np.cumprod(np.broadcast_to(np.array(b)[:, None], shape), axis=1),
                                 np.cumprod(np.broadcast_to(np.array(t)[:, None], shape), axis=1),
                                 k)
-        err[0] = 0  # j = 0: B = exp(0) = 1 and t = h^2/h^2 = 1 exactly, so est = s = 0
-        chains = [[1, base] for base in bases]  # per j: r and the chain's endpoint at r
+        err[0] = 0  # j = 0: b = exp(0.0) = 1 and t = h^2/h^2 = 1 exactly, so est = s = 0
+
+        def instance(i: int) -> dict:
+            return {"h": h, "r": i % r_max + 1, "j": i // r_max}
 
         def exact(i: int) -> tuple[bool, float]:
-            j, r = divmod(i, r_max)
-            chain, r = chains[j], r + 1
-            while chain[0] < r:
-                chain[0], chain[1] = chain[0] + 1, lower_product(chain[1], bases[j])
-            g = math.gcd(h, 2 * j)
-            return certify_dyadic(((h // g) ** (2 * r), ((h - 2 * j) // g) ** (2 * r)), chain[1])
+            c = check_convexity_bound(**instance(i))
+            return c.passed, c.slack
 
-        rep.fold(est.ravel(), err.ravel(), exact,
-                 lambda i: {"h": h, "r": i % r_max + 1, "j": i // r_max})
+        rep.fold(est.ravel(), err.ravel(), exact, instance)
     return rep
 
 
@@ -1178,9 +1159,8 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
     are exact integers, and one window pass over the stacked values of
     all orders d > 2.  Each character's row of that stack is C-contiguous
     and reduced on its own, so its moments and error bounds are bit for
-    bit those of a call on it alone.  Exact path: check_S_upper's
-    certify(value + error_bound, _s_upper_rhs_lo), with the right side
-    computed at most once per (p, h, r).
+    bit those of a call on it alone.  Exact path: check_S_upper on the
+    column's moment, compared at value + error_bound.
 
     Float columns: x = fl(A_f p h^r + B_f (2r-1) h^(2r)) with A_f, B_f the
     rounded endpoints of sqrt(2)(2r/e)^r and sqrt(p), and h^r, h^(2r)
@@ -1208,14 +1188,12 @@ def sweep_s_upper(p_max: int = 300, h_max: int = 8, r_max: int = 6) -> LemmaRepo
         h2r = np.array([h ** (2 * r) for h, r in grid], dtype=float)
         rhs = a_f[r - 1] * p * hr + to_float(*_sqrt_lo(p)) * (2 * r - 1) * h2r
         est, err = _float_slack(rhs, values + errors, 5)
-        rhs_lo = {}
 
         def exact(i: int) -> tuple[bool, float]:
             s, g = divmod(i, len(grid))
-            if grid[g] not in rhs_lo:
-                rhs_lo[grid[g]] = _s_upper_rhs_lo(p, *grid[g])
             v = quad[0][g] if s == 0 else float(values[s, g])
-            return certify(_upper_end(v, float(errors[s, g])), rhs_lo[grid[g]])
+            c = check_S_upper(specs[s], *grid[g], SumStats(p, *grid[g], v, float(errors[s, g])))
+            return c.passed, c.slack
 
         def instance(i: int) -> dict:
             s, g = divmod(i, len(grid))

@@ -160,7 +160,8 @@ class OrderPolicy:
 class ScanTask:
     """A fully specified scan; hashable so checkpoints can refuse strangers.
 
-    c is the frozen constant; it may be None when the bound is not checked.
+    c is the frozen constant, a positive finite number; it may be None when
+    the bound is not checked.
     """
 
     p_lo: int
@@ -186,8 +187,8 @@ class ScanTask:
             raise ValueError(f"search_cap must be >= 1, got {self.search_cap}")
         if self.p_hi >= 3:  # 3 is the least prime with a record
             bound_shape(self.n_max, self.p_hi)  # the largest shape; refuses overflow
-        if self.c is not None and not math.isfinite(self.c):
-            raise ValueError(f"c must be a finite number, got {self.c!r}")
+        if self.c is not None and not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be a positive finite number, got {self.c!r}")
         if self.check_bound:
             if self.n_max > self.n0:
                 raise ValueError(

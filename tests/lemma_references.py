@@ -13,7 +13,7 @@ from fractions import Fraction
 from nonresidues import lemmas as lm
 from nonresidues import primes as pr
 from nonresidues.characters import CharacterSpec
-from nonresidues.rounding import certify, certify_dyadic, lower_exp, lower_product
+from nonresidues.rounding import certify
 
 
 def reference_totient(x_max):
@@ -35,20 +35,14 @@ def reference_totient(x_max):
 
 
 def reference_convexity(h_max, r_max):
-    """sweep_convexity's grid in (h, j, r) order: h^(2r) / (h-2j)^(2r)
-    against the integer chain of lower_product from base = lower_exp's
-    endpoint of exp(16j/(3h)), by certify_dyadic."""
+    """sweep_convexity's grid in (h, j, r) order, each cell certified by
+    check_convexity_bound."""
     rep = lm.LemmaReport("convexity")
     for h in range(1, h_max + 1):
-        nums = [h ** (2 * r) for r in range(1, r_max + 1)]
         for j in range(0, h // 8 + 1):
-            _, man, exp, _ = lower_exp(Fraction(16 * j, 3 * h))
-            base = lo = int(man), exp
-            den, step = 1, (h - 2 * j) ** 2
-            for r, num in enumerate(nums, 1):
-                den *= step
-                rep.record({"h": h, "r": r, "j": j}, *certify_dyadic((num, den), lo))
-                lo = lower_product(lo, base)
+            for r in range(1, r_max + 1):
+                c = lm.check_convexity_bound(h, r, j)
+                rep.record({"h": h, "r": r, "j": j}, c.passed, c.slack)
     return rep
 
 

@@ -231,6 +231,18 @@ def test_non_finite_float_options_exit_2(argv, value):
     assert "not a finite number" in main_in_process(argv)[1]
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("check", [[], ["--no-bound-check"]], ids=["checked", "unchecked"])
+def test_scan_constant_that_is_not_positive_exits_2(value, check, tmp_path):
+    # --no-bound-check --c -1 exited 0 with "c": -1.0 in the summary
+    summary = tmp_path / "s.json"
+    argv = ["scan", "--p-lo", "1e7", "--p-hi", "1.00001e7", *check, "--c", value,
+            "--summary", str(summary)]
+    assert_refused(argv)
+    assert "c must be a positive finite number" in main_in_process(argv)[1]
+    assert not summary.exists()
+
+
 def test_bound_text_and_json(capsys):
     code, out, _ = run_cli(["bound", "--n", "1", "--p", "1e7"], capsys)
     assert code == 0 and "1.530" in out and "q_1" in out

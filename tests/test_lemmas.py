@@ -376,19 +376,32 @@ def test_s_upper_sweep_cuts_r_at_9h_and_matches_single_h_moments():
             assert s == lm.exact_sum_S(spec, h, r), (p, d, h, r)
 
 
-def test_s_upper_sweep_computes_each_exact_right_side_once(monkeypatch, fold_calls):
-    # _s_upper_rhs_lo runs only for the cells of the exact path, at most once
-    # per (p, h, r), shared by every order d
-    calls, rhs_lo = [], lm._s_upper_rhs_lo
-    monkeypatch.setattr(lm, "_s_upper_rhs_lo", lambda *a: calls.append(a) or rhs_lo(*a))
+def test_s_upper_sweep_decides_each_exact_cell_by_one_check(monkeypatch, fold_calls,
+                                                            lemma_records):
+    # with the cells of est < 20 forced onto the exact path, each exact cell
+    # is one check_S_upper call on the column's moment, and its verdict and
+    # slack are the reference's for that cell
+    calls, check = [], lm.check_S_upper
+
+    def counted(spec, h, r, stats):
+        c = check(spec, h, r, stats)
+        calls.append(((spec.p, spec.d, h, r), c.passed, c.slack.hex()))
+        return c
+
+    monkeypatch.setattr(lm, "check_S_upper", counted)
     fold = lm.LemmaReport.fold
     monkeypatch.setattr(lm.LemmaReport, "fold", lambda self, est, err, exact, instance:
                         fold(self, est, np.where(est < 20, np.inf, err), exact, instance))
     rep = lm.sweep_s_upper(37, 8, 12)
-    want = {(p, h, r) for p, _, hs in _s_upper_grid(37, 8) for h in hs
-            for r in range(1, min(12, 9 * h) + 1)}
-    assert len(calls) == len(set(calls)) and set(calls) < want
-    assert 1 < len(calls) < rep.instances_run
+    reference = reference_s_upper(37, 8, 12)
+    want, offset = [], 0
+    for call in fold_calls:
+        for i in call.exact:
+            instance, passed, slack, _ = lemma_records[offset + i]
+            want.append((tuple(instance.values()), passed, slack.hex()))
+        offset += len(call.est)
+    assert calls == want and 1 < len(calls) < rep.instances_run
+    assert_sweep_is_the_reference(rep, fold_calls, reference, lemma_records)
 
 
 def test_s_upper_sweep_builds_each_prime_once(monkeypatch):
@@ -1249,10 +1262,11 @@ def test_convexity_integer_comparison_matches_fractions():
 
 
 def test_convexity_sweep_compares_the_chained_interval_product(lemma_records, fold_calls):
-    # every reference verdict and slack is certify's against the lower
-    # endpoint of the interval product 1 * base * ... * base, base =
-    # exp(16j/(3h)), and the column sweep gives the reference's verdicts and
-    # report
+    # check_convexity_bound compares with the lower endpoint of one interval
+    # exp(16rj/(3h)); on this grid each of its verdicts and slacks is
+    # certify's against the lower endpoint of the interval product
+    # 1 * base * ... * base, base = exp(16j/(3h)), as well, and the column
+    # sweep gives the reference's verdicts and report
     reference = reference_convexity(40, 40)
     want = []
     for h in range(1, 41):
@@ -1335,14 +1349,24 @@ def test_verify_small_grid_takes_the_exact_path_only_where_needed(fold_calls):
 
 
 def test_sweeps_on_the_exact_path_alone_are_the_reference(monkeypatch, lemma_records):
-    # with every err infinite, every cell takes the exact path: each sweep's
-    # exact closure, with its lazy integer chain and sums, gives the reference
-    fold = lm.LemmaReport.fold
-    monkeypatch.setattr(lm.LemmaReport, "fold", lambda self, est, err, exact, instance:
-                        fold(self, est, np.full(len(est), np.inf), exact, instance))
+    # with every err infinite, every cell takes the exact path, in instance
+    # order: each sweep's exact closure, its lemma's single-instance check,
+    # gives the reference's verdict and slack bits cell by cell, and its report
+    fold, decided = lm.LemmaReport.fold, []
+
+    def forced(self, est, err, exact, instance):
+        return fold(self, est, np.full(len(est), np.inf),
+                    lambda i: decided.append(exact(i)) or decided[-1], instance)
+
+    monkeypatch.setattr(lm.LemmaReport, "fold", forced)
     for lemma, grid in (("totient", (40,)), ("convexity", (33, 17)), ("s-upper", (41, 6, 9))):
         sweep, reference = COLUMN_SWEEPS[lemma]
-        assert report_fields(sweep(*grid)) == report_fields(reference(*grid)), lemma
+        decided.clear()
+        lemma_records.clear()
+        rep = sweep(*grid)
+        assert report_fields(rep) == report_fields(reference(*grid)), lemma
+        assert ([(passed, slack.hex()) for passed, slack in decided]
+                == [(passed, slack.hex()) for _, passed, slack, _ in lemma_records]), lemma
 
 
 def test_convexity_preconditions():
@@ -1465,6 +1489,17 @@ def test_run_verification_refuses_grids_without_instances():
         for hs, rs in (((2,), []), ([], (1,)), ([], [])):
             with pytest.raises(ValueError, match="need some 1 <= h < p"):
                 lm._sum_S_multi(spec, hs, rs)
+
+
+@pytest.mark.parametrize("grid", [(40, 0), (40, -1), (40, -7), (0, 40), (-3, 40)])
+def test_convexity_sweep_without_r_or_h_is_an_empty_grid(grid):
+    # r_max < 0 raised numpy's "all elements of broadcast shape must be
+    # non-negative" instead of giving the empty grid
+    rep = lm.sweep_convexity(*grid)
+    assert (rep.instances_run, rep.passes, rep.min_slack) == (0, 0, None)
+    cfg = lm.VerifyConfig(convexity_h_max=grid[0], convexity_r_max=grid[1])
+    with pytest.raises(ValueError, match="the convexity grid holds no instances"):
+        lm.run_verification(["convexity"], cfg)
 
 
 def test_run_verification_selectors_and_shape():

@@ -90,10 +90,12 @@ def test_lemmas_load_on_first_use():
     assert out.split() == ["False", "True", "True"]
 
 
-# Module-level functions of rounding and primes that nothing in the package
-# calls, each with the reason it stays.
+# Module-level functions of the package that nothing in it calls, as
+# "<module>.<name>", each with the reason it stays.
 UNCALLED_HELPERS = {
-    "euler_phi": "the tests' reference for totient_sieve",
+    "primes.euler_phi": "the tests' reference for totient_sieve",
+    "cli.schema_path": "the tests' locator for the JSON schemas",
+    "__init__.__getattr__": "the PEP 562 hook that loads exports lazily",
 }
 
 
@@ -111,13 +113,13 @@ def _named(node):
             yield n.value
 
 
-def test_rounding_and_primes_helpers_have_a_caller():
+def test_module_level_helpers_have_a_caller():
     # a helper that only its own def names is dead code; the allowlist must
     # name uncalled helpers only, so that it cannot go stale
-    trees = {path.name: ast.parse(path.read_text())
+    trees = {path.stem: ast.parse(path.read_text())
              for path in (SRC / "nonresidues").glob("*.py")}
     named = Counter(name for tree in trees.values() for name in _named(tree))
-    uncalled = {node.name for module in ("rounding.py", "primes.py")
-                for node in trees[module].body if isinstance(node, ast.FunctionDef)
+    uncalled = {f"{module}.{node.name}" for module, tree in trees.items()
+                for node in tree.body if isinstance(node, ast.FunctionDef)
                 and named[node.name] == Counter(_named(node))[node.name]}
     assert uncalled == set(UNCALLED_HELPERS)

@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpmath.libmp import mpf_mul, round_floor
-
 from nonresidues import rounding as rd
 
 rationals = st.builds(
@@ -126,80 +124,11 @@ def test_lower_log_matches_on_random_rationals(q):
     assert rd.lower_log(q, 150) == ctx.log(rd.iv_from_fraction(q, ctx))._mpi_[0]
 
 
-def _dyadic(raw):
-    """A positive raw endpoint (0, man, exp, bc) as the dyadic (man, exp)."""
-    sign, man, exp, _ = raw
-    assert not sign and man > 0
-    return int(man), exp
-
-
-def _dyadic_value(x):
-    man, exp = x
-    return Fraction(man) * Fraction(2) ** exp
-
-
 def test_lower_exp_is_the_interval_exp_endpoint():
     qs = [Fraction(16 * j, 3 * h) for h in range(1, 201) for j in range(h // 8 + 1)]
-    qs += [Fraction(16 * 200 * j, 3 * 200) for j in range(26)]  # exp >= 0 in the chain
+    qs += [Fraction(16 * 200 * j, 3 * 200) for j in range(26)]  # check_convexity_bound at r = 200
     qs += [Fraction(n, d) for n, d in ((1, 10**30), (2**96 + 1, 2**97 - 1), (0, 1))]
     for q in qs:
         assert rd.lower_exp(q) == rd.IV.exp(rd.iv_from_fraction(q))._mpi_[0], q
     ctx, q = rd.interval_context(150), Fraction(7, 3)
     assert rd.lower_exp(q, 150) == ctx.exp(rd.iv_from_fraction(q, ctx))._mpi_[0]
-
-
-def test_lower_product_is_the_chained_interval_product():
-    # the convexity sweep's powers exp(16j/(3h))^r, h <= 40 and r <= 200, so
-    # that the chain reaches endpoints with exp >= 0
-    seen_exps = set()
-    for h in range(1, 41):
-        for j in range(h // 8 + 1):
-            base = rd.IV.exp(rd.IV.mpf(16 * j) / (3 * h))
-            rhs, lo = rd.IV.mpf(1), _dyadic(base._mpi_[0])
-            for r in range(1, 201):
-                rhs = rhs * base
-                assert _dyadic_value(lo) == _reference_fraction(rhs._mpi_[0]), (h, j, r)
-                seen_exps.add(lo[1] >= 0)
-                lo = rd.lower_product(lo, _dyadic(base._mpi_[0]))
-    assert seen_exps == {True, False}
-
-
-def test_lower_product_exact_and_wide_operands():
-    # a product within 96 bits needs no rounding and is kept exactly
-    assert rd.lower_product((3, -2), (5, 7)) == (15, 5)
-    assert rd.lower_product((2**48 - 1, 0), (2**48 + 1, 3)) == (2**96 - 1, 3)
-    # one bit over: the low bit is cut, rounding down
-    assert rd.lower_product((2**48 + 1, 0), (2**48 + 1, 0)) == (2**95 + 2**48, 1)
-    # a mantissa with trailing zeros rounds to the same value mpmath gives
-    x, y = (3 << 90, -100), (5**40, 4)
-    got = rd.lower_product(x, y)
-    want = mpf_mul((0, 3, -10, 2), (0, 5**40, 4, (5**40).bit_length()), 96, round_floor)
-    assert _dyadic_value(got) == _reference_fraction(want)
-
-
-positive = rationals.filter(lambda q: q > 0)
-
-
-@settings(deadline=None, max_examples=300)
-@given(positive, positive, st.integers(min_value=-400, max_value=400))
-def test_lower_product_matches_on_random_positive_intervals(q1, q2, shift):
-    # shift moves x so that endpoints and products with exp >= 0 occur
-    x = rd.iv_from_fraction(q1) * rd.IV.mpf(2) ** shift
-    y = rd.iv_from_fraction(q2)
-    got = rd.lower_product(_dyadic(x._mpi_[0]), _dyadic(y._mpi_[0]))
-    assert _dyadic_value(got) == _reference_fraction((x * y)._mpi_[0])
-    assert got[0].bit_length() <= rd.DEFAULT_PREC
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.integers(min_value=-(10**60), max_value=10**60),
-       st.integers(min_value=1, max_value=10**60),
-       st.integers(min_value=1, max_value=2**96),
-       st.integers(min_value=-300, max_value=300))
-def test_certify_dyadic_is_certify_against_the_endpoint(n, d, man, exp):
-    # the same verdict and slack bits as certify against ratio's reading
-    want = rd.certify((n, d), rd.ratio((0, man, exp, man.bit_length())))
-    got = rd.certify_dyadic((n, d), (man, exp))
-    assert (got[0], got[1].hex()) == (want[0], want[1].hex())
-    # an exact tie is an equality, with slack 0
-    assert rd.certify_dyadic((man * 2**max(exp, 0), 2**max(-exp, 0)), (man, exp)) == (True, 0.0)

@@ -399,6 +399,15 @@ def test_scan_task_refuses_a_non_finite_constant(c, check_bound):
         sc.ScanTask.make(10**7, 10**7 + 10, c=c, check_bound=check_bound)
 
 
+@pytest.mark.parametrize("check_bound", [True, False])
+@pytest.mark.parametrize("c", [-1.0, 0.0])
+def test_scan_task_refuses_a_constant_that_is_not_positive(c, check_bound):
+    # unchecked, c = -1 ran and wrote "c": -1.0 into a summary that its
+    # schema refuses (exclusiveMinimum 0)
+    with pytest.raises(ValueError, match="c must be a positive finite number"):
+        sc.ScanTask.make(10**7, 10**7 + 10, c=c, check_bound=check_bound)
+
+
 def test_scan_refuses_bad_counts():
     task = sc.ScanTask(p_lo=101, p_hi=140, policy=sc.OrderPolicy.quadratic(),
                        n_max=1, n0=1, p0=101.0, c=None, check_bound=False)
